@@ -41,12 +41,9 @@ from .commutation import (
     random_table,
 )
 from .numsys import (
-    BitBasisRep,
     FactoradicDigits,
-    bit_basis_value,
     digit_to_bits,
     from_factoradic,
-    to_bit_basis,
     to_factoradic,
 )
 from .perms import (

@@ -2,7 +2,10 @@
 
 Families
 --------
-* ``reference``      the n-switch itself: one call per gate, query count n.
+Every family is one entry of :data:`FAMILIES`, which the CLI and
+:func:`expected_queries` read.
+
+* ``switch``         the n-switch itself: one call per gate, query count n.
 * ``sim-switch``     O(n^2) switch simulation by controlled swaps.
 * ``superperm``      switch simulation over the length n^2-2n+4 gate rail
                      that contains every permutation as a subsequence
@@ -28,8 +31,9 @@ from __future__ import annotations
 import json
 import multiprocessing
 from dataclasses import dataclass, field
-from math import isqrt, log2
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from math import gcd, isqrt, log2
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .circuit import (
     AUXILIARY,
@@ -70,6 +74,8 @@ __all__ = [
     "nlogn_query_bound",
     "sqrt_query_count",
     "sqrt_bound_holds",
+    "Family",
+    "FAMILIES",
     "expected_queries",
     "PhaseProfile",
     "phase_profile",
@@ -95,7 +101,7 @@ class ReferenceSwitch:
 
     @property
     def family(self) -> str:
-        return "reference"
+        return "switch"
 
     @property
     def query_count(self) -> int:
@@ -530,22 +536,47 @@ def sqrt_bound_holds(n: int) -> bool:
     return lhs < 0 or lhs * lhs < 25 * n
 
 
+# ---------------------------------------------------------------------------
+# the family registry
+
+
+@dataclass(frozen=True)
+class Family:
+    """One circuit family: constructor, supported n, query count, dense eligibility."""
+
+    name: str
+    build: Callable[[int, Labeling], Circuit | ReferenceSwitch]
+    queries: Callable[[int], int | None]
+    sizes: tuple[int, ...] = ()  # the supported n; empty means any n >= 2
+    dense: bool = False  # eligible for the dense cross-check
+
+
+FAMILIES: dict[str, Family] = {
+    f.name: f
+    for f in (
+        Family("switch", reference_switch, lambda n: n),
+        Family("sim-switch", sim_switch_circuit, lambda n: n * n, dense=True),
+        Family(
+            "superperm", superperm_sim_switch, lambda n: n * n - 2 * n + 4,
+            sizes=(3, 4), dense=True,
+        ),
+        Family(
+            "six-query", lambda n, labeling: six_query_n3(labeling), lambda n: 6,
+            sizes=(3,), dense=True,
+        ),
+        Family("nlogn", lambda n, labeling: nlogn_circuit(n), nlogn_query_count),
+        Family(
+            "nlogn-reduced", lambda n, labeling: nlogn_circuit(n, reduced=True),
+            {4: 14, 8: 46}.get, sizes=(4, 8),
+        ),
+        Family("sqrt", sqrt_circuit, sqrt_query_count),
+    )
+}
+
+
 def expected_queries(family: str, n: int) -> int | None:
-    if family == "reference":
-        return n
-    if family == "sim-switch":
-        return n * n
-    if family == "superperm":
-        return n * n - 2 * n + 4
-    if family == "six-query":
-        return 6
-    if family == "nlogn":
-        return nlogn_query_count(n)
-    if family == "nlogn-reduced":
-        return {4: 14, 8: 46}.get(n)
-    if family == "sqrt":
-        return sqrt_query_count(n)
-    return None
+    entry = FAMILIES.get(family)
+    return entry.queries(n) if entry is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +603,19 @@ class PhaseProfile:
     @property
     def counts_match(self) -> bool:
         return self.expected_queries is None or self.query_count == self.expected_queries
+
+    @cached_property
+    def readout_period(self) -> int:
+        """Least y0 > 0 such that y reads out deterministically iff y0 divides y.
+
+        The readout is deterministic iff y*(p(x) - x*p(1)) == 0 mod n! for
+        every x, that is iff n!/gcd(n!, every p(x) - x*p(1)) divides y.
+        Meaningful only when the residuals are x-independent.
+        """
+        if self.slope is not None:
+            return 1
+        p = self.exponents
+        return self.modulus // gcd(self.modulus, *(e - x * p[1] for x, e in enumerate(p)))
 
 
 @dataclass(frozen=True)
@@ -822,23 +866,11 @@ def solve_profile(profile: PhaseProfile, y: int) -> VerificationReport:
     m = profile.modulus
     if not 0 <= y < m:
         raise DomainError(f"y={y} outside [0, {m - 1}]")
-    linear = False
-    sigma: int | None = None
-    if profile.residuals_ok:
-        if profile.slope is not None:
-            sigma = (profile.slope * y) % m
-            linear = True
-        elif y == 0:
-            sigma = 0
-            linear = True
-        elif profile.exponents:
-            cand = (profile.exponents[1] * y) % m if m > 1 else 0
-            linear = all(
-                (p * y) % m == (x * cand) % m
-                for x, p in enumerate(profile.exponents)
-            )
-            sigma = cand if linear else None
-    solved = sigma if (linear and profile.residuals_ok) else None
+    linear = profile.residuals_ok and y % profile.readout_period == 0
+    solved = None
+    if linear:
+        s = profile.slope if profile.slope is not None else profile.exponents[1]
+        solved = (s * y) % m
     return VerificationReport(
         n=profile.n,
         family=profile.family,
@@ -849,7 +881,7 @@ def solve_profile(profile: PhaseProfile, y: int) -> VerificationReport:
         residuals_x_independent=profile.residuals_ok,
         phase_linear=linear,
         solved_y=solved,
-        passed=bool(profile.residuals_ok and linear and solved == y),
+        passed=linear and solved == y,
         exponents=profile.exponents,
         residuals=profile.residuals,
         failure=profile.failure,

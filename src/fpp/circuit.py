@@ -44,6 +44,7 @@ __all__ = [
     "Circuit",
     "WireOutcome",
     "aux_wire",
+    "events",
     "execute",
     "execute_with_bits",
     "query_count",
@@ -238,82 +239,76 @@ class WireOutcome:
         return tuple(reversed(self.applied[wire_id]))
 
 
-class _Context:
-    """Resolved control state for one execution."""
+def events(circuit: Circuit, x: int) -> Iterator[tuple]:
+    """Elementary events of the circuit for control basis state x, in gate order.
 
-    __slots__ = ("word", "positions", "bits")
-
-    def __init__(
-        self,
-        word: PermWord | None,
-        bits: Mapping[tuple[int, int], int] | None,
-    ) -> None:
-        self.word = word
-        self.positions = word.positions() if word is not None else None
-        self.bits = bits
-
-
-def _resolve(circuit: Circuit, x: int) -> _Context:
+    ``("apply", g, wire)`` appends U_g to the word of the token on ``wire``;
+    ``("swap", a, b)`` exchanges the tokens on two wires.  This is the one
+    place a control state is resolved; the symbolic executor and the dense
+    backends consume the same stream.
+    """
     if isinstance(circuit.control, QuditControl):
         labeling = circuit.control.labeling
         if not 0 <= x < labeling.size:
             raise RangeError(f"x={x} outside [0, {labeling.size - 1}]")
-        return _Context(labeling.word(x), None)
+        return _events(circuit, labeling.word(x), None)
     if not 0 <= x < factorial(circuit.n):
         raise RangeError(f"x={x} outside [0, {factorial(circuit.n) - 1}]")
-    return _Context(None, circuit.control.assignment(x))
+    return _events(circuit, None, circuit.control.assignment(x))
 
 
-def gate_events(gate: Gate, ctx: _Context) -> Iterator[tuple]:
-    """Elementary events of one gate: ("apply", g, wire) or ("swap", a, b)."""
-    if isinstance(gate, Apply):
-        yield ("apply", gate.gate, gate.wire)
-    elif isinstance(gate, ControlledApply):
-        if ctx.bits is None:
-            raise StructuralError("bit-controlled gate in a qudit-controlled circuit")
-        if ctx.bits[gate.bit] == gate.polarity:
+def _events(
+    circuit: Circuit,
+    word: PermWord | None,
+    bits: Mapping[tuple[int, int], int] | None,
+) -> Iterator[tuple]:
+    positions = word.positions() if word is not None else None
+    for gate in circuit.gates:
+        if isinstance(gate, Apply):
             yield ("apply", gate.gate, gate.wire)
-    elif isinstance(gate, ControlledSwap):
-        if ctx.bits is None:
-            raise StructuralError("bit-controlled gate in a qudit-controlled circuit")
-        if ctx.bits[gate.bit] == gate.polarity:
-            yield ("swap", gate.wire_a, gate.wire_b)
-    elif isinstance(gate, PosCondSwap):
-        if ctx.positions is None:
-            raise StructuralError("qudit-controlled gate in a bit-controlled circuit")
-        if gate.lo <= ctx.positions[gate.gate] < gate.hi:
-            yield ("swap", gate.wire_a, gate.wire_b)
-    elif isinstance(gate, SwitchSwap):
-        if ctx.word is None:
-            raise StructuralError("qudit-controlled gate in a bit-controlled circuit")
-        for wire, position in gate.swaps:
-            yield ("swap", wire, aux_wire(ctx.word.acting(position)))
-    elif isinstance(gate, Rewire):
-        if ctx.word is None:
-            raise StructuralError("qudit-controlled gate in a bit-controlled circuit")
-        try:
-            swaps = gate.routes[ctx.word.order]
-        except KeyError:
-            raise StructuralError(
-                f"rewire step {gate.step} has no route for word {ctx.word.order}"
-            )
-        for a, b in swaps:
-            yield ("swap", a, b)
-    else:
-        raise StructuralError(f"unknown gate {gate!r}")
+        elif isinstance(gate, ControlledApply):
+            if bits is None:
+                raise StructuralError("bit-controlled gate in a qudit-controlled circuit")
+            if bits[gate.bit] == gate.polarity:
+                yield ("apply", gate.gate, gate.wire)
+        elif isinstance(gate, ControlledSwap):
+            if bits is None:
+                raise StructuralError("bit-controlled gate in a qudit-controlled circuit")
+            if bits[gate.bit] == gate.polarity:
+                yield ("swap", gate.wire_a, gate.wire_b)
+        elif isinstance(gate, PosCondSwap):
+            if positions is None:
+                raise StructuralError("qudit-controlled gate in a bit-controlled circuit")
+            if gate.lo <= positions[gate.gate] < gate.hi:
+                yield ("swap", gate.wire_a, gate.wire_b)
+        elif isinstance(gate, SwitchSwap):
+            if word is None:
+                raise StructuralError("qudit-controlled gate in a bit-controlled circuit")
+            for wire, position in gate.swaps:
+                yield ("swap", wire, aux_wire(word.acting(position)))
+        elif isinstance(gate, Rewire):
+            if word is None:
+                raise StructuralError("qudit-controlled gate in a bit-controlled circuit")
+            try:
+                swaps = gate.routes[word.order]
+            except KeyError:
+                raise StructuralError(
+                    f"rewire step {gate.step} has no route for word {word.order}"
+                )
+            for a, b in swaps:
+                yield ("swap", a, b)
+        else:
+            raise StructuralError(f"unknown gate {gate!r}")
 
 
-def _run(circuit: Circuit, ctx: _Context) -> WireOutcome:
+def _run(circuit: Circuit, stream: Iterator[tuple]) -> WireOutcome:
     token_at = {w.id: w.id for w in circuit.data_wires()}
     words: dict[str, list[int]] = {t: [] for t in token_at}
-    for gate in circuit.gates:
-        for event in gate_events(gate, ctx):
-            if event[0] == "apply":
-                _, g, wire = event
-                words[token_at[wire]].append(g)
-            else:
-                _, a, b = event
-                token_at[a], token_at[b] = token_at[b], token_at[a]
+    for kind, first, second in stream:
+        if kind == "apply":  # first: the gate index, second: the wire
+            words[token_at[second]].append(first)
+        else:
+            token_at[first], token_at[second] = token_at[second], token_at[first]
     applied = {w: tuple(words[token_at[w]]) for w in token_at}
     home = all(tok == w for w, tok in token_at.items())
     return WireOutcome(applied, home)
@@ -321,7 +316,7 @@ def _run(circuit: Circuit, ctx: _Context) -> WireOutcome:
 
 def execute(circuit: Circuit, x: int) -> WireOutcome:
     """Deterministic symbolic execution for one control basis state."""
-    return _run(circuit, _resolve(circuit, x))
+    return _run(circuit, events(circuit, x))
 
 
 def execute_with_bits(
@@ -338,7 +333,7 @@ def execute_with_bits(
         raise StructuralError("bit assignment must cover exactly the control slots")
     if any(v not in (0, 1) for v in bits.values()):
         raise StructuralError("bits must be 0 or 1")
-    return _run(circuit, _Context(None, dict(bits)))
+    return _run(circuit, _events(circuit, None, dict(bits)))
 
 
 def query_count(circuit: Circuit) -> int:

@@ -1,8 +1,13 @@
 """Command-line surface: run, queries, enumerate-labelings, export, dense.
 
+The ``--alg`` choices, the supported ``--n`` per family and the families
+``dense`` accepts all come from :data:`fpp.algorithms.FAMILIES`.
+
 Exit codes: 0 on success, 1 on verification/cross-check failure, 2 on usage
-errors.  Output ordering is deterministic (ascending x / y) regardless of
-the parallelism degree; FPP_THREADS overrides the default worker count.
+errors, including malformed integers in ``--y``, ``--labeling`` and
+labeling files.  Output ordering is deterministic (ascending x / y)
+regardless of the parallelism degree; FPP_THREADS overrides the default
+worker count.
 """
 
 from __future__ import annotations
@@ -17,36 +22,21 @@ from typing import Sequence
 
 from . import densesim
 from .algorithms import (
+    FAMILIES,
     nlogn_query_bound,
     nlogn_query_count,
     phase_profile,
-    reference_switch,
-    sim_switch_circuit,
-    six_query_n3,
     solve_profile,
     sqrt_bound_holds,
     sqrt_query_count,
-    superperm_sim_switch,
-    nlogn_circuit,
-    sqrt_circuit,
 )
-from .circuit import export_circuit
+from .circuit import Circuit, export_circuit
 from .errors import FppError
 from .perms import (
     FactoradicLabeling,
     Labeling,
     enumerate_valid_labelings,
     labeling_from_text,
-)
-
-ALGORITHMS = (
-    "switch",
-    "sim-switch",
-    "superperm",
-    "six-query",
-    "nlogn",
-    "nlogn-reduced",
-    "sqrt",
 )
 
 
@@ -58,6 +48,13 @@ def _default_threads() -> int:
         except ValueError:
             pass
     return os.cpu_count() or 1
+
+
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FppError(f"{what} must be an integer, got {text!r}") from None
 
 
 def _load_labeling(spec: str, n: int) -> Labeling:
@@ -73,7 +70,7 @@ def _load_labeling(spec: str, n: int) -> Labeling:
     if spec.startswith("enumerate-index:"):
         if n != 3:
             raise FppError("enumerate-index labelings exist only for n=3")
-        index = int(spec[len("enumerate-index:") :])
+        index = _parse_int(spec[len("enumerate-index:") :], "enumerate-index")
         labelings = enumerate_valid_labelings(3)
         if not 0 <= index < len(labelings):
             raise FppError(f"enumerate-index must be in [0, {len(labelings) - 1}]")
@@ -81,45 +78,16 @@ def _load_labeling(spec: str, n: int) -> Labeling:
     raise FppError(f"unknown labeling spec {spec!r}")
 
 
-def _build(alg: str, n: int, labeling: Labeling):
-    if alg == "switch":
-        return reference_switch(n, labeling)
-    if alg == "sim-switch":
-        return sim_switch_circuit(n, labeling)
-    if alg == "superperm":
-        return superperm_sim_switch(n, labeling)
-    if alg == "six-query":
-        return six_query_n3(labeling)
-    if alg == "nlogn":
-        return nlogn_circuit(n)
-    if alg == "nlogn-reduced":
-        return nlogn_circuit(n, reduced=True)
-    if alg == "sqrt":
-        return sqrt_circuit(n, labeling)
-    raise FppError(f"unknown algorithm {alg!r}")
-
-
-def _check_compat(parser: argparse.ArgumentParser, alg: str, n: int) -> None:
-    if alg == "six-query" and n != 3:
-        parser.error("six-query requires --n 3")
-    if alg == "superperm" and n not in (3, 4):
-        parser.error("superperm requires --n 3 or --n 4")
-    if alg == "nlogn-reduced" and n not in (4, 8):
-        parser.error("nlogn-reduced requires --n 4 or --n 8")
-    if n < 2:
-        parser.error("--n must be at least 2")
-
-
 def _parse_ys(spec: str, m: int, seed: int) -> list[int]:
     if spec == "all":
         return list(range(m))
     if spec.startswith("sample:"):
-        count = int(spec[len("sample:") :])
+        count = _parse_int(spec[len("sample:") :], "sample count")
         if count < 1:
             raise FppError("sample count must be positive")
         rng = random.Random(seed)
         return sorted(rng.sample(range(m), min(count, m)))
-    y = int(spec)
+    y = _parse_int(spec, "--y")
     if not 0 <= y < m:
         raise FppError(f"y={y} outside [0, {m - 1}]")
     return [y]
@@ -127,7 +95,7 @@ def _parse_ys(spec: str, m: int, seed: int) -> list[int]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     labeling = _load_labeling(args.labeling, args.n)
-    target = _build(args.alg, args.n, labeling)
+    target = FAMILIES[args.alg].build(args.n, labeling)
     m = factorial(args.n)
     ys = _parse_ys(args.y, m, args.seed)
     profile = phase_profile(target, labeling, processes=args.parallel)
@@ -209,8 +177,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     labeling = _load_labeling(args.labeling, args.n)
-    target = _build(args.alg, args.n, labeling)
-    if args.alg == "switch":
+    target = FAMILIES[args.alg].build(args.n, labeling)
+    if not isinstance(target, Circuit):
         raise FppError("the reference switch is not a gate-list circuit; nothing to export")
     sys.stdout.write(export_circuit(target))
     return 0
@@ -221,7 +189,7 @@ def _cmd_dense(args: argparse.Namespace) -> int:
     validation = labeling.validate()
     if not validation.consistent:
         raise FppError(f"labeling {labeling.name!r} is inconsistent")
-    circuit = _build(args.alg, args.n, labeling)
+    circuit = FAMILIES[args.alg].build(args.n, labeling)
     m = factorial(args.n)
     ys = _parse_ys(args.y, m, args.seed)
     profile = phase_profile(circuit, labeling)
@@ -251,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="build a circuit and verify it for chosen y values")
-    run.add_argument("--alg", required=True, choices=ALGORITHMS)
+    run.add_argument("--alg", required=True, choices=tuple(FAMILIES))
     run.add_argument("--n", required=True, type=int)
     run.add_argument("--labeling", default="factoradic")
     run.add_argument("--y", default="all")
@@ -271,13 +239,15 @@ def build_parser() -> argparse.ArgumentParser:
     enum.set_defaults(func=_cmd_enumerate)
 
     export = sub.add_parser("export", help="print the stable circuit description")
-    export.add_argument("--alg", required=True, choices=ALGORITHMS)
+    export.add_argument("--alg", required=True, choices=tuple(FAMILIES))
     export.add_argument("--n", required=True, type=int)
     export.add_argument("--labeling", default="factoradic")
     export.set_defaults(func=_cmd_export)
 
     dense = sub.add_parser("dense", help="dense numerical cross-check (n <= 3)")
-    dense.add_argument("--alg", required=True, choices=("sim-switch", "six-query", "superperm"))
+    dense.add_argument(
+        "--alg", required=True, choices=tuple(f.name for f in FAMILIES.values() if f.dense)
+    )
     dense.add_argument("--n", required=True, type=int)
     dense.add_argument("--labeling", default="factoradic")
     dense.add_argument("--y", default="all")
@@ -292,8 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "alg") and hasattr(args, "n"):
-        _check_compat(parser, args.alg, args.n)
+    if hasattr(args, "alg"):
+        sizes = FAMILIES[args.alg].sizes
+        if sizes and args.n not in sizes:
+            parser.error(f"{args.alg} requires " + " or ".join(f"--n {k}" for k in sizes))
+        if args.n < 2:
+            parser.error("--n must be at least 2")
     try:
         return args.func(args)
     except FppError as exc:

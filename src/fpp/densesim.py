@@ -6,12 +6,15 @@ and reads y off the control marginal.
 
 Because every circuit in scope is classically controlled on control basis
 states, the joint state after the circuit is (1/sqrt(n!)) sum_x |x> |psi_x>
-with |psi_x> a product over data wires.  :func:`run_dense` therefore
-propagates one d-dimensional vector per wire for each x and assembles the
-control marginal from the Gram matrix of the |psi_x> - exact linear algebra
-at a cost of n! * wires * d amplitudes instead of d^wires.
+with |psi_x> a product over data wires.  :func:`run_dense` therefore takes
+each wire's applied word from the symbolic executor
+(:func:`fpp.circuit.execute`), multiplies the wire's start vector by it, and
+assembles the control marginal from the Gram matrix of the |psi_x> - exact
+linear algebra at a cost of n! * wires * d amplitudes instead of d^wires.
 :func:`run_dense_joint` is the literal full-statevector reference for tiny
-dimensions.
+dimensions; it replays the same per-x event stream
+(:func:`fpp.circuit.events`) as tensor contractions and axis swaps.  Neither
+backend resolves control states itself.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from math import factorial
 
 import numpy as np
 
-from .circuit import Circuit, _resolve, gate_events
+from .circuit import Circuit, events, execute
 from .commutation import CommutationTable
 from .errors import DimensionError, DomainError, InvariantError, UnsupportedError
 
@@ -167,10 +170,6 @@ def _initial_vectors(
     return out
 
 
-def _control_dimension(circuit: Circuit) -> int:
-    return factorial(circuit.n)
-
-
 def run_dense(
     circuit: Circuit,
     unitaries: list[np.ndarray],
@@ -190,7 +189,7 @@ def run_dense(
         if u.shape != (d, d):
             raise DomainError("unitaries must share one dimension")
         _check_unitary(u)
-    m = _control_dimension(circuit)
+    m = factorial(circuit.n)
     wires = [w.id for w in circuit.data_wires()]
     if m * len(wires) * d > 10**7 or m * m > 10**7:
         raise DimensionError(
@@ -201,20 +200,15 @@ def run_dense(
     init = _initial_vectors(circuit, d, seed)
     final: list[dict[str, np.ndarray]] = []
     for x in range(m):
-        ctx = _resolve(circuit, x)
-        vectors = {w: init[w].copy() for w in wires}
-        token_at = {w: w for w in wires}
-        for gate in circuit.gates:
-            for event in gate_events(gate, ctx):
-                if event[0] == "apply":
-                    _, g, wire = event
-                    tok = token_at[wire]
-                    vectors[tok] = unitaries[g] @ vectors[tok]
-                else:
-                    _, a, b = event
-                    token_at[a], token_at[b] = token_at[b], token_at[a]
-        if any(tok != w for w, tok in token_at.items()):
+        out = execute(circuit, x)
+        if not out.tokens_home:
             raise InvariantError("tokens did not return home; marginal undefined")
+        vectors = {}
+        for w in wires:
+            v = init[w]
+            for g in out.applied[w]:
+                v = unitaries[g] @ v
+            vectors[w] = v
         final.append(vectors)
 
     gram = np.empty((m, m), dtype=complex)
@@ -243,7 +237,7 @@ def run_dense_joint(
     engine.
     """
     d = unitaries[0].shape[0]
-    m = _control_dimension(circuit)
+    m = factorial(circuit.n)
     wires = [w.id for w in circuit.data_wires()]
     total = m * d ** len(wires)
     if total > 10**7:
@@ -256,21 +250,17 @@ def run_dense_joint(
         state = np.kron(state, init[w])
     state = state.reshape((m,) + (d,) * len(wires))
 
-    axis_of = {w: 1 + idx for idx, w in enumerate(wires)}
+    axis_of = {w: idx for idx, w in enumerate(wires)}
     for x in range(m):
-        ctx = _resolve(circuit, x)
         slice_x = state[x].copy()
-        for gate in circuit.gates:
-            for event in gate_events(gate, ctx):
-                if event[0] == "apply":
-                    _, g, wire = event
-                    ax = axis_of[wire] - 1
-                    slice_x = np.moveaxis(
-                        np.tensordot(unitaries[g], slice_x, axes=([1], [ax])), 0, ax
-                    )
-                else:
-                    _, a, b = event
-                    slice_x = np.swapaxes(slice_x, axis_of[a] - 1, axis_of[b] - 1)
+        for kind, first, second in events(circuit, x):
+            if kind == "apply":  # first: the gate index, second: the wire
+                ax = axis_of[second]
+                slice_x = np.moveaxis(
+                    np.tensordot(unitaries[first], slice_x, axes=([1], [ax])), 0, ax
+                )
+            else:
+                slice_x = np.swapaxes(slice_x, axis_of[first], axis_of[second])
         state[x] = slice_x
 
     f_inv = fourier(m).conj().T

@@ -9,7 +9,8 @@ ceil(k/2^i)*k!,
 
 which exists for every x but is not unique.  The greedy largest-weight-first
 assignment is fixed here as the canonical representative, so all downstream
-constructions and tests are deterministic.
+constructions and tests are deterministic; :class:`fpp.circuit.BitControl`
+applies it digit by digit to map x onto a circuit's control bits.
 
 Python integers are arbitrary precision, so n! never overflows; inputs are
 still validated against their documented ranges.
@@ -25,15 +26,12 @@ from .errors import InvariantError, RangeError
 
 __all__ = [
     "FactoradicDigits",
-    "BitBasisRep",
     "ceil_log2",
     "bit_weight",
     "greedy_bits",
     "to_factoradic",
     "from_factoradic",
     "digit_to_bits",
-    "to_bit_basis",
-    "bit_basis_value",
 ]
 
 
@@ -74,32 +72,6 @@ class FactoradicDigits:
         if not 1 <= k <= self.n - 1:
             raise RangeError(f"k must be in [1, {self.n - 1}], got {k}")
         return self.digits[k - 1]
-
-
-@dataclass(frozen=True)
-class BitBasisRep:
-    """Canonical (greedy) bit representation of x over slots (k, i).
-
-    ``bits`` maps every slot (k, i) with 1 <= k <= n-1, 1 <= i <= ihat to 0/1.
-    """
-
-    n: int
-    ihat: int
-    bits: dict[tuple[int, int], int]
-
-    def __post_init__(self) -> None:
-        expected = {(k, i) for k in range(1, self.n) for i in range(1, self.ihat + 1)}
-        if set(self.bits) != expected:
-            raise InvariantError("bit slots do not cover (n-1) x ihat exactly")
-        if any(b not in (0, 1) for b in self.bits.values()):
-            raise InvariantError("bits must be 0 or 1")
-
-    @property
-    def bit_count(self) -> int:
-        return (self.n - 1) * self.ihat
-
-    def bit(self, k: int, i: int) -> int:
-        return self.bits[(k, i)]
 
 
 def to_factoradic(x: int, n: int) -> FactoradicDigits:
@@ -152,22 +124,3 @@ def digit_to_bits(a_k: int, k: int, n: int) -> tuple[int, ...]:
     ihat = ceil_log2(n)
     return greedy_bits(a_k, [bit_weight(k, i) for i in range(1, ihat + 1)])
 
-
-def to_bit_basis(x: int, n: int) -> BitBasisRep:
-    """Canonical bit representation of x: factoradic digits, each encoded greedily."""
-    if n < 2:
-        raise RangeError(f"n must be >= 2 for the bit basis, got {n}")
-    d = to_factoradic(x, n)
-    ihat = ceil_log2(n)
-    bits: dict[tuple[int, int], int] = {}
-    for k in range(1, n):
-        for i, b in enumerate(digit_to_bits(d.digit(k), k, n), start=1):
-            bits[(k, i)] = b
-    return BitBasisRep(n, ihat, bits)
-
-
-def bit_basis_value(rep: BitBasisRep) -> int:
-    """Evaluate sum_{k,i} c_{k,i} * ceil(k/2^i) * k!."""
-    return sum(
-        b * bit_weight(k, i) * factorial(k) for (k, i), b in rep.bits.items()
-    )

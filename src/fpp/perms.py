@@ -315,13 +315,15 @@ def labeling_to_text(labeling: Labeling) -> str:
 def labeling_from_text(text: str, name: str = "file") -> ExplicitLabeling:
     """Parse the :func:`labeling_to_text` format."""
     entries: dict[int, PermWord] = {}
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        x = int(parts[0])
-        order = tuple(int(p) for p in parts[1:])
+        try:
+            fields = [int(p) for p in line.split()]
+        except ValueError:
+            raise DomainError(f"line {lineno}: fields must be integers, got {line!r}") from None
+        x, order = fields[0], tuple(fields[1:])
         entries[x] = PermWord(len(order), order)
     if not entries:
         raise DomainError("empty labeling file")

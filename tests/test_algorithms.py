@@ -434,7 +434,7 @@ def test_expected_queries_table():
     assert expected_queries("nlogn", 8) == 56
     assert expected_queries("nlogn-reduced", 8) == 46
     assert expected_queries("sqrt", 9) == 99
-    assert expected_queries("reference", 7) == 7
+    assert expected_queries("switch", 7) == 7
     assert expected_queries("unknown", 3) is None
 
 
@@ -507,6 +507,29 @@ def test_verifier_detects_nonlinear_phase():
     assert not report.phase_linear
     assert report.solved_y is None
     assert not report.passed
+
+
+def test_readout_rule_matches_definition_n4():
+    # nlogn realizes the factoradic phases; against every renamed labeling
+    # the residuals still hold but the phase is linear only for some y.
+    # y reads out iff a single sigma has p(x)*y == x*sigma mod n! for all x.
+    import itertools
+
+    m = 24
+    partial = 0
+    for tau in itertools.permutations(range(4)):
+        profile = phase_profile(nlogn_circuit(4), relabeled(FactoradicLabeling(4), tau))
+        assert profile.residuals_ok
+        for y in range(m):
+            sigmas = [
+                s for s in range(m)
+                if all((p * y - x * s) % m == 0 for x, p in enumerate(profile.exponents))
+            ]
+            report = solve_profile(profile, y)
+            assert report.phase_linear == bool(sigmas)
+            assert report.solved_y == (sigmas[0] if sigmas else None)
+            partial += profile.slope is None and y > 0 and bool(sigmas)
+    assert partial > 0
 
 
 def test_verifier_rejects_unsalvageable_circuit():

@@ -82,9 +82,35 @@ def test_fpp_threads_env(monkeypatch):
 
 
 def test_run_incompatible_flags_exit2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--alg", "six-query", "--n", "4", "--parallel", "1"])
-    assert exc.value.code == 2
+    cases = [
+        (["run", "--alg", "six-query", "--n", "4"], "six-query requires --n 3"),
+        (["run", "--alg", "superperm", "--n", "5"], "superperm requires --n 3 or --n 4"),
+        (["run", "--alg", "switch", "--n", "1"], "--n must be at least 2"),
+        (["dense", "--alg", "nlogn", "--n", "3"], "invalid choice: 'nlogn'"),
+    ]
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--y", "foo"),
+    ("--y", "sample:x"),
+    ("--labeling", "enumerate-index:x"),
+    ("--labeling", "file:{bad_file}"),
+])
+def test_run_malformed_integer_exit2(tmp_path, capsys, flag, value):
+    bad_file = tmp_path / "bad.txt"
+    bad_file.write_text("0 2 1 0\n1 2 x 1\n")
+    code, out, err = run_cli(
+        capsys, "run", "--alg", "six-query", "--n", "3",
+        flag, value.format(bad_file=bad_file), "--parallel", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_run_nlogn_reduced_needs_4_or_8(capsys):

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from fpp.algorithms import (
+    nlogn_circuit,
     phase_profile,
     sim_switch_circuit,
     six_query_n3,
     solve_profile,
+    sqrt_circuit,
     superperm_sim_switch,
 )
+from fpp.circuit import eliminate_controlled_unknowns
 from fpp.densesim import (
     PROBABILITY_TOL,
     build_promise_unitaries,
@@ -70,18 +73,26 @@ def test_construction_rejects_bad_y():
 
 
 def test_n2_product_matches_joint():
-    # the product-state engine against the literal joint statevector
+    # the product-state engine against the literal joint statevector, over
+    # qudit control (switch swaps, position-conditioned swaps) and bit
+    # control (controlled applies, controlled swaps)
     lab = FactoradicLabeling(2)
     table = lab.validate().table
-    c = sim_switch_circuit(2, lab)
-    for y in (0, 1):
-        units = build_promise_unitaries(2, y, table)
-        for seed in (None, 11):
-            a = run_dense(c, units, seed=seed)
-            b = run_dense_joint(c, units, seed=seed)
-            assert a.measured_y == b.measured_y == y
-            assert np.allclose(a.probabilities, b.probabilities, atol=1e-10)
-            assert a.peak_probability >= 1 - PROBABILITY_TOL
+    circuits = (
+        sim_switch_circuit(2, lab),
+        nlogn_circuit(2),
+        eliminate_controlled_unknowns(nlogn_circuit(2)),
+        sqrt_circuit(2, lab),
+    )
+    for c in circuits:
+        for y in (0, 1):
+            units = build_promise_unitaries(2, y, table)
+            for seed in (None, 11):
+                a = run_dense(c, units, seed=seed)
+                b = run_dense_joint(c, units, seed=seed)
+                assert a.measured_y == b.measured_y == y
+                assert np.allclose(a.probabilities, b.probabilities, atol=1e-10)
+                assert a.peak_probability >= 1 - PROBABILITY_TOL
 
 
 def test_n3_six_query_dense_vs_symbolic():

@@ -4,17 +4,15 @@ from math import factorial
 
 import pytest
 
+from fpp.circuit import BitControl
 from fpp.errors import InvariantError, RangeError
 from fpp.numsys import (
-    BitBasisRep,
     FactoradicDigits,
-    bit_basis_value,
     bit_weight,
     ceil_log2,
     digit_to_bits,
     from_factoradic,
     greedy_bits,
-    to_bit_basis,
     to_factoradic,
 )
 
@@ -112,37 +110,37 @@ def test_greedy_bits_unrepresentable():
         greedy_bits(5, [2, 2])
 
 
+def _bit_basis(x, n):
+    """Canonical bits of x over every slot (k, i), 1 <= k < n, 1 <= i <= ihat."""
+    slots = tuple((k, i) for k in range(1, n) for i in range(1, ceil_log2(n) + 1))
+    return BitControl(n, slots).assignment(x)
+
+
+def _bit_basis_value(bits):
+    return sum(b * bit_weight(k, i) * factorial(k) for (k, i), b in bits.items())
+
+
 def test_to_bit_basis_paper_value():
-    rep = to_bit_basis(16, 4)
-    set_bits = {slot for slot, b in rep.bits.items() if b}
+    bits = _bit_basis(16, 4)
+    set_bits = {slot for slot, b in bits.items() if b}
     assert set_bits == {(3, 1), (2, 1), (2, 2)}
-    assert bit_basis_value(rep) == 16
+    assert _bit_basis_value(bits) == 16
 
 
 def test_to_bit_basis_zero():
     for n in (2, 4, 6):
-        rep = to_bit_basis(0, n)
-        assert all(b == 0 for b in rep.bits.values())
+        bits = _bit_basis(0, n)
+        assert all(b == 0 for b in bits.values())
 
 
 def test_to_bit_basis_exhaustive():
     for n in range(2, 7):
         for x in range(factorial(n)):
-            assert bit_basis_value(to_bit_basis(x, n)) == x
+            bits = _bit_basis(x, n)
+            assert set(bits.values()) <= {0, 1}
+            assert _bit_basis_value(bits) == x
 
 
 def test_bit_count_exact():
     for n in range(2, 12):
-        rep = to_bit_basis(0, n)
-        assert rep.bit_count == (n - 1) * ceil_log2(n)
-        assert len(rep.bits) == rep.bit_count
-
-
-def test_bit_basis_rep_invariants():
-    with pytest.raises(InvariantError):
-        BitBasisRep(3, 2, {(1, 1): 0})
-    good = to_bit_basis(3, 3)
-    bad = dict(good.bits)
-    bad[(1, 1)] = 2
-    with pytest.raises(InvariantError):
-        BitBasisRep(3, 2, bad)
+        assert len(_bit_basis(0, n)) == (n - 1) * ceil_log2(n)
