@@ -35,6 +35,8 @@ from functools import cached_property
 from math import gcd, isqrt, log2
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .circuit import (
     AUXILIARY,
     CONTROL_BIT,
@@ -44,17 +46,19 @@ from .circuit import (
     BitControl,
     Circuit,
     ControlledApply,
+    ControlledSwap,
     PosCondSwap,
     QuditControl,
     Rewire,
     SwitchSwap,
     Wire,
+    WireOutcome,
     aux_wire,
     execute,
     query_count,
 )
 from .commutation import CommutationTable, _phase_desc_int
-from .errors import DomainError, StructuralError, UnsupportedError
+from .errors import DomainError, InvariantError, StructuralError, UnsupportedError
 from .numsys import ceil_log2
 from .perms import FactoradicLabeling, Labeling, PermWord
 
@@ -643,13 +647,32 @@ def _wire_phase(applied: tuple[int, ...], table: CommutationTable, wire: str) ->
     return _phase_desc_int(tuple(reversed(applied)), table)
 
 
-def _sweep_range(
+def _reference_wires(
+    circuit: Circuit, table: CommutationTable
+) -> tuple[WireOutcome, tuple[_WireRef, ...]]:
+    """The x=0 execution and the per-wire reference data, wires sorted by id."""
+    ref_out = execute(circuit, 0)
+    if not ref_out.tokens_home:
+        raise StructuralError("reference execution left tokens off their home wires")
+    refs = tuple(
+        _WireRef(
+            wire=w,
+            sorted_word=tuple(sorted(applied)),
+            phase=_wire_phase(applied, table, w),
+        )
+        for w, applied in sorted(ref_out.applied.items())
+    )
+    return ref_out, refs
+
+
+def _sweep_reference(
     circuit: Circuit,
     table: CommutationTable,
     refs: tuple[_WireRef, ...],
     xs: range,
 ) -> tuple[list[int], str | None]:
-    """Exponent deltas for xs; returns (exponents, first failure or None)."""
+    """Per-x reference sweep: :func:`execute` and the residual checks, one x
+    at a time.  Returns (exponents, first failure or None)."""
     m = table.modulus
     ref_phase_total = sum(r.phase or 0 for r in refs)
     exponents: list[int] = []
@@ -671,6 +694,160 @@ def _sweep_range(
     return exponents, None
 
 
+# Bytes of int32 gate counts per chunk of the sweep: a chunk has
+# _CHUNK_BYTES // (4 * wires * n) control states.  Larger chunks gain little
+# speed at n=8 and raise the peak memory of small sweeps.
+_CHUNK_BYTES = 2**19
+
+
+class _ChunkSweep:
+    """The circuit run for a whole chunk of control states at once, in numpy.
+
+    Row r of a chunk is one x.  ``tok[r, w]`` is the token on wire w (wires
+    and tokens numbered in the sorted order of ``refs``), ``count[r*W + t]``
+    counts the gates applied to token t, and ``phase[r]`` is the
+    descending-order exponent of all words so far: applying U_g to a token
+    adds e[g][p] for every U_p (p > g) it already carries, which is the sum
+    :func:`_phase_desc_int` takes over the finished word.
+
+    Gates of the wrong control kind are left to the x=0 reference
+    execution, which rejects them before any sweep.
+    """
+
+    def __init__(self, circuit: Circuit, table: CommutationTable, refs: tuple[_WireRef, ...]):
+        n = circuit.n
+        self.circuit = circuit
+        self.modulus = table.modulus
+        self.ref_phase = sum(r.phase or 0 for r in refs)
+        self.wire = {r.wire: i for i, r in enumerate(refs)}
+        self.ref_counts = np.zeros((len(refs), n), dtype=np.int64)
+        for i, r in enumerate(refs):
+            np.add.at(self.ref_counts[i], list(r.sorted_word), 1)
+        e = np.zeros((n, n), dtype=np.int64)
+        for (j, k), v in table.entries.items():
+            e[j, k] = v
+        self.later = [e[g, g + 1 :] for g in range(n)]  # e[g][p] for p > g
+        self.aux = np.array([self.wire.get(aux_wire(g), -1) for g in range(n)])
+        self.rows = max(1, _CHUNK_BYTES // (4 * max(len(refs), 1) * n))
+
+    def run(self, xs: range) -> tuple[np.ndarray, int] | None:
+        """Exponents of the chunk and the index of its first failing x
+        (``len(xs)`` if none fails), or None if some x of the chunk has no
+        bit assignment."""
+        circuit, n = self.circuit, self.circuit.n
+        size, width = len(xs), len(self.wire)
+        words = bits = positions = None
+        if isinstance(circuit.control, QuditControl):
+            words = circuit.control.labeling.words(xs)
+            positions = np.empty_like(words)
+            positions[np.arange(size)[:, None], words] = np.arange(n - 1, -1, -1)
+        else:
+            try:
+                bits = circuit.control.assignments(xs)
+            except InvariantError:
+                return None
+        rows = np.arange(size)
+        base = rows * width
+        tok = np.tile(np.arange(width), (size, 1))
+        count = np.zeros((size * width, n), dtype=np.int32)
+        phase = np.zeros(size, dtype=np.int64)
+        bad = np.zeros(size, dtype=bool)
+        by_word = None
+
+        def apply(sel: np.ndarray, wire: int, g: int) -> None:
+            token = base[sel] + tok[sel, wire]
+            phase[sel] += count[token, g + 1 :] @ self.later[g]
+            count[token, g] += 1
+
+        def swap(sel: np.ndarray, a, b) -> None:
+            held = tok[sel, a]
+            tok[sel, a] = tok[sel, b]
+            tok[sel, b] = held
+
+        def fired(bit: tuple[int, int], polarity: int) -> np.ndarray:
+            return np.flatnonzero(bits[bit] == polarity)
+
+        for gate in circuit.gates:
+            if isinstance(gate, Apply):
+                apply(rows, self.wire[gate.wire], gate.gate)
+            elif isinstance(gate, ControlledApply):
+                apply(fired(gate.bit, gate.polarity), self.wire[gate.wire], gate.gate)
+            elif isinstance(gate, ControlledSwap):
+                swap(fired(gate.bit, gate.polarity),
+                     self.wire[gate.wire_a], self.wire[gate.wire_b])
+            elif isinstance(gate, PosCondSwap):
+                p = positions[:, gate.gate]
+                swap(np.flatnonzero((gate.lo <= p) & (p < gate.hi)),
+                     self.wire[gate.wire_a], self.wire[gate.wire_b])
+            elif isinstance(gate, SwitchSwap):
+                for wire, position in gate.swaps:
+                    a = self.wire[wire]
+                    b = self.aux[words[:, n - 1 - position]]
+                    bad |= b < 0  # no auxiliary wire for that gate
+                    swap(rows, a, np.where(b < 0, a, b))
+            elif isinstance(gate, Rewire):
+                if by_word is None:
+                    keys = words @ n ** np.arange(n)
+                    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+                    by_word = ([tuple(words[i].tolist()) for i in first], inverse.reshape(-1))
+                orders, inverse = by_word
+                # Group the chunk by route: one set of row swaps per distinct route.
+                routes: dict[tuple, int] = {}
+                route_of_word = np.array(
+                    [-1 if o not in gate.routes else routes.setdefault(gate.routes[o], len(routes))
+                     for o in orders]
+                )
+                route = route_of_word[inverse]
+                bad |= route < 0  # no route for that word
+                for swaps, r in routes.items():
+                    sel = np.flatnonzero(route == r)
+                    for a, b in swaps:
+                        swap(sel, self.wire[a], self.wire[b])
+            else:
+                raise StructuralError(f"unknown gate {gate!r}")
+
+        home = (tok == np.arange(width)).all(axis=1)
+        same = (count.reshape(size, width, n) == self.ref_counts).all(axis=(1, 2))
+        ok = home & same & ~bad
+        return (phase - self.ref_phase) % self.modulus, int(ok.argmin()) if not ok.all() else size
+
+
+def _sweep_range(
+    circuit: Circuit,
+    table: CommutationTable,
+    refs: tuple[_WireRef, ...],
+    xs: range,
+) -> tuple[list[int], str | None]:
+    """Exponent deltas for xs; returns (exponents, first failure or None).
+
+    Runs :class:`_ChunkSweep` over chunks of xs.  The first x it finds
+    failing is run again through :func:`_sweep_reference`, so the failure
+    text is the per-x one; so is a chunk holding an x with no bit
+    assignment, which the reference then raises on.
+    """
+    # The engine's int64 exponent sums stay below applies^2 * n!; past 2^63
+    # only the reference's Python ints are exact.
+    if max(query_count(circuit), 1) ** 2 * table.modulus >= 2**63:
+        return _sweep_reference(circuit, table, refs, xs)
+    engine = _ChunkSweep(circuit, table, refs)
+    exponents: list[int] = []
+    for lo in range(xs.start, xs.stop, engine.rows):
+        chunk = range(lo, min(lo + engine.rows, xs.stop))
+        result = engine.run(chunk)
+        if result is None:  # the reference fails or raises within this chunk
+            exps, failure = _sweep_reference(circuit, table, refs, chunk)
+            return exponents + exps, failure
+        exps, first = result
+        exponents.extend(exps[:first].tolist())
+        if first < len(chunk):
+            x = chunk[first]
+            _, failure = _sweep_reference(circuit, table, refs, range(x, x + 1))
+            if failure is None:
+                raise InvariantError(f"x={x}: the chunked sweep fails it, the per-x sweep does not")
+            return exponents, failure
+    return exponents, None
+
+
 _POOL_STATE: dict = {}
 
 
@@ -689,6 +866,12 @@ def phase_profile(
     processes: int | None = None,
 ) -> PhaseProfile:
     """Execute for every x and accumulate phase exponents against x=0.
+
+    The reference words come from :func:`execute` at x=0, the single-x
+    reference.  Every x then runs in chunks through the numpy engine of
+    :func:`_sweep_range`; the first failing x is run again through
+    :func:`execute`, so the failure names the same witness, wire and words
+    the per-x sweep would.
 
     The sweep is embarrassingly parallel over x; ``processes`` > 1 forks
     worker processes where the platform allows and falls back to the serial
@@ -728,18 +911,7 @@ def phase_profile(
     if not isinstance(circuit.control, BitControl):
         if circuit.control.labeling.n != labeling.n:
             raise DomainError("circuit and labeling disagree on n")
-    ref_out = execute(circuit, 0)
-    if not ref_out.tokens_home:
-        raise StructuralError("reference execution left tokens off their home wires")
-    refs = tuple(
-        _WireRef(
-            wire=w,
-            sorted_word=tuple(sorted(applied)),
-            phase=_wire_phase(applied, table, w),
-        )
-        for w, applied in sorted(ref_out.applied.items())
-    )
-
+    ref_out, refs = _reference_wires(circuit, table)
     exponents_list, failure = _parallel_sweep(circuit, table, refs, m, processes)
     residuals = {r.wire: tuple(reversed(ref_out.applied[r.wire])) for r in refs}
     exponents = tuple(exponents_list)

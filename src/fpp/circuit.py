@@ -27,6 +27,8 @@ from dataclasses import dataclass, field, replace
 from math import factorial
 from typing import Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .errors import DomainError, RangeError, StructuralError
 from .numsys import bit_weight, greedy_bits, to_factoradic
 from .perms import Labeling, PermWord
@@ -163,6 +165,26 @@ class BitControl:
             weights = [bit_weight(k, i) for i in slots_k]
             for i, b in zip(slots_k, greedy_bits(digits.digit(k), weights)):
                 bits[(k, i)] = b
+        return bits
+
+    def assignments(self, xs: Sequence[int]) -> dict[tuple[int, int], np.ndarray]:
+        """:meth:`assignment` for a whole array of xs: one 0/1 array per slot.
+
+        Raises what :meth:`assignment` raises for the first x it rejects.
+        """
+        arr = np.asarray(xs, dtype=np.int64).reshape(-1)
+        rejected = (arr < 0) | (arr >= factorial(self.n))
+        bits: dict[tuple[int, int], np.ndarray] = {}
+        for k in range(1, self.n):
+            rem = np.where(rejected, 0, arr // factorial(k) % (k + 1))
+            for i in sorted(i for (kk, i) in self.slots if kk == k):
+                weight = bit_weight(k, i)
+                bit = rem >= weight
+                rem = rem - weight * bit
+                bits[(k, i)] = bit.astype(np.uint8)
+            rejected |= rem != 0
+        if rejected.any():
+            self.assignment(int(arr[rejected.argmax()]))
         return bits
 
 

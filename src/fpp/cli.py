@@ -31,7 +31,7 @@ from .algorithms import (
     sqrt_query_count,
 )
 from .circuit import Circuit, export_circuit
-from .errors import FppError
+from .errors import DomainError, FppError
 from .perms import (
     FactoradicLabeling,
     Labeling,
@@ -62,8 +62,14 @@ def _load_labeling(spec: str, n: int) -> Labeling:
         return FactoradicLabeling(n)
     if spec.startswith("file:"):
         path = spec[len("file:") :]
-        with open(path, "r", encoding="utf-8") as fh:
-            labeling = labeling_from_text(fh.read(), name=spec)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise DomainError(f"cannot read labeling file {path!r}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise DomainError(f"labeling file {path!r} is not UTF-8 text") from None
+        labeling = labeling_from_text(text, name=spec)
         if labeling.n != n:
             raise FppError(f"labeling file has n={labeling.n}, expected n={n}")
         return labeling
@@ -185,6 +191,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_dense(args: argparse.Namespace) -> int:
+    densesim.require_supported_n(args.n)
     labeling = _load_labeling(args.labeling, args.n)
     validation = labeling.validate()
     if not validation.consistent:

@@ -33,6 +33,7 @@ __all__ = [
     "PROBABILITY_TOL",
     "DenseRunResult",
     "fourier",
+    "require_supported_n",
     "build_promise_unitaries",
     "pairwise_deviation",
     "run_dense",
@@ -94,6 +95,15 @@ def _register_ops(m: int, exponent: int, y: int) -> tuple[np.ndarray, np.ndarray
     raise InvariantError("no clock sign satisfies the pair relation")
 
 
+def require_supported_n(n: int) -> None:
+    """Raise :class:`UnsupportedError` for an n the promise construction of
+    :func:`build_promise_unitaries` does not cover (n > 3)."""
+    if n > 3:
+        raise UnsupportedError(
+            f"dense construction has dimension (n!)^C(n,2); n={n} is unsupported"
+        )
+
+
 def build_promise_unitaries(
     n: int, y: int, table: CommutationTable
 ) -> list[np.ndarray]:
@@ -115,10 +125,7 @@ def build_promise_unitaries(
         if pairwise_deviation(units, table, y) < 1e-9:
             return units
         # Unusual table; fall through to the register construction.
-    if n > 3:
-        raise UnsupportedError(
-            f"dense construction has dimension (n!)^C(n,2); n={n} is unsupported"
-        )
+    require_supported_n(n)
 
     pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
     registers = {
@@ -173,7 +180,6 @@ def _initial_vectors(
 def run_dense(
     circuit: Circuit,
     unitaries: list[np.ndarray],
-    y_truth: int | None = None,
     seed: int | None = None,
 ) -> DenseRunResult:
     """Numerically run the Fourier sandwich and measure the control register.

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from math import factorial
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .commutation import CommutationTable, brute_force_phase
 from .errors import DomainError, RangeError, UnsupportedError
 from .numsys import FactoradicDigits, from_factoradic, to_factoradic
@@ -93,6 +95,12 @@ class Labeling:
     def word(self, x: int) -> PermWord:
         raise NotImplementedError
 
+    def words(self, xs: Sequence[int]) -> np.ndarray:
+        """Written orders of the words of ``xs``, one row per x (shape len(xs) x n)."""
+        return np.array(
+            [self.word(x).order for x in xs], dtype=np.int64
+        ).reshape(len(xs), self.n)
+
     def label(self, w: PermWord | Sequence[int]) -> int:
         raise NotImplementedError
 
@@ -103,6 +111,15 @@ class Labeling:
     def _check_x(self, x: int) -> None:
         if not 0 <= x < self.size:
             raise RangeError(f"x={x} outside [0, {self.size - 1}]")
+
+    def _check_xs(self, xs: Sequence[int]) -> np.ndarray:
+        """``xs`` as an int64 array; raises :meth:`_check_x`'s error for the
+        first x out of range."""
+        arr = np.asarray(xs, dtype=np.int64).reshape(-1)
+        outside = (arr < 0) | (arr >= self.size)
+        if outside.any():
+            self._check_x(int(arr[outside.argmax()]))
+        return arr
 
     def validate(self) -> "ConsistencyResult":
         """Memoized :func:`validate_labeling`."""
@@ -131,6 +148,25 @@ class FactoradicLabeling(Labeling):
             seq.insert(i + digits[k - 1], k)
         return PermWord(self.n, tuple(seq))
 
+    def words(self, xs: Sequence[int]) -> np.ndarray:
+        """:meth:`word` for a whole array of xs: the same shifts, one column
+        operation per gate over every row at once."""
+        arr = self._check_xs(xs)
+        n = self.n
+        cols = np.arange(n)
+        rows = np.arange(len(arr))
+        seq = np.tile(cols[::-1], (len(arr), 1))
+        for k in range(1, n):
+            digit = (arr // factorial(k)) % (k + 1)
+            i = (seq == k).argmax(axis=1)
+            j = i + digit
+            # U_k moves from written index i to i + digit; what lies between
+            # moves one step left.
+            between = (cols >= i[:, None]) & (cols < j[:, None])
+            seq = np.take_along_axis(seq, cols + between, axis=1)
+            seq[rows, j] = k
+        return seq
+
     def label(self, w: PermWord | Sequence[int]) -> int:
         order = w.order if isinstance(w, PermWord) else tuple(w)
         if sorted(order) != list(range(self.n)):
@@ -158,10 +194,18 @@ class ExplicitLabeling(Labeling):
         self._inverse = {w.order: x for x, w in enumerate(self._words)}
         if len(self._inverse) != self.size:
             raise DomainError("labeling is not bijective: repeated words")
+        self._table: np.ndarray | None = None
 
     def word(self, x: int) -> PermWord:
         self._check_x(x)
         return self._words[x]
+
+    def words(self, xs: Sequence[int]) -> np.ndarray:
+        """Rows of the n! x n word table, built on first use (int8: n < 128)."""
+        arr = self._check_xs(xs)
+        if self._table is None:
+            self._table = np.array([w.order for w in self._words], dtype=np.int8)
+        return self._table[arr].astype(np.int64)
 
     def label(self, w: PermWord | Sequence[int]) -> int:
         order = w.order if isinstance(w, PermWord) else tuple(w)
@@ -198,6 +242,10 @@ class ConsistencyResult:
     @property
     def consistent(self) -> bool:
         return self.status == "consistent"
+
+
+# Words resolved per call of Labeling.words while validating.
+_WORD_BLOCK = 4096
 
 
 def _derived_table(labeling: Labeling) -> CommutationTable:
@@ -242,19 +290,21 @@ def validate_labeling(labeling: Labeling) -> ConsistencyResult:
     """Derive the pairwise table and check every labeled word against it.
 
     Consistent iff for every x the brute-force exponent of word(x) relative
-    to word(0) equals x mod n!.
+    to word(0) equals x mod n!.  Each word is resolved once, through
+    :meth:`Labeling.words` in blocks.
     """
     m = labeling.size
-    seen: set[tuple[int, ...]] = set()
-    for x in range(m):
-        seen.add(labeling.word(x).order)
-    if len(seen) != m:
+    orders: list[tuple[int, ...]] = []
+    for lo in range(0, m, _WORD_BLOCK):
+        block = labeling.words(range(lo, min(lo + _WORD_BLOCK, m)))
+        orders.extend(map(tuple, block.tolist()))
+    if len(set(orders)) != m:
         raise DomainError(f"labeling {labeling.name!r} is not bijective")
 
     table = _derived_table(labeling)
-    p0 = int(brute_force_phase(labeling.word(0), table))
-    for x in range(m):
-        p = int(brute_force_phase(labeling.word(x), table))
+    p0 = int(brute_force_phase(orders[0], table))
+    for x, order in enumerate(orders):
+        p = int(brute_force_phase(order, table))
         if (p - p0) % m != x:
             witness = _find_witness(labeling, table)
             return ConsistencyResult("contradiction", None, witness)

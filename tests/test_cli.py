@@ -140,9 +140,38 @@ def test_run_nlogn_wrong_labeling_exit1(capsys):
 
 
 def test_run_missing_labeling_file(capsys):
-    with pytest.raises(FileNotFoundError):
-        main(["run", "--alg", "six-query", "--n", "3",
-              "--labeling", "file:/nonexistent", "--parallel", "1"])
+    code, out, err = run_cli(
+        capsys, "run", "--alg", "six-query", "--n", "3",
+        "--labeling", "file:/nonexistent", "--parallel", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "error: cannot read labeling file '/nonexistent'" in err
+
+
+def test_run_binary_labeling_file(tmp_path, capsys):
+    path = tmp_path / "labeling.bin"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run_cli(
+        capsys, "run", "--alg", "six-query", "--n", "3",
+        "--labeling", f"file:{path}", "--parallel", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "is not UTF-8 text" in err
+
+
+def test_dense_unsupported_n_exits_before_sweep(capsys, monkeypatch):
+    import fpp.cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("phase_profile must not run for an unsupported n")
+
+    monkeypatch.setattr(fpp.cli, "phase_profile", no_sweep)
+    code, out, err = run_cli(capsys, "dense", "--alg", "sim-switch", "--n", "8", "--y", "1")
+    assert code == 2
+    assert out == ""
+    assert "error: dense construction has dimension (n!)^C(n,2); n=8 is unsupported" in err
 
 
 def test_run_labeling_file(tmp_path, capsys):

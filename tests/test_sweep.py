@@ -1,0 +1,363 @@
+"""Differential tests: the chunked numpy sweep against the per-x sweep.
+
+``_sweep_reference`` runs :func:`fpp.circuit.execute` and the residual
+checks one x at a time; ``_sweep_range`` runs whole chunks of xs in numpy.
+They must agree on the exponents, the failure text and the errors raised.
+"""
+
+import random
+from dataclasses import replace
+from math import factorial
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fpp import algorithms
+from fpp.algorithms import FAMILIES, nlogn_circuit, phase_profile, sim_switch_circuit, sqrt_circuit
+from fpp.circuit import (
+    AUXILIARY,
+    CONTROL_BIT,
+    CONTROL_QUDIT,
+    TARGET,
+    Apply,
+    BitControl,
+    Circuit,
+    ControlledApply,
+    ControlledSwap,
+    PosCondSwap,
+    QuditControl,
+    Rewire,
+    SwitchSwap,
+    Wire,
+    aux_wire,
+)
+from fpp.commutation import random_table
+from fpp.errors import FppError, StructuralError
+from fpp.numsys import ceil_log2
+from fpp.perms import (
+    ExplicitLabeling,
+    FactoradicLabeling,
+    Labeling,
+    enumerate_valid_labelings,
+    relabeled,
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (FppError, KeyError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_sweeps_agree(circuit: Circuit, labeling: Labeling):
+    """Both sweeps over every x; returns the shared (exponents, failure)."""
+    table = labeling.validate().table
+    _, refs = algorithms._reference_wires(circuit, table)
+    xs = range(labeling.size)
+    chunked = _outcome(algorithms._sweep_range, circuit, table, refs, xs)
+    per_x = _outcome(algorithms._sweep_reference, circuit, table, refs, xs)
+    assert chunked == per_x
+    return chunked
+
+
+def _families(n):
+    return [
+        f.name for f in FAMILIES.values()
+        if f.name != "switch" and (not f.sizes or n in f.sizes)
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_every_family_matches_per_x(n):
+    lab = FactoradicLabeling(n)
+    for name in _families(n):
+        exponents, failure = assert_sweeps_agree(FAMILIES[name].build(n, lab), lab)
+        assert failure is None
+        assert len(exponents) == factorial(n)
+
+
+def test_n3_labelings_match_per_x():
+    for lab in enumerate_valid_labelings(3):
+        for name in ("sim-switch", "six-query", "superperm"):
+            assert_sweeps_agree(FAMILIES[name].build(3, lab), lab)
+
+
+def test_relabeled_labelings_match_per_x():
+    # explicit labelings, verified against themselves and against
+    # factoradic: there the residuals hold but the phase is not linear
+    for n, tau in ((4, (1, 3, 0, 2)), (5, (4, 0, 3, 1, 2)), (5, (1, 0, 2, 3, 4))):
+        fac = FactoradicLabeling(n)
+        lab = relabeled(fac, tau)
+        for build in (sim_switch_circuit, sqrt_circuit):
+            assert assert_sweeps_agree(build(n, lab), lab)[1] is None
+            assert assert_sweeps_agree(build(n, lab), fac)[1] is None
+            assert phase_profile(build(n, lab), fac).slope is None
+    lab4 = relabeled(FactoradicLabeling(4), (1, 3, 0, 2))
+    assert_sweeps_agree(FAMILIES["superperm"].build(4, lab4), lab4)
+
+
+def _single_mutants(circuit: Circuit):
+    """Every gate deleted, every polarity flipped, every PosCondSwap bound
+    moved by one (both gates of its sandwich)."""
+    gates = circuit.gates
+    for j in range(len(gates)):
+        yield replace(circuit, gates=gates[:j] + gates[j + 1 :])
+    for j, g in enumerate(gates):
+        if isinstance(g, (ControlledApply, ControlledSwap)):
+            flipped = replace(g, polarity=1 - g.polarity)
+            yield replace(circuit, gates=gates[:j] + (flipped,) + gates[j + 1 :])
+    for j, g in enumerate(gates[:-2]):
+        if isinstance(g, PosCondSwap) and gates[j + 2] == g:
+            for moved in (replace(g, lo=g.lo + 1), replace(g, hi=g.hi - 1)):
+                sandwich = (moved, gates[j + 1], moved)
+                yield replace(circuit, gates=gates[:j] + sandwich + gates[j + 3 :])
+
+
+@pytest.mark.parametrize("family", ["sim-switch", "nlogn", "sqrt"])
+def test_mutants_match_per_x(family):
+    n = 5
+    lab = FactoradicLabeling(n)
+    failures = 0
+    for mutant in _single_mutants(FAMILIES[family].build(n, lab)):
+        try:
+            _, failure = assert_sweeps_agree(mutant, lab)
+        except StructuralError:  # shared x=0 reference rejects it before any sweep
+            continue
+        failures += failure is not None
+    assert failures > 0
+
+
+def test_missing_rewire_route_matches_per_x():
+    lab = FactoradicLabeling(3)
+    c = FAMILIES["six-query"].build(3, lab)
+    word = lab.word(3).order
+    # a route with no swaps: only the lookup itself can fail
+    j = next(j for j, g in enumerate(c.gates) if isinstance(g, Rewire) and not g.routes[word])
+    routes = {w: swaps for w, swaps in c.gates[j].routes.items() if w != word}
+    broken = replace(c, gates=c.gates[:j] + (replace(c.gates[j], routes=routes),) + c.gates[j + 1 :])
+    kind, message = assert_sweeps_agree(broken, lab)
+    assert kind == "StructuralError" and "no route" in message
+
+
+def test_missing_auxiliary_wire_matches_per_x():
+    # a switch swap of psi_t with a_2, which the circuit lacks, for every x
+    # whose first acting gate is U_2
+    lab = FactoradicLabeling(3)
+    wires = (Wire("x", CONTROL_QUDIT), Wire("t", TARGET), Wire("a_0", AUXILIARY), Wire("a_1", AUXILIARY))
+    swap = SwitchSwap((("t", 0),))
+    circuit = Circuit(3, "partial", wires, (swap, swap), QuditControl(lab))
+    assert assert_sweeps_agree(circuit, lab) == ("KeyError", "'a_2'")
+
+
+def test_exponents_past_int64_stay_exact():
+    # sim-switch at n=20 under a random table: int64 exponent sums of the
+    # last xs would wrap
+    n = 20
+    table = random_table(n, random.Random(1))
+    circuit = sim_switch_circuit(n)
+    _, refs = algorithms._reference_wires(circuit, table)
+    xs = range(factorial(n) - 20, factorial(n))
+    exponents, failure = algorithms._sweep_range(circuit, table, refs, xs)
+    assert (exponents, failure) == algorithms._sweep_reference(circuit, table, refs, xs)
+
+
+def test_chunk_boundary_inside_sweep(monkeypatch):
+    n = 5
+    lab = FactoradicLabeling(n)
+    table = lab.validate().table
+    circuits = {name: FAMILIES[name].build(n, lab) for name in _families(n)}
+    whole = {name: phase_profile(c, lab) for name, c in circuits.items()}
+    # shrinking the first U_4 sandwich of psi_1 fails first at x=96
+    c = circuits["sqrt"]
+    j = next(j for j, g in enumerate(c.gates) if isinstance(g, PosCondSwap) and g.gate == n - 1)
+    shrunk = replace(c.gates[j], lo=c.gates[j].lo + 1)
+    broken = replace(c, gates=c.gates[:j] + (shrunk, c.gates[j + 1], shrunk) + c.gates[j + 3 :])
+    whole_failure = phase_profile(broken, lab).failure
+    assert whole_failure.startswith("x=96:")
+
+    monkeypatch.setattr(algorithms, "_CHUNK_BYTES", 4 * 8 * n * 7)  # 7 rows for sqrt's 8 wires
+    for name, circuit in circuits.items():
+        engine = algorithms._ChunkSweep(circuit, table, algorithms._reference_wires(circuit, table)[1])
+        assert engine.rows < lab.size
+        assert phase_profile(circuit, lab) == whole[name]
+        assert_sweeps_agree(circuit, lab)
+    assert phase_profile(broken, lab).failure == whole_failure
+    assert len(assert_sweeps_agree(broken, lab)[0]) == 96
+
+
+def test_parallel_failure_matches_serial():
+    n = 5
+    lab = FactoradicLabeling(n)
+    c = sim_switch_circuit(n, lab)
+    j = max(j for j, g in enumerate(c.gates) if isinstance(g, Apply) and g.gate == 0)
+    broken = replace(c, gates=c.gates[:j] + c.gates[j + 1 :])
+    serial = phase_profile(broken, lab, processes=1)
+    assert serial.failure is not None
+    assert phase_profile(broken, lab, processes=2).failure == serial.failure
+
+
+def test_mixed_repeated_word_raises():
+    wires = (Wire("x", CONTROL_QUDIT), Wire("t", TARGET))
+    gates = (Apply(0, "t"), Apply(1, "t"), Apply(0, "t"))
+    lab = FactoradicLabeling(3)
+    circuit = Circuit(3, "mixed", wires, gates, QuditControl(lab))
+    with pytest.raises(StructuralError, match="mixed repeated gates"):
+        phase_profile(circuit, lab)
+
+
+def test_unrepresentable_bits_match_per_x():
+    # without slot (2, 1) the greedy map cannot write digit a_2 = 2: the
+    # per-x sweep raises at the first such x, or fails earlier
+    n = 4
+    lab = FactoradicLabeling(n)
+    full = nlogn_circuit(n)
+    slots = tuple(s for s in full.control.slots if s != (2, 1))
+    gates = tuple(g for g in full.gates if getattr(g, "bit", None) != (2, 1))
+    circuit = replace(full, gates=gates, control=BitControl(n, slots))
+    assert assert_sweeps_agree(circuit, lab)[0] == "InvariantError"
+    # a gate missing at x=1 makes the residual failure come first
+    early = replace(circuit, gates=tuple(
+        g for g in gates if not (isinstance(g, ControlledApply) and g.bit == (1, 1) and g.polarity)
+    ))
+    _, failure = assert_sweeps_agree(early, lab)
+    assert failure.startswith("x=1:")
+
+
+def test_labeling_words_match_word():
+    for n in range(2, 8):
+        lab = FactoradicLabeling(n)
+        expected = np.array([lab.word(x).order for x in range(lab.size)])
+        assert (lab.words(range(lab.size)) == expected).all()
+        assert (Labeling.words(lab, range(lab.size)) == expected).all()
+        renamed = relabeled(lab, tuple(reversed(range(n))))
+        picked = [lab.size - 1, 0, 1]
+        assert isinstance(renamed, ExplicitLabeling)
+        assert (renamed.words(picked) == [renamed.word(x).order for x in picked]).all()
+    with pytest.raises(FppError, match="x=6 outside"):
+        FactoradicLabeling(3).words([0, 6])
+
+
+def test_bit_assignments_match_assignment():
+    for n, reduced in [(n, False) for n in range(2, 9)] + [(4, True), (8, True)]:
+        control = nlogn_circuit(n, reduced=reduced).control
+        m = factorial(n)
+        xs = range(m) if m <= 5040 else range(0, m, 7)
+        arrays = control.assignments(xs)
+        for row, x in enumerate(xs):
+            assert {s: int(a[row]) for s, a in arrays.items()} == control.assignment(x)
+    partial = BitControl(4, ((1, 1), (3, 1), (3, 2)))
+    first_bad = next(x for x in range(24) if isinstance(_outcome(partial.assignment, x), tuple))
+    assert _outcome(partial.assignments, range(24)) == _outcome(partial.assignment, first_bad)
+
+
+# ---------------------------------------------------------------------------
+# random circuits
+
+
+def _mirrored(draw, ops):
+    """The ops with some applies moved to the end, followed by the swaps of
+    the ops in reverse order, so every x returns its tokens home; sometimes
+    one mirrored swap is dropped."""
+    head = []
+    tail = [g for g in reversed(ops) if isinstance(g, (ControlledSwap, PosCondSwap, SwitchSwap))]
+    if tail and draw(st.booleans()):
+        del tail[draw(st.integers(0, len(tail) - 1))]
+    for g in ops:
+        if isinstance(g, (Apply, ControlledApply)) and draw(st.booleans()):
+            tail.insert(draw(st.integers(0, len(tail))), g)
+        else:
+            head.append(g)
+    return tuple(head + tail)
+
+
+def _gate_index(draw, n, pool):
+    if pool:
+        return pool.pop()
+    return draw(st.integers(0, n - 1))
+
+
+@st.composite
+def qudit_circuits(draw):
+    n = draw(st.integers(2, 5))
+    targets = [f"t{i}" for i in range(draw(st.integers(1, 2)))]
+    data = targets + [aux_wire(g) for g in range(n)]
+    pool = list(draw(st.permutations(range(n)))) if draw(st.booleans()) else []
+    ops = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["apply", "apply", "pos", "switch"]))
+        if kind == "apply":
+            ops.append(Apply(_gate_index(draw, n, pool), draw(st.sampled_from(data))))
+        elif kind == "pos":
+            a, b = draw(st.lists(st.sampled_from(data), min_size=2, max_size=2, unique=True))
+            lo = draw(st.integers(0, n))
+            ops.append(PosCondSwap(a, b, draw(st.integers(0, n - 1)), lo, draw(st.integers(lo, n))))
+        else:
+            wires = draw(st.lists(st.sampled_from(targets), min_size=1, unique=True))
+            positions = draw(st.lists(st.integers(0, n - 1), min_size=len(wires),
+                                      max_size=len(wires), unique=True))
+            ops.append(SwitchSwap(tuple(zip(wires, positions))))
+    gates = _mirrored(draw, ops)
+    if draw(st.booleans()):
+        # switch-simulation steps in a random position order: x-dependent
+        # words with x-independent multisets, so nonzero exponents
+        steps = []
+        for position in draw(st.permutations(range(n))):
+            swap = SwitchSwap(((targets[0], position),))
+            steps += [swap, *(Apply(g, aux_wire(g)) for g in range(n)), swap]
+        gates = tuple(steps) + gates
+    fac = FactoradicLabeling(n)
+    lab = relabeled(fac, draw(st.permutations(range(n)))) if draw(st.booleans()) else fac
+    wires = (Wire("x", CONTROL_QUDIT),) + tuple(
+        Wire(w, TARGET if w in targets else AUXILIARY) for w in data
+    )
+    return Circuit(n, "random", wires, gates, QuditControl(lab)), lab
+
+
+@st.composite
+def bit_circuits(draw):
+    n = draw(st.integers(2, 5))
+    all_slots = [(k, i) for k in range(1, n) for i in range(1, ceil_log2(n) + 1)]
+    slots = draw(st.lists(st.sampled_from(all_slots), min_size=1, unique=True)) \
+        if draw(st.booleans()) else all_slots
+    data = [f"t{i}" for i in range(draw(st.integers(1, 4)))]
+    pool = list(draw(st.permutations(range(n)))) if draw(st.booleans()) else []
+    ops = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["apply", "capply", "cswap"]))
+        if kind == "apply":
+            ops.append(Apply(_gate_index(draw, n, pool), draw(st.sampled_from(data))))
+        elif kind == "capply":
+            ops.append(ControlledApply(_gate_index(draw, n, pool), draw(st.sampled_from(data)),
+                                       draw(st.sampled_from(slots)), draw(st.integers(0, 1))))
+        elif len(data) > 1:
+            a, b = draw(st.lists(st.sampled_from(data), min_size=2, max_size=2, unique=True))
+            ops.append(ControlledSwap(a, b, draw(st.sampled_from(slots)), draw(st.integers(0, 1))))
+    gates = _mirrored(draw, ops)
+    wires = tuple(Wire(f"c_{k}_{i}", CONTROL_BIT) for k, i in sorted(slots))
+    wires += tuple(Wire(w, TARGET) for w in data)
+    control = BitControl(n, tuple(sorted(slots)))
+    return Circuit(n, "random", wires, gates, control), FactoradicLabeling(n)
+
+
+def _check_random(case):
+    circuit, lab = case
+    try:
+        algorithms._reference_wires(circuit, lab.validate().table)
+    except StructuralError:
+        return  # rejected at x=0, before either sweep runs
+    assert_sweeps_agree(circuit, lab)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(qudit_circuits())
+def test_random_qudit_circuits_match_per_x(case):
+    _check_random(case)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(bit_circuits())
+def test_random_bit_circuits_match_per_x(case):
+    _check_random(case)
