@@ -33,7 +33,6 @@ from .circuit import (
 )
 from .commutation import (
     CommutationTable,
-    PhaseExp,
     brute_force_phase,
     factoradic_table,
     normal_order,

@@ -57,7 +57,7 @@ from .circuit import (
     execute,
     query_count,
 )
-from .commutation import CommutationTable, _phase_desc_int
+from .commutation import CommutationTable, normal_order, perm_phase_exponent
 from .errors import DomainError, InvariantError, StructuralError, UnsupportedError
 from .numsys import ceil_log2
 from .perms import FactoradicLabeling, Labeling, PermWord
@@ -439,15 +439,9 @@ def block_phase_sum(dec: BlockDecomposition, table: CommutationTable) -> int:
     """Sum of the companion words' phases: descending-relative for pi,
     ascending-relative for pi_r.  Equals the phase of the original word for
     any antisymmetric table."""
-    from .commutation import normal_order
-
-    m = table.modulus
-    total = 0
-    for word in dec.pi:
-        total += _phase_desc_int(word.order, table)
-    for word in dec.pi_r:
-        total += int(normal_order(word.order, table, "ascending").phase)
-    return total % m
+    total = sum(perm_phase_exponent(word.order, table) for word in dec.pi)
+    total += sum(normal_order(word.order, table, "ascending") for word in dec.pi_r)
+    return total % table.modulus
 
 
 def sqrt_circuit(n: int, labeling: Labeling | None = None) -> Circuit:
@@ -602,7 +596,6 @@ class PhaseProfile:
     residuals: dict[str, tuple[int, ...]]
     residuals_ok: bool
     failure: str | None
-    slope: int | None  # s with exponents[x] == x*s for all x, if linear
 
     @property
     def counts_match(self) -> bool:
@@ -616,10 +609,17 @@ class PhaseProfile:
         every x, that is iff n!/gcd(n!, every p(x) - x*p(1)) divides y.
         Meaningful only when the residuals are x-independent.
         """
-        if self.slope is not None:
-            return 1
         p = self.exponents
         return self.modulus // gcd(self.modulus, *(e - x * p[1] for x, e in enumerate(p)))
+
+    @cached_property
+    def slope(self) -> int | None:
+        """s with exponents[x] == x*s for all x, or None if the residuals
+        fail or the phase is not linear.  Since p(0) == 0, the phase is
+        linear iff every y reads out, and then s == p(1)."""
+        if not self.residuals_ok or self.readout_period != 1:
+            return None
+        return self.exponents[1]
 
 
 @dataclass(frozen=True)
@@ -628,23 +628,7 @@ class _WireRef:
 
     wire: str
     sorted_word: tuple[int, ...]
-    phase: int | None  # None for words that need no phase (homogeneous/empty)
-
-
-def _wire_phase(applied: tuple[int, ...], table: CommutationTable, wire: str) -> int | None:
-    """Descending-order exponent of a wire word, or None if phase-free.
-
-    Words with repeated symbols are phase-free only when homogeneous; mixed
-    duplicates never occur for the circuit families in scope.
-    """
-    if len(set(applied)) <= 1:
-        return None
-    if len(set(applied)) != len(applied):
-        raise StructuralError(
-            f"wire {wire!r} carries mixed repeated gates {applied}; "
-            "phase rewriting is undefined for such words"
-        )
-    return _phase_desc_int(tuple(reversed(applied)), table)
+    phase: int  # descending-order exponent of the written word
 
 
 def _reference_wires(
@@ -658,7 +642,7 @@ def _reference_wires(
         _WireRef(
             wire=w,
             sorted_word=tuple(sorted(applied)),
-            phase=_wire_phase(applied, table, w),
+            phase=perm_phase_exponent(applied[::-1], table),
         )
         for w, applied in sorted(ref_out.applied.items())
     )
@@ -674,7 +658,7 @@ def _sweep_reference(
     """Per-x reference sweep: :func:`execute` and the residual checks, one x
     at a time.  Returns (exponents, first failure or None)."""
     m = table.modulus
-    ref_phase_total = sum(r.phase or 0 for r in refs)
+    ref_phase_total = sum(r.phase for r in refs)
     exponents: list[int] = []
     for x in xs:
         out = execute(circuit, x)
@@ -688,8 +672,7 @@ def _sweep_reference(
                     f"x={x}: wire {r.wire!r} carries {applied}, "
                     f"reference multiset is {r.sorted_word}"
                 )
-            p = _wire_phase(applied, table, r.wire)
-            total += p or 0
+            total += perm_phase_exponent(applied[::-1], table)
         exponents.append((total - ref_phase_total) % m)
     return exponents, None
 
@@ -700,6 +683,11 @@ def _sweep_reference(
 _CHUNK_BYTES = 2**19
 
 
+def _chunk_rows(n: int, width: int) -> int:
+    """Control states per chunk of the sweep of a circuit with ``width`` wires."""
+    return max(1, _CHUNK_BYTES // (4 * max(width, 1) * n))
+
+
 class _ChunkSweep:
     """The circuit run for a whole chunk of control states at once, in numpy.
 
@@ -708,7 +696,8 @@ class _ChunkSweep:
     counts the gates applied to token t, and ``phase[r]`` is the
     descending-order exponent of all words so far: applying U_g to a token
     adds e[g][p] for every U_p (p > g) it already carries, which is the sum
-    :func:`_phase_desc_int` takes over the finished word.
+    :func:`~fpp.commutation.perm_phase_exponent` takes over the finished
+    word, repeated gates included.
 
     Gates of the wrong control kind are left to the x=0 reference
     execution, which rejects them before any sweep.
@@ -718,7 +707,7 @@ class _ChunkSweep:
         n = circuit.n
         self.circuit = circuit
         self.modulus = table.modulus
-        self.ref_phase = sum(r.phase or 0 for r in refs)
+        self.ref_phase = sum(r.phase for r in refs)
         self.wire = {r.wire: i for i, r in enumerate(refs)}
         self.ref_counts = np.zeros((len(refs), n), dtype=np.int64)
         for i, r in enumerate(refs):
@@ -728,7 +717,7 @@ class _ChunkSweep:
             e[j, k] = v
         self.later = [e[g, g + 1 :] for g in range(n)]  # e[g][p] for p > g
         self.aux = np.array([self.wire.get(aux_wire(g), -1) for g in range(n)])
-        self.rows = max(1, _CHUNK_BYTES // (4 * max(len(refs), 1) * n))
+        self.rows = _chunk_rows(n, len(refs))
 
     def run(self, xs: range) -> tuple[np.ndarray, int] | None:
         """Exponents of the chunk and the index of its first failing x
@@ -873,9 +862,10 @@ def phase_profile(
     :func:`execute`, so the failure names the same witness, wire and words
     the per-x sweep would.
 
-    The sweep is embarrassingly parallel over x; ``processes`` > 1 forks
-    worker processes where the platform allows and falls back to the serial
-    path otherwise.  Results are deterministic regardless of schedule.
+    The sweep is embarrassingly parallel over x; ``processes`` > 1 forks up
+    to that many worker processes where the platform allows, when each gets
+    at least 8 chunks of the engine, and runs the serial path otherwise.
+    Results are deterministic regardless of schedule.
     """
     validation = labeling.validate()
     if not validation.consistent:
@@ -888,11 +878,11 @@ def phase_profile(
     if isinstance(target, ReferenceSwitch):
         if target.n != labeling.n:
             raise DomainError("reference switch and labeling disagree on n")
-        p0 = _phase_desc_int(target.word(0).order, table)
-        exponents = tuple(
-            (_phase_desc_int(target.word(x).order, table) - p0) % m for x in range(m)
-        )
-        slope = _linear_slope(exponents, m)
+        # Validation has checked that every word's exponent relative to
+        # word(0) is its label, so the switch needs no sweep.
+        labels = range(m) if target.labeling is labeling else [
+            labeling.label(target.word(x)) for x in range(m)
+        ]
         return PhaseProfile(
             n=target.n,
             modulus=m,
@@ -900,11 +890,10 @@ def phase_profile(
             labeling_name=labeling.name,
             query_count=target.query_count,
             expected_queries=expected_queries(target.family, target.n),
-            exponents=exponents,
+            exponents=tuple((x - labels[0]) % m for x in labels),
             residuals={"psi_t": target.word(0).order},
             residuals_ok=True,
             failure=None,
-            slope=slope,
         )
 
     circuit = target
@@ -914,8 +903,6 @@ def phase_profile(
     ref_out, refs = _reference_wires(circuit, table)
     exponents_list, failure = _parallel_sweep(circuit, table, refs, m, processes)
     residuals = {r.wire: tuple(reversed(ref_out.applied[r.wire])) for r in refs}
-    exponents = tuple(exponents_list)
-    slope = _linear_slope(exponents, m) if failure is None else None
     return PhaseProfile(
         n=circuit.n,
         modulus=m,
@@ -923,11 +910,10 @@ def phase_profile(
         labeling_name=labeling.name,
         query_count=query_count(circuit),
         expected_queries=expected_queries(circuit.family, circuit.n),
-        exponents=exponents if failure is None else (),
+        exponents=tuple(exponents_list) if failure is None else (),
         residuals=residuals,
         residuals_ok=failure is None,
         failure=failure,
-        slope=slope,
     )
 
 
@@ -938,17 +924,22 @@ def _parallel_sweep(
     m: int,
     processes: int | None,
 ) -> tuple[list[int], str | None]:
-    if not processes or processes <= 1 or m < 4 * processes:
+    # Forking pays off only when every worker gets at least 8 engine chunks;
+    # below that (n <= 7) the serial sweep is faster.
+    rows = _chunk_rows(circuit.n, len(refs))
+    chunks = -(-m // rows)
+    workers = min(processes or 1, chunks // 8)
+    if workers <= 1:
         return _sweep_range(circuit, table, refs, range(m))
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
         return _sweep_range(circuit, table, refs, range(m))
-    chunk = -(-m // (processes * 4))
-    bounds = [(lo, min(lo + chunk, m)) for lo in range(0, m, chunk)]
+    step = rows * -(-chunks // (4 * workers))  # about 4 tasks per worker
+    bounds = [(lo, min(lo + step, m)) for lo in range(0, m, step)]
     try:
         with ctx.Pool(
-            processes, initializer=_pool_init, initargs=(circuit, table, refs)
+            workers, initializer=_pool_init, initargs=(circuit, table, refs)
         ) as pool:
             parts = pool.map(_pool_chunk, bounds)
     except OSError:
@@ -959,17 +950,6 @@ def _parallel_sweep(
         if failure is not None:
             return exponents, failure
     return exponents, None
-
-
-def _linear_slope(exponents: Sequence[int], m: int) -> int | None:
-    if not exponents or exponents[0] != 0:
-        return None
-    if m == 1:
-        return 0
-    s = exponents[1]
-    if all(exponents[x] == (x * s) % m for x in range(m)):
-        return s
-    return None
 
 
 @dataclass(frozen=True)
@@ -1041,8 +1021,7 @@ def solve_profile(profile: PhaseProfile, y: int) -> VerificationReport:
     linear = profile.residuals_ok and y % profile.readout_period == 0
     solved = None
     if linear:
-        s = profile.slope if profile.slope is not None else profile.exponents[1]
-        solved = (s * y) % m
+        solved = (profile.exponents[1] * y) % m
     return VerificationReport(
         n=profile.n,
         family=profile.family,

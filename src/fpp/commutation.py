@@ -10,7 +10,10 @@ floating point enters the symbolic path.
 Three independent routes compute the exponent of a word relative to the
 descending order: an insertion-sort engine (:func:`normal_order`), a closed
 pairwise-sum formula (:func:`perm_phase_exponent`), and a literal bubble-sort
-oracle (:func:`brute_force_phase`).  They must always agree; tests enforce it.
+oracle (:func:`brute_force_phase`).  Each takes any sequence of gate indices
+in 0..n-1, repeats allowed (equal symbols commute, so only inverted pairs of
+distinct symbols contribute), and returns a plain int mod n!.  They must
+always agree; tests enforce it.
 """
 
 from __future__ import annotations
@@ -18,53 +21,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, InvariantError
 
 __all__ = [
-    "PhaseExp",
     "CommutationTable",
-    "NormalOrderResult",
     "factoradic_table",
     "random_table",
     "normal_order",
     "perm_phase_exponent",
     "brute_force_phase",
 ]
-
-
-@dataclass(frozen=True)
-class PhaseExp:
-    """Integer exponent p mod ``modulus`` denoting the phase omega^{p*y}."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise InvariantError(f"modulus must be >= 1, got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _check(self, other: "PhaseExp") -> None:
-        if self.modulus != other.modulus:
-            raise DomainError(
-                f"modulus mismatch: {self.modulus} vs {other.modulus}"
-            )
-
-    def __add__(self, other: "PhaseExp") -> "PhaseExp":
-        self._check(other)
-        return PhaseExp(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: "PhaseExp") -> "PhaseExp":
-        self._check(other)
-        return PhaseExp(self.value - other.value, self.modulus)
-
-    def __neg__(self) -> "PhaseExp":
-        return PhaseExp(-self.value, self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -126,38 +94,31 @@ def random_table(n: int, rng: random.Random) -> CommutationTable:
     )
 
 
-@dataclass(frozen=True)
-class NormalOrderResult:
-    phase: PhaseExp
-    word: tuple[int, ...]
-
-
-def _as_word(word: Sequence[int] | Iterable[int]) -> tuple[int, ...]:
-    order = getattr(word, "order", None)
-    if order is not None:
-        return tuple(order)
-    return tuple(word)
+def _symbols(word: Sequence[int], table: CommutationTable) -> list[int]:
+    """``word`` as a list, after checking every symbol is in 0..n-1."""
+    seq = list(word)
+    if seq and not (0 <= min(seq) and max(seq) < table.n):
+        raise DomainError(f"word {tuple(seq)} has a symbol outside 0..{table.n - 1}")
+    return seq
 
 
 def normal_order(
     word: Sequence[int],
     table: CommutationTable,
     direction: str = "descending",
-) -> NormalOrderResult:
-    """Sort a written word into descending or ascending index order.
+) -> int:
+    """Exponent picked up sorting a written word into descending or
+    ascending index order.
 
     Insertion sort over the written sequence; each adjacent exchange of a
     written pair "j k" into "k j" adds e[j][k] to the accumulated exponent.
-    The result is independent of the transposition path because the phases
-    compose per unordered pair.
+    Equal symbols are never exchanged.  The result is independent of the
+    transposition path because the phases compose per unordered pair.
     """
-    seq = list(_as_word(word))
-    if len(set(seq)) != len(seq):
-        raise DomainError(f"duplicate gate index in word {tuple(seq)}")
+    seq = _symbols(word, table)
     if direction not in ("descending", "ascending"):
         raise DomainError(f"unknown direction {direction!r}")
     want_desc = direction == "descending"
-    m = table.modulus
     e = table.entries
     exponent = 0
     for right in range(1, len(seq)):
@@ -168,23 +129,16 @@ def normal_order(
             exponent += e[(seq[pos - 1], seq[pos])]
             seq[pos - 1], seq[pos] = seq[pos], seq[pos - 1]
             pos -= 1
-    return NormalOrderResult(PhaseExp(exponent % m, m), tuple(seq))
+    return exponent % table.modulus
 
 
-def perm_phase_exponent(word: Sequence[int], table: CommutationTable) -> PhaseExp:
-    """Exponent of a full permutation word relative to the descending order.
+def perm_phase_exponent(word: Sequence[int], table: CommutationTable) -> int:
+    """Exponent of a written word relative to the descending order.
 
     Closed form: sum of e[a][b] over written pairs with the smaller index to
     the left of the larger one.
     """
-    seq = _as_word(word)
-    if sorted(seq) != list(range(table.n)):
-        raise DomainError(f"word {seq} is not a permutation of 0..{table.n - 1}")
-    return PhaseExp(_phase_desc_int(seq, table), table.modulus)
-
-
-def _phase_desc_int(seq: Sequence[int], table: CommutationTable) -> int:
-    """Plain-int exponent of ``seq`` relative to descending order (hot path)."""
+    seq = _symbols(word, table)
     e = table.entries
     total = 0
     for a in range(len(seq)):
@@ -195,11 +149,9 @@ def _phase_desc_int(seq: Sequence[int], table: CommutationTable) -> int:
     return total % table.modulus
 
 
-def brute_force_phase(word: Sequence[int], table: CommutationTable) -> PhaseExp:
+def brute_force_phase(word: Sequence[int], table: CommutationTable) -> int:
     """Independent oracle: bubble-sort to descending order, one phase per swap."""
-    seq = list(_as_word(word))
-    if len(set(seq)) != len(seq):
-        raise DomainError(f"duplicate gate index in word {tuple(seq)}")
+    seq = _symbols(word, table)
     m = table.modulus
     e = table.entries
     exponent = 0
@@ -211,4 +163,4 @@ def brute_force_phase(word: Sequence[int], table: CommutationTable) -> PhaseExp:
                 exponent = (exponent + e[(seq[i], seq[i + 1])]) % m
                 seq[i], seq[i + 1] = seq[i + 1], seq[i]
                 changed = True
-    return PhaseExp(exponent, m)
+    return exponent

@@ -81,18 +81,13 @@ def pairwise_deviation(
 def _register_ops(m: int, exponent: int, y: int) -> tuple[np.ndarray, np.ndarray]:
     """Shift and clock-power pair realizing U_j U_k = omega^{exponent*y} U_k U_j.
 
-    The sign of the clock power depends on the X/Z convention, so both signs
-    are tried and the one passing the numeric check is kept.
+    With X|t> = |t+1 mod m> and Z^c = diag(omega^{t*c}), X Z^c = omega^{-c}
+    Z^c X, so the clock power is c = -exponent*y.
     """
     omega = np.exp(2j * np.pi / m)
     shift = np.roll(np.eye(m, dtype=complex), 1, axis=0)  # X|t> = |t+1 mod m>
-    target = omega ** ((exponent * y) % m)
-    for sign in (-1, 1):
-        c = (sign * exponent * y) % m
-        clock = np.diag(omega ** (np.arange(m) * c))
-        if np.abs(shift @ clock - target * (clock @ shift)).max() < 1e-9:
-            return shift, clock
-    raise InvariantError("no clock sign satisfies the pair relation")
+    c = (-exponent * y) % m
+    return shift, np.diag(omega ** (np.arange(m) * c))
 
 
 def require_supported_n(n: int) -> None:

@@ -302,9 +302,9 @@ def validate_labeling(labeling: Labeling) -> ConsistencyResult:
         raise DomainError(f"labeling {labeling.name!r} is not bijective")
 
     table = _derived_table(labeling)
-    p0 = int(brute_force_phase(orders[0], table))
+    p0 = brute_force_phase(orders[0], table)
     for x, order in enumerate(orders):
-        p = int(brute_force_phase(order, table))
+        p = brute_force_phase(order, table)
         if (p - p0) % m != x:
             witness = _find_witness(labeling, table)
             return ConsistencyResult("contradiction", None, witness)

@@ -76,6 +76,33 @@ def test_reference_switch_solves():
         assert report.passed and report.solved_y == y
 
 
+def _word_deltas(switch, labeling):
+    """Per-word exponents of the switch's words relative to word(0), under
+    the table of ``labeling``."""
+    table = labeling.validate().table
+    m = labeling.size
+    p = [perm_phase_exponent(switch.word(x).order, table) for x in range(m)]
+    return tuple((e - p[0]) % m for e in p)
+
+
+def test_reference_switch_profile_matches_word_phases():
+    # the switch profile comes from validation, not from a sweep; it must
+    # equal the pairwise-sum exponents of its words
+    labelings = enumerate_valid_labelings(3) + [FactoradicLabeling(n) for n in range(2, 7)]
+    for lab in labelings:
+        switch = reference_switch(lab.n, lab)
+        profile = phase_profile(switch, lab)
+        assert profile.exponents == _word_deltas(switch, lab) == tuple(range(lab.size))
+        assert profile.slope == 1 and profile.residuals_ok
+    # a switch over another labeling than the one verified: not linear
+    fac = FactoradicLabeling(4)
+    switch = reference_switch(4, relabeled(fac, (1, 3, 0, 2)))
+    profile = phase_profile(switch, fac)
+    assert profile.exponents == _word_deltas(switch, fac)
+    assert profile.slope is None
+    assert phase_profile(reference_switch(4), fac).exponents == tuple(range(24))
+
+
 # ---------------------------------------------------------------------------
 # switch simulations
 
@@ -275,10 +302,7 @@ def test_nlogn_single_bit_toggles():
         def wire_phase_sum(outcome):
             total = 0
             for w, applied in outcome.applied.items():
-                if len(set(applied)) > 1:
-                    total += int(
-                        normal_order(tuple(reversed(applied)), table).phase
-                    )
+                total += normal_order(tuple(reversed(applied)), table)
             return total % m
 
         base_phase = wire_phase_sum(base)
@@ -345,8 +369,8 @@ def test_block_phase_identity_random():
         rng.shuffle(perm)
         word = PermWord(n, tuple(perm))
         table = random_table(n, rng)
-        assert block_phase_sum(decompose_blocks(word), table) == int(
-            perm_phase_exponent(word, table)
+        assert block_phase_sum(decompose_blocks(word), table) == perm_phase_exponent(
+            word.order, table
         )
 
 
@@ -544,11 +568,15 @@ def test_verifier_rejects_unsalvageable_circuit():
         verify_and_solve(broken, lab, 1)
 
 
-def test_parallel_sweep_matches_serial():
-    lab = FactoradicLabeling(4)
-    c = sqrt_circuit(4, lab)
+def test_parallel_sweep_matches_serial(forks):
+    # n=8 is the smallest n where two workers get 8 engine chunks each
+    lab = FactoradicLabeling(8)
+    c = sqrt_circuit(8, lab)
     serial = phase_profile(c, lab, processes=1)
+    assert forks == []
     parallel = phase_profile(c, lab, processes=2)
+    assert forks == ["fork"]
+    assert serial == parallel
     assert serial.exponents == parallel.exponents
     assert serial.residuals == parallel.residuals
 

@@ -33,7 +33,7 @@ from fpp.circuit import (
     Wire,
     aux_wire,
 )
-from fpp.commutation import random_table
+from fpp.commutation import brute_force_phase, random_table
 from fpp.errors import FppError, StructuralError
 from fpp.numsys import ceil_log2
 from fpp.perms import (
@@ -188,24 +188,73 @@ def test_chunk_boundary_inside_sweep(monkeypatch):
     assert len(assert_sweeps_agree(broken, lab)[0]) == 96
 
 
-def test_parallel_failure_matches_serial():
-    n = 5
+def test_pool_forks_from_eight_chunks_per_worker(forks):
+    lab7 = FactoradicLabeling(7)
+    for name in ("sim-switch", "nlogn", "sqrt"):  # 3 to 4 chunks at n=7
+        assert phase_profile(FAMILIES[name].build(7, lab7), lab7, processes=2).slope == 1
+    assert forks == []
+    lab8 = FactoradicLabeling(8)
+    circuit = nlogn_circuit(8)  # 35 chunks at n=8
+    assert phase_profile(circuit, lab8, processes=1).slope == 1
+    assert forks == []
+    assert phase_profile(circuit, lab8, processes=2).slope == 1
+    assert forks == ["fork"]
+
+
+def test_parallel_failure_matches_serial(forks):
+    n = 8
     lab = FactoradicLabeling(n)
     c = sim_switch_circuit(n, lab)
     j = max(j for j, g in enumerate(c.gates) if isinstance(g, Apply) and g.gate == 0)
     broken = replace(c, gates=c.gates[:j] + c.gates[j + 1 :])
     serial = phase_profile(broken, lab, processes=1)
     assert serial.failure is not None
+    assert forks == []
     assert phase_profile(broken, lab, processes=2).failure == serial.failure
+    assert forks == ["fork"]
 
 
-def test_mixed_repeated_word_raises():
-    wires = (Wire("x", CONTROL_QUDIT), Wire("t", TARGET))
-    gates = (Apply(0, "t"), Apply(1, "t"), Apply(0, "t"))
-    lab = FactoradicLabeling(3)
-    circuit = Circuit(3, "mixed", wires, gates, QuditControl(lab))
-    with pytest.raises(StructuralError, match="mixed repeated gates"):
-        phase_profile(circuit, lab)
+def _switch_steps(n, target, order):
+    """Switch-simulation steps onto ``target`` for the positions in ``order``."""
+    steps = []
+    for position in order:
+        swap = SwitchSwap(((target, position),))
+        steps += [swap, *(Apply(g, aux_wire(g)) for g in range(n)), swap]
+    return steps
+
+
+def test_mixed_repeated_words_match_per_x():
+    # words that repeat a gate among other gates: U_0 U_1 U_0 ahead of a
+    # switch simulation on target t, repeats on an auxiliary wire, and the
+    # switch played a second time onto target u between repeated gates
+    for n, tau in ((3, None), (4, (2, 0, 3, 1))):
+        fac = FactoradicLabeling(n)
+        lab = fac if tau is None else relabeled(fac, tau)
+        table = lab.validate().table
+        wires = (Wire("x", CONTROL_QUDIT), Wire("t", TARGET), Wire("u", TARGET))
+        wires += tuple(Wire(aux_wire(g), AUXILIARY) for g in range(n))
+        gates = [Apply(0, "t"), Apply(1, "t"), Apply(0, "t"), Apply(1, aux_wire(0))]
+        gates += _switch_steps(n, "t", range(n))
+        gates += [Apply(n - 1, "t"), Apply(0, "t"), Apply(1, "u"), Apply(0, "u")]
+        gates += _switch_steps(n, "u", range(n))
+        gates += [Apply(1, "u")]
+        for circuit_lab in (lab, fac):
+            circuit = Circuit(n, "mixed", wires, tuple(gates), QuditControl(circuit_lab))
+            ref_out, refs = algorithms._reference_wires(circuit, table)
+            mixed = {r.wire for r in refs if 1 < len(set(r.sorted_word)) < len(r.sorted_word)}
+            assert mixed == {"t", "u", aux_wire(0)}
+            for r in refs:
+                assert r.phase == brute_force_phase(ref_out.applied[r.wire][::-1], table)
+            exponents, failure = assert_sweeps_agree(circuit, lab)
+            assert failure is None
+            profile = phase_profile(circuit, lab)
+            assert list(profile.exponents) == exponents
+            # the repeated gates around each switch add x-independent
+            # terms, so each target carries exponent x
+            if circuit_lab is lab:
+                assert profile.exponents == tuple(2 * x % lab.size for x in range(lab.size))
+            else:
+                assert profile.slope is None
 
 
 def test_unrepresentable_bits_match_per_x():
@@ -303,11 +352,7 @@ def qudit_circuits(draw):
     if draw(st.booleans()):
         # switch-simulation steps in a random position order: x-dependent
         # words with x-independent multisets, so nonzero exponents
-        steps = []
-        for position in draw(st.permutations(range(n))):
-            swap = SwitchSwap(((targets[0], position),))
-            steps += [swap, *(Apply(g, aux_wire(g)) for g in range(n)), swap]
-        gates = tuple(steps) + gates
+        gates = tuple(_switch_steps(n, targets[0], draw(st.permutations(range(n))))) + gates
     fac = FactoradicLabeling(n)
     lab = relabeled(fac, draw(st.permutations(range(n)))) if draw(st.booleans()) else fac
     wires = (Wire("x", CONTROL_QUDIT),) + tuple(
