@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, isqrt, log2
@@ -931,19 +932,21 @@ def _parallel_sweep(
     workers = min(processes or 1, chunks // 8)
     if workers <= 1:
         return _sweep_range(circuit, table, refs, range(m))
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        return _sweep_range(circuit, table, refs, range(m))
     step = rows * -(-chunks // (4 * workers))  # about 4 tasks per worker
     bounds = [(lo, min(lo + step, m)) for lo in range(0, m, step)]
     try:
-        with ctx.Pool(
+        pool = multiprocessing.get_context("fork").Pool(
             workers, initializer=_pool_init, initargs=(circuit, table, refs)
-        ) as pool:
-            parts = pool.map(_pool_chunk, bounds)
-    except OSError:
+        )
+    except (ValueError, OSError) as exc:  # no fork start method; fork failed
+        warnings.warn(
+            f"fork pool unavailable ({exc!r}); sweeping {m} control states serially",
+            RuntimeWarning,
+            stacklevel=3,
+        )
         return _sweep_range(circuit, table, refs, range(m))
+    with pool:
+        parts = pool.map(_pool_chunk, bounds)
     exponents: list[int] = []
     for exps, failure in parts:
         exponents.extend(exps)

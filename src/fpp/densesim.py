@@ -1,16 +1,18 @@
 """Dense numerical cross-validation backend for small n.
 
 Builds concrete promise-satisfying unitaries (one clock/shift register per
-unordered gate pair), runs the full Fourier-sandwich protocol numerically,
-and reads y off the control marginal.
+gate 1..n-1, sized by the phases it carries), runs the full Fourier-sandwich
+protocol numerically, and reads y off the control marginal.  The unitaries
+are stored as dense matrices of up to (n!)^(n-1) rows, so n <= 3.
 
 Because every circuit in scope is classically controlled on control basis
 states, the joint state after the circuit is (1/sqrt(n!)) sum_x |x> |psi_x>
 with |psi_x> a product over data wires.  :func:`run_dense` therefore takes
 each wire's applied word from the symbolic executor
 (:func:`fpp.circuit.execute`), multiplies the wire's start vector by it, and
-assembles the control marginal from the Gram matrix of the |psi_x> - exact
-linear algebra at a cost of n! * wires * d amplitudes instead of d^wires.
+assembles the control marginal from the Gram matrix of the |psi_x>, one
+matrix product per wire - exact linear algebra at a cost of n! * wires * d
+amplitudes instead of d^wires.
 :func:`run_dense_joint` is the literal full-statevector reference for tiny
 dimensions; it replays the same per-x event stream
 (:func:`fpp.circuit.events`) as tensor contractions and axis swaps.  Neither
@@ -20,7 +22,7 @@ backend resolves control states itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, gcd
 
 import numpy as np
 
@@ -42,10 +44,6 @@ __all__ = [
 
 UNITARITY_TOL = 1e-10
 PROBABILITY_TOL = 1e-9
-
-_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-
 
 def _check_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> None:
     d = u.shape[0]
@@ -78,24 +76,13 @@ def pairwise_deviation(
     return worst
 
 
-def _register_ops(m: int, exponent: int, y: int) -> tuple[np.ndarray, np.ndarray]:
-    """Shift and clock-power pair realizing U_j U_k = omega^{exponent*y} U_k U_j.
-
-    With X|t> = |t+1 mod m> and Z^c = diag(omega^{t*c}), X Z^c = omega^{-c}
-    Z^c X, so the clock power is c = -exponent*y.
-    """
-    omega = np.exp(2j * np.pi / m)
-    shift = np.roll(np.eye(m, dtype=complex), 1, axis=0)  # X|t> = |t+1 mod m>
-    c = (-exponent * y) % m
-    return shift, np.diag(omega ** (np.arange(m) * c))
-
-
 def require_supported_n(n: int) -> None:
-    """Raise :class:`UnsupportedError` for an n the promise construction of
-    :func:`build_promise_unitaries` does not cover (n > 3)."""
+    """Raise :class:`UnsupportedError` for an n whose promise unitaries
+    :func:`build_promise_unitaries` would not store densely (n > 3)."""
     if n > 3:
         raise UnsupportedError(
-            f"dense construction has dimension (n!)^C(n,2); n={n} is unsupported"
+            f"dense promise unitaries have up to (n!)^(n-1) rows; n={n} is "
+            "unsupported (n <= 3)"
         )
 
 
@@ -104,42 +91,38 @@ def build_promise_unitaries(
 ) -> list[np.ndarray]:
     """Concrete unitaries satisfying every pairwise relation of ``table`` at y.
 
-    n=2 uses the Pauli pair (sigma_x, sigma_y anticommute; sigma_x with
-    itself commutes).  For n=3 the construction is one n!-dimensional
-    clock/shift register per unordered pair: the smaller index acts as the
-    shift, the larger as a clock power, identity elsewhere; total dimension
-    (n!)^3 = 216.  Larger n is out of scope for the dense backend.
+    One clock/shift register per gate k = 1..n-1, of dimension
+    d_k = n!/gcd(n!, e[0][k]*y, ..., e[k-1][k]*y), the order of the phases
+    it carries.  U_k is the clock Z = diag(exp(2*pi*i*t/d_k)) on register k,
+    X^a(k,q) on every register q > k (X|t> = |t+1 mod d_q>) and the identity
+    below k, with a(j,k) = -e[j][k]*y*d_k/n! mod d_k.  A pair j < k then
+    meets only on register k, where X^a Z = exp(-2*pi*i*a/d_k) Z X^a carries
+    exactly omega^{e[j][k]*y}.  The total dimension is at most (n!)^(n-1):
+    36 at n=3, already 24^3 rows per dense matrix at n=4, which is why
+    :func:`require_supported_n` stops at n=3.
     """
     if n != table.n:
         raise DomainError(f"table has n={table.n}, expected {n}")
     m = table.modulus
     if not 0 <= y < m:
         raise DomainError(f"y={y} outside [0, {m - 1}]")
-    if n == 2:
-        units = [_PAULI_X, _PAULI_Y if y == 1 else _PAULI_X]
-        if pairwise_deviation(units, table, y) < 1e-9:
-            return units
-        # Unusual table; fall through to the register construction.
     require_supported_n(n)
 
-    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
-    registers = {
-        pair: _register_ops(m, table.entry(*pair), y) for pair in pairs
-    }
-    eye = np.eye(m, dtype=complex)
+    phase = {(j, k): table.entry(j, k) * y % m for k in range(n) for j in range(k)}
+    dims = {k: m // gcd(m, *(phase[j, k] for j in range(k))) for k in range(1, n)}
+
+    def factor(i: int, k: int) -> np.ndarray:
+        d = dims[k]
+        if i == k:
+            return np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+        shift = -phase[i, k] * d // m if i < k else 0
+        return np.roll(np.eye(d, dtype=complex), shift, axis=0)
+
     units = []
     for i in range(n):
-        factors = []
-        for pair in pairs:
-            if i == pair[0]:
-                factors.append(registers[pair][0])
-            elif i == pair[1]:
-                factors.append(registers[pair][1])
-            else:
-                factors.append(eye)
-        u = factors[0]
-        for f in factors[1:]:
-            u = np.kron(u, f)
+        u = np.eye(1, dtype=complex)
+        for k in dims:
+            u = np.kron(u, factor(i, k))
         units.append(u)
     deviation = pairwise_deviation(units, table, y)
     if deviation > 1e-9:
@@ -154,6 +137,19 @@ class DenseRunResult:
     measured_y: int
     peak_probability: float
     probabilities: np.ndarray
+
+
+def _check_inputs(circuit: Circuit, unitaries: list[np.ndarray]) -> int:
+    """The shared dimension d of ``unitaries``: one unitary d x d matrix per
+    gate of ``circuit``."""
+    if len(unitaries) != circuit.n:
+        raise DomainError(f"expected {circuit.n} unitaries, got {len(unitaries)}")
+    d = unitaries[0].shape[0]
+    for u in unitaries:
+        if u.shape != (d, d):
+            raise DomainError("unitaries must share one square dimension")
+        _check_unitary(u)
+    return d
 
 
 def _initial_vectors(
@@ -181,15 +177,11 @@ def run_dense(
 
     Per control basis state the data stays a product state, so each wire is
     propagated as one d-dimensional vector; the control marginal after the
-    inverse Fourier transform is assembled from pairwise overlaps.
+    inverse Fourier transform is the elementwise product over wires of the
+    overlap matrices F_w F_w^H, with the wire's final vectors as the rows
+    of F_w.
     """
-    if len(unitaries) != circuit.n:
-        raise DomainError(f"expected {circuit.n} unitaries, got {len(unitaries)}")
-    d = unitaries[0].shape[0]
-    for u in unitaries:
-        if u.shape != (d, d):
-            raise DomainError("unitaries must share one dimension")
-        _check_unitary(u)
+    d = _check_inputs(circuit, unitaries)
     m = factorial(circuit.n)
     wires = [w.id for w in circuit.data_wires()]
     if m * len(wires) * d > 10**7 or m * m > 10**7:
@@ -199,26 +191,20 @@ def run_dense(
         )
 
     init = _initial_vectors(circuit, d, seed)
-    final: list[dict[str, np.ndarray]] = []
+    final = {w: np.empty((m, d), dtype=complex) for w in wires}  # row x: |psi_x>_w
     for x in range(m):
         out = execute(circuit, x)
         if not out.tokens_home:
             raise InvariantError("tokens did not return home; marginal undefined")
-        vectors = {}
         for w in wires:
             v = init[w]
             for g in out.applied[w]:
                 v = unitaries[g] @ v
-            vectors[w] = v
-        final.append(vectors)
+            final[w][x] = v
 
-    gram = np.empty((m, m), dtype=complex)
-    for x in range(m):
-        for xp in range(m):
-            g = 1.0 + 0j
-            for w in wires:
-                g *= np.vdot(final[xp][w], final[x][w])
-            gram[x, xp] = g
+    gram = np.ones((m, m), dtype=complex)  # <psi_x'|psi_x> at [x, x']
+    for rows in final.values():
+        gram *= rows @ rows.conj().T
     rho = gram / m
     f = fourier(m)
     rho_out = f.conj().T @ rho @ f
@@ -237,7 +223,7 @@ def run_dense_joint(
     Only feasible for tiny dimensions; used to cross-check the product-state
     engine.
     """
-    d = unitaries[0].shape[0]
+    d = _check_inputs(circuit, unitaries)
     m = factorial(circuit.n)
     wires = [w.id for w in circuit.data_wires()]
     total = m * d ** len(wires)

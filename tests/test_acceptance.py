@@ -205,7 +205,7 @@ def test_criterion_08_controlled_unknown_elimination():
 
 def test_criterion_09_dense_cross_validation():
     started = time.time()
-    # n=2: commuting vs anticommuting Pauli pairs
+    # n=2: one register, 1x1 at y=0 (commuting), sigma_x/sigma_z at y=1
     lab2 = FactoradicLabeling(2)
     table2 = lab2.validate().table
     circuit2 = sim_switch_circuit(2, lab2)
@@ -215,7 +215,7 @@ def test_criterion_09_dense_cross_validation():
         result = run_dense(circuit2, units)
         assert result.measured_y == solve_profile(profile2, y).solved_y == y
         assert result.peak_probability >= 1 - 1e-9
-    # n=3: 216-dimensional construction, both circuit families, all y
+    # n=3: per-gate registers of at most 36 dimensions, both families, all y
     lab3 = FactoradicLabeling(3)
     table3 = lab3.validate().table
     for circuit in (six_query_n3(lab3), sim_switch_circuit(3, lab3)):

@@ -171,7 +171,10 @@ def test_dense_unsupported_n_exits_before_sweep(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "dense", "--alg", "sim-switch", "--n", "8", "--y", "1")
     assert code == 2
     assert out == ""
-    assert "error: dense construction has dimension (n!)^C(n,2); n=8 is unsupported" in err
+    assert (
+        "error: dense promise unitaries have up to (n!)^(n-1) rows; "
+        "n=8 is unsupported (n <= 3)" in err
+    )
 
 
 def test_run_labeling_file(tmp_path, capsys):

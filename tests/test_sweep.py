@@ -201,6 +201,29 @@ def test_pool_forks_from_eight_chunks_per_worker(forks):
     assert forks == ["fork"]
 
 
+@pytest.mark.parametrize("cause", [ValueError, OSError])
+def test_pool_fallback_warns_and_sweeps_serially(monkeypatch, cause):
+    # no fork start method raises ValueError from get_context; a fork that
+    # fails raises OSError when the pool starts
+    lab = FactoradicLabeling(8)
+    circuit = nlogn_circuit(8)
+    serial = phase_profile(circuit, lab, processes=1)
+
+    class NoPool:
+        def Pool(self, *args, **kwargs):
+            raise OSError("fork failed")
+
+    def get_context(method):
+        if cause is ValueError:
+            raise ValueError(f"cannot find context for {method!r}")
+        return NoPool()
+
+    monkeypatch.setattr(algorithms.multiprocessing, "get_context", get_context)
+    with pytest.warns(RuntimeWarning, match=f"{cause.__name__}.*serially") as record:
+        assert phase_profile(circuit, lab, processes=2) == serial
+    assert len(record) == 1
+
+
 def test_parallel_failure_matches_serial(forks):
     n = 8
     lab = FactoradicLabeling(n)
