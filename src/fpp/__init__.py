@@ -34,6 +34,7 @@ from .circuit import (
 from .commutation import (
     CommutationTable,
     brute_force_phase,
+    brute_force_phases,
     factoradic_table,
     normal_order,
     perm_phase_exponent,

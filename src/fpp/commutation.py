@@ -13,7 +13,9 @@ pairwise-sum formula (:func:`perm_phase_exponent`), and a literal bubble-sort
 oracle (:func:`brute_force_phase`).  Each takes any sequence of gate indices
 in 0..n-1, repeats allowed (equal symbols commute, so only inverted pairs of
 distinct symbols contribute), and returns a plain int mod n!.  They must
-always agree; tests enforce it.
+always agree; tests enforce it.  The bubble sort exists once, in numpy over
+a block of equal-length words (:func:`brute_force_phases`, which labeling
+validation runs on every x); :func:`brute_force_phase` is its one-row call.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import random
 from dataclasses import dataclass, field
 from math import factorial
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError, InvariantError
 
@@ -32,6 +36,8 @@ __all__ = [
     "normal_order",
     "perm_phase_exponent",
     "brute_force_phase",
+    "brute_force_phases",
+    "word_rows",
 ]
 
 
@@ -149,18 +155,49 @@ def perm_phase_exponent(word: Sequence[int], table: CommutationTable) -> int:
     return total % table.modulus
 
 
+def word_rows(words: Sequence[Sequence[int]] | np.ndarray, n: int) -> np.ndarray:
+    """``words`` as an int64 array, one row per word, after checking every
+    symbol is in 0..n-1; the error names the first row that is not."""
+    seq = np.array(words, dtype=np.int64, ndmin=2)
+    if seq.size and (seq.min() < 0 or seq.max() >= n):
+        row = seq[((seq < 0) | (seq >= n)).any(axis=1).argmax()]
+        raise DomainError(f"word {tuple(row.tolist())} has a symbol outside 0..{n - 1}")
+    return seq
+
+
+def brute_force_phases(
+    words: Sequence[Sequence[int]] | np.ndarray, table: CommutationTable
+) -> np.ndarray:
+    """Independent oracle over a block of equal-length words: bubble-sort
+    every row to descending order at once, one phase per adjacent swap.
+
+    Pass after pass, each adjacent column pair is compared on every row; a
+    row whose written pair "a b" has a < b swaps it and adds e[a][b].
+    Returns one exponent mod n! per row: int64, or Python ints (object
+    dtype) where the unreduced sum could pass int64.  Raises
+    :class:`DomainError` naming the first row with a symbol outside 0..n-1.
+    """
+    seq = word_rows(words, table.n)
+    n, m = table.n, table.modulus
+    width = seq.shape[1]
+    swaps = width * (width - 1) // 2
+    dtype = np.int64 if swaps * (m - 1) < 2**63 else object
+    # swap_phase[a * n + b] = e[a][b] where a < b, else 0: no swap, no phase.
+    swap_phase = np.zeros(n * n, dtype=dtype)
+    for (a, b), v in table.entries.items():
+        if a < b:
+            swap_phase[a * n + b] = v
+    exponent = np.zeros(len(seq), dtype=dtype)
+    cols = list(seq.T.copy())
+    for end in range(width - 1, 0, -1):
+        for i in range(end):
+            left, right = cols[i], cols[i + 1]
+            exponent += swap_phase[left * n + right]
+            cols[i], cols[i + 1] = np.maximum(left, right), np.minimum(left, right)
+    return exponent % m
+
+
 def brute_force_phase(word: Sequence[int], table: CommutationTable) -> int:
-    """Independent oracle: bubble-sort to descending order, one phase per swap."""
-    seq = _symbols(word, table)
-    m = table.modulus
-    e = table.entries
-    exponent = 0
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(seq) - 1):
-            if seq[i] < seq[i + 1]:
-                exponent = (exponent + e[(seq[i], seq[i + 1])]) % m
-                seq[i], seq[i + 1] = seq[i + 1], seq[i]
-                changed = True
-    return exponent
+    """Independent oracle: bubble-sort to descending order, one phase per
+    swap; :func:`brute_force_phases` on a single row."""
+    return int(brute_force_phases([list(word)], table)[0])

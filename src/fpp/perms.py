@@ -11,9 +11,10 @@ toward acting earlier).
 Validation derives the pairwise table from the two designated permutations
 per pair (all other gates in descending order in front), then checks with
 the independent brute-force oracle that the exponent of every labeled word
-relative to the identity word equals its label.  On failure a witness pair
-with two conflicting exponents is produced from adjacent-transposition
-constraints.
+relative to the identity word equals its label.  The oracle is a bubble sort
+run in numpy over blocks of words, on every x at every n.  On failure a
+witness pair with two conflicting exponents is produced from
+adjacent-transposition constraints.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .commutation import CommutationTable, brute_force_phase
+from .commutation import CommutationTable, brute_force_phases, word_rows
 from .errors import DomainError, RangeError, UnsupportedError
 from .numsys import FactoradicDigits, from_factoradic, to_factoradic
 
@@ -190,6 +191,9 @@ class ExplicitLabeling(Labeling):
             raise DomainError(
                 f"expected {self.size} words for n={n}, got {len(words)}"
             )
+        for x, w in enumerate(words):
+            if w.n != n:
+                raise DomainError(f"word {x} {w.order} does not have size n={n}")
         self._words = tuple(words)
         self._inverse = {w.order: x for x, w in enumerate(self._words)}
         if len(self._inverse) != self.size:
@@ -290,22 +294,29 @@ def validate_labeling(labeling: Labeling) -> ConsistencyResult:
     """Derive the pairwise table and check every labeled word against it.
 
     Consistent iff for every x the brute-force exponent of word(x) relative
-    to word(0) equals x mod n!.  Each word is resolved once, through
-    :meth:`Labeling.words` in blocks.
+    to word(0) equals x mod n!.  Every x is checked, with no sampling: each
+    word is resolved once, through :meth:`Labeling.words` in blocks, and
+    kept as its base-n key.  The sorted keys check bijectivity; decoded
+    again block by block, they feed the bubble-sort oracle
+    :func:`brute_force_phases`, which sorts a whole block at once.
     """
-    m = labeling.size
-    orders: list[tuple[int, ...]] = []
+    n, m = labeling.n, labeling.size
+    place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    keys = np.empty(m, dtype=np.int64)
     for lo in range(0, m, _WORD_BLOCK):
-        block = labeling.words(range(lo, min(lo + _WORD_BLOCK, m)))
-        orders.extend(map(tuple, block.tolist()))
-    if len(set(orders)) != m:
+        block = word_rows(labeling.words(range(lo, min(lo + _WORD_BLOCK, m))), n)
+        keys[lo:lo + len(block)] = block @ place
+    ordered = np.sort(keys)
+    if (ordered[1:] == ordered[:-1]).any():
         raise DomainError(f"labeling {labeling.name!r} is not bijective")
 
     table = _derived_table(labeling)
-    p0 = brute_force_phase(orders[0], table)
-    for x, order in enumerate(orders):
-        p = brute_force_phase(order, table)
-        if (p - p0) % m != x:
+    p0 = None
+    for lo in range(0, m, _WORD_BLOCK):
+        hi = min(lo + _WORD_BLOCK, m)
+        p = brute_force_phases(keys[lo:hi, None] // place % n, table)
+        p0 = p[0] if p0 is None else p0
+        if ((p - p0) % m != np.arange(lo, hi)).any():
             witness = _find_witness(labeling, table)
             return ConsistencyResult("contradiction", None, witness)
     return ConsistencyResult("consistent", table, None)
@@ -332,7 +343,7 @@ def enumerate_valid_labelings(n: int = 3) -> list[ExplicitLabeling]:
         candidate = ExplicitLabeling(
             n, (identity, *assignment), name=f"enumerated-{len(valid)}"
         )
-        if validate_labeling(candidate).consistent:
+        if candidate.validate().consistent:
             valid.append(candidate)
     return valid
 
@@ -365,6 +376,7 @@ def labeling_to_text(labeling: Labeling) -> str:
 def labeling_from_text(text: str, name: str = "file") -> ExplicitLabeling:
     """Parse the :func:`labeling_to_text` format."""
     entries: dict[int, PermWord] = {}
+    first: tuple[int, int] | None = None  # (line number, word length) of the first entry
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -374,10 +386,17 @@ def labeling_from_text(text: str, name: str = "file") -> ExplicitLabeling:
         except ValueError:
             raise DomainError(f"line {lineno}: fields must be integers, got {line!r}") from None
         x, order = fields[0], tuple(fields[1:])
+        if first is None:
+            first = (lineno, len(order))
+        elif len(order) != first[1]:
+            raise DomainError(
+                f"line {lineno}: word has {len(order)} symbols, "
+                f"but line {first[0]} has {first[1]}"
+            )
         entries[x] = PermWord(len(order), order)
-    if not entries:
+    if first is None:
         raise DomainError("empty labeling file")
-    n = next(iter(entries.values())).n
+    n = first[1]
     if sorted(entries) != list(range(factorial(n))):
         raise DomainError("labeling file must cover x = 0..n!-1 exactly once")
     return ExplicitLabeling(n, [entries[x] for x in range(factorial(n))], name)

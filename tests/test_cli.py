@@ -161,6 +161,18 @@ def test_run_binary_labeling_file(tmp_path, capsys):
     assert "is not UTF-8 text" in err
 
 
+def test_run_labeling_file_mixed_word_lengths(tmp_path, capsys):
+    path = tmp_path / "mixed.txt"
+    path.write_text("0 1 0\n1 2 1 0\n")
+    code, out, err = run_cli(
+        capsys, "run", "--alg", "sim-switch", "--n", "2",
+        "--labeling", f"file:{path}", "--parallel", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "error: line 2: word has 3 symbols, but line 1 has 2" in err
+
+
 def test_dense_unsupported_n_exits_before_sweep(capsys, monkeypatch):
     import fpp.cli
 

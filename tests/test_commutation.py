@@ -5,9 +5,12 @@ from math import factorial
 
 import pytest
 
+import numpy as np
+
 from fpp.commutation import (
     CommutationTable,
     brute_force_phase,
+    brute_force_phases,
     factoradic_table,
     normal_order,
     perm_phase_exponent,
@@ -168,6 +171,43 @@ def test_routes_on_words_with_repeats():
         assert perm_phase_exponent(word, t) == expected
         reverse = normal_order(word[::-1], t, "ascending")
         assert (expected + reverse) % t.modulus == 0
+
+
+def test_bubble_sort_rows_match_routes():
+    # the array bubble sort, row by row, against the two other routes and
+    # its own one-row call, on blocks of random words with repeats
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(60):
+        n = rng.randrange(2, 9)
+        t = random_table(n, rng)
+        width = rng.randrange(0, 13)
+        block = [rng.choices(range(n), k=width) for _ in range(rng.randrange(1, 40))]
+        phases = brute_force_phases(block, t)
+        assert phases.dtype == np.int64 and phases.shape == (len(block),)
+        for word, p in zip(block, phases.tolist()):
+            assert p == perm_phase_exponent(word, t) == normal_order(word, t)
+        assert brute_force_phase(block[-1], t) == phases[-1]
+        checked += len(block)
+    assert checked >= 1000
+    t = factoradic_table(4)
+    assert brute_force_phases([[]], t).tolist() == [0]
+    assert brute_force_phases(np.empty((0, 4), dtype=np.int64), t).shape == (0,)
+    with pytest.raises(DomainError, match=r"word \(0, 4, 1\) has a symbol outside 0..3"):
+        brute_force_phases([[3, 2, 1], [0, 4, 1], [-1, 0, 0]], t)
+
+
+def test_bubble_sort_exact_past_int64():
+    # 21! does not fit in int64: the sums are Python ints, exact mod 21!
+    rng = random.Random(3)
+    t = factoradic_table(21)
+    words = [rng.sample(range(21), 21) for _ in range(5)]
+    phases = brute_force_phases(words, t)
+    assert phases.dtype == object
+    assert phases.tolist() == [perm_phase_exponent(w, t) for w in words]
+    assert brute_force_phase(list(range(21)), t) == sum(
+        factorial(k) * k for k in range(21)
+    ) % factorial(21)
 
 
 def test_path_independence_random_words():

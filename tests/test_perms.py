@@ -1,13 +1,18 @@
 """Tests for permutation words, labelings, validation and enumeration."""
 
+import itertools
 from math import factorial
 
+import numpy as np
 import pytest
 
+from fpp import perms
 from fpp.errors import DomainError, UnsupportedError
 from fpp.perms import (
+    ConsistencyResult,
     ExplicitLabeling,
     FactoradicLabeling,
+    Labeling,
     PermWord,
     enumerate_valid_labelings,
     label_of,
@@ -181,3 +186,133 @@ def test_explicit_rejects_duplicates():
     words = [PermWord(2, (1, 0)), PermWord(2, (1, 0))]
     with pytest.raises(DomainError):
         ExplicitLabeling(2, words, "dup")
+
+
+def test_explicit_rejects_words_of_another_size():
+    words = [PermWord(2, (1, 0)), PermWord(3, (2, 1, 0))]
+    with pytest.raises(DomainError, match=r"word 1 \(2, 1, 0\) does not have size n=2"):
+        ExplicitLabeling(2, words, "mixed")
+
+
+def test_serialization_rejects_mixed_word_lengths():
+    with pytest.raises(DomainError, match="line 3: word has 3 symbols, but line 1 has 2"):
+        labeling_from_text("0 1 0\n# comment\n1 2 1 0\n")
+
+
+def test_enumeration_keeps_the_validation_memo(monkeypatch):
+    labelings = enumerate_valid_labelings(3)
+
+    def fail(labeling):
+        raise AssertionError(f"{labeling.name} validated again")
+
+    monkeypatch.setattr(perms, "validate_labeling", fail)
+    assert all(lab.validate().consistent for lab in labelings)
+
+
+def _bubble_phase(word, table):
+    """Scalar bubble sort to descending order, one phase per swap: the
+    per-word oracle validation ran before it moved into numpy."""
+    seq, e, m = list(word), table.entries, table.modulus
+    exponent, changed = 0, True
+    while changed:
+        changed = False
+        for i in range(len(seq) - 1):
+            if seq[i] < seq[i + 1]:
+                exponent = (exponent + e[(seq[i], seq[i + 1])]) % m
+                seq[i], seq[i + 1] = seq[i + 1], seq[i]
+                changed = True
+    return exponent
+
+
+def _validate_per_x(labeling):
+    """Reference validation, one word at a time: a set of words for
+    bijectivity, then the scalar oracle on every x.  Returns the result
+    and the first x whose exponent is off (None if there is none)."""
+    m = labeling.size
+    orders = [tuple(w) for w in labeling.words(range(m)).tolist()]
+    if len(set(orders)) != m:
+        raise DomainError(f"labeling {labeling.name!r} is not bijective")
+    table = perms._derived_table(labeling)
+    p0 = _bubble_phase(orders[0], table)
+    for x, order in enumerate(orders):
+        if (_bubble_phase(order, table) - p0) % m != x:
+            witness = perms._find_witness(labeling, table)
+            return ConsistencyResult("contradiction", None, witness), x
+    return ConsistencyResult("consistent", table, None), None
+
+
+def _swapped(labeling, x1, x2):
+    words = [labeling.word(x) for x in range(labeling.size)]
+    words[x1], words[x2] = words[x2], words[x1]
+    return ExplicitLabeling(labeling.n, words, f"{labeling.name}-swap-{x1}-{x2}")
+
+
+def _assert_same_as_per_x(labeling):
+    expected, first_bad = _validate_per_x(labeling)
+    assert validate_labeling(labeling) == expected
+    return expected, first_bad
+
+
+def test_validation_matches_per_x_factoradic():
+    for n in range(2, 9):
+        expected, first_bad = _assert_same_as_per_x(FactoradicLabeling(n))
+        assert expected.consistent and first_bad is None
+
+
+def test_validation_matches_per_x_all_n3_candidates():
+    identity = PermWord(3, (2, 1, 0))
+    others = [PermWord(3, p) for p in itertools.permutations(range(3)) if p != identity.order]
+    consistent = 0
+    for assignment in itertools.permutations(others):
+        expected, _ = _assert_same_as_per_x(ExplicitLabeling(3, (identity, *assignment), "c"))
+        consistent += expected.consistent
+    assert consistent == 24
+
+
+def test_validation_matches_per_x_relabeled_and_swapped():
+    for tau in ((2, 0, 3, 1), (1, 0, 2, 3), (4, 2, 0, 3, 1), (0, 1, 2, 4, 3)):
+        base = FactoradicLabeling(len(tau))
+        expected, _ = _assert_same_as_per_x(relabeled(base, tau))
+        assert expected.consistent
+    expected, first_bad = _assert_same_as_per_x(_swapped(FactoradicLabeling(5), 37, 91))
+    assert not expected.consistent and first_bad == 37
+
+
+class _LastWordFlat(FactoradicLabeling):
+    """Factoradic, except that words() gives x = n!-1 the word 0 0 ... 0:
+    still n! distinct words, and the only x whose exponent is off."""
+
+    def words(self, xs):
+        out = super().words(xs)
+        out[np.asarray(xs) == self.size - 1] = 0
+        return out
+
+
+def test_validation_checks_every_block():
+    # n=7 has 5040 words: one full block of 4096 and a partial one.
+    m = factorial(7)
+    assert perms._WORD_BLOCK < m < 2 * perms._WORD_BLOCK
+    expected, first_bad = _assert_same_as_per_x(_LastWordFlat(7))
+    assert expected == ConsistencyResult("contradiction", None, None) and first_bad == m - 1
+    swapped = _swapped(FactoradicLabeling(7), perms._WORD_BLOCK, perms._WORD_BLOCK + 1)
+    expected, first_bad = _assert_same_as_per_x(swapped)
+    assert not expected.consistent and expected.witness is not None
+    assert first_bad == perms._WORD_BLOCK
+
+
+def test_non_bijective_labeling_still_rejected():
+    class Repeating(Labeling):
+        """word(5) repeats word(4); no label() is defined."""
+
+        def __init__(self):
+            super().__init__(3, "repeating")
+
+        def word(self, x):
+            self._check_x(x)
+            return FactoradicLabeling(3).word(min(x, 4))
+
+    with pytest.raises(DomainError) as per_x:
+        _validate_per_x(Repeating())
+    with pytest.raises(DomainError) as blocks:
+        validate_labeling(Repeating())
+    assert str(blocks.value) == str(per_x.value) == "labeling 'repeating' is not bijective"
