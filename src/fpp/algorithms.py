@@ -31,9 +31,10 @@ from __future__ import annotations
 import json
 import multiprocessing
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, isqrt, log2
+from math import factorial, gcd, isqrt, log2
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -955,23 +956,52 @@ def _parallel_sweep(
     return exponents, None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
-    """Outcome of one verify-and-solve run for a concrete y."""
+    """Outcome of one verify-and-solve run for a concrete y: a view of its
+    profile at y.
 
-    n: int
-    family: str
-    labeling_name: str
+    The report holds only the profile and y.  The profile's fields are read
+    through properties, and the verdict (``phase_linear``, ``solved_y``,
+    ``passed``) is read out on access by the one readout rule: the phase is
+    linear at y iff the residuals are x-independent and the profile's
+    :attr:`~PhaseProfile.readout_period` divides y; then the solved value is
+    p(1)*y mod n!, and the report passes iff it equals y.
+    """
+
+    profile: PhaseProfile
     y: int
-    query_count: int
-    expected_queries: int | None
-    residuals_x_independent: bool
-    phase_linear: bool
-    solved_y: int | None
-    passed: bool
-    exponents: tuple[int, ...] = field(repr=False)
-    residuals: dict[str, tuple[int, ...]] = field(repr=False)
-    failure: str | None = None
+
+    # Fields read from the profile.
+    n = property(attrgetter("profile.n"))
+    family = property(attrgetter("profile.family"))
+    labeling_name = property(attrgetter("profile.labeling_name"))
+    query_count = property(attrgetter("profile.query_count"))
+    expected_queries = property(attrgetter("profile.expected_queries"))
+    residuals_x_independent = property(attrgetter("profile.residuals_ok"))
+    exponents = property(attrgetter("profile.exponents"))
+    residuals = property(attrgetter("profile.residuals"))
+    failure = property(attrgetter("profile.failure"))
+
+    @property
+    def phase_linear(self) -> bool:
+        p = self.profile
+        return p.residuals_ok and self.y % p.readout_period == 0
+
+    @property
+    def solved_y(self) -> int | None:
+        if not self.phase_linear:
+            return None
+        p = self.profile
+        return (p.exponents[1] * self.y) % p.modulus
+
+    @property
+    def passed(self) -> bool:
+        return self.solved_y == self.y  # None (not linear) never equals y
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _REPORT_REPR)
+        return f"{type(self).__qualname__}({fields})"
 
     def to_json(self) -> str:
         payload = {
@@ -993,22 +1023,47 @@ class VerificationReport:
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
+        """Rebuild the profile (modulus n!) and view it at the payload's y.
+
+        Raises :class:`DomainError` where the payload's verdict fields
+        disagree with the verdict its exponents give.
+        """
         d = json.loads(text)
-        return cls(
+        m = factorial(d["n"])
+        exponents = tuple(d["exponents"])
+        ok = d["residuals_x_independent"]
+        if ok and len(exponents) != m:
+            raise DomainError(
+                f"report has {len(exponents)} exponents, but x-independent "
+                f"residuals need n! = {m}"
+            )
+        profile = PhaseProfile(
             n=d["n"],
+            modulus=m,
             family=d["family"],
             labeling_name=d["labeling"],
-            y=d["y"],
             query_count=d["query_count"],
             expected_queries=d["expected_queries"],
-            residuals_x_independent=d["residuals_x_independent"],
-            phase_linear=d["phase_linear"],
-            solved_y=d["solved_y"],
-            passed=d["passed"],
-            exponents=tuple(d["exponents"]),
+            exponents=exponents,
             residuals={w: tuple(word) for w, word in d["residuals"].items()},
+            residuals_ok=ok,
             failure=d["failure"],
         )
+        report = solve_profile(profile, d["y"])
+        for key in ("phase_linear", "solved_y", "passed"):
+            if d[key] != getattr(report, key):
+                raise DomainError(
+                    f"report gives {key}={d[key]!r}, but its exponents give "
+                    f"{getattr(report, key)!r}"
+                )
+        return report
+
+
+# The fields repr shows, in order: every field but exponents and residuals.
+_REPORT_REPR = (
+    "n", "family", "labeling_name", "y", "query_count", "expected_queries",
+    "residuals_x_independent", "phase_linear", "solved_y", "passed", "failure",
+)
 
 
 def solve_profile(profile: PhaseProfile, y: int) -> VerificationReport:
@@ -1016,30 +1071,12 @@ def solve_profile(profile: PhaseProfile, y: int) -> VerificationReport:
 
     With exponents p(x), the control ends in sum_x omega^{p(x)*y} |x>; the
     readout is deterministic iff p(x)*y == x*sigma mod n! for a single
-    sigma, and then measures sigma.
+    sigma, and then measures sigma.  The report is a view of the profile
+    at y: it copies no field, and its verdict is read out on access.
     """
-    m = profile.modulus
-    if not 0 <= y < m:
-        raise DomainError(f"y={y} outside [0, {m - 1}]")
-    linear = profile.residuals_ok and y % profile.readout_period == 0
-    solved = None
-    if linear:
-        solved = (profile.exponents[1] * y) % m
-    return VerificationReport(
-        n=profile.n,
-        family=profile.family,
-        labeling_name=profile.labeling_name,
-        y=y,
-        query_count=profile.query_count,
-        expected_queries=profile.expected_queries,
-        residuals_x_independent=profile.residuals_ok,
-        phase_linear=linear,
-        solved_y=solved,
-        passed=linear and solved == y,
-        exponents=profile.exponents,
-        residuals=profile.residuals,
-        failure=profile.failure,
-    )
+    if not 0 <= y < profile.modulus:
+        raise DomainError(f"y={y} outside [0, {profile.modulus - 1}]")
+    return VerificationReport(profile, y)
 
 
 def verify_and_solve(
@@ -1050,7 +1087,8 @@ def verify_and_solve(
 ) -> VerificationReport:
     """Full check for one y: sweep all x, then solve.
 
-    For several y values over the same circuit, compute :func:`phase_profile`
-    once and call :func:`solve_profile` per y.
+    The report is a view of the profile at y.  For several y values over
+    the same circuit, compute :func:`phase_profile` once and call
+    :func:`solve_profile` per y; each call is O(1) and shares the profile.
     """
     return solve_profile(phase_profile(target, labeling, processes=processes), y)

@@ -151,21 +151,24 @@ class FactoradicLabeling(Labeling):
 
     def words(self, xs: Sequence[int]) -> np.ndarray:
         """:meth:`word` for a whole array of xs: the same shifts, one column
-        operation per gate over every row at once."""
+        operation per gate over every row at once.
+
+        ``pos[:, g]`` tracks the written index of gate g, so U_k's index needs
+        no search; the words are scattered from it once at the end.
+        """
         arr = self._check_xs(xs)
         n = self.n
-        cols = np.arange(n)
-        rows = np.arange(len(arr))
-        seq = np.tile(cols[::-1], (len(arr), 1))
+        rows = np.arange(len(arr))[:, None]
+        pos = np.tile(np.arange(n - 1, -1, -1), (len(arr), 1))
         for k in range(1, n):
-            digit = (arr // factorial(k)) % (k + 1)
-            i = (seq == k).argmax(axis=1)
-            j = i + digit
-            # U_k moves from written index i to i + digit; what lies between
-            # moves one step left.
-            between = (cols >= i[:, None]) & (cols < j[:, None])
-            seq = np.take_along_axis(seq, cols + between, axis=1)
-            seq[rows, j] = k
+            i = pos[:, k, None]
+            j = i + (arr[:, None] // factorial(k)) % (k + 1)
+            # U_k moves from written index i to j; what lies between moves
+            # one step left.
+            pos -= (pos > i) & (pos <= j)
+            pos[:, k, None] = j
+        seq = np.empty_like(pos)
+        seq[rows, pos] = np.arange(n)
         return seq
 
     def label(self, w: PermWord | Sequence[int]) -> int:
@@ -376,6 +379,7 @@ def labeling_to_text(labeling: Labeling) -> str:
 def labeling_from_text(text: str, name: str = "file") -> ExplicitLabeling:
     """Parse the :func:`labeling_to_text` format."""
     entries: dict[int, PermWord] = {}
+    lines: dict[int, int] = {}  # x -> the line number that gave it
     first: tuple[int, int] | None = None  # (line number, word length) of the first entry
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -393,6 +397,9 @@ def labeling_from_text(text: str, name: str = "file") -> ExplicitLabeling:
                 f"line {lineno}: word has {len(order)} symbols, "
                 f"but line {first[0]} has {first[1]}"
             )
+        if x in lines:
+            raise DomainError(f"line {lineno}: x={x} already given on line {lines[x]}")
+        lines[x] = lineno
         entries[x] = PermWord(len(order), order)
     if first is None:
         raise DomainError("empty labeling file")

@@ -173,6 +173,19 @@ def test_run_labeling_file_mixed_word_lengths(tmp_path, capsys):
     assert "error: line 2: word has 3 symbols, but line 1 has 2" in err
 
 
+def test_run_labeling_file_repeated_x(tmp_path, capsys):
+    # the last line for x=1 used to replace the first one without a word
+    path = tmp_path / "repeated.txt"
+    path.write_text("0 1 0\n1 1 0\n1 0 1\n")
+    code, out, err = run_cli(
+        capsys, "run", "--alg", "sim-switch", "--n", "2",
+        "--labeling", f"file:{path}", "--y", "all", "--parallel", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "error: line 3: x=1 already given on line 2" in err
+
+
 def test_dense_unsupported_n_exits_before_sweep(capsys, monkeypatch):
     import fpp.cli
 

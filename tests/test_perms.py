@@ -199,6 +199,11 @@ def test_serialization_rejects_mixed_word_lengths():
         labeling_from_text("0 1 0\n# comment\n1 2 1 0\n")
 
 
+def test_serialization_rejects_repeated_x():
+    with pytest.raises(DomainError, match="line 4: x=0 already given on line 1"):
+        labeling_from_text("0 1 0\n1 0 1\n# comment\n0 0 1\n")
+
+
 def test_enumeration_keeps_the_validation_memo(monkeypatch):
     labelings = enumerate_valid_labelings(3)
 

@@ -308,6 +308,12 @@ def test_labeling_words_match_word():
         picked = [lab.size - 1, 0, 1]
         assert isinstance(renamed, ExplicitLabeling)
         assert (renamed.words(picked) == [renamed.word(x).order for x in picked]).all()
+    # n=9: random xs and the last block validation resolves
+    lab = FactoradicLabeling(9)
+    rng = np.random.default_rng(9)
+    for xs in (rng.integers(0, lab.size, 500), range(lab.size - 4096, lab.size)):
+        assert lab.words(xs).tolist() == [list(lab.word(int(x)).order) for x in xs]
+    assert lab.words([]).shape == (0, 9)
     with pytest.raises(FppError, match="x=6 outside"):
         FactoradicLabeling(3).words([0, 6])
 
