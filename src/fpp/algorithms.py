@@ -693,114 +693,212 @@ def _chunk_rows(n: int, width: int) -> int:
 class _ChunkSweep:
     """The circuit run for a whole chunk of control states at once, in numpy.
 
-    Row r of a chunk is one x.  ``tok[r, w]`` is the token on wire w (wires
-    and tokens numbered in the sorted order of ``refs``), ``count[r*W + t]``
-    counts the gates applied to token t, and ``phase[r]`` is the
-    descending-order exponent of all words so far: applying U_g to a token
-    adds e[g][p] for every U_p (p > g) it already carries, which is the sum
-    :func:`~fpp.commutation.perm_phase_exponent` takes over the finished
-    word, repeated gates included.
+    ``__init__`` lowers the gate list once into :attr:`plan`, a tuple of
+    ``(step, args)`` pairs; :meth:`run` sets up a :class:`_Chunk` for each
+    chunk of xs and calls every step on it in order, with no dispatch on
+    gate types.
 
-    Gates of the wrong control kind are left to the x=0 reference
-    execution, which rejects them before any sweep.
+    Wires are numbered 0..W-1 in the sorted order of ``refs``, tokens after
+    their home wires, and row r of a chunk is one x.  Token t of row r has
+    the flat id r*W + t.  The token table ``tok`` has shape W x rows and
+    holds flat ids, so an apply on wire w gathers the contiguous row
+    ``tok[w]`` and indexes the count matrix with it directly:
+    ``count[r*W + t, g]`` counts the U_g applied to token t of row r.
+    ``phase[r]`` is the descending-order exponent of all words so far:
+    applying U_g to a token adds e[g][p] for every U_p (p > g) it already
+    carries, which is the sum :func:`~fpp.commutation.perm_phase_exponent`
+    takes over the finished word, repeated gates included.  ``later[g]`` is
+    e[g] with the entries p <= g zeroed, so that sum is a gather of the
+    token's counts times ``later[g]``.
+
+    The steps of a plan:
+
+    * apply: U_g on the token of a wire, in every row (``Apply``) or in the
+      rows where a control bit fires (``ControlledApply``).
+    * routed apply: a sandwich -- a conditional swap G of wires a and b
+      (``PosCondSwap`` or ``ControlledSwap``), then ``Apply(g, w)`` with w in
+      {a, b}, then a gate equal to G -- is one apply to the token
+      ``where(cond, tok[other], tok[w])``.  The condition depends on x
+      only, so the closing swap undoes the opening one, and the token table
+      is not written.
+    * swap: the two wires' rows of ``tok`` exchanged by ``np.where`` on the
+      condition's mask.
+    * switch and rewire: per-row swaps resolved through the words.
+
+    Each distinct condition (a control bit and polarity, or a position range
+    of one gate) is evaluated once per chunk.  Gates of the wrong control
+    kind are left to the x=0 reference execution, which rejects them before
+    any sweep.
     """
 
     def __init__(self, circuit: Circuit, table: CommutationTable, refs: tuple[_WireRef, ...]):
         n = circuit.n
-        self.circuit = circuit
+        self.n = n
+        self.control = circuit.control
         self.modulus = table.modulus
         self.ref_phase = sum(r.phase for r in refs)
-        self.wire = {r.wire: i for i, r in enumerate(refs)}
+        self.width = len(refs)
         self.ref_counts = np.zeros((len(refs), n), dtype=np.int64)
         for i, r in enumerate(refs):
             np.add.at(self.ref_counts[i], list(r.sorted_word), 1)
         e = np.zeros((n, n), dtype=np.int64)
         for (j, k), v in table.entries.items():
             e[j, k] = v
-        self.later = [e[g, g + 1 :] for g in range(n)]  # e[g][p] for p > g
+        self.later = np.triu(e, 1)  # later[g, p] = e[g][p] for p > g, else 0
+        self.wire = {r.wire: i for i, r in enumerate(refs)}
         self.aux = np.array([self.wire.get(aux_wire(g), -1) for g in range(n)])
         self.rows = _chunk_rows(n, len(refs))
+        self.conditions: dict[tuple, int] = {}
+        self.plan = tuple(self._lower(circuit.gates))
+
+    def _condition(self, gate: PosCondSwap | ControlledSwap | ControlledApply) -> int:
+        """Index of the gate's condition among the masks of a chunk."""
+        if isinstance(gate, PosCondSwap):
+            key = ("position", gate.gate, gate.lo, gate.hi)
+        else:
+            key = ("bit", gate.bit, gate.polarity)
+        return self.conditions.setdefault(key, len(self.conditions))
+
+    def _lower(self, gates: Sequence) -> Iterable[tuple[Callable, tuple]]:
+        wire, j = self.wire, 0
+        while j < len(gates):
+            gate = gates[j]
+            j += 1
+            if isinstance(gate, (PosCondSwap, ControlledSwap)):
+                a, b = wire[gate.wire_a], wire[gate.wire_b]
+                mid = gates[j] if j + 1 < len(gates) else None
+                if (
+                    isinstance(mid, Apply)
+                    and mid.wire in (gate.wire_a, gate.wire_b)
+                    and gates[j + 1] == gate
+                ):
+                    w = wire[mid.wire]
+                    other = b if w == a else a
+                    j += 2
+                    yield _Chunk.routed_apply, (self._condition(gate), w, other, mid.gate)
+                else:
+                    yield _Chunk.swap, (self._condition(gate), a, b)
+            elif isinstance(gate, Apply):
+                yield _Chunk.apply, (wire[gate.wire], gate.gate)
+            elif isinstance(gate, ControlledApply):
+                yield _Chunk.apply_fired, (self._condition(gate), wire[gate.wire], gate.gate)
+            elif isinstance(gate, SwitchSwap):
+                swaps = tuple((wire[w], self.n - 1 - position) for w, position in gate.swaps)
+                yield _Chunk.switch, (swaps,)
+            elif isinstance(gate, Rewire):
+                yield _Chunk.rewire, (gate.routes,)
+            else:
+                raise StructuralError(f"unknown gate {gate!r}")
 
     def run(self, xs: range) -> tuple[np.ndarray, int] | None:
         """Exponents of the chunk and the index of its first failing x
         (``len(xs)`` if none fails), or None if some x of the chunk has no
         bit assignment."""
-        circuit, n = self.circuit, self.circuit.n
-        size, width = len(xs), len(self.wire)
-        words = bits = positions = None
-        if isinstance(circuit.control, QuditControl):
-            words = circuit.control.labeling.words(xs)
-            positions = np.empty_like(words)
-            positions[np.arange(size)[:, None], words] = np.arange(n - 1, -1, -1)
+        words = bits = None
+        if isinstance(self.control, QuditControl):
+            words = self.control.labeling.words(xs)
         else:
             try:
-                bits = circuit.control.assignments(xs)
+                bits = self.control.assignments(xs)
             except InvariantError:
                 return None
-        rows = np.arange(size)
-        base = rows * width
-        tok = np.tile(np.arange(width), (size, 1))
-        count = np.zeros((size * width, n), dtype=np.int32)
-        phase = np.zeros(size, dtype=np.int64)
-        bad = np.zeros(size, dtype=bool)
-        by_word = None
+        chunk = _Chunk(self, len(xs), words, bits)
+        for step, args in self.plan:
+            step(chunk, *args)
+        return chunk.result()
 
-        def apply(sel: np.ndarray, wire: int, g: int) -> None:
-            token = base[sel] + tok[sel, wire]
-            phase[sel] += count[token, g + 1 :] @ self.later[g]
-            count[token, g] += 1
 
-        def swap(sel: np.ndarray, a, b) -> None:
-            held = tok[sel, a]
-            tok[sel, a] = tok[sel, b]
-            tok[sel, b] = held
+class _Chunk:
+    """The arrays of one chunk of a :class:`_ChunkSweep`, and the steps of
+    its plan."""
 
-        def fired(bit: tuple[int, int], polarity: int) -> np.ndarray:
-            return np.flatnonzero(bits[bit] == polarity)
-
-        for gate in circuit.gates:
-            if isinstance(gate, Apply):
-                apply(rows, self.wire[gate.wire], gate.gate)
-            elif isinstance(gate, ControlledApply):
-                apply(fired(gate.bit, gate.polarity), self.wire[gate.wire], gate.gate)
-            elif isinstance(gate, ControlledSwap):
-                swap(fired(gate.bit, gate.polarity),
-                     self.wire[gate.wire_a], self.wire[gate.wire_b])
-            elif isinstance(gate, PosCondSwap):
-                p = positions[:, gate.gate]
-                swap(np.flatnonzero((gate.lo <= p) & (p < gate.hi)),
-                     self.wire[gate.wire_a], self.wire[gate.wire_b])
-            elif isinstance(gate, SwitchSwap):
-                for wire, position in gate.swaps:
-                    a = self.wire[wire]
-                    b = self.aux[words[:, n - 1 - position]]
-                    bad |= b < 0  # no auxiliary wire for that gate
-                    swap(rows, a, np.where(b < 0, a, b))
-            elif isinstance(gate, Rewire):
-                if by_word is None:
-                    keys = words @ n ** np.arange(n)
-                    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-                    by_word = ([tuple(words[i].tolist()) for i in first], inverse.reshape(-1))
-                orders, inverse = by_word
-                # Group the chunk by route: one set of row swaps per distinct route.
-                routes: dict[tuple, int] = {}
-                route_of_word = np.array(
-                    [-1 if o not in gate.routes else routes.setdefault(gate.routes[o], len(routes))
-                     for o in orders]
-                )
-                route = route_of_word[inverse]
-                bad |= route < 0  # no route for that word
-                for swaps, r in routes.items():
-                    sel = np.flatnonzero(route == r)
-                    for a, b in swaps:
-                        swap(sel, self.wire[a], self.wire[b])
+    def __init__(self, sweep: _ChunkSweep, size: int, words: np.ndarray | None,
+                 bits: dict[tuple[int, int], np.ndarray] | None):
+        n, width = sweep.n, sweep.width
+        self.sweep, self.n, self.size, self.words = sweep, n, size, words
+        self.home = np.arange(size * width).reshape(size, width).T
+        self.tok = self.home.copy()
+        self.count = np.zeros((size * width, n), dtype=np.int32)
+        self.flat = self.count.reshape(-1)
+        self.phase = np.zeros(size, dtype=np.int64)
+        self.bad = np.zeros(size, dtype=bool)
+        self.by_word: tuple | None = None
+        positions = None
+        if words is not None:
+            # positions[g, r]: acting position of U_g in the word of row r
+            positions = np.empty((n, size), dtype=np.int64)
+            positions[words, np.arange(size)[:, None]] = np.arange(n - 1, -1, -1)
+        self.masks = []
+        for kind, *key in sweep.conditions:
+            if kind == "position":
+                g, lo, hi = key
+                self.masks.append((lo <= positions[g]) & (positions[g] < hi))
             else:
-                raise StructuralError(f"unknown gate {gate!r}")
+                bit, polarity = key
+                self.masks.append(bits[bit] == polarity)
 
-        home = (tok == np.arange(width)).all(axis=1)
-        same = (count.reshape(size, width, n) == self.ref_counts).all(axis=(1, 2))
-        ok = home & same & ~bad
-        return (phase - self.ref_phase) % self.modulus, int(ok.argmin()) if not ok.all() else size
+    def _push(self, token: np.ndarray, g: int) -> np.ndarray:
+        """Count U_g on each token; returns the phase it adds per token."""
+        added = self.count.take(token, axis=0) @ self.sweep.later[g]
+        self.flat[token * self.n + g] += 1
+        return added
+
+    def apply(self, wire: int, g: int) -> None:
+        self.phase += self._push(self.tok[wire], g)
+
+    def apply_fired(self, cond: int, wire: int, g: int) -> None:
+        rows = np.flatnonzero(self.masks[cond])
+        self.phase[rows] += self._push(self.tok[wire, rows], g)
+
+    def routed_apply(self, cond: int, wire: int, other: int, g: int) -> None:
+        tok = self.tok
+        self.phase += self._push(np.where(self.masks[cond], tok[other], tok[wire]), g)
+
+    def _exchange(self, mask: np.ndarray, a: int, b: int) -> None:
+        tok = self.tok
+        tok[a], tok[b] = np.where(mask, tok[b], tok[a]), np.where(mask, tok[a], tok[b])
+
+    def swap(self, cond: int, a: int, b: int) -> None:
+        self._exchange(self.masks[cond], a, b)
+
+    def switch(self, swaps: tuple[tuple[int, int], ...]) -> None:
+        tok, rows = self.tok, np.arange(self.size)
+        for a, column in swaps:
+            b = self.sweep.aux[self.words[:, column]]
+            self.bad |= b < 0  # no auxiliary wire for that gate
+            b = np.where(b < 0, a, b)
+            held = tok[a].copy()
+            tok[a] = tok[b, rows]
+            tok[b, rows] = held
+
+    def rewire(self, routes: Mapping[tuple[int, ...], tuple[tuple[str, str], ...]]) -> None:
+        if self.by_word is None:
+            words, n = self.words, self.n
+            keys = words @ n ** np.arange(n)
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            self.by_word = ([tuple(words[i].tolist()) for i in first], inverse.reshape(-1))
+        orders, inverse = self.by_word
+        # Group the chunk by route: one set of row swaps per distinct route.
+        found: dict[tuple, int] = {}
+        route_of_word = np.array(
+            [-1 if o not in routes else found.setdefault(routes[o], len(found)) for o in orders]
+        )
+        route = route_of_word[inverse]
+        self.bad |= route < 0  # no route for that word
+        wire = self.sweep.wire
+        for swaps, r in found.items():
+            mask = route == r
+            for a, b in swaps:
+                self._exchange(mask, wire[a], wire[b])
+
+    def result(self) -> tuple[np.ndarray, int]:
+        sweep = self.sweep
+        home = (self.tok == self.home).all(axis=0)
+        counts = self.count.reshape(self.size, sweep.width, self.n)
+        same = (counts == sweep.ref_counts).all(axis=(1, 2))
+        ok = home & same & ~self.bad
+        first = int(ok.argmin()) if not ok.all() else self.size
+        return (self.phase - sweep.ref_phase) % sweep.modulus, first
 
 
 def _sweep_range(

@@ -6,6 +6,7 @@ They must agree on the exponents, the failure text and the errors raised.
 """
 
 import random
+from collections import Counter
 from dataclasses import replace
 from math import factorial
 
@@ -246,6 +247,61 @@ def _switch_steps(n, target, order):
     return steps
 
 
+def _plan_steps(circuit: Circuit, labeling: Labeling) -> Counter:
+    """How many steps of each kind the engine lowers the circuit into."""
+    table = labeling.validate().table
+    _, refs = algorithms._reference_wires(circuit, table)
+    return Counter(step.__name__ for step, _ in algorithms._ChunkSweep(circuit, table, refs).plan)
+
+
+def test_sqrt_sandwiches_lower_to_routed_applies():
+    n = 5
+    lab = FactoradicLabeling(n)
+    circuit = sqrt_circuit(n, lab)
+    khat = -(-n // algorithms.ceil_sqrt(n))
+    steps = _plan_steps(circuit, lab)
+    assert steps["routed_apply"] == 4 * (khat - 1) * n == 20
+    # every conditional swap of the circuit sits in a sandwich
+    assert sum(isinstance(g, PosCondSwap) for g in circuit.gates) == 2 * steps["routed_apply"]
+    assert steps["swap"] == 0
+    assert_sweeps_agree(circuit, lab)
+
+
+def test_near_miss_sandwiches_are_not_lowered():
+    # three sandwiches route U_2 to t for acting positions [0, 1), [1, 3)
+    # and [3, 4) of U_2, so t carries it once and a_2 twice for every x;
+    # each near miss replaces the middle sandwich
+    n = 4
+    lab = FactoradicLabeling(n)
+    wires = (Wire("x", CONTROL_QUDIT), Wire("t", TARGET), Wire("u", TARGET))
+    wires += tuple(Wire(aux_wire(g), AUXILIARY) for g in range(n))
+    swap = PosCondSwap("t", aux_wire(2), 2, 1, 3)
+    apply = Apply(2, aux_wire(2))
+    near_misses = {
+        "shifted bound": (swap, apply, replace(swap, hi=swap.hi + 1)),
+        "third wire": (swap, Apply(2, "u"), swap),
+        "two gates between": (swap, apply, Apply(1, aux_wire(2)), swap),
+    }
+
+    def sandwich(lo, hi):
+        moved = replace(swap, lo=lo, hi=hi)
+        return (moved, apply, moved)
+
+    def circuit(middle):
+        head = tuple(_switch_steps(n, "t", (2, 0, 3, 1)))  # an x-dependent word on t
+        gates = head + sandwich(0, 1) + middle + sandwich(3, 4)
+        return Circuit(n, "sandwiches", wires, gates, QuditControl(lab))
+
+    exact = circuit((swap, apply, swap))
+    assert _plan_steps(exact, lab)["routed_apply"] == 3
+    exponents, failure = assert_sweeps_agree(exact, lab)
+    assert failure is None and any(exponents)
+    for name, middle in near_misses.items():
+        steps = _plan_steps(circuit(middle), lab)
+        assert (steps["routed_apply"], steps["swap"]) == (2, 2), name
+        assert_sweeps_agree(circuit(middle), lab)
+
+
 def test_mixed_repeated_words_match_per_x():
     # words that repeat a gate among other gates: U_0 U_1 U_0 ahead of a
     # switch simulation on target t, repeats on an auxiliary wire, and the
@@ -416,6 +472,63 @@ def bit_circuits(draw):
     return Circuit(n, "random", wires, gates, control), FactoradicLabeling(n)
 
 
+@st.composite
+def sandwich_circuits(draw):
+    """Runs of swap/Apply/swap sandwiches of ``PosCondSwap`` (qudit control)
+    or ``ControlledSwap`` (bit control), each exact or perturbed: the
+    closing swap's condition moved, its wires given in the other order, the
+    middle Apply on any wire, or a second gate before the closing swap."""
+    n = draw(st.integers(2, 5))
+    qudit = draw(st.booleans())
+    slots = [(k, i) for k in range(1, n) for i in range(1, ceil_log2(n) + 1)]
+    targets = ["t0", "t1"]
+    data = targets + [aux_wire(g) for g in range(n)]
+
+    def conditional_swap(a, b):
+        if qudit:
+            lo = draw(st.integers(0, n))
+            return PosCondSwap(a, b, draw(st.integers(0, n - 1)), lo, draw(st.integers(lo, n)))
+        return ControlledSwap(a, b, draw(st.sampled_from(slots)), draw(st.integers(0, 1)))
+
+    def moved(swap):
+        if qudit:
+            bound, step = draw(st.sampled_from(["lo", "hi"])), draw(st.sampled_from([-1, 1]))
+            return replace(swap, **{bound: getattr(swap, bound) + step})
+        if draw(st.booleans()):
+            return replace(swap, polarity=1 - swap.polarity)
+        return replace(swap, bit=draw(st.sampled_from(slots)))
+
+    gates = []
+    if qudit and draw(st.booleans()):
+        gates += _switch_steps(n, targets[0], draw(st.permutations(range(n))))
+    for _ in range(draw(st.integers(1, 6))):
+        a, b = draw(st.lists(st.sampled_from(data), min_size=2, max_size=2, unique=True))
+        swap = conditional_swap(a, b)
+        middle = [Apply(draw(st.integers(0, n - 1)), draw(st.sampled_from([a, b])))]
+        close = swap
+        kind = draw(st.sampled_from(["exact", "exact", "moved", "reversed", "wire", "between"]))
+        if kind == "moved":
+            close = moved(swap)
+        elif kind == "reversed":
+            close = replace(swap, wire_a=b, wire_b=a)
+        elif kind == "wire":
+            middle = [replace(middle[0], wire=draw(st.sampled_from(data)))]
+        elif kind == "between":
+            middle.append(Apply(draw(st.integers(0, n - 1)), draw(st.sampled_from(data))))
+        gates += [swap, *middle, close]
+    if qudit:
+        fac = FactoradicLabeling(n)
+        lab = relabeled(fac, draw(st.permutations(range(n)))) if draw(st.booleans()) else fac
+        wires = (Wire("x", CONTROL_QUDIT),)
+        control = QuditControl(lab)
+    else:
+        lab = FactoradicLabeling(n)
+        wires = tuple(Wire(f"c_{k}_{i}", CONTROL_BIT) for k, i in slots)
+        control = BitControl(n, tuple(slots))
+    wires += tuple(Wire(w, TARGET if w in targets else AUXILIARY) for w in data)
+    return Circuit(n, "sandwiches", wires, tuple(gates), control), lab
+
+
 def _check_random(case):
     circuit, lab = case
     try:
@@ -434,4 +547,10 @@ def test_random_qudit_circuits_match_per_x(case):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(bit_circuits())
 def test_random_bit_circuits_match_per_x(case):
+    _check_random(case)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sandwich_circuits())
+def test_random_sandwiches_match_per_x(case):
     _check_random(case)
