@@ -2,8 +2,11 @@
 
 Builds concrete promise-satisfying unitaries (one clock/shift register per
 gate 1..n-1, sized by the phases it carries), runs the full Fourier-sandwich
-protocol numerically, and reads y off the control marginal.  The unitaries
-are stored as dense matrices of up to (n!)^(n-1) rows, so n <= 3.
+protocol numerically, and reads y off the control marginal.  Every promise
+unitary is monomial - a permutation of the register basis times a diagonal
+of clock phases - and is written into its dense matrix with one scatter
+from index arithmetic over the register digits.  The matrices have up to
+(n!)^(n-1) rows, so n <= 3.
 
 Because every circuit in scope is classically controlled on control basis
 states, the joint state after the circuit is (1/sqrt(n!)) sum_x |x> |psi_x>
@@ -12,17 +15,18 @@ each wire's applied word from the symbolic executor
 (:func:`fpp.circuit.execute`), multiplies the wire's start vector by it, and
 assembles the control marginal from the Gram matrix of the |psi_x>, one
 matrix product per wire - exact linear algebra at a cost of n! * wires * d
-amplitudes instead of d^wires.
+amplitudes instead of d^wires.  The words do not depend on y, so a call on
+the circuit of the call before reuses them instead of executing again.
 :func:`run_dense_joint` is the literal full-statevector reference for tiny
 dimensions; it replays the same per-x event stream
-(:func:`fpp.circuit.events`) as tensor contractions and axis swaps.  Neither
-backend resolves control states itself.
+(:func:`fpp.circuit.events`) as tensor contractions and axis swaps on every
+call.  Neither backend resolves control states itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 import numpy as np
 
@@ -65,7 +69,11 @@ def pairwise_deviation(
     units: list[np.ndarray], table: CommutationTable, y: int
 ) -> float:
     """max over pairs of || U_j U_k - omega^{e[j][k]*y} U_k U_j ||_max."""
+    if len(units) != table.n:
+        raise DomainError(f"expected {table.n} unitaries, got {len(units)}")
     m = table.modulus
+    if not 0 <= y < m:
+        raise DomainError(f"y={y} outside [0, {m - 1}]")
     omega = np.exp(2j * np.pi / m)
     worst = 0.0
     for j in range(table.n):
@@ -100,6 +108,12 @@ def build_promise_unitaries(
     exactly omega^{e[j][k]*y}.  The total dimension is at most (n!)^(n-1):
     36 at n=3, already 24^3 rows per dense matrix at n=4, which is why
     :func:`require_supported_n` stops at n=3.
+
+    Each U_i is built from its monomial form: column t (digits t_k, register
+    1 most significant) has one nonzero entry, in the row whose digits are
+    t_k + a(i,k) mod d_k on every register k > i, of amplitude
+    exp(2*pi*i*t_i/d_i) (1 for U_0).  Every construction is then checked
+    against the table and for unitarity.
     """
     if n != table.n:
         raise DomainError(f"table has n={table.n}, expected {n}")
@@ -109,20 +123,23 @@ def build_promise_unitaries(
     require_supported_n(n)
 
     phase = {(j, k): table.entry(j, k) * y % m for k in range(n) for j in range(k)}
-    dims = {k: m // gcd(m, *(phase[j, k] for j in range(k))) for k in range(1, n)}
-
-    def factor(i: int, k: int) -> np.ndarray:
-        d = dims[k]
-        if i == k:
-            return np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-        shift = -phase[i, k] * d // m if i < k else 0
-        return np.roll(np.eye(d, dtype=complex), shift, axis=0)
+    dims = [m // gcd(m, *(phase[j, k] for j in range(k))) for k in range(1, n)]
+    size = prod(dims)
+    digits = np.indices(dims).reshape(len(dims), size)  # digits[k - 1]: t_k
+    cols = np.arange(size)
 
     units = []
     for i in range(n):
-        u = np.eye(1, dtype=complex)
-        for k in dims:
-            u = np.kron(u, factor(i, k))
+        rows = 0
+        for k, (t, d) in enumerate(zip(digits, dims), start=1):
+            shift = -phase[i, k] * d // m if i < k else 0
+            rows = rows * d + (t + shift) % d
+        amp = 1.0
+        if i:  # the clock on register i
+            d = dims[i - 1]
+            amp = np.exp(2j * np.pi * np.arange(d) / d)[digits[i - 1]]
+        u = np.zeros((size, size), dtype=complex)
+        u[rows, cols] = amp
         units.append(u)
     deviation = pairwise_deviation(units, table, y)
     if deviation > 1e-9:
@@ -168,6 +185,31 @@ def _initial_vectors(
     return out
 
 
+# The last circuit run_dense executed and its per-x applied words.  The
+# words do not depend on y, so `fpp dense --y all` executes each x once.
+# Keyed by identity (a Circuit with a Rewire is unhashable), holding the
+# circuit itself so that its id cannot be reused while the entry lives, and
+# one entry only, so memory stays bounded.
+_last_words: tuple[Circuit, tuple[dict[str, tuple[int, ...]], ...]] | None = None
+
+
+def _applied_words(circuit: Circuit) -> tuple[dict[str, tuple[int, ...]], ...]:
+    """Per control state x, each data wire's applied word (application
+    order), from :func:`fpp.circuit.execute`; reused when ``circuit`` is the
+    object of the call before.  Raises :class:`InvariantError`, and keeps
+    nothing, when some x leaves a token off its home wire."""
+    global _last_words
+    memo = _last_words
+    if memo is not None and memo[0] is circuit:
+        return memo[1]
+    outcomes = [execute(circuit, x) for x in range(factorial(circuit.n))]
+    if not all(out.tokens_home for out in outcomes):
+        raise InvariantError("tokens did not return home; marginal undefined")
+    words = tuple(out.applied for out in outcomes)
+    _last_words = (circuit, words)
+    return words
+
+
 def run_dense(
     circuit: Circuit,
     unitaries: list[np.ndarray],
@@ -179,7 +221,9 @@ def run_dense(
     propagated as one d-dimensional vector; the control marginal after the
     inverse Fourier transform is the elementwise product over wires of the
     overlap matrices F_w F_w^H, with the wire's final vectors as the rows
-    of F_w.
+    of F_w.  The words come from :func:`fpp.circuit.execute`, once per x
+    for a run of calls on one circuit object (one call per y, say): they do
+    not depend on the unitaries, so only the last circuit's are kept.
     """
     d = _check_inputs(circuit, unitaries)
     m = factorial(circuit.n)
@@ -192,13 +236,10 @@ def run_dense(
 
     init = _initial_vectors(circuit, d, seed)
     final = {w: np.empty((m, d), dtype=complex) for w in wires}  # row x: |psi_x>_w
-    for x in range(m):
-        out = execute(circuit, x)
-        if not out.tokens_home:
-            raise InvariantError("tokens did not return home; marginal undefined")
+    for x, applied in enumerate(_applied_words(circuit)):
         for w in wires:
             v = init[w]
-            for g in out.applied[w]:
+            for g in applied[w]:
                 v = unitaries[g] @ v
             final[w][x] = v
 

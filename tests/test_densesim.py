@@ -1,7 +1,7 @@
 """Tests for the dense numerical backend."""
 
 import random
-from math import gcd, prod
+from math import factorial, gcd, prod
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from fpp.algorithms import (
     sqrt_circuit,
     superperm_sim_switch,
 )
-from fpp.circuit import eliminate_controlled_unknowns
+from fpp.circuit import eliminate_controlled_unknowns, execute
 from fpp.densesim import (
     PROBABILITY_TOL,
     build_promise_unitaries,
@@ -78,6 +78,42 @@ def register_dims(n, y, table):
     ]
 
 
+def kron_promise_unitaries(n, y, table):
+    """Reference construction: each U_i as a Kronecker chain over registers
+    1..n-1 of a clock (register i), a shift power np.roll(eye) (registers
+    above i) or the identity (registers below i)."""
+    m = table.modulus
+    dims = register_dims(n, y, table)
+    units = []
+    for i in range(n):
+        u = np.eye(1, dtype=complex)
+        for k, d in enumerate(dims, start=1):
+            if i == k:
+                f = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+            else:
+                shift = -(table.entry(i, k) * y % m) * d // m if i < k else 0
+                f = np.roll(np.eye(d, dtype=complex), shift, axis=0)
+            u = np.kron(u, f)
+        units.append(u)
+    return units
+
+
+def assert_matches_kron_reference(units, n, y, table):
+    # np.array_equal, not byte equality: the kron chain leaves -0.0 where
+    # the scatter writes 0.0
+    reference = kron_promise_unitaries(n, y, table)
+    assert len(units) == len(reference) == n
+    for u, r in zip(units, reference):
+        assert u.dtype == r.dtype and np.array_equal(u, r)
+
+
+def test_construction_matches_kron_reference_on_n3_labelings():
+    for lab in enumerate_valid_labelings(3):
+        table = lab.validate().table
+        for y in range(6):
+            assert_matches_kron_reference(build_promise_unitaries(3, y, table), 3, y, table)
+
+
 def test_construction_on_random_tables():
     # every antisymmetric table, not only the ones a labeling produces
     rng = random.Random(5)
@@ -89,6 +125,7 @@ def test_construction_on_random_tables():
         n = table.n
         for y in range(table.modulus):
             units = build_promise_unitaries(n, y, table)
+            assert_matches_kron_reference(units, n, y, table)
             size = prod(register_dims(n, y, table))
             assert pairwise_deviation(units, table, y) < 1e-9
             for u in units:
@@ -98,6 +135,19 @@ def test_construction_on_random_tables():
             order = register_dims(n, y, table)[-1]
             assert np.allclose(last, np.diag(np.diag(last)))
             assert np.allclose(np.linalg.matrix_power(last, order), np.eye(size))
+
+
+def test_pairwise_deviation_rejects_bad_inputs():
+    table = FactoradicLabeling(3).validate().table
+    units = build_promise_unitaries(3, 1, table)
+    with pytest.raises(DomainError, match="expected 3 unitaries, got 2"):
+        pairwise_deviation(units[:2], table, 1)
+    with pytest.raises(DomainError, match="expected 3 unitaries, got 4"):
+        pairwise_deviation(units + units[:1], table, 1)
+    # y=7 would otherwise be checked as y=1 (omega^7 = omega at n!=6)
+    for y in (-1, 6, 7):
+        with pytest.raises(DomainError, match=rf"y={y} outside \[0, 5\]"):
+            pairwise_deviation(units, table, y)
 
 
 def test_construction_unsupported_n():
@@ -182,31 +232,28 @@ def test_dense_alternative_labeling():
 def test_dense_nlogn_bit_control():
     # numerically confirms that the commutation-rewrite phases of the
     # bit-controlled circuit assemble the exact Fourier state
-    from fpp.algorithms import nlogn_circuit
-    from fpp.circuit import eliminate_controlled_unknowns
-
     lab = FactoradicLabeling(3)
     table = lab.validate().table
     for circuit in (nlogn_circuit(3), eliminate_controlled_unknowns(nlogn_circuit(3))):
-        for y in (1, 4, 5):
+        for y in range(6):
             units = build_promise_unitaries(3, y, table)
-            result = run_dense(circuit, units)
-            assert result.measured_y == y
-            assert result.peak_probability >= 1 - PROBABILITY_TOL
+            for seed in (None, 7):
+                result = run_dense(circuit, units, seed=seed)
+                assert result.measured_y == y
+                assert result.peak_probability >= 1 - PROBABILITY_TOL
 
 
 def test_dense_sqrt_circuit():
     # numerically confirms the block-decomposition phase cancellation
-    from fpp.algorithms import sqrt_circuit
-
     lab = FactoradicLabeling(3)
     table = lab.validate().table
     circuit = sqrt_circuit(3, lab)
-    for y in (2, 3):
+    for y in range(6):
         units = build_promise_unitaries(3, y, table)
-        result = run_dense(circuit, units)
-        assert result.measured_y == y
-        assert result.peak_probability >= 1 - PROBABILITY_TOL
+        for seed in (None, 7):
+            result = run_dense(circuit, units, seed=seed)
+            assert result.measured_y == y
+            assert result.peak_probability >= 1 - PROBABILITY_TOL
 
 
 def test_dense_dimension_guard():
@@ -230,6 +277,61 @@ def test_engines_reject_bad_unitaries(engine):
         engine(c, [x, np.eye(3, dtype=complex)])
     with pytest.raises(InvariantError, match="not unitary"):
         engine(c, [x, 2 * x])
+
+
+def fresh_execute_dense(circuit, units):
+    """run_dense's control marginal from |0> on every wire, recomputed with a
+    fresh execute loop: the Fourier readout of the Gram matrix of the per-x
+    product states."""
+    m = factorial(circuit.n)
+    gram = np.ones((m, m), dtype=complex)
+    for wire in circuit.data_wires():
+        rows = []
+        for x in range(m):
+            v = np.eye(len(units[0]), dtype=complex)[0]
+            for g in execute(circuit, x).applied[wire.id]:
+                v = units[g] @ v
+            rows.append(v)
+        rows = np.array(rows)
+        gram *= rows @ rows.conj().T
+    f = fourier(m)
+    return np.real(np.diag(f.conj().T @ gram @ f)) / m
+
+
+def test_run_dense_reuse_follows_the_circuit():
+    # sim-switch, superperm, sim-switch, six-query on one n and table: each
+    # call must see its own circuit's words.  sim-switch and superperm
+    # differ only in x-independent auxiliary words, which leave the marginal
+    # as it is, so the words themselves are compared too; unitaries off the
+    # promise make six-query's marginal differ from sim-switch's.
+    from fpp.densesim import _applied_words
+
+    lab = FactoradicLabeling(3)
+    a = sim_switch_circuit(3, lab)
+    b = superperm_sim_switch(3, lab)
+    c = six_query_n3(lab)
+    rng = np.random.default_rng(3)
+    units = [
+        np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        for _ in range(3)
+    ]
+    expected = {id(k): fresh_execute_dense(k, units) for k in (a, b, c)}
+    assert not np.allclose(expected[id(a)], expected[id(c)], atol=1e-3)
+    for k in (a, b, a, c, a):
+        assert np.allclose(run_dense(k, units).probabilities, expected[id(k)], atol=1e-12)
+        assert _applied_words(k) == tuple(execute(k, x).applied for x in range(6))
+
+
+def test_run_dense_rejects_stranded_tokens_on_every_call():
+    lab = FactoradicLabeling(3)
+    c = sim_switch_circuit(3, lab)
+    broken = type(c)(c.n, c.family, c.wires, c.gates[:-1], c.control)
+    assert not all(execute(broken, x).tokens_home for x in range(6))
+    units = build_promise_unitaries(3, 1, lab.validate().table)
+    run_dense(c, units)  # a good circuit first, so a reused entry would pass
+    for _ in range(3):
+        with pytest.raises(InvariantError, match="tokens did not return home"):
+            run_dense(broken, units)
 
 
 def test_dense_all_n3_labelings():
