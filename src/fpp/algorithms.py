@@ -55,6 +55,7 @@ from .circuit import (
     SwitchSwap,
     Wire,
     WireOutcome,
+    _wire_refs,
     aux_wire,
     execute,
     query_count,
@@ -679,15 +680,55 @@ def _sweep_reference(
     return exponents, None
 
 
-# Bytes of int32 gate counts per chunk of the sweep: a chunk has
-# _CHUNK_BYTES // (4 * wires * n) control states.  Larger chunks gain little
-# speed at n=8 and raise the peak memory of small sweeps.
+# A chunk of the sweep holds at most _CHUNK_BYTES of float64 gate counts
+# (the slab of :class:`_ChunkSweep`, count rows x control states) and at
+# most _CHUNK_STATES control states, since its masks, words and positions
+# grow with the states alone.  Larger chunks are faster but raise the peak
+# memory of the sweep.
 _CHUNK_BYTES = 2**19
+_CHUNK_STATES = 2**11
 
 
-def _chunk_rows(n: int, width: int) -> int:
-    """Control states per chunk of the sweep of a circuit with ``width`` wires."""
-    return max(1, _CHUNK_BYTES // (4 * max(width, 1) * n))
+def _chunk_rows(count_rows: int) -> int:
+    """Control states per chunk of a sweep whose slab has ``count_rows`` rows."""
+    return max(1, min(_CHUNK_STATES, _CHUNK_BYTES // (8 * max(count_rows, 1))))
+
+
+def _slab_refs(circuit: Circuit, refs: tuple[_WireRef, ...]) -> tuple[_WireRef, ...]:
+    """The refs of the wires the sweep keeps gate counts for.
+
+    A wire that receives unconditional ``Apply`` gates, and that no gate of
+    another kind names, holds its own token with the x=0 word in every
+    column: it passes both residual checks and adds its reference phase, so
+    the sweep leaves it out.  A ``SwitchSwap`` may name every auxiliary
+    wire.
+    """
+    applied = {g.wire for g in circuit.gates if isinstance(g, Apply)}
+    named: set[str] = set()
+    for gate in circuit.gates:
+        if isinstance(gate, SwitchSwap):
+            named.update(aux_wire(g) for g in range(circuit.n))
+        if not isinstance(gate, Apply):
+            named.update(_wire_refs(gate))
+            if applied <= named:  # no wire is left out
+                return refs
+    return tuple(r for r in refs if r.wire in named or r.wire not in applied)
+
+
+@dataclass(eq=False)
+class _Slot:
+    """U_gate applied to the token on a wire, in the steps of a plan.
+
+    :class:`_ChunkSweep` fills in the rest once the plan is lowered:
+    ``row`` is the slab row that counts it, and ``dot`` is None if it adds
+    no phase, else (lo, hi, vector), and the phase it adds is
+    ``vector @ slab[lo:hi]``.
+    """
+
+    wire: int
+    gate: int
+    row: int = -1
+    dot: tuple[int, int, np.ndarray] | None = None
 
 
 class _ChunkSweep:
@@ -698,37 +739,56 @@ class _ChunkSweep:
     chunk of xs and calls every step on it in order, with no dispatch on
     gate types.
 
-    Wires are numbered 0..W-1 in the sorted order of ``refs``, tokens after
-    their home wires, and row r of a chunk is one x.  Token t of row r has
-    the flat id r*W + t.  The token table ``tok`` has shape W x rows and
-    holds flat ids, so an apply on wire w gathers the contiguous row
-    ``tok[w]`` and indexes the count matrix with it directly:
-    ``count[r*W + t, g]`` counts the U_g applied to token t of row r.
+    The wires of :func:`_slab_refs` are numbered 0..W-1 in the sorted order
+    of ``refs``, and column r of a chunk is one x.  Each wire holds the gate
+    counts of the token now on it in a contiguous block of rows of the
+    float64 ``slab``, one row per gate, in ascending order: ``slab[row, r]``
+    counts the U_g applied to that token in column r.  A plan that moves
+    tokens gives every block all n gates and one more row, the home wire of
+    the token, so that blocks can be exchanged; a plan that moves none
+    gives each wire's block only the gates its steps apply there, which
+    include every gate of its reference word (an auxiliary wire of
+    sim-switch or sqrt has one row).  An x passes the residual checks iff
+    its column ends equal to :attr:`expected`: the counts of the reference
+    words and every token at home.
+
     ``phase[r]`` is the descending-order exponent of all words so far:
     applying U_g to a token adds e[g][p] for every U_p (p > g) it already
     carries, which is the sum :func:`~fpp.commutation.perm_phase_exponent`
-    takes over the finished word, repeated gates included.  ``later[g]`` is
-    e[g] with the entries p <= g zeroed, so that sum is a gather of the
-    token's counts times ``later[g]``.
+    takes over the finished word, repeated gates included.  That sum is one
+    BLAS dot of e[g] over the later gates of the block with the block's rows
+    below g (a :class:`_Slot`'s ``dot``); it is left out where those entries
+    are all zero.  Counts, dots and phases are integers below
+    applies^2 * n!, which float64 holds exactly while that is below 2^53
+    (:func:`_sweep_range` checks it).
 
     The steps of a plan:
 
-    * apply: U_g on the token of a wire, in every row (``Apply``) or in the
-      rows where a control bit fires (``ControlledApply``).
-    * routed apply: a sandwich -- a conditional swap G of wires a and b
-      (``PosCondSwap`` or ``ControlledSwap``), then ``Apply(g, w)`` with w in
-      {a, b}, then a gate equal to G -- is one apply to the token
-      ``where(cond, tok[other], tok[w])``.  The condition depends on x
-      only, so the closing swap undoes the opening one, and the token table
-      is not written.
-    * swap: the two wires' rows of ``tok`` exchanged by ``np.where`` on the
-      condition's mask.
-    * switch and rewire: per-row swaps resolved through the words.
+    * apply: U_g on the token of a wire, in every column (``Apply``).
+    * routed apply: U_g on the tokens of its routes' wires, each in the
+      columns of its route's mask; no two masks share a column, so each
+      route adds its dot times its mask.  A ``ControlledApply`` is one
+      route, on its bit's condition.  So is a sandwich -- a conditional swap
+      G of wires a and b (``PosCondSwap`` or ``ControlledSwap``), then
+      ``Apply(g, w)`` with w in {a, b}, then a gate equal to G -- with two
+      routes: to the other wire where G's condition holds, to w elsewhere.
+    * switch apply: the routed apply of a switch sandwich, a ``SwitchSwap``
+      S whose pairs name distinct non-auxiliary wires and distinct
+      positions, then ``Apply`` gates on auxiliary wires only, then a gate
+      equal to S, when every auxiliary wire a_0..a_{n-1} exists.
+      ``Apply(g, a_i)`` in between goes to the wire t of a pair
+      (t, position) in the columns whose word puts U_i at that position,
+      and to a_i elsewhere.
 
-    Each distinct condition (a control bit and polarity, or a position range
-    of one gate) is evaluated once per chunk.  Gates of the wrong control
-    kind are left to the x=0 reference execution, which rejects them before
-    any sweep.
+      The conditions of both kinds of sandwich depend on x only, so the
+      closing gate undoes the opening one and no token moves.
+    * swap, switch and rewire: the blocks of two wires, home rows included,
+      exchanged per column by the condition's mask or through the words.
+
+    Each distinct condition (a control bit and polarity, a position range
+    of one gate, or none of some other conditions) is evaluated once per
+    chunk.  Gates of the wrong control kind are left to the x=0 reference
+    execution, which rejects them before any sweep.
     """
 
     def __init__(self, circuit: Circuit, table: CommutationTable, refs: tuple[_WireRef, ...]):
@@ -736,31 +796,86 @@ class _ChunkSweep:
         self.n = n
         self.control = circuit.control
         self.modulus = table.modulus
+        refs = _slab_refs(circuit, refs)
         self.ref_phase = sum(r.phase for r in refs)
         self.width = len(refs)
-        self.ref_counts = np.zeros((len(refs), n), dtype=np.int64)
-        for i, r in enumerate(refs):
-            np.add.at(self.ref_counts[i], list(r.sorted_word), 1)
-        e = np.zeros((n, n), dtype=np.int64)
-        for (j, k), v in table.entries.items():
-            e[j, k] = v
-        self.later = np.triu(e, 1)  # later[g, p] = e[g][p] for p > g, else 0
         self.wire = {r.wire: i for i, r in enumerate(refs)}
-        self.aux = np.array([self.wire.get(aux_wire(g), -1) for g in range(n)])
-        self.rows = _chunk_rows(n, len(refs))
+        self.auxiliary = [aux_wire(g) for g in range(n)]
+        self.aux = np.array([self.wire.get(a, -1) for a in self.auxiliary])
         self.conditions: dict[tuple, int] = {}
+        self.inside: dict[tuple, np.ndarray] = {}
+        self.slots: dict[tuple[int, int], _Slot] = {}
         self.plan = tuple(self._lower(circuit.gates))
+        self.moves = any(
+            step in (_Chunk.swap, _Chunk.switch, _Chunk.rewire) for step, _ in self.plan
+        )
+        gates = [set(range(n) if self.moves else ()) for _ in refs]
+        for w, g in self.slots:
+            gates[w].add(g)
+        # blocks[w]: (first slab row of wire w, its gates in ascending order);
+        # with moves, row first + n holds the home wire of the token
+        self.blocks, start = [], 0
+        for block in gates:
+            self.blocks.append((start, sorted(block)))
+            start += len(block) + self.moves
+        self.expected = np.zeros(start)
+        for w, ((first, block), r) in enumerate(zip(self.blocks, refs)):
+            for g in r.sorted_word:
+                self.expected[first + block.index(g)] += 1
+            if self.moves:
+                self.expected[first + n] = w
+        e = np.zeros((n, n))
+        for (j, k), v in table.entries.items():
+            e[j, k] = v % self.modulus
+        for slot in self.slots.values():
+            first, block = self.blocks[slot.wire]
+            slot.row = first + block.index(slot.gate)
+            later = e[slot.gate, block[block.index(slot.gate) + 1 :]]
+            if later.any():
+                slot.dot = (slot.row + 1, first + len(block), later)
+        self.rows = _chunk_rows(start)
 
-    def _condition(self, gate: PosCondSwap | ControlledSwap | ControlledApply) -> int:
-        """Index of the gate's condition among the masks of a chunk."""
+    def _slot(self, wire: int, gate: int) -> _Slot:
+        if (wire, gate) not in self.slots:
+            self.slots[wire, gate] = _Slot(wire, gate)
+        return self.slots[wire, gate]
+
+    def _condition(self, key: tuple) -> int:
+        """Index of a condition among the masks of a chunk."""
+        if key not in self.conditions:
+            self.conditions[key] = len(self.conditions)
+            if key[0] == "position":  # inside[p]: lo <= p < hi
+                _, g, lo, hi = key
+                self.inside[key] = np.zeros(self.n, dtype=bool)
+                self.inside[key][max(lo, 0) : max(hi, 0)] = True
+        return self.conditions[key]
+
+    def _gate_condition(self, gate: PosCondSwap | ControlledSwap | ControlledApply) -> int:
         if isinstance(gate, PosCondSwap):
-            key = ("position", gate.gate, gate.lo, gate.hi)
-        else:
-            key = ("bit", gate.bit, gate.polarity)
-        return self.conditions.setdefault(key, len(self.conditions))
+            return self._condition(("position", gate.gate, gate.lo, gate.hi))
+        return self._condition(("bit", gate.bit, gate.polarity))
+
+    def _switch_sandwich_end(self, gates: Sequence, start: int) -> int | None:
+        """Index of the gate closing the switch sandwich opened at ``start``,
+        or None if it is not one the plan lowers."""
+        switch = gates[start]
+        wires = [w for w, _ in switch.swaps]
+        positions = [p for _, p in switch.swaps]
+        auxiliary = self.auxiliary
+        if (
+            (self.aux < 0).any()
+            or len(set(wires)) < len(wires)
+            or len(set(positions)) < len(positions)
+            or any(w in auxiliary for w in wires)
+        ):
+            return None
+        end = start + 1
+        while end < len(gates) and isinstance(gates[end], Apply) and gates[end].wire in auxiliary:
+            end += 1
+        return end if end < len(gates) and gates[end] == switch else None
 
     def _lower(self, gates: Sequence) -> Iterable[tuple[Callable, tuple]]:
-        wire, j = self.wire, 0
+        wire, slot, j = self.wire, self._slot, 0
         while j < len(gates):
             gate = gates[j]
             j += 1
@@ -775,16 +890,36 @@ class _ChunkSweep:
                     w = wire[mid.wire]
                     other = b if w == a else a
                     j += 2
-                    yield _Chunk.routed_apply, (self._condition(gate), w, other, mid.gate)
+                    cond = self._gate_condition(gate)
+                    routes = (
+                        (cond, slot(other, mid.gate)),
+                        (self._condition(("none", cond)), slot(w, mid.gate)),
+                    )
+                    yield _Chunk.routed_apply, (routes,)
                 else:
-                    yield _Chunk.swap, (self._condition(gate), a, b)
+                    yield _Chunk.swap, (self._gate_condition(gate), a, b)
             elif isinstance(gate, Apply):
-                yield _Chunk.apply, (wire[gate.wire], gate.gate)
+                if gate.wire in wire:  # else a wire the sweep leaves out
+                    yield _Chunk.apply, (slot(wire[gate.wire], gate.gate),)
             elif isinstance(gate, ControlledApply):
-                yield _Chunk.apply_fired, (self._condition(gate), wire[gate.wire], gate.gate)
+                routes = ((self._gate_condition(gate), slot(wire[gate.wire], gate.gate)),)
+                yield _Chunk.routed_apply, (routes,)
             elif isinstance(gate, SwitchSwap):
-                swaps = tuple((wire[w], self.n - 1 - position) for w, position in gate.swaps)
-                yield _Chunk.switch, (swaps,)
+                end = self._switch_sandwich_end(gates, j - 1)
+                if end is None:
+                    pairs = tuple((wire[w], self.n - 1 - position) for w, position in gate.swaps)
+                    yield _Chunk.switch, (pairs,)
+                    continue
+                for mid in gates[j:end]:
+                    w = wire[mid.wire]
+                    i = self.auxiliary.index(mid.wire)
+                    routes = tuple(
+                        (self._condition(("position", i, p, p + 1)), slot(wire[t], mid.gate))
+                        for t, p in gate.swaps
+                    )
+                    stay = self._condition(("none", *(cond for cond, _ in routes)))
+                    yield _Chunk.switch_apply, (routes + ((stay, slot(w, mid.gate)),),)
+                j = end + 1
             elif isinstance(gate, Rewire):
                 yield _Chunk.rewire, (gate.routes,)
             else:
@@ -810,66 +945,90 @@ class _ChunkSweep:
 
 class _Chunk:
     """The arrays of one chunk of a :class:`_ChunkSweep`, and the steps of
-    its plan."""
+    its plan.
+
+    ``slab`` holds the count rows (and home rows) x columns.
+    """
 
     def __init__(self, sweep: _ChunkSweep, size: int, words: np.ndarray | None,
                  bits: dict[tuple[int, int], np.ndarray] | None):
-        n, width = sweep.n, sweep.width
+        n = sweep.n
         self.sweep, self.n, self.size, self.words = sweep, n, size, words
-        self.home = np.arange(size * width).reshape(size, width).T
-        self.tok = self.home.copy()
-        self.count = np.zeros((size * width, n), dtype=np.int32)
-        self.flat = self.count.reshape(-1)
-        self.phase = np.zeros(size, dtype=np.int64)
+        self.slab = np.zeros((len(sweep.expected), size))
+        if sweep.moves:
+            self._blocks()[:, n] = np.arange(sweep.width)[:, None]
+        self.phase = np.zeros(size)
         self.bad = np.zeros(size, dtype=bool)
         self.by_word: tuple | None = None
         positions = None
-        if words is not None:
-            # positions[g, r]: acting position of U_g in the word of row r
-            positions = np.empty((n, size), dtype=np.int64)
-            positions[words, np.arange(size)[:, None]] = np.arange(n - 1, -1, -1)
         self.masks = []
-        for kind, *key in sweep.conditions:
+        for key in sweep.conditions:
+            kind = key[0]
             if kind == "position":
-                g, lo, hi = key
-                self.masks.append((lo <= positions[g]) & (positions[g] < hi))
+                if positions is None:
+                    # positions[g, r]: acting position of U_g in the word of column r
+                    positions = np.empty((n, size), dtype=np.int64)
+                    positions[words, np.arange(size)[:, None]] = np.arange(n - 1, -1, -1)
+                self.masks.append(sweep.inside[key][positions[key[1]]])
+            elif kind == "none":  # the columns where none of these conditions hold
+                some = self.masks[key[1]]
+                for cond in key[2:]:
+                    some = some | self.masks[cond]
+                self.masks.append(~some)
             else:
-                bit, polarity = key
+                _, bit, polarity = key
                 self.masks.append(bits[bit] == polarity)
 
-    def _push(self, token: np.ndarray, g: int) -> np.ndarray:
-        """Count U_g on each token; returns the phase it adds per token."""
-        added = self.count.take(token, axis=0) @ self.sweep.later[g]
-        self.flat[token * self.n + g] += 1
-        return added
+    def _added(self, slot: _Slot) -> np.ndarray | None:
+        """The phase U_g adds to the token of ``slot``'s wire, per column."""
+        if slot.dot is None:
+            return None
+        lo, hi, later = slot.dot
+        return later.dot(self.slab[lo:hi])
 
-    def apply(self, wire: int, g: int) -> None:
-        self.phase += self._push(self.tok[wire], g)
+    def apply(self, slot: _Slot) -> None:
+        added = self._added(slot)
+        if added is not None:
+            self.phase += added
+        self.slab[slot.row] += 1
 
-    def apply_fired(self, cond: int, wire: int, g: int) -> None:
-        rows = np.flatnonzero(self.masks[cond])
-        self.phase[rows] += self._push(self.tok[wire, rows], g)
+    def routed_apply(self, routes: tuple[tuple[int, _Slot], ...]) -> None:
+        """U_g on the token of each route's slot, in the columns of the
+        route's mask; no two masks share a column."""
+        for cond, slot in routes:
+            mask = self.masks[cond]
+            added = self._added(slot)
+            if added is not None:
+                self.phase += np.multiply(added, mask, out=added)
+            self.slab[slot.row] += mask
 
-    def routed_apply(self, cond: int, wire: int, other: int, g: int) -> None:
-        tok = self.tok
-        self.phase += self._push(np.where(self.masks[cond], tok[other], tok[wire]), g)
+    def switch_apply(self, routes: tuple[tuple[int, _Slot], ...]) -> None:
+        """A routed apply lowered from a switch sandwich; a plan names it
+        apart from those of conditional-swap sandwiches."""
+        self.routed_apply(routes)
+
+    def _blocks(self) -> np.ndarray:
+        """The slab of a plan that moves tokens, as W x (n + 1) x columns."""
+        return self.slab.reshape(self.sweep.width, self.n + 1, self.size)
 
     def _exchange(self, mask: np.ndarray, a: int, b: int) -> None:
-        tok = self.tok
-        tok[a], tok[b] = np.where(mask, tok[b], tok[a]), np.where(mask, tok[a], tok[b])
+        slab = self._blocks()
+        slab[a], slab[b] = np.where(mask, slab[b], slab[a]), np.where(mask, slab[a], slab[b])
 
     def swap(self, cond: int, a: int, b: int) -> None:
         self._exchange(self.masks[cond], a, b)
 
-    def switch(self, swaps: tuple[tuple[int, int], ...]) -> None:
-        tok, rows = self.tok, np.arange(self.size)
-        for a, column in swaps:
-            b = self.sweep.aux[self.words[:, column]]
+    def switch(self, pairs: tuple[tuple[int, int], ...]) -> None:
+        """Per column, wire a of each pair swapped with the auxiliary wire
+        of the gate at the pair's index of the written word."""
+        slab, cols = self._blocks(), np.arange(self.size)
+        for a, index in pairs:
+            b = self.sweep.aux[self.words[:, index]]
             self.bad |= b < 0  # no auxiliary wire for that gate
             b = np.where(b < 0, a, b)
-            held = tok[a].copy()
-            tok[a] = tok[b, rows]
-            tok[b, rows] = held
+            held = slab[a].copy()
+            slab[a] = slab[b, :, cols].T
+            slab[b, :, cols] = held.T
 
     def rewire(self, routes: Mapping[tuple[int, ...], tuple[tuple[str, str], ...]]) -> None:
         if self.by_word is None:
@@ -878,7 +1037,7 @@ class _Chunk:
             _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
             self.by_word = ([tuple(words[i].tolist()) for i in first], inverse.reshape(-1))
         orders, inverse = self.by_word
-        # Group the chunk by route: one set of row swaps per distinct route.
+        # Group the chunk by route: one set of column swaps per distinct route.
         found: dict[tuple, int] = {}
         route_of_word = np.array(
             [-1 if o not in routes else found.setdefault(routes[o], len(found)) for o in orders]
@@ -893,12 +1052,9 @@ class _Chunk:
 
     def result(self) -> tuple[np.ndarray, int]:
         sweep = self.sweep
-        home = (self.tok == self.home).all(axis=0)
-        counts = self.count.reshape(self.size, sweep.width, self.n)
-        same = (counts == sweep.ref_counts).all(axis=(1, 2))
-        ok = home & same & ~self.bad
+        ok = ~self.bad & (self.slab == sweep.expected[:, None]).all(axis=0)
         first = int(ok.argmin()) if not ok.all() else self.size
-        return (self.phase - sweep.ref_phase) % sweep.modulus, first
+        return (self.phase.astype(np.int64) - sweep.ref_phase) % sweep.modulus, first
 
 
 def _sweep_range(
@@ -906,19 +1062,22 @@ def _sweep_range(
     table: CommutationTable,
     refs: tuple[_WireRef, ...],
     xs: range,
+    engine: _ChunkSweep | None = None,
 ) -> tuple[list[int], str | None]:
     """Exponent deltas for xs; returns (exponents, first failure or None).
 
-    Runs :class:`_ChunkSweep` over chunks of xs.  The first x it finds
-    failing is run again through :func:`_sweep_reference`, so the failure
-    text is the per-x one; so is a chunk holding an x with no bit
-    assignment, which the reference then raises on.
+    Runs :class:`_ChunkSweep` (``engine``, if the caller has lowered the
+    circuit already) over chunks of xs.  The first x it finds failing is
+    run again through :func:`_sweep_reference`, so the failure text is the
+    per-x one; so is a chunk holding an x with no bit assignment, which the
+    reference then raises on.
     """
-    # The engine's int64 exponent sums stay below applies^2 * n!; past 2^63
-    # only the reference's Python ints are exact.
-    if max(query_count(circuit), 1) ** 2 * table.modulus >= 2**63:
+    # The engine's float64 counts, dots and phase sums stay below
+    # applies^2 * n!; from 2^53 on only the reference's Python ints are exact.
+    if max(query_count(circuit), 1) ** 2 * table.modulus >= 2**53:
         return _sweep_reference(circuit, table, refs, xs)
-    engine = _ChunkSweep(circuit, table, refs)
+    if engine is None:
+        engine = _ChunkSweep(circuit, table, refs)
     exponents: list[int] = []
     for lo in range(xs.start, xs.stop, engine.rows):
         chunk = range(lo, min(lo + engine.rows, xs.stop))
@@ -940,13 +1099,14 @@ def _sweep_range(
 _POOL_STATE: dict = {}
 
 
-def _pool_init(circuit: Circuit, table: CommutationTable, refs: tuple) -> None:
+def _pool_init(circuit: Circuit, table: CommutationTable, refs: tuple, engine: _ChunkSweep) -> None:
     _POOL_STATE["args"] = (circuit, table, refs)
+    _POOL_STATE["engine"] = engine
 
 
 def _pool_chunk(bounds: tuple[int, int]) -> tuple[list[int], str | None]:
     circuit, table, refs = _POOL_STATE["args"]
-    return _sweep_range(circuit, table, refs, range(bounds[0], bounds[1]))
+    return _sweep_range(circuit, table, refs, range(bounds[0], bounds[1]), _POOL_STATE["engine"])
 
 
 def phase_profile(
@@ -1024,18 +1184,21 @@ def _parallel_sweep(
     m: int,
     processes: int | None,
 ) -> tuple[list[int], str | None]:
-    # Forking pays off only when every worker gets at least 8 engine chunks;
-    # below that (n <= 7) the serial sweep is faster.
-    rows = _chunk_rows(circuit.n, len(refs))
+    # Fork only when every worker gets at least 8 engine chunks; below that
+    # (n <= 7) the serial sweep is faster.  At n=8 forking about breaks even
+    # (sqrt gains, nlogn and sim-switch lose), at n=9 sqrt and sim-switch
+    # gain 1.4-2x.
+    engine = _ChunkSweep(circuit, table, refs)
+    rows = engine.rows
     chunks = -(-m // rows)
     workers = min(processes or 1, chunks // 8)
     if workers <= 1:
-        return _sweep_range(circuit, table, refs, range(m))
+        return _sweep_range(circuit, table, refs, range(m), engine)
     step = rows * -(-chunks // (4 * workers))  # about 4 tasks per worker
     bounds = [(lo, min(lo + step, m)) for lo in range(0, m, step)]
     try:
         pool = multiprocessing.get_context("fork").Pool(
-            workers, initializer=_pool_init, initargs=(circuit, table, refs)
+            workers, initializer=_pool_init, initargs=(circuit, table, refs, engine)
         )
     except (ValueError, OSError) as exc:  # no fork start method; fork failed
         warnings.warn(
@@ -1043,7 +1206,7 @@ def _parallel_sweep(
             RuntimeWarning,
             stacklevel=3,
         )
-        return _sweep_range(circuit, table, refs, range(m))
+        return _sweep_range(circuit, table, refs, range(m), engine)
     with pool:
         parts = pool.map(_pool_chunk, bounds)
     exponents: list[int] = []

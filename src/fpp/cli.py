@@ -278,6 +278,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error(f"{args.alg} requires " + " or ".join(f"--n {k}" for k in sizes))
         if args.n < 2:
             parser.error("--n must be at least 2")
+    if getattr(args, "parallel", 1) < 1:
+        parser.error("--parallel must be at least 1")
     try:
         return args.func(args)
     except FppError as exc:

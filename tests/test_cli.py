@@ -95,6 +95,16 @@ def test_run_incompatible_flags_exit2(capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_run_parallel_below_one_exit2(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--alg", "sqrt", "--n", "4", "--y", "all", "--parallel", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --parallel must be at least 1" in captured.err
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--y", "foo"),
     ("--y", "sample:x"),

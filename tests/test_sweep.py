@@ -34,7 +34,7 @@ from fpp.circuit import (
     Wire,
     aux_wire,
 )
-from fpp.commutation import brute_force_phase, random_table
+from fpp.commutation import CommutationTable, brute_force_phase, random_table
 from fpp.errors import FppError, StructuralError
 from fpp.numsys import ceil_log2
 from fpp.perms import (
@@ -153,6 +153,20 @@ def test_missing_auxiliary_wire_matches_per_x():
     assert assert_sweeps_agree(circuit, lab) == ("KeyError", "'a_2'")
 
 
+def test_switch_that_strands_tokens_matches_per_x():
+    # a switch of t with the auxiliary wire of the first acting gate, undone
+    # only where that gate is the one x=0 puts first: the other xs leave
+    # tokens away from home with every word empty
+    lab = FactoradicLabeling(3)
+    first = lab.word(0).acting(0)
+    wires = (Wire("x", CONTROL_QUDIT), Wire("t", TARGET))
+    wires += tuple(Wire(aux_wire(g), AUXILIARY) for g in range(3))
+    gates = (SwitchSwap((("t", 0),)), PosCondSwap("t", aux_wire(first), first, 0, 1))
+    circuit = Circuit(3, "strand", wires, gates, QuditControl(lab))
+    _, failure = assert_sweeps_agree(circuit, lab)
+    assert failure.endswith("tokens did not return to their home wires")
+
+
 def test_exponents_past_int64_stay_exact():
     # sim-switch at n=20 under a random table: int64 exponent sums of the
     # last xs would wrap
@@ -163,6 +177,45 @@ def test_exponents_past_int64_stay_exact():
     xs = range(factorial(n) - 20, factorial(n))
     exponents, failure = algorithms._sweep_range(circuit, table, refs, xs)
     assert (exponents, failure) == algorithms._sweep_reference(circuit, table, refs, xs)
+
+
+def _max_phase_table(n):
+    """The table whose every later entry e[j][k] (j < k) is n! - 1."""
+    return CommutationTable.from_upper(
+        n, {(j, k): factorial(n) - 1 for j in range(n) for k in range(j + 1, n)}
+    )
+
+
+def _bound_circuit(n, applies):
+    """The switch simulation onto t, then U_{n-1} and U_0 alternately on t
+    up to ``applies`` gates: the phase of t nears applies^2 * n! / 4."""
+    lab = FactoradicLabeling(n)
+    wires = (Wire("x", CONTROL_QUDIT), Wire("t", TARGET))
+    wires += tuple(Wire(aux_wire(g), AUXILIARY) for g in range(n))
+    gates = _switch_steps(n, "t", range(n))
+    gates += [Apply((n - 1) * (k % 2 == 0), "t") for k in range(applies - n * n)]
+    return Circuit(n, "bound", wires, tuple(gates), QuditControl(lab))
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_float64_bound_from_both_sides(monkeypatch, side):
+    # 321^2 * 14! < 2^53 <= 322^2 * 14!: just below the bound the engine
+    # sweeps, just above it the reference does; both stay exact
+    n = 14
+    table = _max_phase_table(n)
+    applies = 321 if side == "below" else 322
+    assert (applies**2 * factorial(n) < 2**53) == (side == "below")
+    circuit = _bound_circuit(n, applies)
+    _, refs = algorithms._reference_wires(circuit, table)
+    xs = range(factorial(n) - 40, factorial(n))
+    expected = algorithms._sweep_reference(circuit, table, refs, xs)
+    runs = []
+    run = algorithms._ChunkSweep.run
+    monkeypatch.setattr(algorithms._ChunkSweep, "run", lambda self, xs: runs.append(xs) or run(self, xs))
+    assert algorithms._sweep_range(circuit, table, refs, xs) == expected
+    assert (runs != []) == (side == "below")
+    exponents, failure = expected
+    assert failure is None and len(set(exponents)) > 1
 
 
 def test_chunk_boundary_inside_sweep(monkeypatch):
@@ -179,7 +232,7 @@ def test_chunk_boundary_inside_sweep(monkeypatch):
     whole_failure = phase_profile(broken, lab).failure
     assert whole_failure.startswith("x=96:")
 
-    monkeypatch.setattr(algorithms, "_CHUNK_BYTES", 4 * 8 * n * 7)  # 7 rows for sqrt's 8 wires
+    monkeypatch.setattr(algorithms, "_CHUNK_BYTES", 8 * 20 * 7)  # 7 xs for sqrt's 20 count rows
     for name, circuit in circuits.items():
         engine = algorithms._ChunkSweep(circuit, table, algorithms._reference_wires(circuit, table)[1])
         assert engine.rows < lab.size
@@ -300,6 +353,73 @@ def test_near_miss_sandwiches_are_not_lowered():
         steps = _plan_steps(circuit(middle), lab)
         assert (steps["routed_apply"], steps["swap"]) == (2, 2), name
         assert_sweeps_agree(circuit(middle), lab)
+
+
+def test_paper_circuits_lower_to_plans_that_move_no_token():
+    n = 5
+    lab = FactoradicLabeling(n)
+    for name in ("sim-switch", "sqrt", "nlogn"):
+        steps = _plan_steps(FAMILIES[name].build(n, lab), lab)
+        assert not {"swap", "switch", "rewire"} & set(steps), name
+    assert _plan_steps(sim_switch_circuit(n, lab), lab) == {"switch_apply": n * n}
+    assert _plan_steps(sqrt_circuit(n, lab), lab)["switch_apply"] == algorithms.ceil_sqrt(n) * n
+
+
+def test_nlogn_leaves_out_wires_with_only_unconditional_gates():
+    lab = FactoradicLabeling(8)
+    table = lab.validate().table
+    circuit = nlogn_circuit(8)
+    _, refs = algorithms._reference_wires(circuit, table)
+    engine = algorithms._ChunkSweep(circuit, table, refs)
+    assert sorted(set(engine.wire) ^ {r.wire for r in refs}) == ["psi_8_8"]
+    # the plan moves no token, so each wire counts U_0 and its own U_k only
+    targets = [algorithms._nlogn_target(k, i) for k in range(1, 8) for i in range(1, 4)]
+    count_rows = sum(1 + targets.count(w) for w in engine.wire)
+    assert [len(gates) for _, gates in engine.blocks] == [1 + targets.count(w) for w in engine.wire]
+    assert engine.rows == algorithms._chunk_rows(count_rows)
+    profile = phase_profile(circuit, lab)
+    assert profile.residuals["psi_8_8"] == (0,) and profile.slope == 1
+
+
+def test_near_miss_switch_sandwiches_are_not_lowered():
+    # a switch simulation onto t whose step at position 1 is an exact
+    # sandwich or a near miss of one; each is valid at x=0 and must sweep as
+    # execute does
+    n = 4
+    lab = FactoradicLabeling(n)
+    wires = (Wire("x", CONTROL_QUDIT), Wire("t", TARGET), Wire("u", TARGET))
+    wires += tuple(Wire(aux_wire(g), AUXILIARY) for g in range(n))
+    switch = SwitchSwap((("t", 1),))
+    middle = tuple(Apply(g, aux_wire(g)) for g in range(n))
+    one_wire = SwitchSwap((("t", 1), ("t", 2)))  # a 3-cycle of tokens
+    one_position = SwitchSwap((("t", 1), ("u", 1)))  # another
+    wider = SwitchSwap((("t", 1), ("u", 2)))
+    between = PosCondSwap("u", aux_wire(1), 1, 0, 2)
+    near_misses = {
+        "apply on the target": (switch, *middle, Apply(0, "t"), switch),
+        "two pairs on one wire": (one_wire, *middle, one_wire, one_wire),
+        "two pairs at one position": (one_position, *middle, one_position, one_position),
+        "a non-Apply gate between": (switch, middle[0], between, middle[1], between, switch),
+        "a closing switch with other pairs": (switch, *middle, wider, SwitchSwap((("u", 2),))),
+    }
+    head = tuple(_switch_steps(n, "u", (2, 0, 3, 1)))  # an x-dependent word on u
+
+    def circuit(gates):
+        tail = tuple(_switch_steps(n, "t", (0, 2, 3)))
+        return Circuit(n, "switch-sandwiches", wires, head + gates + tail, QuditControl(lab))
+
+    exact = circuit((switch, *middle, switch))
+    assert _plan_steps(exact, lab) == {"switch_apply": 2 * n * n}
+    exponents, failure = assert_sweeps_agree(exact, lab)
+    assert failure is None and any(exponents)
+    for name, gates in near_misses.items():
+        steps = _plan_steps(circuit(gates), lab)
+        assert steps["switch_apply"] == 2 * n * n - n and steps["switch"] >= 2, name
+        assert_sweeps_agree(circuit(gates), lab)
+    # a missing auxiliary wire: x=0 puts U_1 at position 1, x=12 puts U_3
+    partial = Circuit(n, "partial", wires[:-1], (switch, switch), QuditControl(lab))
+    assert _plan_steps(partial, lab) == {"switch": 2}
+    assert assert_sweeps_agree(partial, lab) == ("KeyError", "'a_3'")
 
 
 def test_mixed_repeated_words_match_per_x():
@@ -477,12 +597,27 @@ def sandwich_circuits(draw):
     """Runs of swap/Apply/swap sandwiches of ``PosCondSwap`` (qudit control)
     or ``ControlledSwap`` (bit control), each exact or perturbed: the
     closing swap's condition moved, its wires given in the other order, the
-    middle Apply on any wire, or a second gate before the closing swap."""
+    middle Apply on any wire, or a second gate before the closing swap.
+
+    Under qudit control some are switch sandwiches instead: a ``SwitchSwap``,
+    Applies on auxiliary wires, the same switch; perturbed by an Apply on a
+    switched target, two pairs on one wire, a conditional swap between, or
+    a closing switch with another pair.  Sometimes an auxiliary wire is
+    missing; the switches then avoid the position of its gate at x=0."""
     n = draw(st.integers(2, 5))
     qudit = draw(st.booleans())
     slots = [(k, i) for k in range(1, n) for i in range(1, ceil_log2(n) + 1)]
     targets = ["t0", "t1"]
-    data = targets + [aux_wire(g) for g in range(n)]
+    fac = lab = FactoradicLabeling(n)
+    if qudit and draw(st.booleans()):
+        lab = relabeled(fac, draw(st.permutations(range(n))))
+    auxiliary = [aux_wire(g) for g in range(n)]
+    switchable = list(range(n))  # positions a switch may name
+    if qudit and draw(st.booleans()):
+        missing = draw(st.integers(0, n - 1))
+        del auxiliary[missing]
+        switchable.remove(lab.word(0).positions()[missing])
+    data = targets + auxiliary
 
     def conditional_swap(a, b):
         if qudit:
@@ -498,10 +633,42 @@ def sandwich_circuits(draw):
             return replace(swap, polarity=1 - swap.polarity)
         return replace(swap, bit=draw(st.sampled_from(slots)))
 
+    def switch_sandwich():
+        pairs = draw(st.lists(st.sampled_from(targets), min_size=1,
+                              max_size=min(2, len(switchable)), unique=True))
+        positions = draw(st.lists(st.sampled_from(switchable), min_size=len(pairs),
+                                  max_size=len(pairs), unique=True))
+        switch = SwitchSwap(tuple(zip(pairs, positions)))
+        middle = [Apply(draw(st.integers(0, n - 1)), w)
+                  for w in draw(st.lists(st.sampled_from(auxiliary), max_size=n))]
+        kind = draw(st.sampled_from(
+            ["exact", "exact", "target", "one wire", "one position", "between", "wider"]
+        ))
+        close = [switch]
+        if kind == "target":
+            middle.insert(draw(st.integers(0, len(middle))), Apply(0, pairs[0]))
+        elif kind == "one wire":  # a 3-cycle of tokens, played three times
+            second = draw(st.sampled_from(switchable))
+            switch = SwitchSwap(((pairs[0], positions[0]), (pairs[0], second)))
+            close = [switch, switch]
+        elif kind == "one position":  # likewise
+            switch = SwitchSwap(((targets[0], positions[0]), (targets[1], positions[0])))
+            close = [switch, switch]
+        elif kind == "between":
+            a, b = draw(st.lists(st.sampled_from(data), min_size=2, max_size=2, unique=True))
+            middle.insert(draw(st.integers(0, len(middle))), conditional_swap(a, b))
+        elif kind == "wider":  # then the extra pair alone, to restore it
+            extra = ("t1" if pairs[0] == "t0" else "t0", draw(st.sampled_from(switchable)))
+            close = [SwitchSwap(switch.swaps + (extra,)), SwitchSwap((extra,))]
+        return [switch, *middle, *close]
+
     gates = []
-    if qudit and draw(st.booleans()):
+    if qudit and len(switchable) == n and draw(st.booleans()):
         gates += _switch_steps(n, targets[0], draw(st.permutations(range(n))))
     for _ in range(draw(st.integers(1, 6))):
+        if qudit and draw(st.integers(0, 2)) == 0:
+            gates += switch_sandwich()
+            continue
         a, b = draw(st.lists(st.sampled_from(data), min_size=2, max_size=2, unique=True))
         swap = conditional_swap(a, b)
         middle = [Apply(draw(st.integers(0, n - 1)), draw(st.sampled_from([a, b])))]
@@ -517,12 +684,9 @@ def sandwich_circuits(draw):
             middle.append(Apply(draw(st.integers(0, n - 1)), draw(st.sampled_from(data))))
         gates += [swap, *middle, close]
     if qudit:
-        fac = FactoradicLabeling(n)
-        lab = relabeled(fac, draw(st.permutations(range(n)))) if draw(st.booleans()) else fac
         wires = (Wire("x", CONTROL_QUDIT),)
         control = QuditControl(lab)
     else:
-        lab = FactoradicLabeling(n)
         wires = tuple(Wire(f"c_{k}_{i}", CONTROL_BIT) for k, i in slots)
         control = BitControl(n, tuple(slots))
     wires += tuple(Wire(w, TARGET if w in targets else AUXILIARY) for w in data)
