@@ -12,6 +12,7 @@ from .algorithms import (
     nlogn_query_bound,
     nlogn_query_count,
     phase_profile,
+    readout,
     reference_switch,
     sim_switch_circuit,
     six_query_n3,

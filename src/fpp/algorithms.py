@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from math import factorial, gcd, isqrt, log2
 from operator import attrgetter
@@ -88,6 +88,7 @@ __all__ = [
     "phase_profile",
     "VerificationReport",
     "solve_profile",
+    "readout",
     "verify_and_solve",
 ]
 
@@ -584,10 +585,27 @@ def expected_queries(family: str, n: int) -> int | None:
 # verification
 
 
-@dataclass(frozen=True)
+def _require_int64_readout(modulus: int) -> None:
+    """A profile holds its exponents as int64, and the readout forms x*p(1)
+    with x, p(1) < n! in int64, so it needs n!^2 < 2^63: n <= 12.  An n=13
+    profile (6.2e9 exponents) could not be held in memory anyway."""
+    if modulus**2 >= 2**63:
+        raise UnsupportedError(
+            f"modulus {modulus}: the int64 readout needs n!^2 < 2^63, so n <= 12"
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class PhaseProfile:
     """x-sweep result: per-x phase exponents (coefficients of y) and the
-    x-independence status of the residual words."""
+    x-independence status of the residual words.
+
+    ``exponents`` is one read-only int64 array, p(x) for x in [0, n!)
+    (empty when the residuals fail); any sequence of integers in
+    [0, modulus) is accepted and converted.  The readout rule --
+    :attr:`readout_period` and p(1) -- is computed once per profile and
+    kept as Python ints, so a per-y view reads it in O(1).
+    """
 
     n: int
     modulus: int
@@ -595,14 +613,53 @@ class PhaseProfile:
     labeling_name: str
     query_count: int
     expected_queries: int | None
-    exponents: tuple[int, ...]
+    exponents: np.ndarray
     residuals: dict[str, tuple[int, ...]]
     residuals_ok: bool
     failure: str | None
 
+    def __post_init__(self) -> None:
+        _require_int64_readout(self.modulus)
+        try:
+            exponents = np.asarray(self.exponents, dtype=np.int64)
+        except OverflowError:
+            raise DomainError(f"exponents must lie in [0, {self.modulus})") from None
+        if exponents.size and not (0 <= exponents.min() and exponents.max() < self.modulus):
+            raise DomainError(f"exponents must lie in [0, {self.modulus})")
+        if exponents is self.exponents and exponents.flags.writeable:
+            exponents = exponents.copy()  # the caller can still write to its array
+        exponents.flags.writeable = False
+        object.__setattr__(self, "exponents", exponents)
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.exponents.flags.writeable = False
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PhaseProfile):
+            return NotImplemented
+        return all(
+            getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(self)
+            if f.name != "exponents"
+        ) and np.array_equal(self.exponents, other.exponents)
+
     @property
     def counts_match(self) -> bool:
         return self.expected_queries is None or self.query_count == self.expected_queries
+
+    @cached_property
+    def _p1(self) -> int:
+        """p(1) as a Python int (0 if there are fewer than two exponents)."""
+        return int(self.exponents[1]) if len(self.exponents) > 1 else 0
+
+    def _deviations(self) -> np.ndarray:
+        """(x*p(1) - p(x)) mod n! for every x; exact in int64 as n!^2 < 2^63."""
+        d = np.arange(len(self.exponents), dtype=np.int64)
+        d *= self._p1
+        d -= self.exponents
+        d %= self.modulus
+        return d
 
     @cached_property
     def readout_period(self) -> int:
@@ -612,8 +669,7 @@ class PhaseProfile:
         every x, that is iff n!/gcd(n!, every p(x) - x*p(1)) divides y.
         Meaningful only when the residuals are x-independent.
         """
-        p = self.exponents
-        return self.modulus // gcd(self.modulus, *(e - x * p[1] for x, e in enumerate(p)))
+        return self.modulus // gcd(self.modulus, int(np.gcd.reduce(self._deviations())))
 
     @cached_property
     def slope(self) -> int | None:
@@ -622,7 +678,16 @@ class PhaseProfile:
         linear iff every y reads out, and then s == p(1)."""
         if not self.residuals_ok or self.readout_period != 1:
             return None
-        return self.exponents[1]
+        return self._p1
+
+    @cached_property
+    def nonlinear_witness(self) -> tuple[int, int, int] | None:
+        """(x, p(x), x*p(1) mod n!) for the first x where the phase is not
+        linear; None if it is linear or the residuals fail."""
+        if not self.residuals_ok or self.readout_period == 1:
+            return None
+        x = int(np.flatnonzero(self._deviations())[0])
+        return x, int(self.exponents[x]), x * self._p1 % self.modulus
 
 
 @dataclass(frozen=True)
@@ -1063,36 +1128,41 @@ def _sweep_range(
     refs: tuple[_WireRef, ...],
     xs: range,
     engine: _ChunkSweep | None = None,
-) -> tuple[list[int], str | None]:
-    """Exponent deltas for xs; returns (exponents, first failure or None).
+) -> tuple[np.ndarray, str | None]:
+    """Exponent deltas for xs; returns (int64 exponents, first failure or
+    None).  On a failure the exponents are those of the xs before it.
 
     Runs :class:`_ChunkSweep` (``engine``, if the caller has lowered the
     circuit already) over chunks of xs.  The first x it finds failing is
     run again through :func:`_sweep_reference`, so the failure text is the
     per-x one; so is a chunk holding an x with no bit assignment, which the
-    reference then raises on.
+    reference then raises on.  Exponents lie below n!, which int64 holds
+    for n <= 20.
     """
     # The engine's float64 counts, dots and phase sums stay below
     # applies^2 * n!; from 2^53 on only the reference's Python ints are exact.
     if max(query_count(circuit), 1) ** 2 * table.modulus >= 2**53:
-        return _sweep_reference(circuit, table, refs, xs)
+        exps, failure = _sweep_reference(circuit, table, refs, xs)
+        return np.array(exps, dtype=np.int64), failure
     if engine is None:
         engine = _ChunkSweep(circuit, table, refs)
-    exponents: list[int] = []
+    exponents = np.empty(len(xs), dtype=np.int64)
     for lo in range(xs.start, xs.stop, engine.rows):
         chunk = range(lo, min(lo + engine.rows, xs.stop))
+        at = lo - xs.start
         result = engine.run(chunk)
         if result is None:  # the reference fails or raises within this chunk
             exps, failure = _sweep_reference(circuit, table, refs, chunk)
-            return exponents + exps, failure
+            exponents[at : at + len(exps)] = exps
+            return exponents[: at + len(exps)], failure
         exps, first = result
-        exponents.extend(exps[:first].tolist())
+        exponents[at : at + first] = exps[:first]
         if first < len(chunk):
             x = chunk[first]
             _, failure = _sweep_reference(circuit, table, refs, range(x, x + 1))
             if failure is None:
                 raise InvariantError(f"x={x}: the chunked sweep fails it, the per-x sweep does not")
-            return exponents, failure
+            return exponents[: at + first], failure
     return exponents, None
 
 
@@ -1104,7 +1174,7 @@ def _pool_init(circuit: Circuit, table: CommutationTable, refs: tuple, engine: _
     _POOL_STATE["engine"] = engine
 
 
-def _pool_chunk(bounds: tuple[int, int]) -> tuple[list[int], str | None]:
+def _pool_chunk(bounds: tuple[int, int]) -> tuple[np.ndarray, str | None]:
     circuit, table, refs = _POOL_STATE["args"]
     return _sweep_range(circuit, table, refs, range(bounds[0], bounds[1]), _POOL_STATE["engine"])
 
@@ -1127,6 +1197,7 @@ def phase_profile(
     at least 8 chunks of the engine, and runs the serial path otherwise.
     Results are deterministic regardless of schedule.
     """
+    _require_int64_readout(labeling.size)  # before the sweep, not after it
     validation = labeling.validate()
     if not validation.consistent:
         raise DomainError(
@@ -1140,9 +1211,9 @@ def phase_profile(
             raise DomainError("reference switch and labeling disagree on n")
         # Validation has checked that every word's exponent relative to
         # word(0) is its label, so the switch needs no sweep.
-        labels = range(m) if target.labeling is labeling else [
-            labeling.label(target.word(x)) for x in range(m)
-        ]
+        labels = np.arange(m) if target.labeling is labeling else np.array(
+            [labeling.label(target.word(x)) for x in range(m)]
+        )
         return PhaseProfile(
             n=target.n,
             modulus=m,
@@ -1150,7 +1221,7 @@ def phase_profile(
             labeling_name=labeling.name,
             query_count=target.query_count,
             expected_queries=expected_queries(target.family, target.n),
-            exponents=tuple((x - labels[0]) % m for x in labels),
+            exponents=(labels - labels[0]) % m,
             residuals={"psi_t": target.word(0).order},
             residuals_ok=True,
             failure=None,
@@ -1161,7 +1232,8 @@ def phase_profile(
         if circuit.control.labeling.n != labeling.n:
             raise DomainError("circuit and labeling disagree on n")
     ref_out, refs = _reference_wires(circuit, table)
-    exponents_list, failure = _parallel_sweep(circuit, table, refs, m, processes)
+    exponents, failure = _parallel_sweep(circuit, table, refs, m, processes)
+    exponents.flags.writeable = False  # the profile takes the array without a copy
     residuals = {r.wire: tuple(reversed(ref_out.applied[r.wire])) for r in refs}
     return PhaseProfile(
         n=circuit.n,
@@ -1170,7 +1242,7 @@ def phase_profile(
         labeling_name=labeling.name,
         query_count=query_count(circuit),
         expected_queries=expected_queries(circuit.family, circuit.n),
-        exponents=tuple(exponents_list) if failure is None else (),
+        exponents=exponents if failure is None else (),
         residuals=residuals,
         residuals_ok=failure is None,
         failure=failure,
@@ -1183,11 +1255,12 @@ def _parallel_sweep(
     refs: tuple[_WireRef, ...],
     m: int,
     processes: int | None,
-) -> tuple[list[int], str | None]:
+) -> tuple[np.ndarray, str | None]:
     # Fork only when every worker gets at least 8 engine chunks; below that
     # (n <= 7) the serial sweep is faster.  At n=8 forking about breaks even
-    # (sqrt gains, nlogn and sim-switch lose), at n=9 sqrt and sim-switch
-    # gain 1.4-2x.
+    # (sqrt gains, nlogn and sim-switch lose, by 20 ms at most); at n=9,
+    # with the workers' exponents sent back as int64 arrays, nlogn, sqrt
+    # and sim-switch gain 1.45-1.6x.
     engine = _ChunkSweep(circuit, table, refs)
     rows = engine.rows
     chunks = -(-m // rows)
@@ -1207,13 +1280,12 @@ def _parallel_sweep(
             stacklevel=3,
         )
         return _sweep_range(circuit, table, refs, range(m), engine)
-    with pool:
-        parts = pool.map(_pool_chunk, bounds)
-    exponents: list[int] = []
-    for exps, failure in parts:
-        exponents.extend(exps)
-        if failure is not None:
-            return exponents, failure
+    exponents = np.empty(m, dtype=np.int64)
+    with pool:  # tasks come back in x order; the first failure ends the sweep
+        for (lo, _), (exps, failure) in zip(bounds, pool.imap(_pool_chunk, bounds)):
+            exponents[lo : lo + len(exps)] = exps
+            if failure is not None:
+                return exponents[: lo + len(exps)], failure
     return exponents, None
 
 
@@ -1227,7 +1299,8 @@ class VerificationReport:
     ``passed``) is read out on access by the one readout rule: the phase is
     linear at y iff the residuals are x-independent and the profile's
     :attr:`~PhaseProfile.readout_period` divides y; then the solved value is
-    p(1)*y mod n!, and the report passes iff it equals y.
+    p(1)*y mod n!, and the report passes iff it equals y.  :func:`readout`
+    applies the same rule to many y at once.
     """
 
     profile: PhaseProfile
@@ -1251,14 +1324,15 @@ class VerificationReport:
 
     @property
     def solved_y(self) -> int | None:
-        if not self.phase_linear:
-            return None
         p = self.profile
-        return (p.exponents[1] * self.y) % p.modulus
+        if p.residuals_ok and self.y % p.readout_period == 0:
+            return p._p1 * self.y % p.modulus
+        return None
 
     @property
     def passed(self) -> bool:
-        return self.solved_y == self.y  # None (not linear) never equals y
+        p, y = self.profile, self.y
+        return p.residuals_ok and y % p.readout_period == 0 and p._p1 * y % p.modulus == y
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _REPORT_REPR)
@@ -1276,7 +1350,7 @@ class VerificationReport:
             "phase_linear": self.phase_linear,
             "solved_y": self.solved_y,
             "passed": self.passed,
-            "exponents": list(self.exponents),
+            "exponents": self.exponents.tolist(),
             "residuals": {w: list(word) for w, word in sorted(self.residuals.items())},
             "failure": self.failure,
         }
@@ -1291,7 +1365,7 @@ class VerificationReport:
         """
         d = json.loads(text)
         m = factorial(d["n"])
-        exponents = tuple(d["exponents"])
+        exponents = d["exponents"]
         ok = d["residuals_x_independent"]
         if ok and len(exponents) != m:
             raise DomainError(
@@ -1337,7 +1411,38 @@ def solve_profile(profile: PhaseProfile, y: int) -> VerificationReport:
     """
     if not 0 <= y < profile.modulus:
         raise DomainError(f"y={y} outside [0, {profile.modulus - 1}]")
-    return VerificationReport(profile, y)
+    # Set the two slots directly: the frozen dataclass __init__ costs more
+    # than the rest of a one-y readout.
+    report = _new_report(VerificationReport)
+    _set_report_profile(report, profile)
+    _set_report_y(report, y)
+    return report
+
+
+_new_report = object.__new__
+_set_report_profile = VerificationReport.profile.__set__
+_set_report_y = VerificationReport.y.__set__
+
+
+def readout(profile: PhaseProfile, ys: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The readout of :func:`solve_profile` for many y at once.
+
+    Returns int64 ``solved`` and bool ``passed`` arrays aligned with ys:
+    ``solved[i]`` is the report's ``solved_y`` for ys[i], or -1 where that
+    is None (the phase is not linear at that y), and ``passed[i]`` its
+    ``passed``.  p(1)*y stays exact in int64 since n!^2 < 2^63.
+    """
+    m = profile.modulus
+    ys = np.asarray(ys, dtype=np.int64)
+    if ys.size and not (0 <= ys.min() and ys.max() < m):
+        bad = ys[(ys < 0) | (ys >= m)][0]
+        raise DomainError(f"y={bad} outside [0, {m - 1}]")
+    solved = profile._p1 * ys % m
+    if not profile.residuals_ok:
+        solved[:] = -1
+    elif profile.readout_period != 1:
+        solved[ys % profile.readout_period != 0] = -1
+    return solved, solved == ys
 
 
 def verify_and_solve(
@@ -1350,6 +1455,7 @@ def verify_and_solve(
 
     The report is a view of the profile at y.  For several y values over
     the same circuit, compute :func:`phase_profile` once and call
-    :func:`solve_profile` per y; each call is O(1) and shares the profile.
+    :func:`solve_profile` per y, each call O(1) and sharing the profile,
+    or :func:`readout` for many y at once.
     """
     return solve_profile(phase_profile(target, labeling, processes=processes), y)

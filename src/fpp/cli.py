@@ -20,12 +20,16 @@ import sys
 from math import factorial
 from typing import Sequence
 
+import numpy as np
+
 from . import densesim
 from .algorithms import (
     FAMILIES,
+    PhaseProfile,
     nlogn_query_bound,
     nlogn_query_count,
     phase_profile,
+    readout,
     solve_profile,
     sqrt_bound_holds,
     sqrt_query_count,
@@ -99,6 +103,56 @@ def _parse_ys(spec: str, m: int, seed: int) -> Sequence[int]:
     return [y]
 
 
+# ys read out and printed per block: one vector readout and one write each.
+_READOUT_BLOCK = 2**16
+
+
+def _ascii(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+
+
+def _put_decimal(rows: np.ndarray, values: np.ndarray) -> None:
+    """Write each value (>= 0) in decimal down its column of ``rows``,
+    right-aligned; the rows above its leading digit keep their NULs."""
+    v = values.copy()
+    for row in rows[::-1]:
+        np.add(v % 10, ord("0"), out=row, where=v > 0, casting="unsafe")
+        v //= 10
+    rows[-1, values == 0] = ord("0")
+
+
+def _readout_lines(ys: np.ndarray, solved: np.ndarray, passed: np.ndarray, width: int) -> str:
+    """The lines ``y=<y>: solved=<solved_y> PASS|FAIL`` of a block, with
+    ``None`` where solved is -1.  Each line is one column of NUL-padded
+    ASCII with numbers ``width`` digits wide; the NULs are dropped at the
+    end."""
+    text = np.zeros((2 * width + 17, len(ys)), dtype=np.uint8)
+    text[:2] = _ascii("y=")[:, None]
+    _put_decimal(text[2 : 2 + width], ys)
+    text[2 + width : 11 + width] = _ascii(": solved=")[:, None]
+    field = text[11 + width : 11 + 2 * width]
+    _put_decimal(field, np.maximum(solved, 0))
+    field[-4:, solved < 0] = _ascii("None")[:, None]  # over the one digit of 0 put for -1
+    text[-6:] = np.where(passed, _ascii(" PASS\n")[:, None], _ascii(" FAIL\n")[:, None])
+    flat = text.T.ravel()
+    return flat[flat != 0].tobytes().decode("ascii")
+
+
+def _print_readout(profile: PhaseProfile, ys: Sequence[int]) -> int:
+    """Print one line per y, ``y=<y>: solved=<solved_y> PASS|FAIL``, and
+    return the number that passed."""
+    width = max(len(str(profile.modulus - 1)), len("None"))
+    passes = 0
+    for lo in range(0, len(ys), _READOUT_BLOCK):
+        block = ys[lo : lo + _READOUT_BLOCK]
+        # np.asarray would walk a range element by element
+        block = np.arange(block.start, block.stop) if isinstance(block, range) else np.asarray(block)
+        solved, passed = readout(profile, block)
+        passes += int(passed.sum())
+        sys.stdout.write(_readout_lines(block, solved, passed, width))
+    return passes
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     labeling = _load_labeling(args.labeling, args.n)
     target = FAMILIES[args.alg].build(args.n, labeling)
@@ -128,14 +182,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"{args.alg} n={args.n} labeling={labeling.name} "
               f"queries={profile.query_count}{suffix}")
         print(f"residuals x-independent: {'yes' if profile.residuals_ok else 'no'}")
+        if profile.nonlinear_witness is not None:
+            x, px, linear = profile.nonlinear_witness
+            print(f"phase not linear: p({x})={px}, but {x}*p(1)={linear} mod {m}")
         if profile.failure:
             print(f"failure: {profile.failure}")
-        # One line per y as it is read out; no list of n! reports.
-        passes = 0
-        for y in ys:
-            report = solve_profile(profile, y)
-            passes += report.passed
-            print(f"y={y}: solved={report.solved_y} {'PASS' if report.passed else 'FAIL'}")
+        passes = _print_readout(profile, ys)
         print(f"RESULT: {'PASS' if passes == len(ys) and counts_ok else 'FAIL'} "
               f"({passes}/{len(ys)})")
     return 0 if passes == len(ys) and counts_ok else 1

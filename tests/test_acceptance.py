@@ -193,7 +193,7 @@ def test_criterion_08_controlled_unknown_elimination():
         assert query_count(transformed) == query_count(original)
         p_orig = phase_profile(original, lab)
         p_elim = phase_profile(transformed, lab)
-        assert p_orig.exponents == p_elim.exponents
+        assert p_orig.exponents.tolist() == p_elim.exponents.tolist()
         assert p_elim.slope == 1
         ihat = ceil_log2(n)
         for x in range(factorial(n)):

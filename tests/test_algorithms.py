@@ -92,15 +92,15 @@ def test_reference_switch_profile_matches_word_phases():
     for lab in labelings:
         switch = reference_switch(lab.n, lab)
         profile = phase_profile(switch, lab)
-        assert profile.exponents == _word_deltas(switch, lab) == tuple(range(lab.size))
+        assert tuple(profile.exponents.tolist()) == _word_deltas(switch, lab) == tuple(range(lab.size))
         assert profile.slope == 1 and profile.residuals_ok
     # a switch over another labeling than the one verified: not linear
     fac = FactoradicLabeling(4)
     switch = reference_switch(4, relabeled(fac, (1, 3, 0, 2)))
     profile = phase_profile(switch, fac)
-    assert profile.exponents == _word_deltas(switch, fac)
+    assert tuple(profile.exponents.tolist()) == _word_deltas(switch, fac)
     assert profile.slope is None
-    assert phase_profile(reference_switch(4), fac).exponents == tuple(range(24))
+    assert phase_profile(reference_switch(4), fac).exponents.tolist() == list(range(24))
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +577,7 @@ def test_parallel_sweep_matches_serial(forks):
     parallel = phase_profile(c, lab, processes=2)
     assert forks == ["fork"]
     assert serial == parallel
-    assert serial.exponents == parallel.exponents
+    assert serial.exponents.tolist() == parallel.exponents.tolist()
     assert serial.residuals == parallel.residuals
 
 
@@ -603,7 +603,7 @@ def test_eliminated_nlogn_verifies_identically():
         transformed = phase_profile(
             eliminate_controlled_unknowns(nlogn_circuit(n)), lab
         )
-        assert original.exponents == transformed.exponents
+        assert original.exponents.tolist() == transformed.exponents.tolist()
         assert transformed.slope == 1
 
 

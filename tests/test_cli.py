@@ -310,3 +310,62 @@ def test_run_nlogn8_documented_example(capsys):
     assert code == 0
     assert "queries=56" in out
     assert "RESULT: PASS (10/10)" in out
+
+
+def test_run_prints_nonlinear_witness_once_under_residuals(capsys):
+    code, out, _ = run_cli(
+        capsys, "run", "--alg", "nlogn", "--n", "3",
+        "--labeling", "enumerate-index:1", "--y", "all", "--parallel", "1",
+    )
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1] == "residuals x-independent: yes"
+    assert lines[2] == "phase not linear: p(2)=5, but 2*p(1)=0 mod 6"
+    assert sum(line.startswith("phase not linear") for line in lines) == 1
+    _, out, _ = run_cli(capsys, "run", "--alg", "nlogn", "--n", "3", "--parallel", "1")
+    assert "phase not linear" not in out
+
+
+def _readout_profiles():
+    from math import factorial
+
+    import numpy as np
+
+    from fpp.algorithms import PhaseProfile
+
+    def profile(n, exponents, failure=None):
+        return PhaseProfile(
+            n=n, modulus=factorial(n), family="f", labeling_name="l", query_count=0,
+            expected_queries=None, exponents=exponents, residuals={},
+            residuals_ok=failure is None, failure=failure,
+        )
+
+    x = np.arange(40320)
+    return [
+        profile(2, [0, 1]),
+        profile(3, [0, 5, 4, 3, 2, 1]),  # slope 5: only y=0 and y=3 read back
+        profile(4, (x[:24] * 7 + 12 * (x[:24] % 2)) % 24),  # period 2
+        profile(5, (), failure="x=1: failed"),
+        profile(8, x),
+        profile(8, (x * 3 + 20160 * (x % 2)) % 40320),  # 5-digit numbers and None
+    ]
+
+
+def test_readout_lines_match_per_y_format(capsys, monkeypatch):
+    import random
+
+    from fpp import cli
+    from fpp.algorithms import solve_profile
+
+    monkeypatch.setattr(cli, "_READOUT_BLOCK", 7)  # many blocks, a short last one
+    rng = random.Random(5)
+    for profile in _readout_profiles():
+        m = profile.modulus
+        for ys in (range(m), [0], sorted(rng.sample(range(m), min(m, 40))), range(m // 2, m)):
+            passes = cli._print_readout(profile, ys)
+            reports = [solve_profile(profile, y) for y in ys]
+            expected = "".join(
+                f"y={r.y}: solved={r.solved_y} {'PASS' if r.passed else 'FAIL'}\n" for r in reports
+            )
+            assert capsys.readouterr().out == expected
+            assert passes == sum(r.passed for r in reports)

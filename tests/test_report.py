@@ -4,14 +4,21 @@ The reference below keeps the report as a dataclass with a copy of every
 field, filled by the readout formulas the view must reproduce.  Every
 field, the JSON bytes, the repr and equality of the view are compared with
 it for every y of three profiles: a linear one, a non-linear one with
-x-independent residuals, and a failing one.
+x-independent residuals, and a failing one.  The vector readout and the
+profile's int64 readout rule are compared with the views and with the
+Python-int formulas over drawn exponent arrays.
 """
 
 import dataclasses
 import json
+import pickle
 from dataclasses import dataclass, field, replace
+from math import factorial, gcd, isqrt
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpp import (
     FactoradicLabeling,
@@ -19,11 +26,12 @@ from fpp import (
     VerificationReport,
     nlogn_circuit,
     phase_profile,
+    readout,
     relabeled,
     solve_profile,
     sqrt_circuit,
 )
-from fpp.errors import DomainError
+from fpp.errors import DomainError, UnsupportedError
 
 
 @dataclass(frozen=True)
@@ -70,10 +78,11 @@ FIELDS = [f.name for f in dataclasses.fields(_CopiedReport)]
 
 def _copied(profile: PhaseProfile, y: int) -> _CopiedReport:
     m = profile.modulus
+    exponents = tuple(profile.exponents.tolist())
     linear = profile.residuals_ok and y % profile.readout_period == 0
     solved = None
     if linear:
-        solved = (profile.exponents[1] * y) % m
+        solved = (exponents[1] * y) % m
     return _CopiedReport(
         n=profile.n,
         family=profile.family,
@@ -85,7 +94,7 @@ def _copied(profile: PhaseProfile, y: int) -> _CopiedReport:
         phase_linear=linear,
         solved_y=solved,
         passed=linear and solved == y,
-        exponents=profile.exponents,
+        exponents=exponents,
         residuals=profile.residuals,
         failure=profile.failure,
     )
@@ -131,7 +140,10 @@ def test_view_matches_copied_fields_json_and_repr(profile):
     for y in range(profile.modulus):
         view, copied = solve_profile(profile, y), _copied(profile, y)
         for name in FIELDS:
-            assert getattr(view, name) == getattr(copied, name), (y, name)
+            value = getattr(view, name)
+            if name == "exponents":  # the profile's int64 array
+                value = tuple(value.tolist())
+            assert value == getattr(copied, name), (y, name)
         assert view.to_json() == copied.to_json()
         assert repr(view) == repr(copied)
         assert VerificationReport.from_json(view.to_json()) == view
@@ -171,3 +183,134 @@ def test_from_json_rejects_short_exponents():
     payload["exponents"] = payload["exponents"][:-1]
     with pytest.raises(DomainError, match="23 exponents"):
         VerificationReport.from_json(json.dumps(payload))
+
+
+def _oracle_period(profile: PhaseProfile) -> int:
+    """The readout period by Python ints, over the exponents as a tuple."""
+    p = tuple(profile.exponents.tolist())
+    return profile.modulus // gcd(profile.modulus, *(e - x * p[1] for x, e in enumerate(p)))
+
+
+def _profile(n: int, exponents, failure: str | None = None) -> PhaseProfile:
+    return PhaseProfile(
+        n=n, modulus=factorial(n), family="drawn", labeling_name="drawn",
+        query_count=0, expected_queries=None, exponents=exponents,
+        residuals={}, residuals_ok=failure is None, failure=failure,
+    )
+
+
+@st.composite
+def drawn_profiles(draw) -> PhaseProfile:
+    """Exactly linear, linear up to a period > 1, arbitrary, or failed
+    (empty exponents) profiles at n = 2..6."""
+    n = draw(st.integers(2, 6))
+    m = factorial(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.arange(m)
+    kind = draw(st.sampled_from(["linear", "period", "arbitrary", "failed"]))
+    if kind == "failed":
+        return _profile(n, (), failure="x=1: tokens did not return to their home wires")
+    if kind == "linear":
+        return _profile(n, x * int(rng.integers(m)) % m)
+    if kind == "period":
+        k = draw(st.sampled_from([d for d in range(2, m + 1) if m % d == 0]))
+        return _profile(n, (x * int(rng.integers(m)) + m // k * rng.integers(k, size=m)) % m)
+    return _profile(n, rng.integers(m, size=m))
+
+
+def _views(profile: PhaseProfile, ys) -> list:
+    return [(r.solved_y, r.passed) for r in (solve_profile(profile, y) for y in ys)]
+
+
+def _vector(profile: PhaseProfile, ys) -> list:
+    solved, passed = readout(profile, ys)
+    assert solved.dtype == np.int64 and passed.dtype == bool
+    return [(s if s >= 0 else None, ok) for s, ok in zip(solved.tolist(), passed.tolist())]
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn_profiles(), st.data())
+def test_vector_readout_matches_views(profile, data):
+    m = profile.modulus
+    assert _vector(profile, range(m)) == _views(profile, range(m))
+    sample = sorted(data.draw(st.sets(st.integers(0, m - 1), max_size=12)))
+    assert _vector(profile, sample) == _views(profile, sample)
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn_profiles())
+def test_int64_readout_rule_matches_python_ints(profile):
+    assert profile.readout_period == _oracle_period(profile)
+    assert type(profile.readout_period) is int
+    assert profile.slope is None or type(profile.slope) is int
+    for y in range(profile.modulus):
+        view = solve_profile(profile, y)
+        assert type(view.solved_y) in (int, type(None))
+        assert type(view.passed) is bool and type(view.phase_linear) is bool
+        assert view.passed == (view.solved_y == y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_profiles())
+def test_exponents_read_only_and_pickled_profile_equal(profile):
+    assert profile.exponents.dtype == np.int64
+    with pytest.raises(ValueError, match="read-only"):
+        profile.exponents[:1] = 1
+    copy = pickle.loads(pickle.dumps(profile))
+    assert copy == profile and copy is not profile
+    assert not copy.exponents.flags.writeable
+    assert copy.readout_period == profile.readout_period
+    assert _views(copy, range(copy.modulus)) == _views(profile, range(profile.modulus))
+
+
+def test_profile_copies_a_writable_array_it_is_given():
+    exponents = np.arange(6)
+    profile = _profile(3, exponents)
+    exponents[1] = 5
+    assert profile.exponents.tolist() == list(range(6)) and profile.slope == 1
+
+
+def test_profile_equality_compares_exponents():
+    a, b = _profile(3, range(6)), _profile(3, [0, 1, 2, 3, 4, 5])
+    assert (a == b) is True and (a != b) is False
+    assert (a == _profile(3, [0, 1, 2, 3, 5, 4])) is False
+    assert (a == replace(a, family="other")) is False
+
+
+def test_profile_rejects_exponents_outside_the_modulus():
+    for exponents in ([0, 1, 2, 3, 4, 6], [0, -1, 2, 3, 4, 5], [0, 2**70, 0, 0, 0, 0]):
+        with pytest.raises(DomainError, match=r"exponents must lie in \[0, 6\)"):
+            _profile(3, exponents)
+
+
+def test_int64_readout_guard_admits_n12_only():
+    # x*p(1) < n!^2 must fit int64: 12!^2 < 2^63 <= 13!^2
+    assert factorial(12) ** 2 < 2**63 <= factorial(13) ** 2
+    assert _profile(12, (), failure="x=1: failed").readout_period == 1
+    with pytest.raises(UnsupportedError, match="n <= 12"):
+        _profile(13, (), failure="x=1: failed")
+    # the bound itself, on moduli that are not factorials
+    largest = isqrt(2**63 - 1)
+    assert replace(_profile(2, ()), modulus=largest).modulus == largest
+    with pytest.raises(UnsupportedError, match="n <= 12"):
+        replace(_profile(2, ()), modulus=largest + 1)
+    # phase_profile refuses n=13 before validating or sweeping 13! states
+    with pytest.raises(UnsupportedError, match="n <= 12"):
+        phase_profile(nlogn_circuit(13), FactoradicLabeling(13))
+
+
+def test_nonlinear_witness_names_first_x():
+    fac = FactoradicLabeling(5)
+    profile = phase_profile(sqrt_circuit(5, relabeled(fac, (1, 0, 2, 3, 4))), fac, processes=1)
+    assert profile.residuals_ok and profile.readout_period == 30
+    p = profile.exponents.tolist()
+    first = next(x for x in range(120) if p[x] != x * p[1] % 120)
+    assert profile.nonlinear_witness == (first, p[first], first * p[1] % 120) == (2, 2, 118)
+    assert all(type(v) is int for v in profile.nonlinear_witness)
+    assert _linear().nonlinear_witness is None and _failing().nonlinear_witness is None
+
+
+def test_readout_rejects_y_outside_the_modulus():
+    for ys in ([0, 24], [-1]):
+        with pytest.raises(DomainError, match=f"y={ys[-1]} outside"):
+            readout(_linear(), ys)

@@ -60,6 +60,9 @@ def assert_sweeps_agree(circuit: Circuit, labeling: Labeling):
     xs = range(labeling.size)
     chunked = _outcome(algorithms._sweep_range, circuit, table, refs, xs)
     per_x = _outcome(algorithms._sweep_reference, circuit, table, refs, xs)
+    if isinstance(chunked[0], np.ndarray):  # the engine's int64 exponents
+        assert chunked[0].dtype == np.int64
+        chunked = (chunked[0].tolist(), chunked[1])
     assert chunked == per_x
     return chunked
 
@@ -176,7 +179,7 @@ def test_exponents_past_int64_stay_exact():
     _, refs = algorithms._reference_wires(circuit, table)
     xs = range(factorial(n) - 20, factorial(n))
     exponents, failure = algorithms._sweep_range(circuit, table, refs, xs)
-    assert (exponents, failure) == algorithms._sweep_reference(circuit, table, refs, xs)
+    assert (exponents.tolist(), failure) == algorithms._sweep_reference(circuit, table, refs, xs)
 
 
 def _max_phase_table(n):
@@ -212,7 +215,8 @@ def test_float64_bound_from_both_sides(monkeypatch, side):
     runs = []
     run = algorithms._ChunkSweep.run
     monkeypatch.setattr(algorithms._ChunkSweep, "run", lambda self, xs: runs.append(xs) or run(self, xs))
-    assert algorithms._sweep_range(circuit, table, refs, xs) == expected
+    exponents, failure = algorithms._sweep_range(circuit, table, refs, xs)
+    assert (exponents.tolist(), failure) == expected
     assert (runs != []) == (side == "below")
     exponents, failure = expected
     assert failure is None and len(set(exponents)) > 1
@@ -451,7 +455,7 @@ def test_mixed_repeated_words_match_per_x():
             # the repeated gates around each switch add x-independent
             # terms, so each target carries exponent x
             if circuit_lab is lab:
-                assert profile.exponents == tuple(2 * x % lab.size for x in range(lab.size))
+                assert profile.exponents.tolist() == [2 * x % lab.size for x in range(lab.size)]
             else:
                 assert profile.slope is None
 
