@@ -782,7 +782,7 @@ def _slab_refs(circuit: Circuit, refs: tuple[_WireRef, ...]) -> tuple[_WireRef, 
 
 @dataclass(eq=False)
 class _Slot:
-    """U_gate applied to the token on a wire, in the steps of a plan.
+    """U_gate applied on a wire, in the routes of a plan.
 
     :class:`_ChunkSweep` fills in the rest once the plan is lowered:
     ``row`` is the slab row that counts it, and ``dot`` is None if it adds
@@ -799,23 +799,22 @@ class _Slot:
 class _ChunkSweep:
     """The circuit run for a whole chunk of control states at once, in numpy.
 
-    ``__init__`` lowers the gate list once into :attr:`plan`, a tuple of
-    ``(step, args)`` pairs; :meth:`run` sets up a :class:`_Chunk` for each
-    chunk of xs and calls every step on it in order, with no dispatch on
-    gate types.
+    ``__init__`` lowers the gate list once into :attr:`plan`; :meth:`run`
+    builds the condition masks of a chunk of xs and walks the plan, with no
+    dispatch on gate types.  Only a plan that moves no token is lowered:
+    ``plan`` is None for a circuit with a gate that may leave a token off
+    its wire (a ``Rewire``, a conditional swap or a ``SwitchSwap`` outside a
+    sandwich), and :func:`_sweep_range` sweeps such a circuit per x.
 
     The wires of :func:`_slab_refs` are numbered 0..W-1 in the sorted order
     of ``refs``, and column r of a chunk is one x.  Each wire holds the gate
-    counts of the token now on it in a contiguous block of rows of the
-    float64 ``slab``, one row per gate, in ascending order: ``slab[row, r]``
-    counts the U_g applied to that token in column r.  A plan that moves
-    tokens gives every block all n gates and one more row, the home wire of
-    the token, so that blocks can be exchanged; a plan that moves none
-    gives each wire's block only the gates its steps apply there, which
-    include every gate of its reference word (an auxiliary wire of
-    sim-switch or sqrt has one row).  An x passes the residual checks iff
-    its column ends equal to :attr:`expected`: the counts of the reference
-    words and every token at home.
+    counts of its token in a contiguous block of rows of the float64
+    ``slab``, one row per gate its routes apply there, in ascending order:
+    ``slab[row, r]`` counts the U_g applied on that wire in column r.  These
+    rows include every gate of the wire's reference word (an auxiliary wire
+    of sim-switch or sqrt has one row).  An x passes the residual checks iff
+    its column ends equal to :attr:`expected`, the counts of the reference
+    words.
 
     ``phase[r]`` is the descending-order exponent of all words so far:
     applying U_g to a token adds e[g][p] for every U_p (p > g) it already
@@ -827,33 +826,30 @@ class _ChunkSweep:
     applies^2 * n!, which float64 holds exactly while that is below 2^53
     (:func:`_sweep_range` checks it).
 
-    The steps of a plan:
+    Every step of a plan is a routed apply, a tuple of ``(condition,
+    slot)`` routes: U_g on the wire of each route's slot, in the columns of
+    the route's condition, or in every column where the condition is None.
+    No two conditions of a step share a column.
 
-    * apply: U_g on the token of a wire, in every column (``Apply``).
-    * routed apply: U_g on the tokens of its routes' wires, each in the
-      columns of its route's mask; no two masks share a column, so each
-      route adds its dot times its mask.  A ``ControlledApply`` is one
-      route, on its bit's condition.  So is a sandwich -- a conditional swap
-      G of wires a and b (``PosCondSwap`` or ``ControlledSwap``), then
-      ``Apply(g, w)`` with w in {a, b}, then a gate equal to G -- with two
-      routes: to the other wire where G's condition holds, to w elsewhere.
-    * switch apply: the routed apply of a switch sandwich, a ``SwitchSwap``
-      S whose pairs name distinct non-auxiliary wires and distinct
-      positions, then ``Apply`` gates on auxiliary wires only, then a gate
-      equal to S, when every auxiliary wire a_0..a_{n-1} exists.
-      ``Apply(g, a_i)`` in between goes to the wire t of a pair
-      (t, position) in the columns whose word puts U_i at that position,
-      and to a_i elsewhere.
+    * ``Apply`` is one route with no condition.
+    * ``ControlledApply`` is one route, on its bit's condition.
+    * A sandwich -- a conditional swap G of wires a and b (``PosCondSwap``
+      or ``ControlledSwap``), then ``Apply(g, w)`` with w in {a, b}, then a
+      gate equal to G -- has two routes: to the other wire where G's
+      condition holds, to w elsewhere.
+    * A switch sandwich -- a ``SwitchSwap`` S whose pairs name distinct
+      non-auxiliary wires and distinct positions, then ``Apply`` gates on
+      auxiliary wires only, then a gate equal to S, when every auxiliary
+      wire a_0..a_{n-1} exists -- gives each ``Apply(g, a_i)`` in between a
+      step: to the wire t of a pair (t, position) in the columns whose word
+      puts U_i at that position, and to a_i elsewhere.
 
-      The conditions of both kinds of sandwich depend on x only, so the
-      closing gate undoes the opening one and no token moves.
-    * swap, switch and rewire: the blocks of two wires, home rows included,
-      exchanged per column by the condition's mask or through the words.
-
-    Each distinct condition (a control bit and polarity, a position range
-    of one gate, or none of some other conditions) is evaluated once per
-    chunk.  Gates of the wrong control kind are left to the x=0 reference
-    execution, which rejects them before any sweep.
+    The conditions of both kinds of sandwich depend on x only, so the
+    closing gate undoes the opening one and no token moves.  Each distinct
+    condition (a control bit and polarity, a position range of one gate, or
+    none of some other conditions) is evaluated once per chunk.  Gates of
+    the wrong control kind are left to the x=0 reference execution, which
+    rejects them before any sweep.
     """
 
     def __init__(self, circuit: Circuit, table: CommutationTable, refs: tuple[_WireRef, ...]):
@@ -863,32 +859,27 @@ class _ChunkSweep:
         self.modulus = table.modulus
         refs = _slab_refs(circuit, refs)
         self.ref_phase = sum(r.phase for r in refs)
-        self.width = len(refs)
         self.wire = {r.wire: i for i, r in enumerate(refs)}
         self.auxiliary = [aux_wire(g) for g in range(n)]
-        self.aux = np.array([self.wire.get(a, -1) for a in self.auxiliary])
         self.conditions: dict[tuple, int] = {}
         self.inside: dict[tuple, np.ndarray] = {}
         self.slots: dict[tuple[int, int], _Slot] = {}
-        self.plan = tuple(self._lower(circuit.gates))
-        self.moves = any(
-            step in (_Chunk.swap, _Chunk.switch, _Chunk.rewire) for step, _ in self.plan
-        )
-        gates = [set(range(n) if self.moves else ()) for _ in refs]
+        self.plan = self._lower(circuit.gates)
+        if self.plan is None:
+            self.rows = _chunk_rows(0)  # the pool's task size; the sweep is per x
+            return
+        gates = [set() for _ in refs]
         for w, g in self.slots:
             gates[w].add(g)
-        # blocks[w]: (first slab row of wire w, its gates in ascending order);
-        # with moves, row first + n holds the home wire of the token
+        # blocks[w]: (first slab row of wire w, its gates in ascending order)
         self.blocks, start = [], 0
         for block in gates:
             self.blocks.append((start, sorted(block)))
-            start += len(block) + self.moves
+            start += len(block)
         self.expected = np.zeros(start)
-        for w, ((first, block), r) in enumerate(zip(self.blocks, refs)):
+        for (first, block), r in zip(self.blocks, refs):
             for g in r.sorted_word:
                 self.expected[first + block.index(g)] += 1
-            if self.moves:
-                self.expected[first + n] = w
         e = np.zeros((n, n))
         for (j, k), v in table.entries.items():
             e[j, k] = v % self.modulus
@@ -928,7 +919,7 @@ class _ChunkSweep:
         positions = [p for _, p in switch.swaps]
         auxiliary = self.auxiliary
         if (
-            (self.aux < 0).any()
+            any(a not in self.wire for a in auxiliary)
             or len(set(wires)) < len(wires)
             or len(set(positions)) < len(positions)
             or any(w in auxiliary for w in wires)
@@ -939,62 +930,54 @@ class _ChunkSweep:
             end += 1
         return end if end < len(gates) and gates[end] == switch else None
 
-    def _lower(self, gates: Sequence) -> Iterable[tuple[Callable, tuple]]:
-        wire, slot, j = self.wire, self._slot, 0
+    def _lower(self, gates: Sequence) -> tuple[tuple[tuple[int | None, _Slot], ...], ...] | None:
+        """The plan of the gate list, or None if a gate may move a token."""
+        wire, slot, plan, j = self.wire, self._slot, [], 0
         while j < len(gates):
             gate = gates[j]
             j += 1
-            if isinstance(gate, (PosCondSwap, ControlledSwap)):
-                a, b = wire[gate.wire_a], wire[gate.wire_b]
+            if isinstance(gate, Apply):
+                if gate.wire in wire:  # else a wire the sweep leaves out
+                    plan.append(((None, slot(wire[gate.wire], gate.gate)),))
+            elif isinstance(gate, ControlledApply):
+                plan.append(((self._gate_condition(gate), slot(wire[gate.wire], gate.gate)),))
+            elif isinstance(gate, (PosCondSwap, ControlledSwap)):
                 mid = gates[j] if j + 1 < len(gates) else None
-                if (
+                if not (
                     isinstance(mid, Apply)
                     and mid.wire in (gate.wire_a, gate.wire_b)
                     and gates[j + 1] == gate
                 ):
-                    w = wire[mid.wire]
-                    other = b if w == a else a
-                    j += 2
-                    cond = self._gate_condition(gate)
-                    routes = (
-                        (cond, slot(other, mid.gate)),
-                        (self._condition(("none", cond)), slot(w, mid.gate)),
-                    )
-                    yield _Chunk.routed_apply, (routes,)
-                else:
-                    yield _Chunk.swap, (self._gate_condition(gate), a, b)
-            elif isinstance(gate, Apply):
-                if gate.wire in wire:  # else a wire the sweep leaves out
-                    yield _Chunk.apply, (slot(wire[gate.wire], gate.gate),)
-            elif isinstance(gate, ControlledApply):
-                routes = ((self._gate_condition(gate), slot(wire[gate.wire], gate.gate)),)
-                yield _Chunk.routed_apply, (routes,)
+                    return None
+                w = wire[mid.wire]
+                other = wire[gate.wire_b if mid.wire == gate.wire_a else gate.wire_a]
+                cond = self._gate_condition(gate)
+                stay = self._condition(("none", cond))
+                plan.append(((cond, slot(other, mid.gate)), (stay, slot(w, mid.gate))))
+                j += 2
             elif isinstance(gate, SwitchSwap):
                 end = self._switch_sandwich_end(gates, j - 1)
                 if end is None:
-                    pairs = tuple((wire[w], self.n - 1 - position) for w, position in gate.swaps)
-                    yield _Chunk.switch, (pairs,)
-                    continue
+                    return None
                 for mid in gates[j:end]:
-                    w = wire[mid.wire]
                     i = self.auxiliary.index(mid.wire)
                     routes = tuple(
                         (self._condition(("position", i, p, p + 1)), slot(wire[t], mid.gate))
                         for t, p in gate.swaps
                     )
                     stay = self._condition(("none", *(cond for cond, _ in routes)))
-                    yield _Chunk.switch_apply, (routes + ((stay, slot(w, mid.gate)),),)
+                    plan.append(routes + ((stay, slot(wire[mid.wire], mid.gate)),))
                 j = end + 1
-            elif isinstance(gate, Rewire):
-                yield _Chunk.rewire, (gate.routes,)
-            else:
-                raise StructuralError(f"unknown gate {gate!r}")
+            else:  # a Rewire moves tokens per word
+                return None
+        return tuple(plan)
 
     def run(self, xs: range) -> tuple[np.ndarray, int] | None:
         """Exponents of the chunk and the index of its first failing x
         (``len(xs)`` if none fails), or None if some x of the chunk has no
         bit assignment."""
-        words = bits = None
+        n, size = self.n, len(xs)
+        words = bits = positions = None
         if isinstance(self.control, QuditControl):
             words = self.control.labeling.words(xs)
         else:
@@ -1002,124 +985,36 @@ class _ChunkSweep:
                 bits = self.control.assignments(xs)
             except InvariantError:
                 return None
-        chunk = _Chunk(self, len(xs), words, bits)
-        for step, args in self.plan:
-            step(chunk, *args)
-        return chunk.result()
-
-
-class _Chunk:
-    """The arrays of one chunk of a :class:`_ChunkSweep`, and the steps of
-    its plan.
-
-    ``slab`` holds the count rows (and home rows) x columns.
-    """
-
-    def __init__(self, sweep: _ChunkSweep, size: int, words: np.ndarray | None,
-                 bits: dict[tuple[int, int], np.ndarray] | None):
-        n = sweep.n
-        self.sweep, self.n, self.size, self.words = sweep, n, size, words
-        self.slab = np.zeros((len(sweep.expected), size))
-        if sweep.moves:
-            self._blocks()[:, n] = np.arange(sweep.width)[:, None]
-        self.phase = np.zeros(size)
-        self.bad = np.zeros(size, dtype=bool)
-        self.by_word: tuple | None = None
-        positions = None
-        self.masks = []
-        for key in sweep.conditions:
+        masks: list[np.ndarray] = []
+        for key in self.conditions:
             kind = key[0]
             if kind == "position":
                 if positions is None:
                     # positions[g, r]: acting position of U_g in the word of column r
                     positions = np.empty((n, size), dtype=np.int64)
                     positions[words, np.arange(size)[:, None]] = np.arange(n - 1, -1, -1)
-                self.masks.append(sweep.inside[key][positions[key[1]]])
+                masks.append(self.inside[key][positions[key[1]]])
             elif kind == "none":  # the columns where none of these conditions hold
-                some = self.masks[key[1]]
+                some = masks[key[1]]
                 for cond in key[2:]:
-                    some = some | self.masks[cond]
-                self.masks.append(~some)
+                    some = some | masks[cond]
+                masks.append(~some)
             else:
                 _, bit, polarity = key
-                self.masks.append(bits[bit] == polarity)
-
-    def _added(self, slot: _Slot) -> np.ndarray | None:
-        """The phase U_g adds to the token of ``slot``'s wire, per column."""
-        if slot.dot is None:
-            return None
-        lo, hi, later = slot.dot
-        return later.dot(self.slab[lo:hi])
-
-    def apply(self, slot: _Slot) -> None:
-        added = self._added(slot)
-        if added is not None:
-            self.phase += added
-        self.slab[slot.row] += 1
-
-    def routed_apply(self, routes: tuple[tuple[int, _Slot], ...]) -> None:
-        """U_g on the token of each route's slot, in the columns of the
-        route's mask; no two masks share a column."""
-        for cond, slot in routes:
-            mask = self.masks[cond]
-            added = self._added(slot)
-            if added is not None:
-                self.phase += np.multiply(added, mask, out=added)
-            self.slab[slot.row] += mask
-
-    def switch_apply(self, routes: tuple[tuple[int, _Slot], ...]) -> None:
-        """A routed apply lowered from a switch sandwich; a plan names it
-        apart from those of conditional-swap sandwiches."""
-        self.routed_apply(routes)
-
-    def _blocks(self) -> np.ndarray:
-        """The slab of a plan that moves tokens, as W x (n + 1) x columns."""
-        return self.slab.reshape(self.sweep.width, self.n + 1, self.size)
-
-    def _exchange(self, mask: np.ndarray, a: int, b: int) -> None:
-        slab = self._blocks()
-        slab[a], slab[b] = np.where(mask, slab[b], slab[a]), np.where(mask, slab[a], slab[b])
-
-    def swap(self, cond: int, a: int, b: int) -> None:
-        self._exchange(self.masks[cond], a, b)
-
-    def switch(self, pairs: tuple[tuple[int, int], ...]) -> None:
-        """Per column, wire a of each pair swapped with the auxiliary wire
-        of the gate at the pair's index of the written word."""
-        slab, cols = self._blocks(), np.arange(self.size)
-        for a, index in pairs:
-            b = self.sweep.aux[self.words[:, index]]
-            self.bad |= b < 0  # no auxiliary wire for that gate
-            b = np.where(b < 0, a, b)
-            held = slab[a].copy()
-            slab[a] = slab[b, :, cols].T
-            slab[b, :, cols] = held.T
-
-    def rewire(self, routes: Mapping[tuple[int, ...], tuple[tuple[str, str], ...]]) -> None:
-        if self.by_word is None:
-            words, n = self.words, self.n
-            keys = words @ n ** np.arange(n)
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            self.by_word = ([tuple(words[i].tolist()) for i in first], inverse.reshape(-1))
-        orders, inverse = self.by_word
-        # Group the chunk by route: one set of column swaps per distinct route.
-        found: dict[tuple, int] = {}
-        route_of_word = np.array(
-            [-1 if o not in routes else found.setdefault(routes[o], len(found)) for o in orders]
-        )
-        route = route_of_word[inverse]
-        self.bad |= route < 0  # no route for that word
-        wire = self.sweep.wire
-        for swaps, r in found.items():
-            mask = route == r
-            for a, b in swaps:
-                self._exchange(mask, wire[a], wire[b])
-
-    def result(self) -> tuple[np.ndarray, int]:
-        sweep = self.sweep
-        ok = ~self.bad & (self.slab == sweep.expected[:, None]).all(axis=0)
-        first = int(ok.argmin()) if not ok.all() else self.size
-        return (self.phase.astype(np.int64) - sweep.ref_phase) % sweep.modulus, first
+                masks.append(bits[bit] == polarity)
+        slab = np.zeros((len(self.expected), size))
+        phase = np.zeros(size)
+        for routes in self.plan:
+            for cond, slot in routes:
+                mask = 1 if cond is None else masks[cond]
+                if slot.dot is not None:
+                    lo, hi, later = slot.dot
+                    added = later.dot(slab[lo:hi])
+                    phase += added if cond is None else np.multiply(added, mask, out=added)
+                slab[slot.row] += mask
+        ok = (slab == self.expected[:, None]).all(axis=0)
+        first = int(ok.argmin()) if not ok.all() else size
+        return (phase.astype(np.int64) - self.ref_phase) % self.modulus, first
 
 
 def _sweep_range(
@@ -1136,16 +1031,18 @@ def _sweep_range(
     circuit already) over chunks of xs.  The first x it finds failing is
     run again through :func:`_sweep_reference`, so the failure text is the
     per-x one; so is a chunk holding an x with no bit assignment, which the
-    reference then raises on.  Exponents lie below n!, which int64 holds
-    for n <= 20.
+    reference then raises on.  A circuit the engine does not lower (its
+    ``plan`` is None) sweeps through :func:`_sweep_reference` alone.
+    Exponents lie below n!, which int64 holds for n <= 20.
     """
     # The engine's float64 counts, dots and phase sums stay below
     # applies^2 * n!; from 2^53 on only the reference's Python ints are exact.
-    if max(query_count(circuit), 1) ** 2 * table.modulus >= 2**53:
+    exact = max(query_count(circuit), 1) ** 2 * table.modulus < 2**53
+    if exact and engine is None:
+        engine = _ChunkSweep(circuit, table, refs)
+    if not exact or engine.plan is None:
         exps, failure = _sweep_reference(circuit, table, refs, xs)
         return np.array(exps, dtype=np.int64), failure
-    if engine is None:
-        engine = _ChunkSweep(circuit, table, refs)
     exponents = np.empty(len(xs), dtype=np.int64)
     for lo in range(xs.start, xs.stop, engine.rows):
         chunk = range(lo, min(lo + engine.rows, xs.stop))
@@ -1190,7 +1087,8 @@ def phase_profile(
     reference.  Every x then runs in chunks through the numpy engine of
     :func:`_sweep_range`; the first failing x is run again through
     :func:`execute`, so the failure names the same witness, wire and words
-    the per-x sweep would.
+    the per-x sweep would.  A circuit the engine does not lower sweeps
+    through :func:`execute`, one x at a time.
 
     The sweep is embarrassingly parallel over x; ``processes`` > 1 forks up
     to that many worker processes where the platform allows, when each gets

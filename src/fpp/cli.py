@@ -6,8 +6,8 @@ The ``--alg`` choices, the supported ``--n`` per family and the families
 Exit codes: 0 on success, 1 on verification/cross-check failure, 2 on usage
 errors, including malformed integers in ``--y``, ``--labeling`` and
 labeling files.  Output ordering is deterministic (ascending x / y)
-regardless of the parallelism degree; FPP_THREADS overrides the default
-worker count.
+regardless of the parallelism degree; ``--parallel`` caps the worker
+count and defaults to the number of CPUs.
 """
 
 from __future__ import annotations
@@ -42,16 +42,6 @@ from .perms import (
     enumerate_valid_labelings,
     labeling_from_text,
 )
-
-
-def _default_threads() -> int:
-    env = os.environ.get("FPP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -286,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--labeling", default="factoradic")
     run.add_argument("--y", default="all")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--parallel", type=int, default=_default_threads())
+    run.add_argument("--parallel", type=int, default=os.cpu_count() or 1)
     run.add_argument("--format", choices=("text", "structured"), default="text")
     run.set_defaults(func=_cmd_run)
 

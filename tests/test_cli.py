@@ -72,15 +72,6 @@ def test_run_structured_output(capsys):
     assert json.loads(report.to_json()) == payload["reports"][0]
 
 
-def test_fpp_threads_env(monkeypatch):
-    from fpp.cli import _default_threads
-
-    monkeypatch.setenv("FPP_THREADS", "3")
-    assert _default_threads() == 3
-    monkeypatch.setenv("FPP_THREADS", "junk")
-    assert _default_threads() >= 1
-
-
 def test_run_incompatible_flags_exit2(capsys):
     cases = [
         (["run", "--alg", "six-query", "--n", "4"], "six-query requires --n 3"),

@@ -6,7 +6,6 @@ They must agree on the exponents, the failure text and the errors raised.
 """
 
 import random
-from collections import Counter
 from dataclasses import replace
 from math import factorial
 
@@ -304,11 +303,19 @@ def _switch_steps(n, target, order):
     return steps
 
 
-def _plan_steps(circuit: Circuit, labeling: Labeling) -> Counter:
-    """How many steps of each kind the engine lowers the circuit into."""
+def _engine(circuit: Circuit, labeling: Labeling) -> algorithms._ChunkSweep:
     table = labeling.validate().table
-    _, refs = algorithms._reference_wires(circuit, table)
-    return Counter(step.__name__ for step, _ in algorithms._ChunkSweep(circuit, table, refs).plan)
+    return algorithms._ChunkSweep(circuit, table, algorithms._reference_wires(circuit, table)[1])
+
+
+def _plan(circuit: Circuit, labeling: Labeling):
+    """The engine's plan of the circuit: routed applies, or None if not lowered."""
+    plan = _engine(circuit, labeling).plan
+    if plan is not None:  # every step a tuple of (condition or None, slot) routes
+        for routes in plan:
+            for cond, slot in routes:
+                assert (cond is None or isinstance(cond, int)) and isinstance(slot, algorithms._Slot)
+    return plan
 
 
 def test_sqrt_sandwiches_lower_to_routed_applies():
@@ -316,11 +323,12 @@ def test_sqrt_sandwiches_lower_to_routed_applies():
     lab = FactoradicLabeling(n)
     circuit = sqrt_circuit(n, lab)
     khat = -(-n // algorithms.ceil_sqrt(n))
-    steps = _plan_steps(circuit, lab)
-    assert steps["routed_apply"] == 4 * (khat - 1) * n == 20
+    plan = _plan(circuit, lab)
+    # one routed apply per Apply: the sandwiches' and the switch steps'
+    sandwiches = len(plan) - algorithms.ceil_sqrt(n) * n
+    assert sandwiches == 4 * (khat - 1) * n == 20
     # every conditional swap of the circuit sits in a sandwich
-    assert sum(isinstance(g, PosCondSwap) for g in circuit.gates) == 2 * steps["routed_apply"]
-    assert steps["swap"] == 0
+    assert sum(isinstance(g, PosCondSwap) for g in circuit.gates) == 2 * sandwiches
     assert_sweeps_agree(circuit, lab)
 
 
@@ -350,12 +358,11 @@ def test_near_miss_sandwiches_are_not_lowered():
         return Circuit(n, "sandwiches", wires, gates, QuditControl(lab))
 
     exact = circuit((swap, apply, swap))
-    assert _plan_steps(exact, lab)["routed_apply"] == 3
+    assert [len(routes) for routes in _plan(exact, lab)] == [2] * (n * n + 3)
     exponents, failure = assert_sweeps_agree(exact, lab)
     assert failure is None and any(exponents)
     for name, middle in near_misses.items():
-        steps = _plan_steps(circuit(middle), lab)
-        assert (steps["routed_apply"], steps["swap"]) == (2, 2), name
+        assert _plan(circuit(middle), lab) is None, name
         assert_sweeps_agree(circuit(middle), lab)
 
 
@@ -363,10 +370,19 @@ def test_paper_circuits_lower_to_plans_that_move_no_token():
     n = 5
     lab = FactoradicLabeling(n)
     for name in ("sim-switch", "sqrt", "nlogn"):
-        steps = _plan_steps(FAMILIES[name].build(n, lab), lab)
-        assert not {"swap", "switch", "rewire"} & set(steps), name
-    assert _plan_steps(sim_switch_circuit(n, lab), lab) == {"switch_apply": n * n}
-    assert _plan_steps(sqrt_circuit(n, lab), lab)["switch_apply"] == algorithms.ceil_sqrt(n) * n
+        circuit = FAMILIES[name].build(n, lab)
+        slab_wires = _engine(circuit, lab).wire
+        applies = [g for g in circuit.gates if isinstance(g, (Apply, ControlledApply))]
+        # one routed apply per Apply or ControlledApply on a wire the sweep keeps
+        assert len(_plan(circuit, lab)) == sum(g.wire in slab_wires for g in applies), name
+    assert [len(routes) for routes in _plan(sim_switch_circuit(n, lab), lab)] == [2] * n * n
+    # the rail circuits move tokens by Rewire, so they sweep per x
+    lab3 = FactoradicLabeling(3)
+    for circuit in (FAMILIES["six-query"].build(3, lab3), *(
+        FAMILIES["superperm"].build(m, FactoradicLabeling(m)) for m in (3, 4)
+    )):
+        assert _plan(circuit, circuit.control.labeling) is None, circuit.family
+        assert assert_sweeps_agree(circuit, circuit.control.labeling)[1] is None
 
 
 def test_nlogn_leaves_out_wires_with_only_unconditional_gates():
@@ -413,17 +429,45 @@ def test_near_miss_switch_sandwiches_are_not_lowered():
         return Circuit(n, "switch-sandwiches", wires, head + gates + tail, QuditControl(lab))
 
     exact = circuit((switch, *middle, switch))
-    assert _plan_steps(exact, lab) == {"switch_apply": 2 * n * n}
+    assert len(_plan(exact, lab)) == 2 * n * n
     exponents, failure = assert_sweeps_agree(exact, lab)
     assert failure is None and any(exponents)
     for name, gates in near_misses.items():
-        steps = _plan_steps(circuit(gates), lab)
-        assert steps["switch_apply"] == 2 * n * n - n and steps["switch"] >= 2, name
+        assert _plan(circuit(gates), lab) is None, name
         assert_sweeps_agree(circuit(gates), lab)
     # a missing auxiliary wire: x=0 puts U_1 at position 1, x=12 puts U_3
     partial = Circuit(n, "partial", wires[:-1], (switch, switch), QuditControl(lab))
-    assert _plan_steps(partial, lab) == {"switch": 2}
+    assert _plan(partial, lab) is None
     assert assert_sweeps_agree(partial, lab) == ("KeyError", "'a_3'")
+
+
+def test_unlowered_plans_sweep_per_x(monkeypatch, forks):
+    # a circuit whose plan is None never reaches _ChunkSweep.run, neither in
+    # the serial sweep nor in the pool's forked workers, which inherit the patch
+    def run(self, xs):
+        raise AssertionError("_ChunkSweep.run called for a plan that is None")
+
+    monkeypatch.setattr(algorithms._ChunkSweep, "run", run)
+    lab3 = FactoradicLabeling(3)
+    assert assert_sweeps_agree(FAMILIES["six-query"].build(3, lab3), lab3)[1] is None
+    # sim-switch with the closing SwitchSwap of its last step replaced by the
+    # conditional swap that undoes it where U_7 acts last, as at x=0: tokens
+    # stay off their wires from x=5040 on.  (Deleting the closing switch
+    # alone strands tokens at x=0, which the reference rejects before any
+    # sweep.)
+    n = 8
+    lab = FactoradicLabeling(n)
+    c = sim_switch_circuit(n, lab)
+    j = len(c.gates) - 1
+    last = lab.word(0).acting(n - 1)
+    undo = PosCondSwap("psi_t", aux_wire(last), last, n - 1, n)
+    broken = replace(c, gates=c.gates[:j] + (undo,))
+    assert _plan(broken, lab) is None
+    serial = phase_profile(broken, lab, processes=1)
+    assert serial.failure == "x=5040: tokens did not return to their home wires"
+    assert forks == []
+    assert phase_profile(broken, lab, processes=2).failure == serial.failure
+    assert forks == ["fork"]
 
 
 def test_mixed_repeated_words_match_per_x():
