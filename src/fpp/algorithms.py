@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from math import factorial, gcd, isqrt, log2
 from operator import attrgetter
@@ -834,9 +834,9 @@ class _ChunkSweep:
     * ``Apply`` is one route with no condition.
     * ``ControlledApply`` is one route, on its bit's condition.
     * A sandwich -- a conditional swap G of wires a and b (``PosCondSwap``
-      or ``ControlledSwap``), then ``Apply(g, w)`` with w in {a, b}, then a
-      gate equal to G -- has two routes: to the other wire where G's
-      condition holds, to w elsewhere.
+      or ``ControlledSwap``), then ``Apply(g, w)`` with w in {a, b}, then G
+      again, its two wires named in either order -- has two routes: to the
+      other wire where G's condition holds, to w elsewhere.
     * A switch sandwich -- a ``SwitchSwap`` S whose pairs name distinct
       non-auxiliary wires and distinct positions, then ``Apply`` gates on
       auxiliary wires only, then a gate equal to S, when every auxiliary
@@ -943,10 +943,11 @@ class _ChunkSweep:
                 plan.append(((self._gate_condition(gate), slot(wire[gate.wire], gate.gate)),))
             elif isinstance(gate, (PosCondSwap, ControlledSwap)):
                 mid = gates[j] if j + 1 < len(gates) else None
+                mirrored = replace(gate, wire_a=gate.wire_b, wire_b=gate.wire_a)  # the same swap
                 if not (
                     isinstance(mid, Apply)
                     and mid.wire in (gate.wire_a, gate.wire_b)
-                    and gates[j + 1] == gate
+                    and gates[j + 1] in (gate, mirrored)
                 ):
                     return None
                 w = wire[mid.wire]
@@ -976,11 +977,9 @@ class _ChunkSweep:
         """Exponents of the chunk and the index of its first failing x
         (``len(xs)`` if none fails), or None if some x of the chunk has no
         bit assignment."""
-        n, size = self.n, len(xs)
-        words = bits = positions = None
-        if isinstance(self.control, QuditControl):
-            words = self.control.labeling.words(xs)
-        else:
+        size = len(xs)
+        bits = positions = None
+        if isinstance(self.control, BitControl):
             try:
                 bits = self.control.assignments(xs)
             except InvariantError:
@@ -989,10 +988,8 @@ class _ChunkSweep:
         for key in self.conditions:
             kind = key[0]
             if kind == "position":
-                if positions is None:
-                    # positions[g, r]: acting position of U_g in the word of column r
-                    positions = np.empty((n, size), dtype=np.int64)
-                    positions[words, np.arange(size)[:, None]] = np.arange(n - 1, -1, -1)
+                if positions is None:  # [g, r]: where U_g acts in the word of column r
+                    positions = self.control.labeling.positions(xs)
                 masks.append(self.inside[key][positions[key[1]]])
             elif kind == "none":  # the columns where none of these conditions hold
                 some = masks[key[1]]

@@ -24,6 +24,7 @@ picklable and constructible without enumerating control states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from math import factorial
 from typing import Iterator, Mapping, Sequence
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError, StructuralError
 from .numsys import bit_weight, greedy_bits, to_factoradic
-from .perms import Labeling, PermWord
+from .perms import Labeling, PermWord, factoradic_blocks
 
 __all__ = [
     "Wire",
@@ -168,24 +169,47 @@ class BitControl:
         return bits
 
     def assignments(self, xs: Sequence[int]) -> dict[tuple[int, int], np.ndarray]:
-        """:meth:`assignment` for a whole array of xs: one 0/1 array per slot.
+        """:meth:`assignment` for many xs: one 0/1 uint8 array per slot.
 
-        Raises what :meth:`assignment` raises for the first x it rejects.
+        The digits come from :func:`~fpp.perms.factoradic_blocks` and each
+        slot's bit from its per-k table over the digit values (see
+        :func:`_bit_tables`).  Raises what :meth:`assignment` raises for the
+        first x it rejects.
         """
-        arr = np.asarray(xs, dtype=np.int64).reshape(-1)
-        rejected = (arr < 0) | (arr >= factorial(self.n))
-        bits: dict[tuple[int, int], np.ndarray] = {}
-        for k in range(1, self.n):
-            rem = np.where(rejected, 0, arr // factorial(k) % (k + 1))
-            for i in sorted(i for (kk, i) in self.slots if kk == k):
-                weight = bit_weight(k, i)
-                bit = rem >= weight
-                rem = rem - weight * bit
-                bits[(k, i)] = bit.astype(np.uint8)
-            rejected |= rem != 0
-        if rejected.any():
-            self.assignment(int(arr[rejected.argmax()]))
-        return bits
+        blocks = factoradic_blocks(self.n)
+        xs, rejected = blocks.split(xs)
+        digits = blocks.digits(xs if rejected is None else np.where(rejected, 0, xs))
+        bits, unwritten = _bit_tables(self.n, self.slots)
+        for k, digit_unwritten in unwritten.items():
+            missed = digit_unwritten[digits[k - 1]]
+            rejected = missed if rejected is None else rejected | missed
+        if rejected is not None and rejected.any():
+            self.assignment(int(xs[rejected.argmax()]))
+        return {slot: np.take(bit, digits[slot[0] - 1]) for slot, bit in bits.items()}
+
+
+@lru_cache(maxsize=None)
+def _bit_tables(
+    n: int, slots: tuple[tuple[int, int], ...]
+) -> tuple[dict[tuple[int, int], np.ndarray], dict[int, np.ndarray]]:
+    """Per-k tables of the greedy map, over the digit values a = 0..k.
+
+    ``bits[(k, i)][a]`` is slot (k, i)'s bit when a_k = a (uint8), slots in
+    :meth:`BitControl.assignment`'s order; ``unwritten[k][a]`` is True where
+    the slots of k cannot write a greedily, for the k where some a is so.
+    """
+    bits: dict[tuple[int, int], np.ndarray] = {}
+    unwritten: dict[int, np.ndarray] = {}
+    for k in range(1, n):
+        rest = np.arange(k + 1)
+        for i in sorted(i for (kk, i) in slots if kk == k):
+            weight = bit_weight(k, i)
+            bit = rest >= weight
+            rest = rest - weight * bit
+            bits[(k, i)] = bit.astype(np.uint8)
+        if rest.any():
+            unwritten[k] = rest != 0
+    return bits, unwritten
 
 
 @dataclass(frozen=True)

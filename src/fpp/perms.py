@@ -21,23 +21,26 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import factorial
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .commutation import CommutationTable, brute_force_phases, word_rows
-from .errors import DomainError, RangeError, UnsupportedError
+from .errors import DomainError, FppError, RangeError, UnsupportedError
 from .numsys import FactoradicDigits, from_factoradic, to_factoradic
 
 __all__ = [
     "PermWord",
     "Labeling",
     "FactoradicLabeling",
+    "FactoradicBlocks",
     "ExplicitLabeling",
     "ContradictionWitness",
     "ConsistencyResult",
     "factoradic_labeling",
+    "factoradic_blocks",
     "label_of",
     "validate_labeling",
     "enumerate_valid_labelings",
@@ -97,10 +100,19 @@ class Labeling:
         raise NotImplementedError
 
     def words(self, xs: Sequence[int]) -> np.ndarray:
-        """Written orders of the words of ``xs``, one row per x (shape len(xs) x n)."""
+        """Written orders of the words of ``xs``, one int8 row per x (shape
+        len(xs) x n)."""
         return np.array(
-            [self.word(x).order for x in xs], dtype=np.int64
+            [self.word(x).order for x in xs], dtype=np.int8
         ).reshape(len(xs), self.n)
+
+    def positions(self, xs: Sequence[int]) -> np.ndarray:
+        """Acting positions of the words of ``xs``, shape n x len(xs): entry
+        [g, i] is the position at which U_g acts in word(xs[i]).  They are
+        intp, the index type, since the sweep indexes tables with them."""
+        return np.array(
+            [self.word(x).positions() for x in xs], dtype=np.intp
+        ).reshape(len(xs), self.n).T
 
     def label(self, w: PermWord | Sequence[int]) -> int:
         raise NotImplementedError
@@ -129,6 +141,149 @@ class Labeling:
         return self._validation
 
 
+# The low table holds the words of U_0..U_{k-1} for k = min(n, _LOW_GATES):
+# k! = 5 040 rows from n = 7 on.
+_LOW_GATES = 7
+
+
+def _insertions(start: int, stop: int) -> np.ndarray:
+    """Acting sequences made by inserting U_start..U_{stop-1} into ``start``
+    free slots (-1), one int8 row per digit string a_start..a_{stop-1}.
+
+    Shifting U_k right a_k written steps puts it at index k - a_k of the
+    acting sequence of U_0..U_k: a_k lower gates act after it.  Row q is the
+    digit string with q = sum_k a_k * k!/start!, so U_k's k + 1 digit values
+    make one block copy of the table each.
+    """
+    seq = np.full((1, start), -1, dtype=np.int8)
+    for k in range(start, stop):
+        seq = np.concatenate([np.insert(seq, k - a, k, axis=1) for a in range(k + 1)])
+    return seq
+
+
+class FactoradicBlocks:
+    """Decoder of control states x in [0, n!) into factoradic words, acting
+    positions and digits, by table lookups.
+
+    With k = min(n, 7) and L = k!, a state splits as x = q * L + r.  The low
+    digits a_1..a_{k-1} are those of r and fix the order of U_0..U_{k-1}
+    among themselves; the high digits a_k..a_{n-1} are those of q and fix
+    where U_k..U_{n-1} act, which leaves k free acting positions that the
+    low gates fill in their own order.  So the tables are, per r (L rows):
+    the acting sequence of the low gates, each low gate's index in it, and
+    the digits a_1..a_{k-1}; and per q (n!/L rows): the acting sequence
+    with -1 at the free positions.  A unit-step range of xs decodes per q
+    it meets (at most two per chunk of the sweep): its words are one row
+    copy and one column scatter of low rows, its positions a copy of rank
+    rows moved past the high gates; any other array of xs gathers rows of
+    the tables.
+
+    The tables are int8/uint8, depend on n alone and are built on first
+    use, each in one numpy pass: 101 KB at n=8, 188 KB at n=11.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.size = factorial(n)
+        self.k = min(n, _LOW_GATES)
+        self.rows = factorial(self.k)
+
+    @cached_property
+    def low(self) -> np.ndarray:
+        """[r]: the acting sequence of U_0..U_{k-1} for low part r."""
+        return _insertions(0, self.k)
+
+    @cached_property
+    def rank(self) -> np.ndarray:
+        """[g, r]: the index of U_g in ``low[r]``."""
+        return np.ascontiguousarray(np.argsort(self.low, axis=1).astype(np.int8).T)
+
+    @cached_property
+    def high(self) -> np.ndarray:
+        """[q]: the acting sequence of high part q, -1 where a low gate acts."""
+        return _insertions(self.k, self.n)
+
+    @cached_property
+    def low_digits(self) -> np.ndarray:
+        """[j - 1, r]: the digit a_j of low part r."""
+        r = np.arange(self.rows)
+        return np.array(
+            [r // factorial(j) % (j + 1) for j in range(1, self.k)], dtype=np.uint8
+        ).reshape(self.k - 1, self.rows)
+
+    def split(self, xs: Sequence[int]) -> tuple[range | np.ndarray, np.ndarray | None]:
+        """``xs`` in the form the decoder takes, and the mask of the xs
+        outside [0, n!), or None if none can be.  A unit-step range inside
+        [0, n!) stays a range; anything else becomes an int64 array."""
+        if isinstance(xs, range) and xs.step == 1 and (
+            not xs or (xs.start >= 0 and xs.stop <= self.size)
+        ):
+            return xs, None
+        arr = np.asarray(xs, dtype=np.int64).reshape(-1)
+        return arr, (arr < 0) | (arr >= self.size)
+
+    def _segments(self, xs: range) -> Iterator[tuple[slice, int, int, int]]:
+        """(columns, q, r0, r1): the xs q * L + r0 .. q * L + r1 - 1 sit in
+        ``columns`` of the output, for each q the range meets."""
+        at, block = 0, self.rows
+        for q in range(xs.start // block, -(-xs.stop // block)) if xs else ():
+            r0, r1 = max(xs.start - q * block, 0), min(xs.stop - q * block, block)
+            yield slice(at, at + r1 - r0), q, r0, r1
+            at += r1 - r0
+
+    def acting(self, xs: range | np.ndarray) -> np.ndarray:
+        """Acting sequences of xs (inside [0, n!)), one int8 row per x."""
+        if not isinstance(xs, range):
+            q, r = np.divmod(xs, self.rows)
+            out = self.high[q]
+            out[out < 0] = self.low[r].ravel()  # row by row, free slots ascending
+            return out
+        out = np.empty((len(xs), self.n), dtype=np.int8)
+        for cols, q, r0, r1 in self._segments(xs):
+            template = self.high[q]
+            out[cols] = template
+            out[cols, template < 0] = self.low[r0:r1]
+        return out
+
+    def positions(self, xs: range | np.ndarray) -> np.ndarray:
+        """Acting positions of xs (inside [0, n!)), intp of shape
+        n x len(xs): entry [g, i] is where U_g acts in the word of xs[i]."""
+        if not isinstance(xs, range):  # each acting sequence's inverse
+            return np.ascontiguousarray(np.argsort(self.acting(xs), axis=1).T)
+        out = np.empty((self.n, len(xs)), dtype=np.intp)
+        for cols, q, r0, r1 in self._segments(xs):
+            template = self.high[q]
+            placed = np.flatnonzero(template >= 0)
+            low = self.rank[:, r0:r1].copy()
+            for p in placed.tolist():  # ascending: a low gate at or past p acts one later
+                low += (low >= p).view(np.int8)
+            out[: self.k, cols] = low
+            out[template[placed], cols] = placed[:, None]
+        return out
+
+    def digits(self, xs: range | np.ndarray) -> np.ndarray:
+        """Factorial digits of xs (inside [0, n!)), uint8 of shape
+        (n - 1) x len(xs): row j - 1 holds a_j."""
+        k, block = self.k, self.rows
+        out = np.empty((self.n - 1, len(xs)), dtype=np.uint8)
+        if isinstance(xs, range):
+            parts = [(cols, q, self.low_digits[:, r0:r1]) for cols, q, r0, r1 in self._segments(xs)]
+        else:
+            q, r = np.divmod(xs, block)
+            parts = [(slice(None), q, self.low_digits[:, r])]
+        for cols, q, low in parts:
+            out[: k - 1, cols] = low
+            for j in range(k, self.n):  # a_j = x // j! mod (j + 1) = q // (j!/L) mod (j + 1)
+                out[j - 1, cols] = q // (factorial(j) // block) % (j + 1)
+        return out
+
+
+@lru_cache(maxsize=None)
+def factoradic_blocks(n: int) -> FactoradicBlocks:
+    """The decoder of n, shared by every labeling and bit control of that n."""
+    return FactoradicBlocks(n)
+
+
 class FactoradicLabeling(Labeling):
     """The labeling built from factorial digits by rightward shifts.
 
@@ -150,26 +305,23 @@ class FactoradicLabeling(Labeling):
         return PermWord(self.n, tuple(seq))
 
     def words(self, xs: Sequence[int]) -> np.ndarray:
-        """:meth:`word` for a whole array of xs: the same shifts, one column
-        operation per gate over every row at once.
+        """:meth:`word` for many xs, one int8 row per x, decoded by
+        :func:`factoradic_blocks` from its tables."""
+        blocks, xs = self._decodable(xs)
+        return np.ascontiguousarray(blocks.acting(xs)[:, ::-1])
 
-        ``pos[:, g]`` tracks the written index of gate g, so U_k's index needs
-        no search; the words are scattered from it once at the end.
-        """
-        arr = self._check_xs(xs)
-        n = self.n
-        rows = np.arange(len(arr))[:, None]
-        pos = np.tile(np.arange(n - 1, -1, -1), (len(arr), 1))
-        for k in range(1, n):
-            i = pos[:, k, None]
-            j = i + (arr[:, None] // factorial(k)) % (k + 1)
-            # U_k moves from written index i to j; what lies between moves
-            # one step left.
-            pos -= (pos > i) & (pos <= j)
-            pos[:, k, None] = j
-        seq = np.empty_like(pos)
-        seq[rows, pos] = np.arange(n)
-        return seq
+    def positions(self, xs: Sequence[int]) -> np.ndarray:
+        """:meth:`Labeling.positions`, read from the tables of
+        :func:`factoradic_blocks`."""
+        blocks, xs = self._decodable(xs)
+        return blocks.positions(xs)
+
+    def _decodable(self, xs: Sequence[int]) -> tuple[FactoradicBlocks, range | np.ndarray]:
+        blocks = factoradic_blocks(self.n)
+        xs, outside = blocks.split(xs)
+        if outside is not None and outside.any():
+            self._check_x(int(xs[outside.argmax()]))
+        return blocks, xs
 
     def label(self, w: PermWord | Sequence[int]) -> int:
         order = w.order if isinstance(w, PermWord) else tuple(w)
@@ -201,18 +353,28 @@ class ExplicitLabeling(Labeling):
         self._inverse = {w.order: x for x, w in enumerate(self._words)}
         if len(self._inverse) != self.size:
             raise DomainError("labeling is not bijective: repeated words")
-        self._table: np.ndarray | None = None
 
     def word(self, x: int) -> PermWord:
         self._check_x(x)
         return self._words[x]
 
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """The n! x n word table (int8: n < 128)."""
+        return np.array([w.order for w in self._words], dtype=np.int8)
+
+    @cached_property
+    def _positions(self) -> np.ndarray:
+        """The n x n! acting positions: n - 1 minus each gate's written index."""
+        return np.ascontiguousarray((self.n - 1 - np.argsort(self._table, axis=1)).astype(np.int8).T)
+
     def words(self, xs: Sequence[int]) -> np.ndarray:
-        """Rows of the n! x n word table, built on first use (int8: n < 128)."""
-        arr = self._check_xs(xs)
-        if self._table is None:
-            self._table = np.array([w.order for w in self._words], dtype=np.int8)
-        return self._table[arr].astype(np.int64)
+        """Rows of the word table, built on first use."""
+        return self._table[self._check_xs(xs)]
+
+    def positions(self, xs: Sequence[int]) -> np.ndarray:
+        """Columns of the position table, built on first use."""
+        return self._positions[:, self._check_xs(xs)].astype(np.intp)
 
     def label(self, w: PermWord | Sequence[int]) -> int:
         order = w.order if isinstance(w, PermWord) else tuple(w)
@@ -297,31 +459,39 @@ def validate_labeling(labeling: Labeling) -> ConsistencyResult:
     """Derive the pairwise table and check every labeled word against it.
 
     Consistent iff for every x the brute-force exponent of word(x) relative
-    to word(0) equals x mod n!.  Every x is checked, with no sampling: each
-    word is resolved once, through :meth:`Labeling.words` in blocks, and
-    kept as its base-n key.  The sorted keys check bijectivity; decoded
-    again block by block, they feed the bubble-sort oracle
-    :func:`brute_force_phases`, which sorts a whole block at once.
+    to word(0) equals x mod n!.  Every x is checked, with no sampling, in
+    one pass over blocks of x: each block's words are resolved once,
+    through :meth:`Labeling.words` (for the factoradic labeling, a range of
+    :func:`factoradic_blocks` rows), kept as base-n keys, and fed to the
+    bubble-sort oracle :func:`brute_force_phases`, which sorts the whole
+    block at once.  The sorted keys then check bijectivity, which a
+    labeling must pass before any other verdict or error.
     """
     n, m = labeling.n, labeling.size
+    try:
+        table, unlabeled = _derived_table(labeling), None
+    except (FppError, NotImplementedError) as exc:
+        # a labeling that is not a bijection may answer no label(); it
+        # fails on bijectivity first
+        table, unlabeled = None, exc
     place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
     keys = np.empty(m, dtype=np.int64)
+    p0, consistent = None, True
     for lo in range(0, m, _WORD_BLOCK):
-        block = word_rows(labeling.words(range(lo, min(lo + _WORD_BLOCK, m))), n)
-        keys[lo:lo + len(block)] = block @ place
+        hi = min(lo + _WORD_BLOCK, m)
+        block = word_rows(labeling.words(range(lo, hi)), n)
+        keys[lo:hi] = block @ place
+        if table is not None and consistent:
+            p = brute_force_phases(block, table)
+            p0 = p[0] if p0 is None else p0
+            consistent = bool(((p - p0) % m == np.arange(lo, hi)).all())
     ordered = np.sort(keys)
     if (ordered[1:] == ordered[:-1]).any():
         raise DomainError(f"labeling {labeling.name!r} is not bijective")
-
-    table = _derived_table(labeling)
-    p0 = None
-    for lo in range(0, m, _WORD_BLOCK):
-        hi = min(lo + _WORD_BLOCK, m)
-        p = brute_force_phases(keys[lo:hi, None] // place % n, table)
-        p0 = p[0] if p0 is None else p0
-        if ((p - p0) % m != np.arange(lo, hi)).any():
-            witness = _find_witness(labeling, table)
-            return ConsistencyResult("contradiction", None, witness)
+    if unlabeled is not None:
+        raise unlabeled
+    if not consistent:
+        return ConsistencyResult("contradiction", None, _find_witness(labeling, table))
     return ConsistencyResult("consistent", table, None)
 
 

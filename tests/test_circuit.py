@@ -3,7 +3,10 @@
 import pathlib
 from math import factorial
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpp.circuit import (
     AUXILIARY,
@@ -28,7 +31,8 @@ from fpp.algorithms import (
     sqrt_circuit,
     superperm_sim_switch,
 )
-from fpp.errors import RangeError, StructuralError
+from fpp import algorithms
+from fpp.errors import InvariantError, RangeError, StructuralError
 from fpp.perms import FactoradicLabeling
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -226,3 +230,93 @@ def test_wire_kinds():
     assert kinds["x"] == CONTROL_QUDIT
     assert kinds["psi_0"] == TARGET
     assert kinds["a_0"] == AUXILIARY
+
+
+# ---------------------------------------------------------------------------
+# bit assignments for many xs, from the per-k digit tables
+
+
+def _assert_assignments(control, xs):
+    arrays = control.assignments(xs)
+    assert list(arrays) == sorted(control.slots)
+    assert all(a.dtype == np.uint8 and len(a) == len(xs) for a in arrays.values())
+    for row, x in enumerate(xs):
+        assert {s: int(a[row]) for s, a in arrays.items()} == control.assignment(x)
+
+
+def test_assignments_match_assignment_for_every_x():
+    for n in range(2, 9):
+        _assert_assignments(nlogn_circuit(n).control, range(factorial(n)))
+    for n in (4, 8):
+        _assert_assignments(nlogn_circuit(n, reduced=True).control, range(factorial(n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_assignments_match_assignment_at_large_n(data):
+    n = data.draw(st.integers(9, 12))
+    m, block = factorial(n), factorial(7)
+    lo = data.draw(st.integers(0, m - 1))
+    edge = block * data.draw(st.integers(1, m // block - 1))
+    xs = data.draw(st.sampled_from([
+        range(lo, min(m, lo + 300)),  # unaligned
+        range(edge - 150, edge + 150),  # across a block boundary
+        range(lo, lo + 1),
+        range(lo, lo),
+        range(m - 300, m),
+    ]) | st.lists(st.integers(0, m - 1), max_size=30))
+    _assert_assignments(nlogn_circuit(n).control, xs)
+
+
+def _raised(fn, *args):
+    with pytest.raises((RangeError, InvariantError)) as exc:
+        fn(*args)
+    return type(exc.value), str(exc.value)
+
+
+def test_assignments_raise_for_the_first_rejected_x():
+    control = nlogn_circuit(9).control
+    m = factorial(9)
+    for xs, bad in [([0, m + 1, -1], m + 1), (range(m - 2, m + 2), m), (np.array([-4, 3]), -4)]:
+        assert _raised(control.assignments, xs) == _raised(control.assignment, bad)
+    # without slot (2, 1) no bits write a_2 = 2: the first such x is 4
+    partial = BitControl(4, tuple(s for s in nlogn_circuit(4).control.slots if s != (2, 1)))
+    first = next(x for x in range(24) if _digit(x, 2) == 2)
+    assert first == 4
+    expected = _raised(partial.assignment, first)
+    assert expected[0] is InvariantError
+    assert _raised(partial.assignments, range(24)) == expected
+    assert _raised(partial.assignments, [3, 20, 5, 4]) == _raised(partial.assignment, 5)
+    assert _raised(partial.assignments, [25, 4]) == _raised(partial.assignment, 25)
+    assert partial.assignments(range(4))[(2, 2)].tolist() == [0, 0, 1, 1]
+
+
+def _digit(x, k):
+    return x // factorial(k) % (k + 1)
+
+
+def test_sweep_runs_the_reference_on_the_chunk_without_bits(monkeypatch):
+    n = 4
+    lab = FactoradicLabeling(n)
+    full = nlogn_circuit(n)
+    slots = tuple(s for s in full.control.slots if s != (2, 1))
+    gates = tuple(g for g in full.gates if getattr(g, "bit", None) != (2, 1))
+    circuit = Circuit(n, full.family, full.wires, gates, BitControl(n, slots))
+    table = lab.validate().table
+    _, refs = algorithms._reference_wires(circuit, table)
+    monkeypatch.setattr(algorithms, "_chunk_rows", lambda rows: 7)
+    engine = algorithms._ChunkSweep(circuit, table, refs)
+    assert engine.plan is not None and engine.rows == 7
+    calls = []
+    reference = algorithms._sweep_reference
+
+    def recording(circuit, table, refs, xs):
+        calls.append(xs)
+        return reference(circuit, table, refs, xs)
+
+    monkeypatch.setattr(algorithms, "_sweep_reference", recording)
+    with pytest.raises(InvariantError) as exc:
+        algorithms._sweep_range(circuit, table, refs, range(lab.size), engine)
+    # x=4 is the first x with a_2 = 2; its chunk is 0..6, run per x
+    assert calls == [range(0, 7)]
+    assert str(exc.value) == _raised(circuit.control.assignment, 4)[1]

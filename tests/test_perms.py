@@ -5,9 +5,12 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpp import perms
-from fpp.errors import DomainError, UnsupportedError
+from fpp.errors import DomainError, RangeError, UnsupportedError
+from fpp.numsys import to_factoradic
 from fpp.perms import (
     ConsistencyResult,
     ExplicitLabeling,
@@ -15,6 +18,7 @@ from fpp.perms import (
     Labeling,
     PermWord,
     enumerate_valid_labelings,
+    factoradic_blocks,
     label_of,
     labeling_from_text,
     labeling_to_text,
@@ -321,3 +325,93 @@ def test_non_bijective_labeling_still_rejected():
     with pytest.raises(DomainError) as blocks:
         validate_labeling(Repeating())
     assert str(blocks.value) == str(per_x.value) == "labeling 'repeating' is not bijective"
+
+
+# ---------------------------------------------------------------------------
+# the block decoder: words, positions and digits from tables, against the
+# per-x references word(x), PermWord.positions and to_factoradic
+
+
+def _assert_decodes(n, xs):
+    lab = FactoradicLabeling(n)
+    words = [lab.word(x) for x in xs]
+    got = lab.words(xs)
+    assert got.shape == (len(words), n)
+    assert got.tolist() == [list(w.order) for w in words]
+    assert lab.positions(xs).T.tolist() == [list(w.positions()) for w in words]
+    digits = factoradic_blocks(n).digits(factoradic_blocks(n).split(xs)[0])
+    assert digits.T.tolist() == [list(to_factoradic(x, n).digits) for x in xs]
+
+
+def test_decoder_matches_per_x_for_every_x():
+    for n in range(2, 9):
+        _assert_decodes(n, range(factorial(n)))
+
+
+def test_decoder_gathers_any_array_of_xs():
+    for n in (3, 8):
+        m = factorial(n)
+        xs = np.random.default_rng(n).integers(0, m, 300)
+        _assert_decodes(n, xs.tolist())
+        _assert_decodes(n, [m - 1, 0, m - 1])
+
+
+@st.composite
+def _block_states(draw):
+    """n in 9..12 and xs that meet the 7! blocks of the decoder at their
+    edges: an unaligned range, a range across a block boundary, one x, an
+    empty range, a range ending at n!-1, or a plain list."""
+    n = draw(st.integers(9, 12))
+    m, block = factorial(n), factorial(7)
+    x = draw(st.integers(0, m - 1))
+    kind = draw(st.sampled_from(["unaligned", "crossing", "single", "empty", "last", "list"]))
+    if kind == "unaligned":
+        return n, range(x, min(m, x + draw(st.integers(1, 400))))
+    if kind == "crossing":
+        edge = block * draw(st.integers(1, m // block - 1))
+        return n, range(edge - draw(st.integers(1, 200)), edge + draw(st.integers(1, 200)))
+    if kind == "single":
+        return n, range(x, x + 1)
+    if kind == "empty":
+        return n, range(x, x)
+    if kind == "last":
+        return n, range(m - draw(st.integers(1, 400)), m)
+    return n, draw(st.lists(st.integers(0, m - 1), max_size=40))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_block_states())
+def test_decoder_matches_per_x_at_large_n(case):
+    _assert_decodes(*case)
+
+
+def test_decoder_rejects_the_first_x_out_of_range():
+    lab = FactoradicLabeling(9)
+    m = lab.size
+    for xs, bad in [([0, m, -1], m), ([5, -1, m], -1), (range(m - 2, m + 3), m), (range(-3, 2), -3)]:
+        for decode in (lab.words, lab.positions):
+            with pytest.raises(RangeError) as exc:
+                decode(xs)
+            with pytest.raises(RangeError) as per_x:
+                lab.word(bad)
+            assert str(exc.value) == str(per_x.value)
+
+
+def test_decoder_tables_are_small_and_lazy():
+    blocks = perms.FactoradicBlocks(11)
+    assert not vars(blocks).keys() & {"low", "rank", "high", "low_digits"}
+    blocks.positions(range(5040 * 3 - 7, 5040 * 3 + 7))  # across a block boundary
+    assert vars(blocks).keys() >= {"low", "rank", "high"}
+    tables = [blocks.low, blocks.rank, blocks.high, blocks.low_digits]
+    assert all(t.dtype.itemsize == 1 for t in tables)
+    assert sum(t.nbytes for t in tables) < 200_000
+    assert factoradic_blocks(11) is factoradic_blocks(11)
+
+
+def test_explicit_labeling_positions_match_word():
+    lab = relabeled(FactoradicLabeling(4), (2, 0, 3, 1))
+    xs = [23, 0, 7, 7]
+    assert lab.positions(xs).T.tolist() == [list(lab.word(x).positions()) for x in xs]
+    assert Labeling.positions(lab, xs).tolist() == lab.positions(xs).tolist()
+    with pytest.raises(RangeError, match="x=24 outside"):
+        lab.positions([1, 24])

@@ -32,6 +32,7 @@ from fpp.circuit import (
     SwitchSwap,
     Wire,
     aux_wire,
+    eliminate_controlled_unknowns,
 )
 from fpp.commutation import CommutationTable, brute_force_phase, random_table
 from fpp.errors import FppError, StructuralError
@@ -364,6 +365,30 @@ def test_near_miss_sandwiches_are_not_lowered():
     for name, middle in near_misses.items():
         assert _plan(circuit(middle), lab) is None, name
         assert_sweeps_agree(circuit(middle), lab)
+
+
+def _with_reversed_closing_swap(circuit, kind):
+    """The circuit with the closing swap of its first sandwich of ``kind``
+    naming its two wires in the other order."""
+    gates = list(circuit.gates)
+    j = next(i for i, g in enumerate(gates) if isinstance(g, kind))
+    assert gates[j + 2] == gates[j] and gates[j].wire_a != gates[j].wire_b
+    gates[j + 2] = replace(gates[j], wire_a=gates[j].wire_b, wire_b=gates[j].wire_a)
+    return replace(circuit, gates=tuple(gates))
+
+
+def test_reversed_closing_swap_is_the_same_sandwich():
+    n = 5
+    lab = FactoradicLabeling(n)
+    sqrt = sqrt_circuit(n, lab)
+    eliminated = eliminate_controlled_unknowns(nlogn_circuit(n))
+    for circuit, kind in ((sqrt, PosCondSwap), (eliminated, ControlledSwap)):
+        reversed_swap = _with_reversed_closing_swap(circuit, kind)
+        plan = _plan(reversed_swap, lab)
+        assert plan is not None and len(plan) == len(_plan(circuit, lab)), kind.__name__
+        exponents, failure = assert_sweeps_agree(reversed_swap, lab)
+        assert failure is None
+        assert exponents == assert_sweeps_agree(circuit, lab)[0]
 
 
 def test_paper_circuits_lower_to_plans_that_move_no_token():
