@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from math import factorial, gcd, isqrt, log2
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -745,18 +745,30 @@ def _sweep_reference(
     return exponents, None
 
 
-# A chunk of the sweep holds at most _CHUNK_BYTES of float64 gate counts
-# (the slab of :class:`_ChunkSweep`, count rows x control states) and at
-# most _CHUNK_STATES control states, since its masks, words and positions
-# grow with the states alone.  Larger chunks are faster but raise the peak
-# memory of the sweep.
-_CHUNK_BYTES = 2**19
-_CHUNK_STATES = 2**11
+# A sweep, and each task of the pool, runs its xs in chunks of
+# _FIRST_CHUNK control states, then twice as many each time up to the cap of
+# :func:`_chunk_rows`.  A chunk costs about the same numpy calls however many
+# states it holds, so a long passing sweep wants large chunks, while a
+# failure at a small x is found after one small chunk.  The cap keeps the
+# chunk's working set within _CHUNK_BYTES.
+_FIRST_CHUNK = 2**10
+_CHUNK_BYTES = 2**21
 
 
-def _chunk_rows(count_rows: int) -> int:
-    """Control states per chunk of a sweep whose slab has ``count_rows`` rows."""
-    return max(1, min(_CHUNK_STATES, _CHUNK_BYTES // (8 * max(count_rows, 1))))
+def _chunk_rows(state_bytes: int) -> int:
+    """The most control states per chunk when each costs ``state_bytes`` of
+    working set (see :attr:`_ChunkSweep.state_bytes`)."""
+    return max(1, _CHUNK_BYTES // max(state_bytes, 1))
+
+
+def _chunks(xs: range, rows: int) -> Iterator[range]:
+    """Consecutive chunks of xs: _FIRST_CHUNK states (at most ``rows``),
+    then twice the last size, up to ``rows``; the last chunk takes the rest."""
+    size, lo = min(_FIRST_CHUNK, rows), xs.start
+    while lo < xs.stop:
+        yield range(lo, min(lo + size, xs.stop))
+        lo += size
+        size = min(2 * size, rows)
 
 
 def _slab_refs(circuit: Circuit, refs: tuple[_WireRef, ...]) -> tuple[_WireRef, ...]:
@@ -850,6 +862,11 @@ class _ChunkSweep:
     none of some other conditions) is evaluated once per chunk.  Gates of
     the wrong control kind are left to the x=0 reference execution, which
     rejects them before any sweep.
+
+    :attr:`state_bytes` is the working set of one column: its slab rows,
+    one byte per condition mask, the intp acting positions if a condition
+    reads them, and the uint8 control bits of a ``BitControl``; :attr:`rows`
+    is the most states a chunk holds (:func:`_chunk_rows`).
     """
 
     def __init__(self, circuit: Circuit, table: CommutationTable, refs: tuple[_WireRef, ...]):
@@ -866,7 +883,6 @@ class _ChunkSweep:
         self.slots: dict[tuple[int, int], _Slot] = {}
         self.plan = self._lower(circuit.gates)
         if self.plan is None:
-            self.rows = _chunk_rows(0)  # the pool's task size; the sweep is per x
             return
         gates = [set() for _ in refs]
         for w, g in self.slots:
@@ -889,7 +905,12 @@ class _ChunkSweep:
             later = e[slot.gate, block[block.index(slot.gate) + 1 :]]
             if later.any():
                 slot.dot = (slot.row + 1, first + len(block), later)
-        self.rows = _chunk_rows(start)
+        self.state_bytes = 8 * start + len(self.conditions)
+        if any(key[0] == "position" for key in self.conditions):
+            self.state_bytes += 8 * n
+        if isinstance(self.control, BitControl):
+            self.state_bytes += len(self.control.slots)
+        self.rows = _chunk_rows(self.state_bytes)
 
     def _slot(self, wire: int, gate: int) -> _Slot:
         if (wire, gate) not in self.slots:
@@ -999,6 +1020,7 @@ class _ChunkSweep:
             else:
                 _, bit, polarity = key
                 masks.append(bits[bit] == polarity)
+        bits = positions = None  # freed before the slab is allocated
         slab = np.zeros((len(self.expected), size))
         phase = np.zeros(size)
         for routes in self.plan:
@@ -1009,7 +1031,8 @@ class _ChunkSweep:
                     added = later.dot(slab[lo:hi])
                     phase += added if cond is None else np.multiply(added, mask, out=added)
                 slab[slot.row] += mask
-        ok = (slab == self.expected[:, None]).all(axis=0)
+        slab -= self.expected[:, None]  # in place: no bool copy of the slab
+        ok = ~slab.any(axis=0)
         first = int(ok.argmin()) if not ok.all() else size
         return (phase.astype(np.int64) - self.ref_phase) % self.modulus, first
 
@@ -1025,7 +1048,9 @@ def _sweep_range(
     None).  On a failure the exponents are those of the xs before it.
 
     Runs :class:`_ChunkSweep` (``engine``, if the caller has lowered the
-    circuit already) over chunks of xs.  The first x it finds failing is
+    circuit already) over the chunks of :func:`_chunks`: _FIRST_CHUNK states
+    first, then doubling up to the engine's ``rows``, so the chunk that
+    finds an early failure is small.  The first x it finds failing is
     run again through :func:`_sweep_reference`, so the failure text is the
     per-x one; so is a chunk holding an x with no bit assignment, which the
     reference then raises on.  A circuit the engine does not lower (its
@@ -1041,9 +1066,8 @@ def _sweep_range(
         exps, failure = _sweep_reference(circuit, table, refs, xs)
         return np.array(exps, dtype=np.int64), failure
     exponents = np.empty(len(xs), dtype=np.int64)
-    for lo in range(xs.start, xs.stop, engine.rows):
-        chunk = range(lo, min(lo + engine.rows, xs.stop))
-        at = lo - xs.start
+    for chunk in _chunks(xs, engine.rows):
+        at = chunk.start - xs.start
         result = engine.run(chunk)
         if result is None:  # the reference fails or raises within this chunk
             exps, failure = _sweep_reference(circuit, table, refs, chunk)
@@ -1060,6 +1084,8 @@ def _sweep_range(
     return exponents, None
 
 
+# The fewest control states a forked worker of the sweep gets.
+_STATES_PER_WORKER = 2**14
 _POOL_STATE: dict = {}
 
 
@@ -1089,7 +1115,7 @@ def phase_profile(
 
     The sweep is embarrassingly parallel over x; ``processes`` > 1 forks up
     to that many worker processes where the platform allows, when each gets
-    at least 8 chunks of the engine, and runs the serial path otherwise.
+    at least 16 384 control states, and runs the serial path otherwise.
     Results are deterministic regardless of schedule.
     """
     _require_int64_readout(labeling.size)  # before the sweep, not after it
@@ -1151,18 +1177,23 @@ def _parallel_sweep(
     m: int,
     processes: int | None,
 ) -> tuple[np.ndarray, str | None]:
-    # Fork only when every worker gets at least 8 engine chunks; below that
-    # (n <= 7) the serial sweep is faster.  At n=8 forking about breaks even
-    # (sqrt gains, nlogn and sim-switch lose, by 20 ms at most); at n=9,
-    # with the workers' exponents sent back as int64 arrays, nlogn, sqrt
-    # and sim-switch gain 1.45-1.6x.
+    """The exponents of x in [0, m) and the first failure, as
+    :func:`_sweep_range` gives them for range(m).
+
+    Forks at most ``processes`` workers, and only as many as get at least
+    _STATES_PER_WORKER states each; below that (n <= 7) the serial sweep is
+    faster.  At n=8 it still forks two, though they then sweep at 0.6-0.8x
+    the serial speed (sqrt); at n=9, with the workers' exponents sent back
+    as int64 arrays, nlogn, sqrt and sim-switch gain.
+    The xs go out as about 4 tasks per worker, in x order, and each task
+    grows its chunks from the first size again; the first failing task ends
+    the sweep.
+    """
     engine = _ChunkSweep(circuit, table, refs)
-    rows = engine.rows
-    chunks = -(-m // rows)
-    workers = min(processes or 1, chunks // 8)
+    workers = min(processes or 1, m // _STATES_PER_WORKER)
     if workers <= 1:
         return _sweep_range(circuit, table, refs, range(m), engine)
-    step = rows * -(-chunks // (4 * workers))  # about 4 tasks per worker
+    step = -(-m // (4 * workers))
     bounds = [(lo, min(lo + step, m)) for lo in range(0, m, step)]
     try:
         pool = multiprocessing.get_context("fork").Pool(

@@ -173,7 +173,7 @@ class FactoradicBlocks:
     the acting sequence of the low gates, each low gate's index in it, and
     the digits a_1..a_{k-1}; and per q (n!/L rows): the acting sequence
     with -1 at the free positions.  A unit-step range of xs decodes per q
-    it meets (at most two per chunk of the sweep): its words are one row
+    it meets (at most three per chunk of the sweep): its words are one row
     copy and one column scatter of low rows, its positions a copy of rank
     rows moved past the high gates; any other array of xs gathers rows of
     the tables.
@@ -432,27 +432,43 @@ def _derived_table(labeling: Labeling) -> CommutationTable:
     return CommutationTable.from_upper(n, upper)
 
 
-def _find_witness(labeling: Labeling, table: CommutationTable) -> ContradictionWitness | None:
+def _find_witness(keys: np.ndarray, n: int, table: CommutationTable) -> ContradictionWitness | None:
     """Scan adjacent-transposition constraints for pairs whose implied
-    exponent disagrees with the derived table; report the smallest pair."""
-    m = labeling.size
-    conflicts: dict[tuple[int, int], int] = {}
-    for x in range(m):
-        order = labeling.word(x).order
-        for p in range(len(order) - 1):
-            left, right = order[p], order[p + 1]
-            partner = list(order)
-            partner[p], partner[p + 1] = right, left
-            x_partner = labeling.label(PermWord(labeling.n, tuple(partner)))
-            implied_left_right = (x - x_partner) % m
-            j, k = (left, right) if left < right else (right, left)
-            implied_jk = implied_left_right if left < right else (-implied_left_right) % m
-            if implied_jk != table.entry(j, k):
-                conflicts.setdefault((j, k), implied_jk)
-    if not conflicts:
+    exponent disagrees with the derived table; report the smallest pair,
+    with the first implied exponent in (x, p) order.
+
+    ``keys[x]`` is the base-n key of word(x).  Swapping the symbols left,
+    right at positions p, p + 1 of word(x) gives the word of some x', and
+    the labels imply e[left][right] = x - x' mod n!.  The partner keys of
+    one p are found at once by binary search in the sorted keys; a partner
+    that no x labels, or a swap of equal symbols, implies nothing.
+    """
+    m = len(keys)
+    by_key = np.argsort(keys)
+    ordered = keys[by_key]
+    e = np.zeros((n, n), dtype=np.int64)
+    for (j, k), v in table.entries.items():
+        e[j, k] = v % m
+    xs = np.arange(m)
+    place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    found: list[tuple[int, int, int, int]] = []  # (j * n + k, x, p, implied e[j][k])
+    right = keys // place[0] % n
+    for p in range(n - 1):
+        left, right = right, keys // place[p + 1] % n
+        partner = keys + (right - left) * (place[p] - place[p + 1])
+        x_partner = by_key[np.minimum(np.searchsorted(ordered, partner), m - 1)]
+        implied = (xs - x_partner) % m  # e[left][right]
+        bad = (keys[x_partner] == partner) & (left != right) & (implied != e[left, right])
+        if bad.any():
+            pair = np.where(bad, np.minimum(left, right) * n + np.maximum(left, right), n * n)
+            x = int(pair.argmin())  # the first x of the smallest pair
+            value = int(implied[x]) if left[x] < right[x] else int(-implied[x] % m)
+            found.append((int(pair[x]), x, p, value))
+    if not found:
         return None
-    pair = min(conflicts)
-    return ContradictionWitness(pair, (table.entry(*pair), conflicts[pair]))
+    pair, _, _, value = min(found)
+    j, k = divmod(pair, n)
+    return ContradictionWitness((j, k), (table.entry(j, k), value))
 
 
 def validate_labeling(labeling: Labeling) -> ConsistencyResult:
@@ -491,7 +507,7 @@ def validate_labeling(labeling: Labeling) -> ConsistencyResult:
     if unlabeled is not None:
         raise unlabeled
     if not consistent:
-        return ConsistencyResult("contradiction", None, _find_witness(labeling, table))
+        return ConsistencyResult("contradiction", None, _find_witness(keys, n, table))
     return ConsistencyResult("consistent", table, None)
 
 

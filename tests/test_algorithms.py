@@ -569,7 +569,7 @@ def test_verifier_rejects_unsalvageable_circuit():
 
 
 def test_parallel_sweep_matches_serial(forks):
-    # n=8 is the smallest n where two workers get 8 engine chunks each
+    # n=8 is the smallest n where two workers get 16 384 states each
     lab = FactoradicLabeling(8)
     c = sqrt_circuit(8, lab)
     serial = phase_profile(c, lab, processes=1)

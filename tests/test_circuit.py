@@ -304,7 +304,7 @@ def test_sweep_runs_the_reference_on_the_chunk_without_bits(monkeypatch):
     circuit = Circuit(n, full.family, full.wires, gates, BitControl(n, slots))
     table = lab.validate().table
     _, refs = algorithms._reference_wires(circuit, table)
-    monkeypatch.setattr(algorithms, "_chunk_rows", lambda rows: 7)
+    monkeypatch.setattr(algorithms, "_chunk_rows", lambda state_bytes: 7)
     engine = algorithms._ChunkSweep(circuit, table, refs)
     assert engine.plan is not None and engine.rows == 7
     calls = []

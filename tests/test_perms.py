@@ -245,9 +245,32 @@ def _validate_per_x(labeling):
     p0 = _bubble_phase(orders[0], table)
     for x, order in enumerate(orders):
         if (_bubble_phase(order, table) - p0) % m != x:
-            witness = perms._find_witness(labeling, table)
+            witness = _find_witness_per_x(labeling, table)
             return ConsistencyResult("contradiction", None, witness), x
     return ConsistencyResult("consistent", table, None), None
+
+
+def _find_witness_per_x(labeling, table):
+    """Reference witness scan, one x and adjacent pair at a time with one
+    label() call each: the scan before it moved into numpy."""
+    m = labeling.size
+    conflicts = {}
+    for x in range(m):
+        order = labeling.word(x).order
+        for p in range(len(order) - 1):
+            left, right = order[p], order[p + 1]
+            partner = list(order)
+            partner[p], partner[p + 1] = right, left
+            x_partner = labeling.label(PermWord(labeling.n, tuple(partner)))
+            implied_left_right = (x - x_partner) % m
+            j, k = (left, right) if left < right else (right, left)
+            implied_jk = implied_left_right if left < right else (-implied_left_right) % m
+            if implied_jk != table.entry(j, k):
+                conflicts.setdefault((j, k), implied_jk)
+    if not conflicts:
+        return None
+    pair = min(conflicts)
+    return perms.ContradictionWitness(pair, (table.entry(*pair), conflicts[pair]))
 
 
 def _swapped(labeling, x1, x2):
@@ -285,6 +308,34 @@ def test_validation_matches_per_x_relabeled_and_swapped():
         assert expected.consistent
     expected, first_bad = _assert_same_as_per_x(_swapped(FactoradicLabeling(5), 37, 91))
     assert not expected.consistent and first_bad == 37
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 7), st.data())
+def test_witness_matches_per_x_scan(n, data):
+    # an explicit labeling (factoradic, maybe relabeled) with 1 to 3 pairs
+    # of words swapped
+    lab = FactoradicLabeling(n)
+    if data.draw(st.booleans()):
+        lab = relabeled(lab, data.draw(st.permutations(range(n))))
+    words = [lab.word(x) for x in range(lab.size)]
+    for _ in range(data.draw(st.integers(1, 3))):
+        x1, x2 = data.draw(st.lists(st.integers(0, lab.size - 1), min_size=2, max_size=2, unique=True))
+        words[x1], words[x2] = words[x2], words[x1]
+    perturbed = ExplicitLabeling(n, words, "perturbed")
+    table = perms._derived_table(perturbed)
+    keys = np.array([w.order for w in words]) @ (n ** np.arange(n - 1, -1, -1))
+    expected = _find_witness_per_x(perturbed, table)
+    assert perms._find_witness(keys, n, table) == expected
+    result = validate_labeling(perturbed)
+    assert result.witness == (None if result.consistent else expected)
+
+
+def test_swapped_words_witness_matches_per_x_scan_at_n8():
+    swapped = _swapped(FactoradicLabeling(8), 3, 4)
+    expected = _find_witness_per_x(swapped, perms._derived_table(swapped))
+    assert expected is not None
+    assert validate_labeling(swapped) == ConsistencyResult("contradiction", None, expected)
 
 
 class _LastWordFlat(FactoradicLabeling):

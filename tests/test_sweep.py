@@ -5,9 +5,11 @@ checks one x at a time; ``_sweep_range`` runs whole chunks of xs in numpy.
 They must agree on the exponents, the failure text and the errors raised.
 """
 
+import importlib
 import random
 from dataclasses import replace
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,23 +238,25 @@ def test_chunk_boundary_inside_sweep(monkeypatch):
     whole_failure = phase_profile(broken, lab).failure
     assert whole_failure.startswith("x=96:")
 
-    monkeypatch.setattr(algorithms, "_CHUNK_BYTES", 8 * 20 * 7)  # 7 xs for sqrt's 20 count rows
+    sqrt_bytes = _engine(c, lab).state_bytes
+    monkeypatch.setattr(algorithms, "_CHUNK_BYTES", 7 * sqrt_bytes)  # chunks of 7 xs for sqrt
     for name, circuit in circuits.items():
         engine = algorithms._ChunkSweep(circuit, table, algorithms._reference_wires(circuit, table)[1])
-        assert engine.rows < lab.size
+        assert engine.rows < lab.size and (engine.rows == 7) == (name == "sqrt")
         assert phase_profile(circuit, lab) == whole[name]
         assert_sweeps_agree(circuit, lab)
     assert phase_profile(broken, lab).failure == whole_failure
     assert len(assert_sweeps_agree(broken, lab)[0]) == 96
 
 
-def test_pool_forks_from_eight_chunks_per_worker(forks):
+def test_pool_forks_from_16384_states_per_worker(forks):
+    assert algorithms._STATES_PER_WORKER == 16384
     lab7 = FactoradicLabeling(7)
-    for name in ("sim-switch", "nlogn", "sqrt"):  # 3 to 4 chunks at n=7
+    for name in ("sim-switch", "nlogn", "sqrt"):  # 5 040 states: not 2 workers' worth
         assert phase_profile(FAMILIES[name].build(7, lab7), lab7, processes=2).slope == 1
     assert forks == []
     lab8 = FactoradicLabeling(8)
-    circuit = nlogn_circuit(8)  # 35 chunks at n=8
+    circuit = nlogn_circuit(8)  # 40 320 states: 2 workers' worth
     assert phase_profile(circuit, lab8, processes=1).slope == 1
     assert forks == []
     assert phase_profile(circuit, lab8, processes=2).slope == 1
@@ -421,7 +425,9 @@ def test_nlogn_leaves_out_wires_with_only_unconditional_gates():
     targets = [algorithms._nlogn_target(k, i) for k in range(1, 8) for i in range(1, 4)]
     count_rows = sum(1 + targets.count(w) for w in engine.wire)
     assert [len(gates) for _, gates in engine.blocks] == [1 + targets.count(w) for w in engine.wire]
-    assert engine.rows == algorithms._chunk_rows(count_rows)
+    # per state: the slab column, the bit masks and the control bits; no positions
+    assert engine.state_bytes == 8 * count_rows + len(engine.conditions) + len(circuit.control.slots)
+    assert engine.rows == algorithms._chunk_rows(engine.state_bytes)
     profile = phase_profile(circuit, lab)
     assert profile.residuals["psi_8_8"] == (0,) and profile.slope == 1
 
@@ -791,3 +797,114 @@ def test_random_bit_circuits_match_per_x(case):
 @given(sandwich_circuits())
 def test_random_sandwiches_match_per_x(case):
     _check_random(case)
+
+
+# ---------------------------------------------------------------------------
+# chunk schedule
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """A first chunk of 3 states and a budget of 2^13 bytes: chunks of 3,
+    6, 12, ... up to 16-48 states (``engine.rows``) at n = 5..7."""
+    monkeypatch.setattr(algorithms, "_FIRST_CHUNK", 3)
+    monkeypatch.setattr(algorithms, "_CHUNK_BYTES", 2**13)
+
+
+@pytest.fixture
+def chunks(monkeypatch):
+    """The chunks of xs :meth:`_ChunkSweep.run` sees, in order."""
+    seen = []
+    run = algorithms._ChunkSweep.run
+    monkeypatch.setattr(algorithms._ChunkSweep, "run", lambda self, xs: seen.append(xs) or run(self, xs))
+    return seen
+
+
+def _assert_schedule(seen, xs, rows):
+    """The chunks tile xs; they start at the first size, and each doubles
+    the last, up to ``rows``, except the last one, which takes the rest."""
+    assert seen and seen[0].start == xs.start and seen[-1].stop == xs.stop
+    assert all(a.stop == b.start for a, b in zip(seen, seen[1:]))
+    assert all(c.step == 1 and 0 < len(c) <= rows for c in seen)
+    sizes = [len(c) for c in seen]
+    assert sizes[0] == min(algorithms._FIRST_CHUNK, rows, len(xs))
+    assert all(b == min(2 * a, rows) for a, b in zip(sizes, sizes[1:-1]))
+    assert len(seen) == 1 or sizes[-1] <= min(2 * sizes[-2], rows)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_growing_chunks_match_per_x(small_chunks, chunks, n):
+    lab = FactoradicLabeling(n)
+    for name in _families(n):
+        circuit = FAMILIES[name].build(n, lab)
+        chunks.clear()
+        exponents, failure = assert_sweeps_agree(circuit, lab)
+        assert failure is None and len(exponents) == factorial(n)
+        engine = _engine(circuit, lab)
+        if engine.plan is None:  # the rail circuits sweep per x
+            assert chunks == []
+        else:
+            _assert_schedule(chunks, range(lab.size), engine.rows)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(case=sandwich_circuits())
+def test_growing_chunks_random_sandwiches_match_per_x(small_chunks, case):
+    _check_random(case)
+
+
+def _reject_suite(monkeypatch, n, seed):
+    """The benchmark's seeded reject suite at n (perfbench/mutants.py)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    mutants = importlib.import_module("mutants")
+    lab = FactoradicLabeling(n)
+    originals = {name: FAMILIES[name].build(n, lab) for name in ("nlogn", "sim-switch", "sqrt")}
+    return mutants.reject_suite(originals, lambda name, n, lab: FAMILIES[name].build(n, lab), seed)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_growing_chunks_reject_suites_match_per_x(monkeypatch, small_chunks, seed):
+    lab = FactoradicLabeling(7)
+    for mutant in _reject_suite(monkeypatch, 7, seed):
+        _, failure = assert_sweeps_agree(mutant.circuit, lab)
+        assert (failure is not None) == mutant.has_witness, mutant.name
+
+
+def test_chunks_grow_from_the_first_size(chunks):
+    n = 8
+    lab = FactoradicLabeling(n)
+    table = lab.validate().table
+    for name in ("nlogn", "sqrt", "sim-switch"):
+        circuit = FAMILIES[name].build(n, lab)
+        _, refs = algorithms._reference_wires(circuit, table)
+        engine = algorithms._ChunkSweep(circuit, table, refs)
+        assert algorithms._FIRST_CHUNK < engine.rows < lab.size
+        for xs in (range(lab.size), range(1000, 30001), range(7, 900), range(lab.size - 1, lab.size)):
+            chunks.clear()
+            exponents, failure = algorithms._sweep_range(circuit, table, refs, xs, engine)
+            assert failure is None and len(exponents) == len(xs)
+            _assert_schedule(chunks, xs, engine.rows)
+
+
+def test_early_witness_sweeps_only_the_first_chunk(chunks):
+    # nlogn n=8 without the gate U_1 where bit (1, 1) is set: x=1 fails
+    lab = FactoradicLabeling(8)
+    c = nlogn_circuit(8)
+    j = next(j for j, g in enumerate(c.gates) if isinstance(g, ControlledApply) and g.bit == (1, 1) and g.polarity)
+    broken = replace(c, gates=c.gates[:j] + c.gates[j + 1 :])
+    assert phase_profile(broken, lab, processes=1).failure.startswith("x=1:")
+    assert chunks == [range(0, algorithms._FIRST_CHUNK)]
+
+
+def test_pool_tasks_with_growing_chunks_fill_exponents_in_x_order(monkeypatch, forks):
+    # 5, 10, 20, ... states up to about 100 a chunk, 8 tasks of 5 040 states
+    monkeypatch.setattr(algorithms, "_FIRST_CHUNK", 5)
+    monkeypatch.setattr(algorithms, "_CHUNK_BYTES", 2**15)
+    lab = FactoradicLabeling(8)
+    circuit = nlogn_circuit(8)
+    assert _engine(circuit, lab).rows < 128
+    parallel = phase_profile(circuit, lab, processes=2)
+    assert forks == ["fork"]
+    assert parallel.exponents.tolist() == list(range(lab.size))  # slope 1: exponent x
+    assert parallel == phase_profile(circuit, lab, processes=1)
