@@ -54,7 +54,6 @@ from .circuit import (
     Rewire,
     SwitchSwap,
     Wire,
-    WireOutcome,
     _wire_refs,
     aux_wire,
     execute,
@@ -585,14 +584,18 @@ def expected_queries(family: str, n: int) -> int | None:
 # verification
 
 
-def _require_int64_readout(modulus: int) -> None:
-    """A profile holds its exponents as int64, and the readout forms x*p(1)
-    with x, p(1) < n! in int64, so it needs n!^2 < 2^63: n <= 12.  An n=13
-    profile (6.2e9 exponents) could not be held in memory anyway."""
-    if modulus**2 >= 2**63:
-        raise UnsupportedError(
-            f"modulus {modulus}: the int64 readout needs n!^2 < 2^63, so n <= 12"
-        )
+# A profile holds its exponents as int64, and the readout forms x*p(1) with
+# x, p(1) < n! in int64, so it needs n!^2 < 2^63: n <= 12.  An n=13 profile
+# (6.2e9 exponents) could not be held in memory anyway.
+MAX_READOUT_N = 12
+_READOUT_BOUND = f"the int64 readout needs n!^2 < 2^63, so n <= {MAX_READOUT_N}"
+
+
+def require_readout_n(n: int) -> None:
+    """Refuse an n past :data:`MAX_READOUT_N`, before anything of size n!
+    is formed."""
+    if n > MAX_READOUT_N:
+        raise UnsupportedError(f"n={n}: {_READOUT_BOUND}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -619,7 +622,8 @@ class PhaseProfile:
     failure: str | None
 
     def __post_init__(self) -> None:
-        _require_int64_readout(self.modulus)
+        if self.modulus**2 >= 2**63:
+            raise UnsupportedError(_READOUT_BOUND)
         try:
             exponents = np.asarray(self.exponents, dtype=np.int64)
         except OverflowError:
@@ -699,52 +703,6 @@ class _WireRef:
     phase: int  # descending-order exponent of the written word
 
 
-def _reference_wires(
-    circuit: Circuit, table: CommutationTable
-) -> tuple[WireOutcome, tuple[_WireRef, ...]]:
-    """The x=0 execution and the per-wire reference data, wires sorted by id."""
-    ref_out = execute(circuit, 0)
-    if not ref_out.tokens_home:
-        raise StructuralError("reference execution left tokens off their home wires")
-    refs = tuple(
-        _WireRef(
-            wire=w,
-            sorted_word=tuple(sorted(applied)),
-            phase=perm_phase_exponent(applied[::-1], table),
-        )
-        for w, applied in sorted(ref_out.applied.items())
-    )
-    return ref_out, refs
-
-
-def _sweep_reference(
-    circuit: Circuit,
-    table: CommutationTable,
-    refs: tuple[_WireRef, ...],
-    xs: range,
-) -> tuple[list[int], str | None]:
-    """Per-x reference sweep: :func:`execute` and the residual checks, one x
-    at a time.  Returns (exponents, first failure or None)."""
-    m = table.modulus
-    ref_phase_total = sum(r.phase for r in refs)
-    exponents: list[int] = []
-    for x in xs:
-        out = execute(circuit, x)
-        if not out.tokens_home:
-            return exponents, f"x={x}: tokens did not return to their home wires"
-        total = 0
-        for r in refs:
-            applied = out.applied[r.wire]
-            if tuple(sorted(applied)) != r.sorted_word:
-                return exponents, (
-                    f"x={x}: wire {r.wire!r} carries {applied}, "
-                    f"reference multiset is {r.sorted_word}"
-                )
-            total += perm_phase_exponent(applied[::-1], table)
-        exponents.append((total - ref_phase_total) % m)
-    return exponents, None
-
-
 # A sweep, and each task of the pool, runs its xs in chunks of
 # _FIRST_CHUNK control states, then twice as many each time up to the cap of
 # :func:`_chunk_rows`.  A chunk costs about the same numpy calls however many
@@ -757,7 +715,7 @@ _CHUNK_BYTES = 2**21
 
 def _chunk_rows(state_bytes: int) -> int:
     """The most control states per chunk when each costs ``state_bytes`` of
-    working set (see :attr:`_ChunkSweep.state_bytes`)."""
+    working set (see :attr:`_Sweep.state_bytes`)."""
     return max(1, _CHUNK_BYTES // max(state_bytes, 1))
 
 
@@ -796,10 +754,9 @@ def _slab_refs(circuit: Circuit, refs: tuple[_WireRef, ...]) -> tuple[_WireRef, 
 class _Slot:
     """U_gate applied on a wire, in the routes of a plan.
 
-    :class:`_ChunkSweep` fills in the rest once the plan is lowered:
-    ``row`` is the slab row that counts it, and ``dot`` is None if it adds
-    no phase, else (lo, hi, vector), and the phase it adds is
-    ``vector @ slab[lo:hi]``.
+    :class:`_Sweep` fills in the rest once the plan is lowered: ``row`` is
+    the slab row that counts it, and ``dot`` is None if it adds no phase,
+    else (lo, hi, vector), and the phase it adds is ``vector @ slab[lo:hi]``.
     """
 
     wire: int
@@ -808,15 +765,20 @@ class _Slot:
     dot: tuple[int, int, np.ndarray] | None = None
 
 
-class _ChunkSweep:
-    """The circuit run for a whole chunk of control states at once, in numpy.
+class _Sweep:
+    """The sweep of one circuit under one commutation table.
 
-    ``__init__`` lowers the gate list once into :attr:`plan`; :meth:`run`
-    builds the condition masks of a chunk of xs and walks the plan, with no
-    dispatch on gate types.  Only a plan that moves no token is lowered:
-    ``plan`` is None for a circuit with a gate that may leave a token off
-    its wire (a ``Rewire``, a conditional swap or a ``SwitchSwap`` outside a
-    sandwich), and :func:`_sweep_range` sweeps such a circuit per x.
+    ``__init__`` runs :func:`execute` at x=0 (rejecting a circuit that
+    leaves a token off its wire there), keeps the per-wire reference data
+    (:attr:`refs`, by wire id) and the written words (:attr:`residuals`),
+    and lowers the gate list once into :attr:`plan`.  :meth:`sweep` runs a
+    range of xs through :meth:`run`, a whole chunk of control states at
+    once in numpy; :meth:`reference` runs xs one at a time through
+    :func:`execute` and the residual checks.  ``plan`` is None, and every x
+    runs through :meth:`reference`, for a circuit with a gate that may
+    leave a token off its wire (a ``Rewire``, a conditional swap or a
+    ``SwitchSwap`` outside a sandwich), and wherever applies^2 * n! reaches
+    2^53 (below).
 
     The wires of :func:`_slab_refs` are numbered 0..W-1 in the sorted order
     of ``refs``, and column r of a chunk is one x.  Each wire holds the gate
@@ -835,8 +797,8 @@ class _ChunkSweep:
     BLAS dot of e[g] over the later gates of the block with the block's rows
     below g (a :class:`_Slot`'s ``dot``); it is left out where those entries
     are all zero.  Counts, dots and phases are integers below
-    applies^2 * n!, which float64 holds exactly while that is below 2^53
-    (:func:`_sweep_range` checks it).
+    applies^2 * n!, which float64 holds exactly while that is below 2^53;
+    from there on only the reference's Python ints are exact.
 
     Every step of a plan is a routed apply, a tuple of ``(condition,
     slot)`` routes: U_g on the wire of each route's slot, in the columns of
@@ -869,19 +831,30 @@ class _ChunkSweep:
     is the most states a chunk holds (:func:`_chunk_rows`).
     """
 
-    def __init__(self, circuit: Circuit, table: CommutationTable, refs: tuple[_WireRef, ...]):
-        n = circuit.n
-        self.n = n
+    def __init__(self, circuit: Circuit, table: CommutationTable):
+        out = execute(circuit, 0)
+        if not out.tokens_home:
+            raise StructuralError("reference execution left tokens off their home wires")
+        self.circuit = circuit
+        self.table = table
+        self.refs = tuple(
+            _WireRef(wire=w, sorted_word=tuple(sorted(applied)),
+                     phase=perm_phase_exponent(out.word(w), table))
+            for w, applied in sorted(out.applied.items())
+        )
+        self.residuals = {r.wire: out.word(r.wire) for r in self.refs}
+        self.n = n = circuit.n
         self.control = circuit.control
         self.modulus = table.modulus
-        refs = _slab_refs(circuit, refs)
+        refs = _slab_refs(circuit, self.refs)
         self.ref_phase = sum(r.phase for r in refs)
         self.wire = {r.wire: i for i, r in enumerate(refs)}
         self.auxiliary = [aux_wire(g) for g in range(n)]
         self.conditions: dict[tuple, int] = {}
         self.inside: dict[tuple, np.ndarray] = {}
         self.slots: dict[tuple[int, int], _Slot] = {}
-        self.plan = self._lower(circuit.gates)
+        exact = max(query_count(circuit), 1) ** 2 * self.modulus < 2**53
+        self.plan = self._lower(circuit.gates) if exact else None
         if self.plan is None:
             return
         gates = [set() for _ in refs]
@@ -994,6 +967,28 @@ class _ChunkSweep:
                 return None
         return tuple(plan)
 
+    def reference(self, xs: range) -> tuple[list[int], str | None]:
+        """Per-x reference sweep: :func:`execute` and the residual checks,
+        one x at a time.  Returns (exponents, first failure or None)."""
+        m = self.modulus
+        ref_phase_total = sum(r.phase for r in self.refs)
+        exponents: list[int] = []
+        for x in xs:
+            out = execute(self.circuit, x)
+            if not out.tokens_home:
+                return exponents, f"x={x}: tokens did not return to their home wires"
+            total = 0
+            for r in self.refs:
+                applied = out.applied[r.wire]
+                if tuple(sorted(applied)) != r.sorted_word:
+                    return exponents, (
+                        f"x={x}: wire {r.wire!r} carries {applied}, "
+                        f"reference multiset is {r.sorted_word}"
+                    )
+                total += perm_phase_exponent(applied[::-1], self.table)
+            exponents.append((total - ref_phase_total) % m)
+        return exponents, None
+
     def run(self, xs: range) -> tuple[np.ndarray, int] | None:
         """Exponents of the chunk and the index of its first failing x
         (``len(xs)`` if none fails), or None if some x of the chunk has no
@@ -1036,67 +1031,54 @@ class _ChunkSweep:
         first = int(ok.argmin()) if not ok.all() else size
         return (phase.astype(np.int64) - self.ref_phase) % self.modulus, first
 
+    def sweep(self, xs: range) -> tuple[np.ndarray, str | None]:
+        """Exponent deltas for xs; returns (int64 exponents, first failure or
+        None).  On a failure the exponents are those of the xs before it.
 
-def _sweep_range(
-    circuit: Circuit,
-    table: CommutationTable,
-    refs: tuple[_WireRef, ...],
-    xs: range,
-    engine: _ChunkSweep | None = None,
-) -> tuple[np.ndarray, str | None]:
-    """Exponent deltas for xs; returns (int64 exponents, first failure or
-    None).  On a failure the exponents are those of the xs before it.
-
-    Runs :class:`_ChunkSweep` (``engine``, if the caller has lowered the
-    circuit already) over the chunks of :func:`_chunks`: _FIRST_CHUNK states
-    first, then doubling up to the engine's ``rows``, so the chunk that
-    finds an early failure is small.  The first x it finds failing is
-    run again through :func:`_sweep_reference`, so the failure text is the
-    per-x one; so is a chunk holding an x with no bit assignment, which the
-    reference then raises on.  A circuit the engine does not lower (its
-    ``plan`` is None) sweeps through :func:`_sweep_reference` alone.
-    Exponents lie below n!, which int64 holds for n <= 20.
-    """
-    # The engine's float64 counts, dots and phase sums stay below
-    # applies^2 * n!; from 2^53 on only the reference's Python ints are exact.
-    exact = max(query_count(circuit), 1) ** 2 * table.modulus < 2**53
-    if exact and engine is None:
-        engine = _ChunkSweep(circuit, table, refs)
-    if not exact or engine.plan is None:
-        exps, failure = _sweep_reference(circuit, table, refs, xs)
-        return np.array(exps, dtype=np.int64), failure
-    exponents = np.empty(len(xs), dtype=np.int64)
-    for chunk in _chunks(xs, engine.rows):
-        at = chunk.start - xs.start
-        result = engine.run(chunk)
-        if result is None:  # the reference fails or raises within this chunk
-            exps, failure = _sweep_reference(circuit, table, refs, chunk)
-            exponents[at : at + len(exps)] = exps
-            return exponents[: at + len(exps)], failure
-        exps, first = result
-        exponents[at : at + first] = exps[:first]
-        if first < len(chunk):
-            x = chunk[first]
-            _, failure = _sweep_reference(circuit, table, refs, range(x, x + 1))
-            if failure is None:
-                raise InvariantError(f"x={x}: the chunked sweep fails it, the per-x sweep does not")
-            return exponents[: at + first], failure
-    return exponents, None
+        Runs :meth:`run` over the chunks of :func:`_chunks`: _FIRST_CHUNK
+        states first, then doubling up to :attr:`rows`, so the chunk that
+        finds an early failure is small.  The first x it finds failing is run
+        again through :meth:`reference`, so the failure text is the per-x
+        one; so is a chunk holding an x with no bit assignment, which the
+        reference then raises on.  Where ``plan`` is None every x runs
+        through :meth:`reference`.  Exponents lie below n!, which int64
+        holds for n <= 20.
+        """
+        if self.plan is None:
+            exps, failure = self.reference(xs)
+            return np.array(exps, dtype=np.int64), failure
+        exponents = np.empty(len(xs), dtype=np.int64)
+        for chunk in _chunks(xs, self.rows):
+            at = chunk.start - xs.start
+            result = self.run(chunk)
+            if result is None:  # the reference fails or raises within this chunk
+                exps, failure = self.reference(chunk)
+                exponents[at : at + len(exps)] = exps
+                return exponents[: at + len(exps)], failure
+            exps, first = result
+            exponents[at : at + first] = exps[:first]
+            if first < len(chunk):
+                x = chunk[first]
+                _, failure = self.reference(range(x, x + 1))
+                if failure is None:
+                    raise InvariantError(
+                        f"x={x}: the chunked sweep fails it, the per-x sweep does not"
+                    )
+                return exponents[: at + first], failure
+        return exponents, None
 
 
 # The fewest control states a forked worker of the sweep gets.
-_STATES_PER_WORKER = 2**14
+_STATES_PER_WORKER = 2**15
 _POOL_STATE: dict = {}
 
 
-def _pool_init(circuit: Circuit, table: CommutationTable, refs: tuple, engine: _ChunkSweep) -> None:
-    _POOL_STATE["args"] = (circuit, table, refs)
-    _POOL_STATE["engine"] = engine
+def _pool_init(sweep: _Sweep) -> None:
+    _POOL_STATE["sweep"] = sweep
 
 
 def _pool_chunk(bounds: tuple[int, int]) -> tuple[np.ndarray, str | None]:
-    circuit, table, refs = _POOL_STATE["args"]
-    return _sweep_range(circuit, table, refs, range(bounds[0], bounds[1]), _POOL_STATE["engine"])
+    return _POOL_STATE["sweep"].sweep(range(bounds[0], bounds[1]))
 
 
 def phase_profile(
@@ -1108,17 +1090,17 @@ def phase_profile(
 
     The reference words come from :func:`execute` at x=0, the single-x
     reference.  Every x then runs in chunks through the numpy engine of
-    :func:`_sweep_range`; the first failing x is run again through
+    :meth:`_Sweep.sweep`; the first failing x is run again through
     :func:`execute`, so the failure names the same witness, wire and words
     the per-x sweep would.  A circuit the engine does not lower sweeps
     through :func:`execute`, one x at a time.
 
     The sweep is embarrassingly parallel over x; ``processes`` > 1 forks up
     to that many worker processes where the platform allows, when each gets
-    at least 16 384 control states, and runs the serial path otherwise.
-    Results are deterministic regardless of schedule.
+    at least 32 768 control states (from n=9 on), and runs the serial path
+    otherwise.  Results are deterministic regardless of schedule.
     """
-    _require_int64_readout(labeling.size)  # before the sweep, not after it
+    require_readout_n(labeling.n)  # before the sweep, not after it
     validation = labeling.validate()
     if not validation.consistent:
         raise DomainError(
@@ -1152,10 +1134,9 @@ def phase_profile(
     if not isinstance(circuit.control, BitControl):
         if circuit.control.labeling.n != labeling.n:
             raise DomainError("circuit and labeling disagree on n")
-    ref_out, refs = _reference_wires(circuit, table)
-    exponents, failure = _parallel_sweep(circuit, table, refs, m, processes)
+    sweep = _Sweep(circuit, table)
+    exponents, failure = _parallel_sweep(sweep, processes)
     exponents.flags.writeable = False  # the profile takes the array without a copy
-    residuals = {r.wire: tuple(reversed(ref_out.applied[r.wire])) for r in refs}
     return PhaseProfile(
         n=circuit.n,
         modulus=m,
@@ -1164,40 +1145,33 @@ def phase_profile(
         query_count=query_count(circuit),
         expected_queries=expected_queries(circuit.family, circuit.n),
         exponents=exponents if failure is None else (),
-        residuals=residuals,
+        residuals=sweep.residuals,
         residuals_ok=failure is None,
         failure=failure,
     )
 
 
-def _parallel_sweep(
-    circuit: Circuit,
-    table: CommutationTable,
-    refs: tuple[_WireRef, ...],
-    m: int,
-    processes: int | None,
-) -> tuple[np.ndarray, str | None]:
-    """The exponents of x in [0, m) and the first failure, as
-    :func:`_sweep_range` gives them for range(m).
+def _parallel_sweep(sweep: _Sweep, processes: int | None) -> tuple[np.ndarray, str | None]:
+    """The exponents of x in [0, n!) and the first failure, as
+    ``sweep.sweep(range(n!))`` gives them.
 
     Forks at most ``processes`` workers, and only as many as get at least
-    _STATES_PER_WORKER states each; below that (n <= 7) the serial sweep is
-    faster.  At n=8 it still forks two, though they then sweep at 0.6-0.8x
-    the serial speed (sqrt); at n=9, with the workers' exponents sent back
-    as int64 arrays, nlogn, sqrt and sim-switch gain.
-    The xs go out as about 4 tasks per worker, in x order, and each task
-    grows its chunks from the first size again; the first failing task ends
-    the sweep.
+    _STATES_PER_WORKER states each; below that (n <= 8) the serial sweep is
+    faster.  At n=8 two workers would sweep nlogn, sqrt and sim-switch
+    slower than one; at n=9, with the workers' exponents sent back as int64
+    arrays, they gain.  The xs go out as about 4 tasks per worker, in x
+    order, and each task grows its chunks from the first size again; the
+    first failing task ends the sweep.
     """
-    engine = _ChunkSweep(circuit, table, refs)
+    m = sweep.modulus
     workers = min(processes or 1, m // _STATES_PER_WORKER)
     if workers <= 1:
-        return _sweep_range(circuit, table, refs, range(m), engine)
+        return sweep.sweep(range(m))
     step = -(-m // (4 * workers))
     bounds = [(lo, min(lo + step, m)) for lo in range(0, m, step)]
     try:
         pool = multiprocessing.get_context("fork").Pool(
-            workers, initializer=_pool_init, initargs=(circuit, table, refs, engine)
+            workers, initializer=_pool_init, initargs=(sweep,)
         )
     except (ValueError, OSError) as exc:  # no fork start method; fork failed
         warnings.warn(
@@ -1205,7 +1179,7 @@ def _parallel_sweep(
             RuntimeWarning,
             stacklevel=3,
         )
-        return _sweep_range(circuit, table, refs, range(m), engine)
+        return sweep.sweep(range(m))
     exponents = np.empty(m, dtype=np.int64)
     with pool:  # tasks come back in x order; the first failure ends the sweep
         for (lo, _), (exps, failure) in zip(bounds, pool.imap(_pool_chunk, bounds)):
@@ -1287,9 +1261,11 @@ class VerificationReport:
         """Rebuild the profile (modulus n!) and view it at the payload's y.
 
         Raises :class:`DomainError` where the payload's verdict fields
-        disagree with the verdict its exponents give.
+        disagree with the verdict its exponents give, and
+        :class:`UnsupportedError` for an n past :data:`MAX_READOUT_N`.
         """
         d = json.loads(text)
+        require_readout_n(d["n"])
         m = factorial(d["n"])
         exponents = d["exponents"]
         ok = d["residuals_x_independent"]

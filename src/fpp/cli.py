@@ -30,6 +30,7 @@ from .algorithms import (
     nlogn_query_count,
     phase_profile,
     readout,
+    require_readout_n,
     solve_profile,
     sqrt_bound_holds,
     sqrt_query_count,
@@ -144,6 +145,7 @@ def _print_readout(profile: PhaseProfile, ys: Sequence[int]) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    require_readout_n(args.n)  # before building anything or forming n!
     labeling = _load_labeling(args.labeling, args.n)
     target = FAMILIES[args.alg].build(args.n, labeling)
     m = factorial(args.n)

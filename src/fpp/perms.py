@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .commutation import CommutationTable, brute_force_phases, word_rows
-from .errors import DomainError, FppError, RangeError, UnsupportedError
+from .errors import DomainError, FppError, InvariantError, RangeError, UnsupportedError
 from .numsys import FactoradicDigits, from_factoradic, to_factoradic
 
 __all__ = [
@@ -172,11 +172,12 @@ class FactoradicBlocks:
     low gates fill in their own order.  So the tables are, per r (L rows):
     the acting sequence of the low gates, each low gate's index in it, and
     the digits a_1..a_{k-1}; and per q (n!/L rows): the acting sequence
-    with -1 at the free positions.  A unit-step range of xs decodes per q
-    it meets (at most three per chunk of the sweep): its words are one row
-    copy and one column scatter of low rows, its positions a copy of rank
-    rows moved past the high gates; any other array of xs gathers rows of
-    the tables.
+    with -1 at the free positions.  The decoder takes only a unit-step
+    range of xs inside [0, n!) (:meth:`decodes`), and decodes it per q it
+    meets (at most three per chunk of the sweep): its words are one row copy
+    and one column scatter of low rows, its positions a copy of rank rows
+    moved past the high gates.  Labelings and bit controls send any other
+    xs to their per-x references.
 
     The tables are int8/uint8, depend on n alone and are built on first
     use, each in one numpy pass: 101 KB at n=8, 188 KB at n=11.
@@ -211,33 +212,25 @@ class FactoradicBlocks:
             [r // factorial(j) % (j + 1) for j in range(1, self.k)], dtype=np.uint8
         ).reshape(self.k - 1, self.rows)
 
-    def split(self, xs: Sequence[int]) -> tuple[range | np.ndarray, np.ndarray | None]:
-        """``xs`` in the form the decoder takes, and the mask of the xs
-        outside [0, n!), or None if none can be.  A unit-step range inside
-        [0, n!) stays a range; anything else becomes an int64 array."""
-        if isinstance(xs, range) and xs.step == 1 and (
+    def decodes(self, xs: Sequence[int]) -> bool:
+        """Whether the decoder takes ``xs``: a unit-step range inside [0, n!)."""
+        return isinstance(xs, range) and xs.step == 1 and (
             not xs or (xs.start >= 0 and xs.stop <= self.size)
-        ):
-            return xs, None
-        arr = np.asarray(xs, dtype=np.int64).reshape(-1)
-        return arr, (arr < 0) | (arr >= self.size)
+        )
 
     def _segments(self, xs: range) -> Iterator[tuple[slice, int, int, int]]:
         """(columns, q, r0, r1): the xs q * L + r0 .. q * L + r1 - 1 sit in
         ``columns`` of the output, for each q the range meets."""
+        if not self.decodes(xs):
+            raise InvariantError(f"the decoder takes unit-step ranges inside [0, n!), not {xs!r}")
         at, block = 0, self.rows
         for q in range(xs.start // block, -(-xs.stop // block)) if xs else ():
             r0, r1 = max(xs.start - q * block, 0), min(xs.stop - q * block, block)
             yield slice(at, at + r1 - r0), q, r0, r1
             at += r1 - r0
 
-    def acting(self, xs: range | np.ndarray) -> np.ndarray:
-        """Acting sequences of xs (inside [0, n!)), one int8 row per x."""
-        if not isinstance(xs, range):
-            q, r = np.divmod(xs, self.rows)
-            out = self.high[q]
-            out[out < 0] = self.low[r].ravel()  # row by row, free slots ascending
-            return out
+    def acting(self, xs: range) -> np.ndarray:
+        """Acting sequences of xs, one int8 row per x."""
         out = np.empty((len(xs), self.n), dtype=np.int8)
         for cols, q, r0, r1 in self._segments(xs):
             template = self.high[q]
@@ -245,11 +238,9 @@ class FactoradicBlocks:
             out[cols, template < 0] = self.low[r0:r1]
         return out
 
-    def positions(self, xs: range | np.ndarray) -> np.ndarray:
-        """Acting positions of xs (inside [0, n!)), intp of shape
-        n x len(xs): entry [g, i] is where U_g acts in the word of xs[i]."""
-        if not isinstance(xs, range):  # each acting sequence's inverse
-            return np.ascontiguousarray(np.argsort(self.acting(xs), axis=1).T)
+    def positions(self, xs: range) -> np.ndarray:
+        """Acting positions of xs, intp of shape n x len(xs): entry [g, i]
+        is where U_g acts in the word of xs[i]."""
         out = np.empty((self.n, len(xs)), dtype=np.intp)
         for cols, q, r0, r1 in self._segments(xs):
             template = self.high[q]
@@ -261,18 +252,13 @@ class FactoradicBlocks:
             out[template[placed], cols] = placed[:, None]
         return out
 
-    def digits(self, xs: range | np.ndarray) -> np.ndarray:
-        """Factorial digits of xs (inside [0, n!)), uint8 of shape
-        (n - 1) x len(xs): row j - 1 holds a_j."""
+    def digits(self, xs: range) -> np.ndarray:
+        """Factorial digits of xs, uint8 of shape (n - 1) x len(xs): row
+        j - 1 holds a_j."""
         k, block = self.k, self.rows
         out = np.empty((self.n - 1, len(xs)), dtype=np.uint8)
-        if isinstance(xs, range):
-            parts = [(cols, q, self.low_digits[:, r0:r1]) for cols, q, r0, r1 in self._segments(xs)]
-        else:
-            q, r = np.divmod(xs, block)
-            parts = [(slice(None), q, self.low_digits[:, r])]
-        for cols, q, low in parts:
-            out[: k - 1, cols] = low
+        for cols, q, r0, r1 in self._segments(xs):
+            out[: k - 1, cols] = self.low_digits[:, r0:r1]
             for j in range(k, self.n):  # a_j = x // j! mod (j + 1) = q // (j!/L) mod (j + 1)
                 out[j - 1, cols] = q // (factorial(j) // block) % (j + 1)
         return out
@@ -305,23 +291,20 @@ class FactoradicLabeling(Labeling):
         return PermWord(self.n, tuple(seq))
 
     def words(self, xs: Sequence[int]) -> np.ndarray:
-        """:meth:`word` for many xs, one int8 row per x, decoded by
-        :func:`factoradic_blocks` from its tables."""
-        blocks, xs = self._decodable(xs)
+        """:meth:`word` for many xs, one int8 row per x: decoded by
+        :func:`factoradic_blocks` where it takes xs, else per x."""
+        blocks = factoradic_blocks(self.n)
+        if not blocks.decodes(xs):
+            return super().words(xs)
         return np.ascontiguousarray(blocks.acting(xs)[:, ::-1])
 
     def positions(self, xs: Sequence[int]) -> np.ndarray:
-        """:meth:`Labeling.positions`, read from the tables of
-        :func:`factoradic_blocks`."""
-        blocks, xs = self._decodable(xs)
-        return blocks.positions(xs)
-
-    def _decodable(self, xs: Sequence[int]) -> tuple[FactoradicBlocks, range | np.ndarray]:
+        """:meth:`Labeling.positions`: decoded by :func:`factoradic_blocks`
+        where it takes xs, else per x."""
         blocks = factoradic_blocks(self.n)
-        xs, outside = blocks.split(xs)
-        if outside is not None and outside.any():
-            self._check_x(int(xs[outside.argmax()]))
-        return blocks, xs
+        if not blocks.decodes(xs):
+            return super().positions(xs)
+        return blocks.positions(xs)
 
     def label(self, w: PermWord | Sequence[int]) -> int:
         order = w.order if isinstance(w, PermWord) else tuple(w)

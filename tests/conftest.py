@@ -18,3 +18,10 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(algorithms.multiprocessing, "get_context", recording)
     return calls
+
+
+@pytest.fixture
+def forks_from_n8(monkeypatch):
+    """2^14 states per worker, so that two workers fork from n=8 on: the
+    pool's mechanism tests fork at n=8, the smallest n where two can."""
+    monkeypatch.setattr(algorithms, "_STATES_PER_WORKER", 2**14)

@@ -568,7 +568,7 @@ def test_verifier_rejects_unsalvageable_circuit():
         verify_and_solve(broken, lab, 1)
 
 
-def test_parallel_sweep_matches_serial(forks):
+def test_parallel_sweep_matches_serial(forks_from_n8, forks):
     # n=8 is the smallest n where two workers get 16 384 states each
     lab = FactoradicLabeling(8)
     c = sqrt_circuit(8, lab)

@@ -249,6 +249,12 @@ def test_assignments_match_assignment_for_every_x():
         _assert_assignments(nlogn_circuit(n).control, range(factorial(n)))
     for n in (4, 8):
         _assert_assignments(nlogn_circuit(n, reduced=True).control, range(factorial(n)))
+    # xs the block decoder does not take run per x through assignment
+    m = factorial(8)
+    for reduced in (False, True):
+        _assert_assignments(nlogn_circuit(8, reduced=reduced).control, range(0, m, 7))
+    for xs in (range(m - 1, m - 300, -1), np.array([m - 1, 0, 5040, 5039])):
+        _assert_assignments(nlogn_circuit(8).control, xs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -277,7 +283,8 @@ def _raised(fn, *args):
 def test_assignments_raise_for_the_first_rejected_x():
     control = nlogn_circuit(9).control
     m = factorial(9)
-    for xs, bad in [([0, m + 1, -1], m + 1), (range(m - 2, m + 2), m), (np.array([-4, 3]), -4)]:
+    for xs, bad in [([0, m + 1, -1], m + 1), (range(m - 2, m + 2), m), (np.array([-4, 3]), -4),
+                    (range(m + 3, m - 3, -1), m + 3), (range(m - 9, m + 9, 4), m + 3)]:
         assert _raised(control.assignments, xs) == _raised(control.assignment, bad)
     # without slot (2, 1) no bits write a_2 = 2: the first such x is 4
     partial = BitControl(4, tuple(s for s in nlogn_circuit(4).control.slots if s != (2, 1)))
@@ -288,7 +295,14 @@ def test_assignments_raise_for_the_first_rejected_x():
     assert _raised(partial.assignments, range(24)) == expected
     assert _raised(partial.assignments, [3, 20, 5, 4]) == _raised(partial.assignment, 5)
     assert _raised(partial.assignments, [25, 4]) == _raised(partial.assignment, 25)
+    assert _raised(partial.assignments, range(0, 24, 2)) == _raised(partial.assignment, 4)
+    assert _raised(partial.assignments, range(23, -1, -1)) == _raised(partial.assignment, 23)
     assert partial.assignments(range(4))[(2, 2)].tolist() == [0, 0, 1, 1]
+    # slots of k=1 and k=3 only: no bits write a_2 >= 1, first at x=2
+    sparse = BitControl(4, ((1, 1), (3, 1), (3, 2)))
+    assert _raised(sparse.assignments, range(24)) == _raised(sparse.assignment, 2)
+    _assert_assignments(sparse, range(2))
+    _assert_assignments(sparse, [x for x in range(24) if _digit(x, 2) == 0])
 
 
 def _digit(x, k):
@@ -302,21 +316,19 @@ def test_sweep_runs_the_reference_on_the_chunk_without_bits(monkeypatch):
     slots = tuple(s for s in full.control.slots if s != (2, 1))
     gates = tuple(g for g in full.gates if getattr(g, "bit", None) != (2, 1))
     circuit = Circuit(n, full.family, full.wires, gates, BitControl(n, slots))
-    table = lab.validate().table
-    _, refs = algorithms._reference_wires(circuit, table)
     monkeypatch.setattr(algorithms, "_chunk_rows", lambda state_bytes: 7)
-    engine = algorithms._ChunkSweep(circuit, table, refs)
-    assert engine.plan is not None and engine.rows == 7
+    sweep = algorithms._Sweep(circuit, lab.validate().table)
+    assert sweep.plan is not None and sweep.rows == 7
     calls = []
-    reference = algorithms._sweep_reference
+    reference = algorithms._Sweep.reference
 
-    def recording(circuit, table, refs, xs):
+    def recording(self, xs):
         calls.append(xs)
-        return reference(circuit, table, refs, xs)
+        return reference(self, xs)
 
-    monkeypatch.setattr(algorithms, "_sweep_reference", recording)
+    monkeypatch.setattr(algorithms._Sweep, "reference", recording)
     with pytest.raises(InvariantError) as exc:
-        algorithms._sweep_range(circuit, table, refs, range(lab.size), engine)
+        sweep.sweep(range(lab.size))
     # x=4 is the first x with a_2 = 2; its chunk is 0..6, run per x
     assert calls == [range(0, 7)]
     assert str(exc.value) == _raised(circuit.control.assignment, 4)[1]

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: flags, exit codes, output formats."""
 
 import json
+import time
 
 import pytest
 
@@ -70,6 +71,18 @@ def test_run_structured_output(capsys):
     report = VerificationReport.from_json(json.dumps(payload["reports"][0]))
     assert report.solved_y == 2
     assert json.loads(report.to_json()) == payload["reports"][0]
+
+
+@pytest.mark.parametrize("alg", ["nlogn", "sim-switch"])
+@pytest.mark.parametrize("n", ["13", "5000", "1000000"])
+def test_run_large_n_exits2_before_any_work(capsys, alg, n):
+    # the int64 readout bounds n at 12; past it, run builds no circuit and
+    # forms no n!, which at n=1000000 alone would take seconds
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "run", "--alg", alg, "--n", n, "--y", "0")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: n={n}: the int64 readout needs n!^2 < 2^63, so n <= 12\n"
 
 
 def test_run_incompatible_flags_exit2(capsys):

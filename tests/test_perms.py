@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpp import perms
-from fpp.errors import DomainError, RangeError, UnsupportedError
+from fpp.errors import DomainError, InvariantError, RangeError, UnsupportedError
 from fpp.numsys import to_factoradic
 from fpp.perms import (
     ConsistencyResult,
@@ -386,12 +386,14 @@ def test_non_bijective_labeling_still_rejected():
 def _assert_decodes(n, xs):
     lab = FactoradicLabeling(n)
     words = [lab.word(x) for x in xs]
-    got = lab.words(xs)
+    got, positions = lab.words(xs), lab.positions(xs)
+    assert got.dtype == np.int8 and positions.dtype == np.intp
     assert got.shape == (len(words), n)
     assert got.tolist() == [list(w.order) for w in words]
-    assert lab.positions(xs).T.tolist() == [list(w.positions()) for w in words]
-    digits = factoradic_blocks(n).digits(factoradic_blocks(n).split(xs)[0])
-    assert digits.T.tolist() == [list(to_factoradic(x, n).digits) for x in xs]
+    assert positions.T.tolist() == [list(w.positions()) for w in words]
+    if factoradic_blocks(n).decodes(xs):
+        digits = factoradic_blocks(n).digits(xs)
+        assert digits.T.tolist() == [list(to_factoradic(x, n).digits) for x in xs]
 
 
 def test_decoder_matches_per_x_for_every_x():
@@ -400,11 +402,14 @@ def test_decoder_matches_per_x_for_every_x():
 
 
 def test_decoder_gathers_any_array_of_xs():
+    # xs the block decoder does not take run per x through word(x)
     for n in (3, 8):
         m = factorial(n)
         xs = np.random.default_rng(n).integers(0, m, 300)
-        _assert_decodes(n, xs.tolist())
-        _assert_decodes(n, [m - 1, 0, m - 1])
+        backwards = range(m - 1, -1, -max(1, m // 300))
+        for other in (xs.tolist(), xs, [m - 1, 0, m - 1], range(3, m, 97), backwards):
+            assert not factoradic_blocks(n).decodes(other)
+            _assert_decodes(n, other)
 
 
 @st.composite
@@ -439,13 +444,25 @@ def test_decoder_matches_per_x_at_large_n(case):
 def test_decoder_rejects_the_first_x_out_of_range():
     lab = FactoradicLabeling(9)
     m = lab.size
-    for xs, bad in [([0, m, -1], m), ([5, -1, m], -1), (range(m - 2, m + 3), m), (range(-3, 2), -3)]:
+    for xs, bad in [
+        ([0, m, -1], m), ([5, -1, m], -1), (range(m - 2, m + 3), m), (range(-3, 2), -3),
+        (np.array([7, -2, m]), -2), (range(m + 3, m - 3, -1), m + 3), (range(m - 9, m + 9, 4), m + 3),
+    ]:
         for decode in (lab.words, lab.positions):
             with pytest.raises(RangeError) as exc:
                 decode(xs)
             with pytest.raises(RangeError) as per_x:
                 lab.word(bad)
             assert str(exc.value) == str(per_x.value)
+
+
+def test_decoder_refuses_what_it_does_not_decode():
+    blocks = factoradic_blocks(5)
+    assert blocks.decodes(range(0, 120)) and blocks.decodes(range(7, 7))
+    for xs in (range(0, 120, 2), range(1, 121), range(-1, 3), [0, 1]):
+        assert not blocks.decodes(xs)
+        with pytest.raises(InvariantError, match="unit-step ranges"):
+            blocks.acting(xs)
 
 
 def test_decoder_tables_are_small_and_lazy():

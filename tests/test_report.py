@@ -299,6 +299,15 @@ def test_int64_readout_guard_admits_n12_only():
         phase_profile(nlogn_circuit(13), FactoradicLabeling(13))
 
 
+def test_from_json_refuses_large_n_before_forming_n_factorial():
+    # 2000! has 5 736 digits, past what int() formats by default
+    payload = json.loads(solve_profile(_linear(), 1).to_json())
+    for n in (13, 2000):
+        payload["n"] = n
+        with pytest.raises(UnsupportedError, match=f"n={n}: .*n <= 12"):
+            VerificationReport.from_json(json.dumps(payload))
+
+
 def test_nonlinear_witness_names_first_x():
     fac = FactoradicLabeling(5)
     profile = phase_profile(sqrt_circuit(5, relabeled(fac, (1, 0, 2, 3, 4))), fac, processes=1)

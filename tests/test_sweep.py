@@ -1,7 +1,7 @@
 """Differential tests: the chunked numpy sweep against the per-x sweep.
 
-``_sweep_reference`` runs :func:`fpp.circuit.execute` and the residual
-checks one x at a time; ``_sweep_range`` runs whole chunks of xs in numpy.
+``_Sweep.reference`` runs :func:`fpp.circuit.execute` and the residual
+checks one x at a time; ``_Sweep.sweep`` runs whole chunks of xs in numpy.
 They must agree on the exponents, the failure text and the errors raised.
 """
 
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fpp import algorithms
+from fpp import algorithms, perms
 from fpp.algorithms import FAMILIES, nlogn_circuit, phase_profile, sim_switch_circuit, sqrt_circuit
 from fpp.circuit import (
     AUXILIARY,
@@ -35,6 +35,7 @@ from fpp.circuit import (
     Wire,
     aux_wire,
     eliminate_controlled_unknowns,
+    execute,
 )
 from fpp.commutation import CommutationTable, brute_force_phase, random_table
 from fpp.errors import FppError, StructuralError
@@ -57,11 +58,10 @@ def _outcome(fn, *args):
 
 def assert_sweeps_agree(circuit: Circuit, labeling: Labeling):
     """Both sweeps over every x; returns the shared (exponents, failure)."""
-    table = labeling.validate().table
-    _, refs = algorithms._reference_wires(circuit, table)
+    sweep = algorithms._Sweep(circuit, labeling.validate().table)
     xs = range(labeling.size)
-    chunked = _outcome(algorithms._sweep_range, circuit, table, refs, xs)
-    per_x = _outcome(algorithms._sweep_reference, circuit, table, refs, xs)
+    chunked = _outcome(sweep.sweep, xs)
+    per_x = _outcome(sweep.reference, xs)
     if isinstance(chunked[0], np.ndarray):  # the engine's int64 exponents
         assert chunked[0].dtype == np.int64
         chunked = (chunked[0].tolist(), chunked[1])
@@ -177,11 +177,10 @@ def test_exponents_past_int64_stay_exact():
     # last xs would wrap
     n = 20
     table = random_table(n, random.Random(1))
-    circuit = sim_switch_circuit(n)
-    _, refs = algorithms._reference_wires(circuit, table)
+    sweep = algorithms._Sweep(sim_switch_circuit(n), table)
     xs = range(factorial(n) - 20, factorial(n))
-    exponents, failure = algorithms._sweep_range(circuit, table, refs, xs)
-    assert (exponents.tolist(), failure) == algorithms._sweep_reference(circuit, table, refs, xs)
+    exponents, failure = sweep.sweep(xs)
+    assert (exponents.tolist(), failure) == sweep.reference(xs)
 
 
 def _max_phase_table(n):
@@ -205,19 +204,20 @@ def _bound_circuit(n, applies):
 @pytest.mark.parametrize("side", ["below", "above"])
 def test_float64_bound_from_both_sides(monkeypatch, side):
     # 321^2 * 14! < 2^53 <= 322^2 * 14!: just below the bound the engine
-    # sweeps, just above it the reference does; both stay exact
+    # sweeps, just above it the plan is None and the reference does; both
+    # stay exact
     n = 14
     table = _max_phase_table(n)
     applies = 321 if side == "below" else 322
     assert (applies**2 * factorial(n) < 2**53) == (side == "below")
-    circuit = _bound_circuit(n, applies)
-    _, refs = algorithms._reference_wires(circuit, table)
+    sweep = algorithms._Sweep(_bound_circuit(n, applies), table)
+    assert (sweep.plan is None) == (side == "above")
     xs = range(factorial(n) - 40, factorial(n))
-    expected = algorithms._sweep_reference(circuit, table, refs, xs)
+    expected = sweep.reference(xs)
     runs = []
-    run = algorithms._ChunkSweep.run
-    monkeypatch.setattr(algorithms._ChunkSweep, "run", lambda self, xs: runs.append(xs) or run(self, xs))
-    exponents, failure = algorithms._sweep_range(circuit, table, refs, xs)
+    run = algorithms._Sweep.run
+    monkeypatch.setattr(algorithms._Sweep, "run", lambda self, xs: runs.append(xs) or run(self, xs))
+    exponents, failure = sweep.sweep(xs)
     assert (exponents.tolist(), failure) == expected
     assert (runs != []) == (side == "below")
     exponents, failure = expected
@@ -241,7 +241,7 @@ def test_chunk_boundary_inside_sweep(monkeypatch):
     sqrt_bytes = _engine(c, lab).state_bytes
     monkeypatch.setattr(algorithms, "_CHUNK_BYTES", 7 * sqrt_bytes)  # chunks of 7 xs for sqrt
     for name, circuit in circuits.items():
-        engine = algorithms._ChunkSweep(circuit, table, algorithms._reference_wires(circuit, table)[1])
+        engine = algorithms._Sweep(circuit, table)
         assert engine.rows < lab.size and (engine.rows == 7) == (name == "sqrt")
         assert phase_profile(circuit, lab) == whole[name]
         assert_sweeps_agree(circuit, lab)
@@ -249,7 +249,7 @@ def test_chunk_boundary_inside_sweep(monkeypatch):
     assert len(assert_sweeps_agree(broken, lab)[0]) == 96
 
 
-def test_pool_forks_from_16384_states_per_worker(forks):
+def test_pool_forks_from_16384_states_per_worker(forks_from_n8, forks):
     assert algorithms._STATES_PER_WORKER == 16384
     lab7 = FactoradicLabeling(7)
     for name in ("sim-switch", "nlogn", "sqrt"):  # 5 040 states: not 2 workers' worth
@@ -263,8 +263,21 @@ def test_pool_forks_from_16384_states_per_worker(forks):
     assert forks == ["fork"]
 
 
+def test_pool_forks_from_n9_with_two_workers(forks):
+    # 32 768 states per worker: two workers lose to one at n=8 (40 320
+    # states), so n=9 is the first n that forks
+    assert algorithms._STATES_PER_WORKER == 2**15
+    lab8 = FactoradicLabeling(8)
+    for name in ("nlogn", "sqrt"):
+        assert phase_profile(FAMILIES[name].build(8, lab8), lab8, processes=2).slope == 1
+    assert forks == []
+    lab9 = FactoradicLabeling(9)
+    assert phase_profile(nlogn_circuit(9), lab9, processes=2).slope == 1
+    assert forks == ["fork"]
+
+
 @pytest.mark.parametrize("cause", [ValueError, OSError])
-def test_pool_fallback_warns_and_sweeps_serially(monkeypatch, cause):
+def test_pool_fallback_warns_and_sweeps_serially(monkeypatch, forks_from_n8, cause):
     # no fork start method raises ValueError from get_context; a fork that
     # fails raises OSError when the pool starts
     lab = FactoradicLabeling(8)
@@ -286,7 +299,7 @@ def test_pool_fallback_warns_and_sweeps_serially(monkeypatch, cause):
     assert len(record) == 1
 
 
-def test_parallel_failure_matches_serial(forks):
+def test_parallel_failure_matches_serial(forks_from_n8, forks):
     n = 8
     lab = FactoradicLabeling(n)
     c = sim_switch_circuit(n, lab)
@@ -308,9 +321,8 @@ def _switch_steps(n, target, order):
     return steps
 
 
-def _engine(circuit: Circuit, labeling: Labeling) -> algorithms._ChunkSweep:
-    table = labeling.validate().table
-    return algorithms._ChunkSweep(circuit, table, algorithms._reference_wires(circuit, table)[1])
+def _engine(circuit: Circuit, labeling: Labeling) -> algorithms._Sweep:
+    return algorithms._Sweep(circuit, labeling.validate().table)
 
 
 def _plan(circuit: Circuit, labeling: Labeling):
@@ -418,9 +430,8 @@ def test_nlogn_leaves_out_wires_with_only_unconditional_gates():
     lab = FactoradicLabeling(8)
     table = lab.validate().table
     circuit = nlogn_circuit(8)
-    _, refs = algorithms._reference_wires(circuit, table)
-    engine = algorithms._ChunkSweep(circuit, table, refs)
-    assert sorted(set(engine.wire) ^ {r.wire for r in refs}) == ["psi_8_8"]
+    engine = algorithms._Sweep(circuit, table)
+    assert sorted(set(engine.wire) ^ {r.wire for r in engine.refs}) == ["psi_8_8"]
     # the plan moves no token, so each wire counts U_0 and its own U_k only
     targets = [algorithms._nlogn_target(k, i) for k in range(1, 8) for i in range(1, 4)]
     count_rows = sum(1 + targets.count(w) for w in engine.wire)
@@ -472,13 +483,13 @@ def test_near_miss_switch_sandwiches_are_not_lowered():
     assert assert_sweeps_agree(partial, lab) == ("KeyError", "'a_3'")
 
 
-def test_unlowered_plans_sweep_per_x(monkeypatch, forks):
-    # a circuit whose plan is None never reaches _ChunkSweep.run, neither in
-    # the serial sweep nor in the pool's forked workers, which inherit the patch
+def test_unlowered_plans_sweep_per_x(monkeypatch, forks_from_n8, forks):
+    # a circuit whose plan is None never reaches _Sweep.run, neither in the
+    # serial sweep nor in the pool's forked workers, which inherit the patch
     def run(self, xs):
-        raise AssertionError("_ChunkSweep.run called for a plan that is None")
+        raise AssertionError("_Sweep.run called for a plan that is None")
 
-    monkeypatch.setattr(algorithms._ChunkSweep, "run", run)
+    monkeypatch.setattr(algorithms._Sweep, "run", run)
     lab3 = FactoradicLabeling(3)
     assert assert_sweeps_agree(FAMILIES["six-query"].build(3, lab3), lab3)[1] is None
     # sim-switch with the closing SwitchSwap of its last step replaced by the
@@ -501,6 +512,24 @@ def test_unlowered_plans_sweep_per_x(monkeypatch, forks):
     assert forks == ["fork"]
 
 
+def test_sweep_and_validation_decode_only_ranges(monkeypatch):
+    # the decoder's callers hand it unit-step ranges inside [0, n!) only
+    seen = []
+    for name in ("acting", "positions", "digits"):
+        method = getattr(perms.FactoradicBlocks, name)
+
+        def spy(self, xs, name=name, method=method):
+            seen.append((name, self.decodes(xs)))
+            return method(self, xs)
+
+        monkeypatch.setattr(perms.FactoradicBlocks, name, spy)
+    lab = FactoradicLabeling(8)
+    for name in ("nlogn", "sqrt"):  # the first profile validates the labeling
+        assert phase_profile(FAMILIES[name].build(8, lab), lab, processes=1).slope == 1
+    assert {name for name, _ in seen} == {"acting", "positions", "digits"}
+    assert all(decodes for _, decodes in seen)
+
+
 def test_mixed_repeated_words_match_per_x():
     # words that repeat a gate among other gates: U_0 U_1 U_0 ahead of a
     # switch simulation on target t, repeats on an auxiliary wire, and the
@@ -518,11 +547,11 @@ def test_mixed_repeated_words_match_per_x():
         gates += [Apply(1, "u")]
         for circuit_lab in (lab, fac):
             circuit = Circuit(n, "mixed", wires, tuple(gates), QuditControl(circuit_lab))
-            ref_out, refs = algorithms._reference_wires(circuit, table)
+            ref_out, refs = execute(circuit, 0), algorithms._Sweep(circuit, table).refs
             mixed = {r.wire for r in refs if 1 < len(set(r.sorted_word)) < len(r.sorted_word)}
             assert mixed == {"t", "u", aux_wire(0)}
             for r in refs:
-                assert r.phase == brute_force_phase(ref_out.applied[r.wire][::-1], table)
+                assert r.phase == brute_force_phase(ref_out.word(r.wire), table)
             exponents, failure = assert_sweeps_agree(circuit, lab)
             assert failure is None
             profile = phase_profile(circuit, lab)
@@ -571,19 +600,6 @@ def test_labeling_words_match_word():
     assert lab.words([]).shape == (0, 9)
     with pytest.raises(FppError, match="x=6 outside"):
         FactoradicLabeling(3).words([0, 6])
-
-
-def test_bit_assignments_match_assignment():
-    for n, reduced in [(n, False) for n in range(2, 9)] + [(4, True), (8, True)]:
-        control = nlogn_circuit(n, reduced=reduced).control
-        m = factorial(n)
-        xs = range(m) if m <= 5040 else range(0, m, 7)
-        arrays = control.assignments(xs)
-        for row, x in enumerate(xs):
-            assert {s: int(a[row]) for s, a in arrays.items()} == control.assignment(x)
-    partial = BitControl(4, ((1, 1), (3, 1), (3, 2)))
-    first_bad = next(x for x in range(24) if isinstance(_outcome(partial.assignment, x), tuple))
-    assert _outcome(partial.assignments, range(24)) == _outcome(partial.assignment, first_bad)
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +791,7 @@ def sandwich_circuits(draw):
 def _check_random(case):
     circuit, lab = case
     try:
-        algorithms._reference_wires(circuit, lab.validate().table)
+        algorithms._Sweep(circuit, lab.validate().table)
     except StructuralError:
         return  # rejected at x=0, before either sweep runs
     assert_sweeps_agree(circuit, lab)
@@ -813,10 +829,10 @@ def small_chunks(monkeypatch):
 
 @pytest.fixture
 def chunks(monkeypatch):
-    """The chunks of xs :meth:`_ChunkSweep.run` sees, in order."""
+    """The chunks of xs :meth:`_Sweep.run` sees, in order."""
     seen = []
-    run = algorithms._ChunkSweep.run
-    monkeypatch.setattr(algorithms._ChunkSweep, "run", lambda self, xs: seen.append(xs) or run(self, xs))
+    run = algorithms._Sweep.run
+    monkeypatch.setattr(algorithms._Sweep, "run", lambda self, xs: seen.append(xs) or run(self, xs))
     return seen
 
 
@@ -876,13 +892,11 @@ def test_chunks_grow_from_the_first_size(chunks):
     lab = FactoradicLabeling(n)
     table = lab.validate().table
     for name in ("nlogn", "sqrt", "sim-switch"):
-        circuit = FAMILIES[name].build(n, lab)
-        _, refs = algorithms._reference_wires(circuit, table)
-        engine = algorithms._ChunkSweep(circuit, table, refs)
+        engine = algorithms._Sweep(FAMILIES[name].build(n, lab), table)
         assert algorithms._FIRST_CHUNK < engine.rows < lab.size
         for xs in (range(lab.size), range(1000, 30001), range(7, 900), range(lab.size - 1, lab.size)):
             chunks.clear()
-            exponents, failure = algorithms._sweep_range(circuit, table, refs, xs, engine)
+            exponents, failure = engine.sweep(xs)
             assert failure is None and len(exponents) == len(xs)
             _assert_schedule(chunks, xs, engine.rows)
 
@@ -897,7 +911,9 @@ def test_early_witness_sweeps_only_the_first_chunk(chunks):
     assert chunks == [range(0, algorithms._FIRST_CHUNK)]
 
 
-def test_pool_tasks_with_growing_chunks_fill_exponents_in_x_order(monkeypatch, forks):
+def test_pool_tasks_with_growing_chunks_fill_exponents_in_x_order(
+    monkeypatch, forks_from_n8, forks
+):
     # 5, 10, 20, ... states up to about 100 a chunk, 8 tasks of 5 040 states
     monkeypatch.setattr(algorithms, "_FIRST_CHUNK", 5)
     monkeypatch.setattr(algorithms, "_CHUNK_BYTES", 2**15)
