@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from math import factorial, gcd, isqrt, log2
 from operator import attrgetter
@@ -54,7 +54,6 @@ from .circuit import (
     Rewire,
     SwitchSwap,
     Wire,
-    _wire_refs,
     aux_wire,
     execute,
     query_count,
@@ -268,8 +267,6 @@ def superperm_sim_switch(n: int, labeling: Labeling | None = None) -> Circuit:
     if n not in (3, 4):
         raise UnsupportedError(f"superpermutation rails are built in for n in {{3, 4}}, got {n}")
     labeling = labeling if labeling is not None else FactoradicLabeling(n)
-    if labeling.n != n:
-        raise DomainError(f"labeling has n={labeling.n}, expected {n}")
     rail = _RAIL3 if n == 3 else _RAIL4
     if n == 3:
         target_positions = dict(_ROUTES3)
@@ -300,8 +297,6 @@ def six_query_n3(labeling: Labeling | None = None) -> Circuit:
     verifier picks up when rewriting.
     """
     labeling = labeling if labeling is not None else FactoradicLabeling(3)
-    if labeling.n != 3:
-        raise DomainError(f"six-query circuit requires n=3, got n={labeling.n}")
     return _rail_circuit(
         "six-query", 3, labeling, _RAIL6Q, _ROUTES6Q, "psi_1", ("psi_1", "psi_2"), [1]
     )
@@ -459,8 +454,6 @@ def sqrt_circuit(n: int, labeling: Labeling | None = None) -> Circuit:
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     labeling = labeling if labeling is not None else FactoradicLabeling(n)
-    if labeling.n != n:
-        raise DomainError(f"labeling has n={labeling.n}, expected {n}")
     nhat = ceil_sqrt(n)
     khat = -(-n // nhat)
 
@@ -729,27 +722,6 @@ def _chunks(xs: range, rows: int) -> Iterator[range]:
         size = min(2 * size, rows)
 
 
-def _slab_refs(circuit: Circuit, refs: tuple[_WireRef, ...]) -> tuple[_WireRef, ...]:
-    """The refs of the wires the sweep keeps gate counts for.
-
-    A wire that receives unconditional ``Apply`` gates, and that no gate of
-    another kind names, holds its own token with the x=0 word in every
-    column: it passes both residual checks and adds its reference phase, so
-    the sweep leaves it out.  A ``SwitchSwap`` may name every auxiliary
-    wire.
-    """
-    applied = {g.wire for g in circuit.gates if isinstance(g, Apply)}
-    named: set[str] = set()
-    for gate in circuit.gates:
-        if isinstance(gate, SwitchSwap):
-            named.update(aux_wire(g) for g in range(circuit.n))
-        if not isinstance(gate, Apply):
-            named.update(_wire_refs(gate))
-            if applied <= named:  # no wire is left out
-                return refs
-    return tuple(r for r in refs if r.wire in named or r.wire not in applied)
-
-
 @dataclass(eq=False)
 class _Slot:
     """U_gate applied on a wire, in the routes of a plan.
@@ -774,19 +746,19 @@ class _Sweep:
     and lowers the gate list once into :attr:`plan`.  :meth:`sweep` runs a
     range of xs through :meth:`run`, a whole chunk of control states at
     once in numpy; :meth:`reference` runs xs one at a time through
-    :func:`execute` and the residual checks.  ``plan`` is None, and every x
-    runs through :meth:`reference`, for a circuit with a gate that may
-    leave a token off its wire (a ``Rewire``, a conditional swap or a
-    ``SwitchSwap`` outside a sandwich), and wherever applies^2 * n! reaches
-    2^53 (below).
+    :func:`execute` and the residual checks.  ``plan`` is None only for a
+    circuit with a gate that may leave a token off its wire (a ``Rewire``,
+    or a swap gate outside a sandwich); :attr:`exact` is False where
+    applies^2 * n! reaches 2^53 (below).  In either case every x runs
+    through :meth:`reference`.
 
-    The wires of :func:`_slab_refs` are numbered 0..W-1 in the sorted order
-    of ``refs``, and column r of a chunk is one x.  Each wire holds the gate
-    counts of its token in a contiguous block of rows of the float64
-    ``slab``, one row per gate its routes apply there, in ascending order:
-    ``slab[row, r]`` counts the U_g applied on that wire in column r.  These
-    rows include every gate of the wire's reference word (an auxiliary wire
-    of sim-switch or sqrt has one row).  An x passes the residual checks iff
+    The data wires are numbered 0..W-1 in the sorted order of ``refs``, and
+    column r of a chunk is one x.  Each wire holds the gate counts of its
+    token in a contiguous block of rows of the float64 ``slab``, one row
+    per gate its routes apply there, in ascending order: ``slab[row, r]``
+    counts the U_g applied on that wire in column r.  These rows include
+    every gate of the wire's reference word (an auxiliary wire of
+    sim-switch or sqrt has one row).  An x passes the residual checks iff
     its column ends equal to :attr:`expected`, the counts of the reference
     words.
 
@@ -803,27 +775,19 @@ class _Sweep:
     Every step of a plan is a routed apply, a tuple of ``(condition,
     slot)`` routes: U_g on the wire of each route's slot, in the columns of
     the route's condition, or in every column where the condition is None.
-    No two conditions of a step share a column.
-
-    * ``Apply`` is one route with no condition.
-    * ``ControlledApply`` is one route, on its bit's condition.
-    * A sandwich -- a conditional swap G of wires a and b (``PosCondSwap``
-      or ``ControlledSwap``), then ``Apply(g, w)`` with w in {a, b}, then G
-      again, its two wires named in either order -- has two routes: to the
-      other wire where G's condition holds, to w elsewhere.
-    * A switch sandwich -- a ``SwitchSwap`` S whose pairs name distinct
-      non-auxiliary wires and distinct positions, then ``Apply`` gates on
-      auxiliary wires only, then a gate equal to S, when every auxiliary
-      wire a_0..a_{n-1} exists -- gives each ``Apply(g, a_i)`` in between a
-      step: to the wire t of a pair (t, position) in the columns whose word
-      puts U_i at that position, and to a_i elsewhere.
-
-    The conditions of both kinds of sandwich depend on x only, so the
-    closing gate undoes the opening one and no token moves.  Each distinct
-    condition (a control bit and polarity, a position range of one gate, or
-    none of some other conditions) is evaluated once per chunk.  Gates of
-    the wrong control kind are left to the x=0 reference execution, which
-    rejects them before any sweep.
+    No two conditions of a step share a column.  ``Apply`` is one route
+    with no condition, ``ControlledApply`` one route on its bit's
+    condition.  Swap gates lower by one rule, the sandwich: a swap gate,
+    then a run of ``Apply`` gates, then a gate with the same
+    transpositions (:meth:`_transpositions`).  Each ``Apply`` in between is
+    routed to the partner wire where a transposition on its wire holds, and
+    stays on its own wire elsewhere.  The transpositions that hold at one x
+    are disjoint and their conditions depend on x only, so the closing gate
+    undoes the opening one and no token moves.  Each distinct condition (a
+    control bit and polarity, a position range of one gate, or none of some
+    other conditions) is made when a route first uses it and evaluated once
+    per chunk.  Gates of the wrong control kind are left to the x=0
+    reference execution, which rejects them before any sweep.
 
     :attr:`state_bytes` is the working set of one column: its slab rows,
     one byte per condition mask, the intp acting positions if a condition
@@ -846,18 +810,16 @@ class _Sweep:
         self.n = n = circuit.n
         self.control = circuit.control
         self.modulus = table.modulus
-        refs = _slab_refs(circuit, self.refs)
-        self.ref_phase = sum(r.phase for r in refs)
-        self.wire = {r.wire: i for i, r in enumerate(refs)}
-        self.auxiliary = [aux_wire(g) for g in range(n)]
+        self.ref_phase = sum(r.phase for r in self.refs)
+        self.wire = {r.wire: i for i, r in enumerate(self.refs)}
         self.conditions: dict[tuple, int] = {}
         self.inside: dict[tuple, np.ndarray] = {}
         self.slots: dict[tuple[int, int], _Slot] = {}
-        exact = max(query_count(circuit), 1) ** 2 * self.modulus < 2**53
-        self.plan = self._lower(circuit.gates) if exact else None
+        self.exact = max(query_count(circuit), 1) ** 2 * self.modulus < 2**53
+        self.plan = self._lower(circuit.gates)
         if self.plan is None:
             return
-        gates = [set() for _ in refs]
+        gates = [set() for _ in self.refs]
         for w, g in self.slots:
             gates[w].add(g)
         # blocks[w]: (first slab row of wire w, its gates in ascending order)
@@ -866,7 +828,7 @@ class _Sweep:
             self.blocks.append((start, sorted(block)))
             start += len(block)
         self.expected = np.zeros(start)
-        for (first, block), r in zip(self.blocks, refs):
+        for (first, block), r in zip(self.blocks, self.refs):
             for g in r.sorted_word:
                 self.expected[first + block.index(g)] += 1
         e = np.zeros((n, n))
@@ -900,78 +862,84 @@ class _Sweep:
                 self.inside[key][max(lo, 0) : max(hi, 0)] = True
         return self.conditions[key]
 
-    def _gate_condition(self, gate: PosCondSwap | ControlledSwap | ControlledApply) -> int:
-        if isinstance(gate, PosCondSwap):
-            return self._condition(("position", gate.gate, gate.lo, gate.hi))
-        return self._condition(("bit", gate.bit, gate.polarity))
+    def _transpositions(self, gate) -> dict[str, list[tuple[str, tuple]]] | None:
+        """The transpositions of a swap gate the plan lowers, keyed by wire:
+        ``[wire]`` lists (partner wire, condition key) for each transposition
+        on that wire, in the gate's order.  None for any other gate.
 
-    def _switch_sandwich_end(self, gates: Sequence, start: int) -> int | None:
-        """Index of the gate closing the switch sandwich opened at ``start``,
-        or None if it is not one the plan lowers."""
-        switch = gates[start]
-        wires = [w for w, _ in switch.swaps]
-        positions = [p for _, p in switch.swaps]
-        auxiliary = self.auxiliary
-        if (
-            any(a not in self.wire for a in auxiliary)
-            or len(set(wires)) < len(wires)
-            or len(set(positions)) < len(positions)
-            or any(w in auxiliary for w in wires)
-        ):
+        A conditional swap (``PosCondSwap``, ``ControlledSwap``) is one
+        transposition.  A ``SwitchSwap`` whose pairs name distinct
+        non-auxiliary wires and distinct positions, when every auxiliary
+        wire a_0..a_{n-1} exists, is one per pair (t, p) and gate i: t <-> a_i
+        where U_i acts at position p.
+        """
+        if isinstance(gate, PosCondSwap):
+            swaps = [(gate.wire_a, gate.wire_b, ("position", gate.gate, gate.lo, gate.hi))]
+        elif isinstance(gate, ControlledSwap):
+            swaps = [(gate.wire_a, gate.wire_b, ("bit", gate.bit, gate.polarity))]
+        elif isinstance(gate, SwitchSwap):
+            wires = [w for w, _ in gate.swaps]
+            auxiliary = [aux_wire(i) for i in range(self.n)]
+            if (
+                any(a not in self.wire for a in auxiliary)
+                or len(set(wires)) < len(wires)
+                or len({p for _, p in gate.swaps}) < len(wires)
+                or any(w in auxiliary for w in wires)
+            ):
+                return None
+            swaps = [
+                (t, a, ("position", i, p, p + 1))
+                for t, p in gate.swaps for i, a in enumerate(auxiliary)
+            ]
+        else:  # a Rewire moves tokens per word
             return None
-        end = start + 1
-        while end < len(gates) and isinstance(gates[end], Apply) and gates[end].wire in auxiliary:
-            end += 1
-        return end if end < len(gates) and gates[end] == switch else None
+        by_wire: dict[str, list[tuple[str, tuple]]] = {}
+        for a, b, key in swaps:
+            by_wire.setdefault(a, []).append((b, key))
+            if b != a:
+                by_wire.setdefault(b, []).append((a, key))
+        return by_wire
 
     def _lower(self, gates: Sequence) -> tuple[tuple[tuple[int | None, _Slot], ...], ...] | None:
-        """The plan of the gate list, or None if a gate may move a token."""
+        """The plan of the gate list, or None if a gate may move a token: a
+        ``Rewire``, or a swap gate that opens no sandwich.  A sandwich is a
+        gate with :meth:`_transpositions`, a run of ``Apply`` gates, then a
+        gate with the same transpositions; each ``Apply`` of the run is
+        routed to the partner of each transposition on its wire, under that
+        transposition's condition, and stays on its wire where none holds.
+        The plan does not depend on :attr:`exact`."""
         wire, slot, plan, j = self.wire, self._slot, [], 0
         while j < len(gates):
             gate = gates[j]
             j += 1
             if isinstance(gate, Apply):
-                if gate.wire in wire:  # else a wire the sweep leaves out
-                    plan.append(((None, slot(wire[gate.wire], gate.gate)),))
+                plan.append(((None, slot(wire[gate.wire], gate.gate)),))
             elif isinstance(gate, ControlledApply):
-                plan.append(((self._gate_condition(gate), slot(wire[gate.wire], gate.gate)),))
-            elif isinstance(gate, (PosCondSwap, ControlledSwap)):
-                mid = gates[j] if j + 1 < len(gates) else None
-                mirrored = replace(gate, wire_a=gate.wire_b, wire_b=gate.wire_a)  # the same swap
-                if not (
-                    isinstance(mid, Apply)
-                    and mid.wire in (gate.wire_a, gate.wire_b)
-                    and gates[j + 1] in (gate, mirrored)
+                cond = self._condition(("bit", gate.bit, gate.polarity))
+                plan.append(((cond, slot(wire[gate.wire], gate.gate)),))
+            else:  # a sandwich opened by this gate, or no plan
+                swaps = self._transpositions(gate)
+                end = j
+                while end < len(gates) and isinstance(gates[end], Apply):
+                    end += 1
+                if swaps is None or end == len(gates) or (
+                    gates[end] != gate and self._transpositions(gates[end]) != swaps
                 ):
                     return None
-                w = wire[mid.wire]
-                other = wire[gate.wire_b if mid.wire == gate.wire_a else gate.wire_a]
-                cond = self._gate_condition(gate)
-                stay = self._condition(("none", cond))
-                plan.append(((cond, slot(other, mid.gate)), (stay, slot(w, mid.gate))))
-                j += 2
-            elif isinstance(gate, SwitchSwap):
-                end = self._switch_sandwich_end(gates, j - 1)
-                if end is None:
-                    return None
                 for mid in gates[j:end]:
-                    i = self.auxiliary.index(mid.wire)
                     routes = tuple(
-                        (self._condition(("position", i, p, p + 1)), slot(wire[t], mid.gate))
-                        for t, p in gate.swaps
+                        (self._condition(key), slot(wire[partner], mid.gate))
+                        for partner, key in swaps.get(mid.wire, ())
                     )
-                    stay = self._condition(("none", *(cond for cond, _ in routes)))
+                    stay = self._condition(("none", *(c for c, _ in routes))) if routes else None
                     plan.append(routes + ((stay, slot(wire[mid.wire], mid.gate)),))
                 j = end + 1
-            else:  # a Rewire moves tokens per word
-                return None
         return tuple(plan)
 
     def reference(self, xs: range) -> tuple[list[int], str | None]:
         """Per-x reference sweep: :func:`execute` and the residual checks,
         one x at a time.  Returns (exponents, first failure or None)."""
         m = self.modulus
-        ref_phase_total = sum(r.phase for r in self.refs)
         exponents: list[int] = []
         for x in xs:
             out = execute(self.circuit, x)
@@ -986,7 +954,7 @@ class _Sweep:
                         f"reference multiset is {r.sorted_word}"
                     )
                 total += perm_phase_exponent(applied[::-1], self.table)
-            exponents.append((total - ref_phase_total) % m)
+            exponents.append((total - self.ref_phase) % m)
         return exponents, None
 
     def run(self, xs: range) -> tuple[np.ndarray, int] | None:
@@ -1040,11 +1008,11 @@ class _Sweep:
         finds an early failure is small.  The first x it finds failing is run
         again through :meth:`reference`, so the failure text is the per-x
         one; so is a chunk holding an x with no bit assignment, which the
-        reference then raises on.  Where ``plan`` is None every x runs
-        through :meth:`reference`.  Exponents lie below n!, which int64
-        holds for n <= 20.
+        reference then raises on.  Where ``plan`` is None or not
+        :attr:`exact`, every x runs through :meth:`reference`.  Exponents lie
+        below n!, which int64 holds for n <= 20.
         """
-        if self.plan is None:
+        if self.plan is None or not self.exact:
             exps, failure = self.reference(xs)
             return np.array(exps, dtype=np.int64), failure
         exponents = np.empty(len(xs), dtype=np.int64)
@@ -1092,14 +1060,19 @@ def phase_profile(
     reference.  Every x then runs in chunks through the numpy engine of
     :meth:`_Sweep.sweep`; the first failing x is run again through
     :func:`execute`, so the failure names the same witness, wire and words
-    the per-x sweep would.  A circuit the engine does not lower sweeps
-    through :func:`execute`, one x at a time.
+    the per-x sweep would.  A circuit the engine does not lower, or whose
+    float64 sums would not be exact, sweeps through :func:`execute`, one x
+    at a time.  A target whose n is not the labeling's is refused first.
 
     The sweep is embarrassingly parallel over x; ``processes`` > 1 forks up
     to that many worker processes where the platform allows, when each gets
     at least 32 768 control states (from n=9 on), and runs the serial path
     otherwise.  Results are deterministic regardless of schedule.
     """
+    if target.n != labeling.n:
+        raise DomainError(
+            f"{target.family} has n={target.n}, labeling {labeling.name!r} has n={labeling.n}"
+        )
     require_readout_n(labeling.n)  # before the sweep, not after it
     validation = labeling.validate()
     if not validation.consistent:
@@ -1110,42 +1083,29 @@ def phase_profile(
     m = labeling.size
 
     if isinstance(target, ReferenceSwitch):
-        if target.n != labeling.n:
-            raise DomainError("reference switch and labeling disagree on n")
         # Validation has checked that every word's exponent relative to
         # word(0) is its label, so the switch needs no sweep.
         labels = np.arange(m) if target.labeling is labeling else np.array(
             [labeling.label(target.word(x)) for x in range(m)]
         )
-        return PhaseProfile(
-            n=target.n,
-            modulus=m,
-            family=target.family,
-            labeling_name=labeling.name,
-            query_count=target.query_count,
-            expected_queries=expected_queries(target.family, target.n),
-            exponents=(labels - labels[0]) % m,
-            residuals={"psi_t": target.word(0).order},
-            residuals_ok=True,
-            failure=None,
-        )
-
-    circuit = target
-    if not isinstance(circuit.control, BitControl):
-        if circuit.control.labeling.n != labeling.n:
-            raise DomainError("circuit and labeling disagree on n")
-    sweep = _Sweep(circuit, table)
-    exponents, failure = _parallel_sweep(sweep, processes)
+        exponents, failure = (labels - labels[0]) % m, None
+        residuals = {"psi_t": target.word(0).order}
+        queries = target.query_count
+    else:
+        sweep = _Sweep(target, table)
+        exponents, failure = _parallel_sweep(sweep, processes)
+        residuals = sweep.residuals
+        queries = query_count(target)
     exponents.flags.writeable = False  # the profile takes the array without a copy
     return PhaseProfile(
-        n=circuit.n,
+        n=target.n,
         modulus=m,
-        family=circuit.family,
+        family=target.family,
         labeling_name=labeling.name,
-        query_count=query_count(circuit),
-        expected_queries=expected_queries(circuit.family, circuit.n),
+        query_count=queries,
+        expected_queries=expected_queries(target.family, target.n),
         exponents=exponents if failure is None else (),
-        residuals=sweep.residuals,
+        residuals=residuals,
         residuals_ok=failure is None,
         failure=failure,
     )

@@ -227,6 +227,8 @@ class Circuit:
     control: QuditControl | BitControl
 
     def __post_init__(self) -> None:
+        if isinstance(self.control, QuditControl) and self.control.labeling.n != self.n:
+            raise DomainError(f"labeling has n={self.control.labeling.n}, expected {self.n}")
         ids = [w.id for w in self.wires]
         if len(set(ids)) != len(ids):
             raise StructuralError("wire ids must be unique")

@@ -495,28 +495,39 @@ def validate_labeling(labeling: Labeling) -> ConsistencyResult:
 
 
 def enumerate_valid_labelings(n: int = 3) -> list[ExplicitLabeling]:
-    """All consistent labelings with word(0) fixed to the descending word.
+    """All consistent labelings with word(0) fixed to the descending word,
+    sorted by their word tuples.
 
-    Exhaustive over the (n!-1)! assignments of the remaining labels, which is
-    only tractable for n=3 (5! = 120 candidates, 24 survive).
+    A labeling is consistent exactly when some antisymmetric table e makes
+    phi(w) = sum of e[j][k] over the written pairs "j k" of w with j < k
+    (the exponent of w relative to the descending word) a bijection onto
+    Z_{n!}; then word(x) is the w with phi(w) = x, and validation derives
+    e back from it.  So the enumeration runs over the (n!)^(n(n-1)/2)
+    tables, not over labelings: at n=3, 216 tables, of which 24 are
+    consistent.  Only n=3 is supported: n=4 has 24^6 tables.
     """
     if n != 3:
         raise UnsupportedError(
-            "enumeration is exhaustive over (n!-1)! assignments; only n=3 is supported"
+            "enumeration is exhaustive over the (n!)^(n(n-1)/2) tables; only n=3 is supported"
         )
-    identity = PermWord(n, tuple(range(n - 1, -1, -1)))
-    others = [
-        PermWord(n, p)
-        for p in itertools.permutations(range(n))
-        if p != identity.order
-    ]
+    m = factorial(n)
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    words = list(itertools.permutations(range(n)))
+    # ascending[w, i]: word w writes the smaller gate of pair i to the left
+    ascending = np.array([[w.index(j) < w.index(k) for j, k in pairs] for w in words])
+    tables = np.array(list(itertools.product(range(m), repeat=len(pairs))))
+    phases = tables @ ascending.T % m
+    onto = (np.sort(phases, axis=1) == np.arange(m)).all(axis=1)
+    found = sorted(
+        (tuple(words[i] for i in np.argsort(phase)), tuple(row.tolist()))
+        for row, phase in zip(tables[onto], phases[onto])
+    )
     valid: list[ExplicitLabeling] = []
-    for assignment in itertools.permutations(others):
-        candidate = ExplicitLabeling(
-            n, (identity, *assignment), name=f"enumerated-{len(valid)}"
-        )
-        if candidate.validate().consistent:
-            valid.append(candidate)
+    for i, (orders, upper) in enumerate(found):
+        labeling = ExplicitLabeling(n, [PermWord(n, w) for w in orders], name=f"enumerated-{i}")
+        table = CommutationTable.from_upper(n, dict(zip(pairs, upper)))
+        labeling._validation = ConsistencyResult("consistent", table, None)
+        valid.append(labeling)
     return valid
 
 

@@ -471,6 +471,22 @@ def test_verify_rejects_inconsistent_labeling():
         verify_and_solve(six_query_n3(), bad, 1)
 
 
+def test_circuits_reject_a_labeling_of_another_n():
+    for build, n in ((sim_switch_circuit, 4), (sqrt_circuit, 5), (superperm_sim_switch, 3)):
+        with pytest.raises(DomainError, match=f"labeling has n={n + 1}, expected {n}"):
+            build(n, FactoradicLabeling(n + 1))
+    with pytest.raises(DomainError, match="labeling has n=4, expected 3"):
+        six_query_n3(FactoradicLabeling(4))
+
+
+@pytest.mark.parametrize("n, m", [(5, 6), (6, 5)])
+def test_profile_rejects_a_labeling_of_another_n(n, m):
+    # the check comes before validation, for every kind of target
+    for target in (nlogn_circuit(n), sqrt_circuit(n), reference_switch(n)):
+        with pytest.raises(DomainError, match=f"has n={n}, labeling 'factoradic' has n={m}"):
+            phase_profile(target, FactoradicLabeling(m))
+
+
 def test_verify_rejects_bad_y():
     lab = FactoradicLabeling(3)
     with pytest.raises(DomainError):

@@ -148,6 +148,26 @@ def test_enumerated_all_revalidate():
         assert lab.word(0).order == (2, 1, 0)
 
 
+def _enumerate_by_brute_force():
+    """The word tuples of the consistent n=3 labelings with word(0) fixed to
+    the descending word, by validating each of the 5! candidates in turn."""
+    identity = (2, 1, 0)
+    others = [w for w in itertools.permutations(range(3)) if w != identity]
+    candidates = ((identity, *rest) for rest in itertools.permutations(others))
+    return [
+        words for words in candidates
+        if validate_labeling(ExplicitLabeling(3, [PermWord(3, w) for w in words], "candidate")).consistent
+    ]
+
+
+def test_enumeration_by_tables_matches_brute_force():
+    labelings = enumerate_valid_labelings(3)
+    assert [tuple(lab.word(x).order for x in range(6)) for lab in labelings] == _enumerate_by_brute_force()
+    assert [lab.name for lab in labelings] == [f"enumerated-{i}" for i in range(24)]
+    for lab in labelings:  # the memo holds the table validation derives
+        assert lab.validate() == validate_labeling(lab)
+
+
 def test_enumerate_unsupported_n():
     with pytest.raises(UnsupportedError):
         enumerate_valid_labelings(4)

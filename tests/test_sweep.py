@@ -36,8 +36,9 @@ from fpp.circuit import (
     aux_wire,
     eliminate_controlled_unknowns,
     execute,
+    query_count,
 )
-from fpp.commutation import CommutationTable, brute_force_phase, random_table
+from fpp.commutation import CommutationTable, brute_force_phase, factoradic_table, random_table
 from fpp.errors import FppError, StructuralError
 from fpp.numsys import ceil_log2
 from fpp.perms import (
@@ -203,15 +204,15 @@ def _bound_circuit(n, applies):
 
 @pytest.mark.parametrize("side", ["below", "above"])
 def test_float64_bound_from_both_sides(monkeypatch, side):
-    # 321^2 * 14! < 2^53 <= 322^2 * 14!: just below the bound the engine
-    # sweeps, just above it the plan is None and the reference does; both
+    # 321^2 * 14! < 2^53 <= 322^2 * 14!: both sides have a plan; just below
+    # the bound the engine sweeps, just above it the reference does; both
     # stay exact
     n = 14
     table = _max_phase_table(n)
     applies = 321 if side == "below" else 322
     assert (applies**2 * factorial(n) < 2**53) == (side == "below")
     sweep = algorithms._Sweep(_bound_circuit(n, applies), table)
-    assert (sweep.plan is None) == (side == "above")
+    assert sweep.plan is not None and sweep.exact == (side == "below")
     xs = range(factorial(n) - 40, factorial(n))
     expected = sweep.reference(xs)
     runs = []
@@ -222,6 +223,26 @@ def test_float64_bound_from_both_sides(monkeypatch, side):
     assert (runs != []) == (side == "below")
     exponents, failure = expected
     assert failure is None and len(set(exponents)) > 1
+
+
+def test_paper_circuits_lower_past_the_float64_bound(monkeypatch):
+    # 256^2 * 16! >= 2^53: sqrt and sim-switch are lowered at n=16, but the
+    # sweep runs the reference, which gives the factoradic exponent x
+    n = 16
+    table = factoradic_table(n)
+
+    def run(self, xs):
+        raise AssertionError("_Sweep.run called past the float64 bound")
+
+    monkeypatch.setattr(algorithms._Sweep, "run", run)
+    for build in (sqrt_circuit, sim_switch_circuit):
+        circuit = build(n)
+        sweep = algorithms._Sweep(circuit, table)
+        assert query_count(circuit) == 256 and not sweep.exact
+        assert len(sweep.plan) == 256
+        xs = range(factorial(n) - 5, factorial(n))
+        exponents, failure = sweep.sweep(xs)
+        assert failure is None and exponents.tolist() == list(xs)
 
 
 def test_chunk_boundary_inside_sweep(monkeypatch):
@@ -242,7 +263,7 @@ def test_chunk_boundary_inside_sweep(monkeypatch):
     monkeypatch.setattr(algorithms, "_CHUNK_BYTES", 7 * sqrt_bytes)  # chunks of 7 xs for sqrt
     for name, circuit in circuits.items():
         engine = algorithms._Sweep(circuit, table)
-        assert engine.rows < lab.size and (engine.rows == 7) == (name == "sqrt")
+        assert engine.rows < lab.size and (engine.rows == 7) == (name in ("sqrt", "nlogn"))
         assert phase_profile(circuit, lab) == whole[name]
         assert_sweeps_agree(circuit, lab)
     assert phase_profile(broken, lab).failure == whole_failure
@@ -349,10 +370,12 @@ def test_sqrt_sandwiches_lower_to_routed_applies():
     assert_sweeps_agree(circuit, lab)
 
 
-def test_near_miss_sandwiches_are_not_lowered():
+def test_near_miss_sandwiches_match_per_x():
     # three sandwiches route U_2 to t for acting positions [0, 1), [1, 3)
     # and [3, 4) of U_2, so t carries it once and a_2 twice for every x;
-    # each near miss replaces the middle sandwich
+    # each near miss replaces the middle sandwich.  An Apply on a third
+    # wire, or a second Apply between, is still a sandwich of the one rule;
+    # a closing swap with another condition is not
     n = 4
     lab = FactoradicLabeling(n)
     wires = (Wire("x", CONTROL_QUDIT), Wire("t", TARGET), Wire("u", TARGET))
@@ -378,8 +401,17 @@ def test_near_miss_sandwiches_are_not_lowered():
     assert [len(routes) for routes in _plan(exact, lab)] == [2] * (n * n + 3)
     exponents, failure = assert_sweeps_agree(exact, lab)
     assert failure is None and any(exponents)
+    routes = {  # per step of the plan after the head and the first sandwich
+        "shifted bound": None,
+        "third wire": [1, 2],  # U_2 stays on u for every x
+        "two gates between": [2, 2, 2],
+    }
     for name, middle in near_misses.items():
-        assert _plan(circuit(middle), lab) is None, name
+        plan = _plan(circuit(middle), lab)
+        if routes[name] is None:
+            assert plan is None, name
+        else:
+            assert [len(r) for r in plan] == [2] * (n * n + 1) + routes[name], name
         assert_sweeps_agree(circuit(middle), lab)
 
 
@@ -412,10 +444,8 @@ def test_paper_circuits_lower_to_plans_that_move_no_token():
     lab = FactoradicLabeling(n)
     for name in ("sim-switch", "sqrt", "nlogn"):
         circuit = FAMILIES[name].build(n, lab)
-        slab_wires = _engine(circuit, lab).wire
-        applies = [g for g in circuit.gates if isinstance(g, (Apply, ControlledApply))]
-        # one routed apply per Apply or ControlledApply on a wire the sweep keeps
-        assert len(_plan(circuit, lab)) == sum(g.wire in slab_wires for g in applies), name
+        # one routed apply per Apply or ControlledApply
+        assert len(_plan(circuit, lab)) == query_count(circuit), name
     assert [len(routes) for routes in _plan(sim_switch_circuit(n, lab), lab)] == [2] * n * n
     # the rail circuits move tokens by Rewire, so they sweep per x
     lab3 = FactoradicLabeling(3)
@@ -426,12 +456,13 @@ def test_paper_circuits_lower_to_plans_that_move_no_token():
         assert assert_sweeps_agree(circuit, circuit.control.labeling)[1] is None
 
 
-def test_nlogn_leaves_out_wires_with_only_unconditional_gates():
+def test_nlogn_keeps_a_block_for_every_wire():
     lab = FactoradicLabeling(8)
     table = lab.validate().table
     circuit = nlogn_circuit(8)
     engine = algorithms._Sweep(circuit, table)
-    assert sorted(set(engine.wire) ^ {r.wire for r in engine.refs}) == ["psi_8_8"]
+    # psi_8_8 carries only U_0, and keeps its one-row block too
+    assert set(engine.wire) == {w.id for w in circuit.data_wires()}
     # the plan moves no token, so each wire counts U_0 and its own U_k only
     targets = [algorithms._nlogn_target(k, i) for k in range(1, 8) for i in range(1, 4)]
     count_rows = sum(1 + targets.count(w) for w in engine.wire)
@@ -443,10 +474,11 @@ def test_nlogn_leaves_out_wires_with_only_unconditional_gates():
     assert profile.residuals["psi_8_8"] == (0,) and profile.slope == 1
 
 
-def test_near_miss_switch_sandwiches_are_not_lowered():
+def test_near_miss_switch_sandwiches_match_per_x():
     # a switch simulation onto t whose step at position 1 is an exact
     # sandwich or a near miss of one; each is valid at x=0 and must sweep as
-    # execute does
+    # execute does.  An Apply on the switched target is still a sandwich of
+    # the one rule: it counts on a_i where U_i acts at position 1
     n = 4
     lab = FactoradicLabeling(n)
     wires = (Wire("x", CONTROL_QUDIT), Wire("t", TARGET), Wire("u", TARGET))
@@ -475,7 +507,11 @@ def test_near_miss_switch_sandwiches_are_not_lowered():
     exponents, failure = assert_sweeps_agree(exact, lab)
     assert failure is None and any(exponents)
     for name, gates in near_misses.items():
-        assert _plan(circuit(gates), lab) is None, name
+        plan = _plan(circuit(gates), lab)
+        if name == "apply on the target":  # n routes to the a_i, one to stay on t
+            assert [len(r) for r in plan] == [2] * (5 * n) + [n + 1] + [2] * (3 * n)
+        else:
+            assert plan is None, name
         assert_sweeps_agree(circuit(gates), lab)
     # a missing auxiliary wire: x=0 puts U_1 at position 1, x=12 puts U_3
     partial = Circuit(n, "partial", wires[:-1], (switch, switch), QuditControl(lab))
@@ -689,16 +725,18 @@ def bit_circuits(draw):
 
 @st.composite
 def sandwich_circuits(draw):
-    """Runs of swap/Apply/swap sandwiches of ``PosCondSwap`` (qudit control)
-    or ``ControlledSwap`` (bit control), each exact or perturbed: the
-    closing swap's condition moved, its wires given in the other order, the
-    middle Apply on any wire, or a second gate before the closing swap.
+    """Runs of sandwiches of ``PosCondSwap`` (qudit control) or
+    ``ControlledSwap`` (bit control): the swap, up to three Applies, each
+    on a swapped wire or on any data wire, and the same swap again; or
+    perturbed: the closing swap's condition moved, its wires given in the
+    other order, or a conditional swap among the Applies.
 
     Under qudit control some are switch sandwiches instead: a ``SwitchSwap``,
-    Applies on auxiliary wires, the same switch; perturbed by an Apply on a
-    switched target, two pairs on one wire, a conditional swap between, or
-    a closing switch with another pair.  Sometimes an auxiliary wire is
-    missing; the switches then avoid the position of its gate at x=0."""
+    Applies on auxiliary wires or on any data wire, the same switch;
+    perturbed by an Apply on a switched target, two pairs on one wire, a
+    conditional swap between, or a closing switch with another pair.
+    Sometimes an auxiliary wire is missing; the switches then avoid the
+    position of its gate at x=0."""
     n = draw(st.integers(2, 5))
     qudit = draw(st.booleans())
     slots = [(k, i) for k in range(1, n) for i in range(1, ceil_log2(n) + 1)]
@@ -734,8 +772,9 @@ def sandwich_circuits(draw):
         positions = draw(st.lists(st.sampled_from(switchable), min_size=len(pairs),
                                   max_size=len(pairs), unique=True))
         switch = SwitchSwap(tuple(zip(pairs, positions)))
+        wires = auxiliary if draw(st.booleans()) else data
         middle = [Apply(draw(st.integers(0, n - 1)), w)
-                  for w in draw(st.lists(st.sampled_from(auxiliary), max_size=n))]
+                  for w in draw(st.lists(st.sampled_from(wires), max_size=n))]
         kind = draw(st.sampled_from(
             ["exact", "exact", "target", "one wire", "one position", "between", "wider"]
         ))
@@ -766,17 +805,19 @@ def sandwich_circuits(draw):
             continue
         a, b = draw(st.lists(st.sampled_from(data), min_size=2, max_size=2, unique=True))
         swap = conditional_swap(a, b)
-        middle = [Apply(draw(st.integers(0, n - 1)), draw(st.sampled_from([a, b])))]
+        middle = [
+            Apply(draw(st.integers(0, n - 1)), draw(st.sampled_from(pick)))
+            for pick in draw(st.lists(st.sampled_from([[a, b], data]), max_size=3))
+        ]
         close = swap
-        kind = draw(st.sampled_from(["exact", "exact", "moved", "reversed", "wire", "between"]))
+        kind = draw(st.sampled_from(["exact", "exact", "moved", "reversed", "between"]))
         if kind == "moved":
             close = moved(swap)
         elif kind == "reversed":
             close = replace(swap, wire_a=b, wire_b=a)
-        elif kind == "wire":
-            middle = [replace(middle[0], wire=draw(st.sampled_from(data)))]
         elif kind == "between":
-            middle.append(Apply(draw(st.integers(0, n - 1)), draw(st.sampled_from(data))))
+            c, d = draw(st.lists(st.sampled_from(data), min_size=2, max_size=2, unique=True))
+            middle.insert(draw(st.integers(0, len(middle))), conditional_swap(c, d))
         gates += [swap, *middle, close]
     if qudit:
         wires = (Wire("x", CONTROL_QUDIT),)
