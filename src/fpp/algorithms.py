@@ -726,7 +726,7 @@ def _chunks(xs: range, rows: int) -> Iterator[range]:
 class _Slot:
     """U_gate applied on a wire, in the routes of a plan.
 
-    :class:`_Sweep` fills in the rest once the plan is lowered: ``row`` is
+    :class:`_Sweep` fills in the rest when it sets up the slab: ``row`` is
     the slab row that counts it, and ``dot`` is None if it adds no phase,
     else (lo, hi, vector), and the phase it adds is ``vector @ slab[lo:hi]``.
     """
@@ -744,21 +744,33 @@ class _Sweep:
     leaves a token off its wire there), keeps the per-wire reference data
     (:attr:`refs`, by wire id) and the written words (:attr:`residuals`),
     and lowers the gate list once into :attr:`plan`.  :meth:`sweep` runs a
-    range of xs through :meth:`run`, a whole chunk of control states at
-    once in numpy; :meth:`reference` runs xs one at a time through
-    :func:`execute` and the residual checks.  ``plan`` is None only for a
-    circuit with a gate that may leave a token off its wire (a ``Rewire``,
-    or a swap gate outside a sandwich); :attr:`exact` is False where
-    applies^2 * n! reaches 2^53 (below).  In either case every x runs
-    through :meth:`reference`.
+    range of xs in chunks through one of two engines, each a whole chunk of
+    control states at once in numpy: :meth:`run_tables` where the plan has
+    :attr:`tables`, else :meth:`run`, the slab.  :meth:`reference` runs xs
+    one at a time through :func:`execute` and the residual checks.  ``plan``
+    is None only for a circuit with a gate that may leave a token off its
+    wire (a ``Rewire``, or a swap gate outside a sandwich); :attr:`exact` is
+    False where applies^2 * n! reaches 2^53 (below).  Every x runs through
+    :meth:`reference` where ``plan`` is None, or where the plan has no
+    tables and is not exact.
 
-    The data wires are numbered 0..W-1 in the sorted order of ``refs``, and
-    column r of a chunk is one x.  Each wire holds the gate counts of its
-    token in a contiguous block of rows of the float64 ``slab``, one row
-    per gate its routes apply there, in ascending order: ``slab[row, r]``
-    counts the U_g applied on that wire in column r.  These rows include
-    every gate of the wire's reference word (an auxiliary wire of
-    sim-switch or sqrt has one row).  An x passes the residual checks iff
+    The table route (:meth:`_pair_tables`) takes a plan of a
+    ``QuditControl`` circuit, n <= :data:`MAX_READOUT_N`, in which every
+    route applying U_g has no condition or reads only where U_g acts: the
+    plans of sqrt and sim-switch.  There, where each U_g lands depends on
+    its own acting position alone, so the residual check of an x is an AND
+    over the gates of a per-gate table, and its phase is a sum over gate
+    pairs g < p of a table indexed by the acting positions of g and p.
+    Both are exact int64.  :meth:`run` stays callable on such a plan (it
+    then sets up its slab first), and the tests use it as the oracle.
+
+    The slab: the data wires are numbered 0..W-1 in the sorted order of
+    ``refs``, and column r of a chunk is one x.  Each wire holds the gate
+    counts of its token in a contiguous block of rows of the float64
+    ``slab``, one row per gate its routes apply there, in ascending order:
+    ``slab[row, r]`` counts the U_g applied on that wire in column r.  These
+    rows include every gate of the wire's reference word (an auxiliary wire
+    of sim-switch or sqrt has one row).  An x passes the residual checks iff
     its column ends equal to :attr:`expected`, the counts of the reference
     words.
 
@@ -789,10 +801,14 @@ class _Sweep:
     per chunk.  Gates of the wrong control kind are left to the x=0
     reference execution, which rejects them before any sweep.
 
-    :attr:`state_bytes` is the working set of one column: its slab rows,
-    one byte per condition mask, the intp acting positions if a condition
-    reads them, and the uint8 control bits of a ``BitControl``; :attr:`rows`
-    is the most states a chunk holds (:func:`_chunk_rows`).
+    :attr:`state_bytes` is the working set of one column.  On the slab:
+    its slab rows, one byte per condition mask, the intp acting positions
+    if a condition reads them, and the uint8 control bits of a
+    ``BitControl``.  On the table route: the intp acting positions, three
+    int64 vectors and the ok mask.
+    :attr:`rows` is the most states a chunk holds (:func:`_chunk_rows`),
+    and :attr:`state_cost` what a state costs the fork rule of
+    :func:`_parallel_sweep`.
     """
 
     def __init__(self, circuit: Circuit, table: CommutationTable):
@@ -807,7 +823,7 @@ class _Sweep:
             for w, applied in sorted(out.applied.items())
         )
         self.residuals = {r.wire: out.word(r.wire) for r in self.refs}
-        self.n = n = circuit.n
+        self.n = circuit.n
         self.control = circuit.control
         self.modulus = table.modulus
         self.ref_phase = sum(r.phase for r in self.refs)
@@ -817,8 +833,23 @@ class _Sweep:
         self.slots: dict[tuple[int, int], _Slot] = {}
         self.exact = max(query_count(circuit), 1) ** 2 * self.modulus < 2**53
         self.plan = self._lower(circuit.gates)
+        self.tables = self.expected = None
+        self.state_cost = 1
         if self.plan is None:
             return
+        self.tables = self._pair_tables()
+        if self.tables is None:
+            self.state_bytes = self._build_slab()
+        else:  # intp acting positions, three int64 vectors and the ok mask
+            self.state_bytes = 8 * self.n + 24 + 1
+            self.state_cost = _TABLE_STATE_COST
+        self.rows = _chunk_rows(self.state_bytes)
+
+    def _build_slab(self) -> int:
+        """Set up :meth:`run`: the wires' blocks of slab rows, the
+        :attr:`expected` counts and each slot's row and dot.  Returns the
+        slab route's working set of one column."""
+        n = self.n
         gates = [set() for _ in self.refs]
         for w, g in self.slots:
             gates[w].add(g)
@@ -832,7 +863,7 @@ class _Sweep:
             for g in r.sorted_word:
                 self.expected[first + block.index(g)] += 1
         e = np.zeros((n, n))
-        for (j, k), v in table.entries.items():
+        for (j, k), v in self.table.entries.items():
             e[j, k] = v % self.modulus
         for slot in self.slots.values():
             first, block = self.blocks[slot.wire]
@@ -840,12 +871,97 @@ class _Sweep:
             later = e[slot.gate, block[block.index(slot.gate) + 1 :]]
             if later.any():
                 slot.dot = (slot.row + 1, first + len(block), later)
-        self.state_bytes = 8 * start + len(self.conditions)
+        state_bytes = 8 * start + len(self.conditions)
         if any(key[0] == "position" for key in self.conditions):
-            self.state_bytes += 8 * n
+            state_bytes += 8 * n
         if isinstance(self.control, BitControl):
-            self.state_bytes += len(self.control.slots)
-        self.rows = _chunk_rows(self.state_bytes)
+            state_bytes += len(self.control.slots)
+        return state_bytes
+
+    def _pair_tables(self) -> tuple[tuple, tuple] | None:
+        """The tables of :meth:`run_tables`, or None if the plan does not
+        qualify: a ``QuditControl`` at n <= :data:`MAX_READOUT_N` whose every
+        route applying U_g has no condition or reads only where U_g acts (a
+        position condition on g, or none of such conditions).
+
+        Returns (checks, pairs).  ``checks`` lists (g, ok_g) for the gates
+        whose ok_g has a False: ok_g[a] holds iff the wires U_g lands on
+        where it acts at position a carry it as often as the reference
+        words do.  ``pairs`` lists (g, p, W), in ascending p, for g < p
+        with a nonzero table: W[a * n + b] = e[g][p] * #{an apply of U_p
+        before an apply of U_g on the same wire, U_g acting at a and U_p
+        at b} mod n!, the phase those two gates add, int64.
+        """
+        n, m = self.n, self.modulus
+        if not isinstance(self.control, QuditControl) or n > MAX_READOUT_N:
+            return None
+        # reads[c]: the gate whose acting position condition c reads, -1 if
+        # none; masks[c]: the positions of that gate where c holds.  Index
+        # len(conditions) stands for no condition.
+        count = len(self.conditions)
+        reads = [-1] * count
+        ranges, nones, starts, excluded = [], [], [], []
+        for c, key in enumerate(self.conditions):
+            if key[0] == "position":
+                reads[c] = key[1]
+                ranges.append((c, max(key[2], 0), max(key[3], 0)))
+            elif key[0] == "none":
+                if len({reads[i] for i in key[1:]}) == 1:
+                    reads[c] = reads[key[1]]
+                nones.append(c)
+                starts.append(len(excluded))
+                excluded += key[1:]
+        conds, gates, wires = [], [], []  # one event per route, in plan order
+        for routes in self.plan:
+            for cond, slot in routes:
+                conds.append(count if cond is None else cond)
+                gates.append(slot.gate)
+                wires.append(slot.wire)
+        if any(c < count and reads[c] != g for c, g in zip(conds, gates)):
+            return None
+        masks = np.ones((count + 1, n), dtype=bool)
+        if ranges:
+            c, lo, hi = np.array(ranges).T
+            positions = np.arange(n)
+            masks[c] = (lo[:, None] <= positions) & (positions < hi[:, None])
+        if nones:
+            masks[nones] = ~np.logical_or.reduceat(masks[excluded], starts)
+        events = len(conds)
+        wires = np.array(wires, dtype=np.intp)
+        # landed[e, g * n + a]: the event applies U_g where U_g acts at a
+        landed = np.zeros((events, n, n))
+        landed[np.arange(events), gates] = masks[conds]
+        landed = landed.reshape(events, n * n)
+        order = np.argsort(wires, kind="stable")  # plan order within a wire
+        landed, wires = landed[order], wires[order]
+        earlier = np.cumsum(landed, axis=0)
+        earlier -= landed
+        earlier -= earlier[np.searchsorted(wires, wires)]  # on the event's wire only
+        # counts[g, a, p, b]: applies of U_p (p acting at b) before an apply
+        # of U_g (g acting at a) on the same wire; exact float64 integers
+        counts = (landed.T @ earlier).reshape(n, n, n, n).astype(np.int64)
+
+        on_wire = np.zeros((len(self.refs), events))
+        on_wire[wires, np.arange(events)] = 1
+        carried = (on_wire @ landed).reshape(-1, n, n)  # [w, g, a]
+        reference = np.bincount(
+            [w * n + g for w, r in enumerate(self.refs) for g in r.sorted_word],
+            minlength=len(self.refs) * n,
+        ).reshape(-1, n, 1)
+        ok = (carried == reference).all(axis=0)
+        checks = tuple((g, ok[g]) for g in range(n) if not ok[g].all())
+
+        e = np.array(
+            [[self.table.entries[g, p] % m if g < p else 0 for p in range(n)] for g in range(n)],
+            dtype=np.int64,
+        )
+        tables = np.ascontiguousarray(counts.transpose(0, 2, 1, 3)).reshape(n, n, n * n)
+        tables *= e[:, :, None]
+        tables %= m
+        pairs = tuple(
+            (g, p, tables[g, p]) for p, g in np.argwhere(tables.any(axis=2).T).tolist()
+        )
+        return checks, pairs
 
     def _slot(self, wire: int, gate: int) -> _Slot:
         if (wire, gate) not in self.slots:
@@ -963,6 +1079,8 @@ class _Sweep:
         bit assignment."""
         size = len(xs)
         bits = positions = None
+        if self.expected is None:  # a table plan, run as the oracle of run_tables
+            self._build_slab()
         if isinstance(self.control, BitControl):
             try:
                 bits = self.control.assignments(xs)
@@ -999,26 +1117,57 @@ class _Sweep:
         first = int(ok.argmin()) if not ok.all() else size
         return (phase.astype(np.int64) - self.ref_phase) % self.modulus, first
 
+    def run_tables(self, xs: range) -> tuple[np.ndarray, int]:
+        """:meth:`run` for a plan with :attr:`tables`: the chunk's acting
+        positions, ok = AND_g ok_g[pos_g] over the checked gates, and
+        p(x) = sum over the pairs of W[pos_g * n + pos_p] - ref_phase mod
+        n!, one int64 gather per pair.  The sum stays below 2^63 for every
+        n <= :data:`MAX_READOUT_N`."""
+        checks, pairs = self.tables
+        size = len(xs)
+        positions = self.control.labeling.positions(xs)  # [g, r]: where U_g acts; ours to scale
+        first = size
+        if checks:
+            ok = np.ones(size, dtype=bool)
+            for g, ok_g in checks:
+                ok &= ok_g[positions[g]]
+            if not ok.all():
+                first = int(ok.argmin())
+        phase = np.full(size, -self.ref_phase % self.modulus, dtype=np.int64)
+        at, term = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.int64)
+        scaled = 0  # positions[:scaled] hold pos_g * n
+        for g, p, table in pairs:  # ascending p, so every g < p is scaled by now
+            if scaled < p:
+                positions[scaled:p] *= self.n
+                scaled = p
+            np.add(positions[g], positions[p], out=at)
+            table.take(at, out=term, mode="clip")  # clip: no buffered bound check
+            phase += term
+        phase %= self.modulus
+        return phase, first
+
     def sweep(self, xs: range) -> tuple[np.ndarray, str | None]:
         """Exponent deltas for xs; returns (int64 exponents, first failure or
         None).  On a failure the exponents are those of the xs before it.
 
-        Runs :meth:`run` over the chunks of :func:`_chunks`: _FIRST_CHUNK
-        states first, then doubling up to :attr:`rows`, so the chunk that
-        finds an early failure is small.  The first x it finds failing is run
-        again through :meth:`reference`, so the failure text is the per-x
-        one; so is a chunk holding an x with no bit assignment, which the
-        reference then raises on.  Where ``plan`` is None or not
-        :attr:`exact`, every x runs through :meth:`reference`.  Exponents lie
-        below n!, which int64 holds for n <= 20.
+        Runs :meth:`run_tables` (a plan with :attr:`tables`) or :meth:`run`
+        over the chunks of :func:`_chunks`: _FIRST_CHUNK states first, then
+        doubling up to :attr:`rows`, so the chunk that finds an early
+        failure is small.  The first x it finds failing is run again through
+        :meth:`reference`, so the failure text is the per-x one; so is a
+        chunk holding an x with no bit assignment, which the reference then
+        raises on.  Where ``plan`` is None, or it has no tables and is not
+        :attr:`exact`, every x runs through :meth:`reference`.  Exponents
+        lie below n!, which int64 holds for n <= 20.
         """
-        if self.plan is None or not self.exact:
+        if self.plan is None or (self.tables is None and not self.exact):
             exps, failure = self.reference(xs)
             return np.array(exps, dtype=np.int64), failure
+        run = self.run if self.tables is None else self.run_tables
         exponents = np.empty(len(xs), dtype=np.int64)
         for chunk in _chunks(xs, self.rows):
             at = chunk.start - xs.start
-            result = self.run(chunk)
+            result = run(chunk)
             if result is None:  # the reference fails or raises within this chunk
                 exps, failure = self.reference(chunk)
                 exponents[at : at + len(exps)] = exps
@@ -1036,8 +1185,11 @@ class _Sweep:
         return exponents, None
 
 
-# The fewest control states a forked worker of the sweep gets.
+# The fewest control states a forked worker of the sweep gets, counted at
+# their cost (:attr:`_Sweep.state_cost`): a state of the slab or the per-x
+# route costs 1, a state of the table route _TABLE_STATE_COST.
 _STATES_PER_WORKER = 2**15
+_TABLE_STATE_COST = 1 / 8
 _POOL_STATE: dict = {}
 
 
@@ -1057,17 +1209,21 @@ def phase_profile(
     """Execute for every x and accumulate phase exponents against x=0.
 
     The reference words come from :func:`execute` at x=0, the single-x
-    reference.  Every x then runs in chunks through the numpy engine of
-    :meth:`_Sweep.sweep`; the first failing x is run again through
+    reference.  Every x then runs in chunks through a numpy engine of
+    :meth:`_Sweep.sweep`: the per-gate-pair tables where every apply of U_g
+    is routed by where U_g acts alone (sqrt and sim-switch, exact in int64),
+    else the float64 slab.  The first failing x is run again through
     :func:`execute`, so the failure names the same witness, wire and words
-    the per-x sweep would.  A circuit the engine does not lower, or whose
-    float64 sums would not be exact, sweeps through :func:`execute`, one x
-    at a time.  A target whose n is not the labeling's is refused first.
+    the per-x sweep would.  A circuit the engines do not lower, or one
+    that takes the slab where its float64 sums would not be exact, sweeps
+    through :func:`execute`, one x at a time.  A target whose n is not the
+    labeling's is refused first.
 
     The sweep is embarrassingly parallel over x; ``processes`` > 1 forks up
     to that many worker processes where the platform allows, when each gets
-    at least 32 768 control states (from n=9 on), and runs the serial path
-    otherwise.  Results are deterministic regardless of schedule.
+    enough work (:func:`_parallel_sweep`: from n=9 on for the slab, from
+    n=10 on for the tables), and runs the serial path otherwise.  Results
+    are deterministic regardless of schedule.
     """
     if target.n != labeling.n:
         raise DomainError(
@@ -1115,16 +1271,19 @@ def _parallel_sweep(sweep: _Sweep, processes: int | None) -> tuple[np.ndarray, s
     """The exponents of x in [0, n!) and the first failure, as
     ``sweep.sweep(range(n!))`` gives them.
 
-    Forks at most ``processes`` workers, and only as many as get at least
-    _STATES_PER_WORKER states each; below that (n <= 8) the serial sweep is
-    faster.  At n=8 two workers would sweep nlogn, sqrt and sim-switch
-    slower than one; at n=9, with the workers' exponents sent back as int64
-    arrays, they gain.  The xs go out as about 4 tasks per worker, in x
-    order, and each task grows its chunks from the first size again; the
-    first failing task ends the sweep.
+    Forks at most ``processes`` workers, and only as many as get states of
+    cost at least _STATES_PER_WORKER each (n! times
+    :attr:`_Sweep.state_cost`); below that the serial sweep is faster.  On
+    the slab route two workers would sweep nlogn at n=8 slower than one,
+    and gain from n=9 on, with the workers' exponents sent back as int64
+    arrays.  The table route sweeps sqrt and sim-switch some four times
+    faster a state than the slab sweeps nlogn, and its n=9 sweep is too
+    short for the pool to pay, so it forks from n=10 on.  The xs go out as
+    about 4 tasks per worker, in x order, and each task grows its chunks
+    from the first size again; the first failing task ends the sweep.
     """
     m = sweep.modulus
-    workers = min(processes or 1, m // _STATES_PER_WORKER)
+    workers = min(processes or 1, int(m * sweep.state_cost) // _STATES_PER_WORKER)
     if workers <= 1:
         return sweep.sweep(range(m))
     step = -(-m // (4 * workers))

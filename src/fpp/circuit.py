@@ -229,13 +229,17 @@ class Circuit:
     def __post_init__(self) -> None:
         if isinstance(self.control, QuditControl) and self.control.labeling.n != self.n:
             raise DomainError(f"labeling has n={self.control.labeling.n}, expected {self.n}")
+        if isinstance(self.control, BitControl) and self.control.n != self.n:
+            raise DomainError(f"bit control has n={self.control.n}, expected {self.n}")
         ids = [w.id for w in self.wires]
         if len(set(ids)) != len(ids):
             raise StructuralError("wire ids must be unique")
-        known = set(ids)
+        data = {w.id for w in self.data_wires()}
         for g in self.gates:
             for ref in _wire_refs(g):
-                if ref not in known:
+                if ref not in data:
+                    if ref in ids:
+                        raise StructuralError(f"gate {g} acts on control wire {ref!r}")
                     raise StructuralError(f"gate {g} references unknown wire {ref!r}")
             for idx in _gate_indices(g):
                 if not 0 <= idx < self.n:

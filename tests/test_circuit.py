@@ -1,6 +1,7 @@
 """Tests for the circuit IR, symbolic execution and the swap-sandwich transform."""
 
 import pathlib
+from dataclasses import replace
 from math import factorial
 
 import numpy as np
@@ -15,6 +16,8 @@ from fpp.circuit import (
     Apply,
     BitControl,
     Circuit,
+    ControlledSwap,
+    PosCondSwap,
     QuditControl,
     Wire,
     aux_wire,
@@ -32,7 +35,7 @@ from fpp.algorithms import (
     superperm_sim_switch,
 )
 from fpp import algorithms
-from fpp.errors import InvariantError, RangeError, StructuralError
+from fpp.errors import DomainError, InvariantError, RangeError, StructuralError
 from fpp.perms import FactoradicLabeling
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -68,6 +71,28 @@ def test_unknown_wire_rejected():
             (Apply(0, "nowhere"),),
             QuditControl(lab),
         )
+
+
+def test_gates_on_control_wires_rejected():
+    # the x qudit of sim-switch and a control bit of nlogn carry no token:
+    # a gate that names one is refused when the circuit is built
+    sim = sim_switch_circuit(3)
+    swap = PosCondSwap("psi_t", "x", 0, 1, 3)
+    with pytest.raises(StructuralError, match="acts on control wire 'x'"):
+        replace(sim, gates=sim.gates + (swap, swap))
+    with pytest.raises(StructuralError, match="acts on control wire 'x'"):
+        replace(sim, gates=sim.gates + (Apply(0, "x"),))
+    bits = nlogn_circuit(4)
+    cswap = ControlledSwap("psi_2_1", "c_1_1", (1, 1), 1)
+    with pytest.raises(StructuralError, match="acts on control wire 'c_1_1'"):
+        replace(bits, gates=bits.gates + (cswap, cswap))
+
+
+def test_bit_control_of_another_n_rejected():
+    c = nlogn_circuit(5)
+    for m in (4, 6):
+        with pytest.raises(DomainError, match=f"bit control has n={m}, expected 5"):
+            replace(c, control=BitControl(m, c.control.slots))
 
 
 def test_gate_index_out_of_range():
@@ -171,8 +196,6 @@ def test_execute_with_bits_validates():
 
 def test_control_kind_mismatch():
     # a position-conditioned swap needs a qudit control to resolve sigma_x
-    from fpp.circuit import PosCondSwap
-
     bit_circuit = nlogn_circuit(4)
     mixed = Circuit(
         4,

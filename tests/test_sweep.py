@@ -17,7 +17,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fpp import algorithms, perms
-from fpp.algorithms import FAMILIES, nlogn_circuit, phase_profile, sim_switch_circuit, sqrt_circuit
+from fpp.algorithms import (
+    FAMILIES,
+    MAX_READOUT_N,
+    nlogn_circuit,
+    phase_profile,
+    sim_switch_circuit,
+    sqrt_circuit,
+)
 from fpp.circuit import (
     AUXILIARY,
     CONTROL_BIT,
@@ -263,7 +270,7 @@ def test_chunk_boundary_inside_sweep(monkeypatch):
     monkeypatch.setattr(algorithms, "_CHUNK_BYTES", 7 * sqrt_bytes)  # chunks of 7 xs for sqrt
     for name, circuit in circuits.items():
         engine = algorithms._Sweep(circuit, table)
-        assert engine.rows < lab.size and (engine.rows == 7) == (name in ("sqrt", "nlogn"))
+        assert engine.rows < lab.size and (engine.rows == 7) == (name in ("sqrt", "sim-switch"))
         assert phase_profile(circuit, lab) == whole[name]
         assert_sweeps_agree(circuit, lab)
     assert phase_profile(broken, lab).failure == whole_failure
@@ -295,6 +302,32 @@ def test_pool_forks_from_n9_with_two_workers(forks):
     lab9 = FactoradicLabeling(9)
     assert phase_profile(nlogn_circuit(9), lab9, processes=2).slope == 1
     assert forks == ["fork"]
+
+
+def test_table_route_forks_from_n10(monkeypatch):
+    # a state of the table route counts _TABLE_STATE_COST of a slab state:
+    # two workers lose to one at n=9 and win from n=10 on; the slab forks
+    # from n=9 on.  The pool is only asked for, not started.
+    asked = []
+
+    class Asked(Exception):
+        pass
+
+    class Context:
+        def Pool(self, workers, **kwargs):
+            asked.append(workers)
+            raise Asked
+
+    monkeypatch.setattr(algorithms.multiprocessing, "get_context", lambda method: Context())
+    sqrt9 = algorithms._Sweep(sqrt_circuit(9), factoradic_table(9))
+    assert sqrt9.state_cost == algorithms._TABLE_STATE_COST < 1
+    exponents, failure = algorithms._parallel_sweep(sqrt9, 2)
+    assert failure is None and exponents.tolist() == list(range(factorial(9)))
+    assert asked == []
+    for circuit, n in ((sqrt_circuit(10), 10), (sim_switch_circuit(10), 10), (nlogn_circuit(9), 9)):
+        with pytest.raises(Asked):
+            algorithms._parallel_sweep(algorithms._Sweep(circuit, factoradic_table(n)), 2)
+    assert asked == [2, 2, 2]
 
 
 @pytest.mark.parametrize("cause", [ValueError, OSError])
@@ -724,7 +757,7 @@ def bit_circuits(draw):
 
 
 @st.composite
-def sandwich_circuits(draw):
+def sandwich_circuits(draw, own_gates=False):
     """Runs of sandwiches of ``PosCondSwap`` (qudit control) or
     ``ControlledSwap`` (bit control): the swap, up to three Applies, each
     on a swapped wire or on any data wire, and the same swap again; or
@@ -736,9 +769,14 @@ def sandwich_circuits(draw):
     perturbed by an Apply on a switched target, two pairs on one wire, a
     conditional swap between, or a closing switch with another pair.
     Sometimes an auxiliary wire is missing; the switches then avoid the
-    position of its gate at x=0."""
+    position of its gate at x=0.
+
+    With ``own_gates`` the control is a qudit, each Apply of a
+    ``PosCondSwap`` sandwich applies the gate whose position the swap
+    reads, and each Apply on an auxiliary wire a_i of a switch sandwich
+    applies U_i: mostly plans that take the table route."""
     n = draw(st.integers(2, 5))
-    qudit = draw(st.booleans())
+    qudit = own_gates or draw(st.booleans())
     slots = [(k, i) for k in range(1, n) for i in range(1, ceil_log2(n) + 1)]
     targets = ["t0", "t1"]
     fac = lab = FactoradicLabeling(n)
@@ -773,8 +811,10 @@ def sandwich_circuits(draw):
                                   max_size=len(pairs), unique=True))
         switch = SwitchSwap(tuple(zip(pairs, positions)))
         wires = auxiliary if draw(st.booleans()) else data
-        middle = [Apply(draw(st.integers(0, n - 1)), w)
-                  for w in draw(st.lists(st.sampled_from(wires), max_size=n))]
+        middle = [
+            Apply(int(w[2:]) if own_gates and w in auxiliary else draw(st.integers(0, n - 1)), w)
+            for w in draw(st.lists(st.sampled_from(wires), max_size=n))
+        ]
         kind = draw(st.sampled_from(
             ["exact", "exact", "target", "one wire", "one position", "between", "wider"]
         ))
@@ -806,7 +846,8 @@ def sandwich_circuits(draw):
         a, b = draw(st.lists(st.sampled_from(data), min_size=2, max_size=2, unique=True))
         swap = conditional_swap(a, b)
         middle = [
-            Apply(draw(st.integers(0, n - 1)), draw(st.sampled_from(pick)))
+            Apply(swap.gate if own_gates else draw(st.integers(0, n - 1)),
+                  draw(st.sampled_from(pick)))
             for pick in draw(st.lists(st.sampled_from([[a, b], data]), max_size=3))
         ]
         close = swap
@@ -870,10 +911,14 @@ def small_chunks(monkeypatch):
 
 @pytest.fixture
 def chunks(monkeypatch):
-    """The chunks of xs :meth:`_Sweep.run` sees, in order."""
+    """The chunks of xs :meth:`_Sweep.run` or :meth:`_Sweep.run_tables`
+    sees, in order."""
     seen = []
-    run = algorithms._Sweep.run
-    monkeypatch.setattr(algorithms._Sweep, "run", lambda self, xs: seen.append(xs) or run(self, xs))
+    for name in ("run", "run_tables"):
+        run = getattr(algorithms._Sweep, name)
+        monkeypatch.setattr(
+            algorithms._Sweep, name, lambda self, xs, run=run: seen.append(xs) or run(self, xs)
+        )
     return seen
 
 
@@ -965,3 +1010,148 @@ def test_pool_tasks_with_growing_chunks_fill_exponents_in_x_order(
     assert forks == ["fork"]
     assert parallel.exponents.tolist() == list(range(lab.size))  # slope 1: exponent x
     assert parallel == phase_profile(circuit, lab, processes=1)
+
+
+# ---------------------------------------------------------------------------
+# table route
+
+
+def assert_table_route_agrees(circuit: Circuit, labeling: Labeling, per_x=None):
+    """The table route against the slab (:meth:`_Sweep.run`) over every x,
+    and against the per-x reference over the ranges ``per_x`` (every x if
+    None): the same exponents, the same first failing x and, through
+    :meth:`_Sweep.sweep`, the same failure text.  Returns the first failing
+    x (n! if none fails)."""
+    sweep = algorithms._Sweep(circuit, labeling.validate().table)
+    assert sweep.tables is not None and sweep.expected is None  # no slab set up
+    xs = range(labeling.size)
+    exponents, first = sweep.run_tables(xs)
+    assert exponents.dtype == np.int64
+    slab, slab_first = sweep.run(xs)
+    assert first == slab_first
+    assert exponents[:first].tolist() == slab[:first].tolist()
+    if per_x is None:
+        expected, failure = sweep.reference(xs)
+        assert exponents[:first].tolist() == expected
+        assert (failure is None) == (first == len(xs))
+        chunked, chunked_failure = sweep.sweep(xs)
+        assert (chunked.tolist(), chunked_failure) == (expected, failure)
+        return first
+    assert first == len(xs)
+    for part in per_x:
+        expected, failure = sweep.reference(part)
+        assert failure is None and exponents[part.start : part.stop].tolist() == expected
+    chunked, failure = sweep.sweep(xs)
+    assert failure is None and np.array_equal(chunked, exponents)
+    return first
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_table_route_matches_slab_and_per_x_on_paper_circuits(n):
+    # per x on every x up to n=6; at n=7 and n=8 on the first and last 150
+    fac = FactoradicLabeling(n)
+    renamed = relabeled(fac, tuple(reversed(range(n))))
+    m = fac.size
+    per_x = None if n <= 6 else (range(0, 150), range(m - 150, m))
+    for lab in (fac, renamed):
+        for build in (sqrt_circuit, sim_switch_circuit):
+            assert assert_table_route_agrees(build(n, lab), lab, per_x) == m
+            if lab is renamed:  # a circuit of one labeling verified against another
+                assert assert_table_route_agrees(build(n, fac), lab, per_x) == m
+
+
+def _qualifying(circuit: Circuit, labeling: Labeling) -> bool:
+    """Whether the circuit takes the table route (False where the x=0
+    reference rejects it)."""
+    try:
+        return algorithms._Sweep(circuit, labeling.validate().table).tables is not None
+    except StructuralError:
+        return False
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_table_route_matches_on_single_mutants(n):
+    lab = FactoradicLabeling(n)
+    for family in ("sim-switch", "sqrt"):
+        mutants = [
+            m for m in _single_mutants(FAMILIES[family].build(n, lab)) if _qualifying(m, lab)
+        ]
+        firsts = [assert_table_route_agrees(m, lab) for m in mutants]
+        # deleted applies and moved bounds qualify; deleted swaps do not
+        assert len(mutants) > 2 * n and min(firsts) < lab.size, family
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_table_route_matches_on_reject_suites(monkeypatch, n, seed):
+    lab = FactoradicLabeling(n)
+    qualifying = [m for m in _reject_suite(monkeypatch, n, seed) if _qualifying(m.circuit, lab)]
+    assert qualifying
+    for mutant in qualifying:
+        assert mutant.circuit.family in ("sim-switch", "sqrt")
+        first = assert_table_route_agrees(mutant.circuit, lab)
+        if mutant.has_witness:
+            assert first < lab.size, mutant.name
+
+
+def test_table_route_matches_on_n3_labelings():
+    for lab in enumerate_valid_labelings(3):
+        assert assert_table_route_agrees(sim_switch_circuit(3, lab), lab) == lab.size
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(sandwich_circuits(), sandwich_circuits(own_gates=True)))
+def test_table_route_matches_on_random_sandwiches(case):
+    circuit, lab = case
+    if _qualifying(circuit, lab):
+        assert_table_route_agrees(circuit, lab)
+
+
+@pytest.mark.parametrize("n", range(2, MAX_READOUT_N + 1))
+def test_table_route_selection(n):
+    # sqrt and sim-switch qualify at every n a profile admits; the tables
+    # are built, and from n=10 on not swept but on the last few xs
+    table = factoradic_table(n)
+    m = factorial(n)
+    for build in (sqrt_circuit, sim_switch_circuit):
+        sweep = algorithms._Sweep(build(n), table)
+        checks, pairs = sweep.tables
+        assert checks == () and sweep.expected is None
+        assert [(g, p) for g, p, _ in pairs] == [(g, p) for p in range(n) for g in range(p)]
+        assert sweep.state_cost == algorithms._TABLE_STATE_COST
+        if n == 9:  # the int64 tables take under 25 KB
+            assert sum(t.nbytes for _, _, t in pairs) < 25_000
+        xs = range(m) if n < 10 else range(m - 5, m)
+        exponents, failure = sweep.sweep(xs)
+        assert failure is None and exponents.tolist() == list(xs)
+    lab = FactoradicLabeling(n)
+    for name, family in FAMILIES.items():
+        if name == "switch" or (family.sizes and n not in family.sizes):
+            continue
+        sweep = algorithms._Sweep(family.build(n, lab), table)
+        if name in ("nlogn", "nlogn-reduced"):  # bit conditions: the slab
+            assert sweep.tables is None and sweep.expected is not None and sweep.state_cost == 1
+        elif name in ("superperm", "six-query"):  # Rewire steps: per x
+            assert sweep.plan is None and sweep.tables is None
+        else:
+            assert sweep.tables is not None, name
+
+
+def test_cross_gate_sandwiches_keep_the_slab():
+    # an Apply of U_1 routed by where U_2 acts reads another gate's
+    # position, so the plan takes the slab; routed by where U_1 acts, it
+    # takes the table route (both fail: t carries U_1 for some xs only)
+    n = 4
+    lab = FactoradicLabeling(n)
+    wires = (Wire("x", CONTROL_QUDIT), Wire("t", TARGET))
+    wires += tuple(Wire(aux_wire(g), AUXILIARY) for g in range(n))
+    head = tuple(_switch_steps(n, "t", (2, 0, 3, 1)))
+    swap = PosCondSwap("t", aux_wire(1), 2, 1, 3)
+    cross, own = (
+        Circuit(n, name, wires, head + (s, Apply(1, aux_wire(1)), s), QuditControl(lab))
+        for name, s in (("cross", swap), ("own", replace(swap, gate=1)))
+    )
+    sweep = _engine(cross, lab)
+    assert sweep.plan is not None and sweep.tables is None and sweep.expected is not None
+    assert assert_sweeps_agree(cross, lab)[1] is not None
+    assert assert_table_route_agrees(own, lab) < lab.size
