@@ -54,6 +54,7 @@ from .circuit import (
     Rewire,
     SwitchSwap,
     Wire,
+    _bit_tables,
     aux_wire,
     execute,
     query_count,
@@ -61,7 +62,7 @@ from .circuit import (
 from .commutation import CommutationTable, normal_order, perm_phase_exponent
 from .errors import DomainError, InvariantError, StructuralError, UnsupportedError
 from .numsys import ceil_log2
-from .perms import FactoradicLabeling, Labeling, PermWord
+from .perms import FactoradicLabeling, Labeling, PermWord, factoradic_blocks
 
 __all__ = [
     "ReferenceSwitch",
@@ -669,6 +670,12 @@ class PhaseProfile:
         return self.modulus // gcd(self.modulus, int(np.gcd.reduce(self._deviations())))
 
     @cached_property
+    def _rule(self) -> tuple[bool, int, int, int]:
+        """(residuals_ok, readout_period, p(1), modulus): the readout rule
+        a per-y view unpacks at once."""
+        return self.residuals_ok, self.readout_period, self._p1, self.modulus
+
+    @cached_property
     def slope(self) -> int | None:
         """s with exponents[x] == x*s for all x, or None if the residuals
         fail or the phase is not linear.  Since p(0) == 0, the phase is
@@ -754,15 +761,18 @@ class _Sweep:
     :meth:`reference` where ``plan`` is None, or where the plan has no
     tables and is not exact.
 
-    The table route (:meth:`_pair_tables`) takes a plan of a
-    ``QuditControl`` circuit, n <= :data:`MAX_READOUT_N`, in which every
-    route applying U_g has no condition or reads only where U_g acts: the
-    plans of sqrt and sim-switch.  There, where each U_g lands depends on
-    its own acting position alone, so the residual check of an x is an AND
+    The table route (:meth:`_pair_tables`) takes a plan at n <=
+    :data:`MAX_READOUT_N` in which every route applying U_g has no
+    condition or reads only U_g's own key: where U_g acts under a
+    ``QuditControl`` (the plans of sqrt and sim-switch), its factoradic
+    digit a_g under a ``BitControl`` (nlogn and nlogn-reduced, whose U_k
+    is controlled by bits (k, i) alone).  There, where each U_g lands
+    depends on its own key alone, so the residual check of an x is an AND
     over the gates of a per-gate table, and its phase is a sum over gate
-    pairs g < p of a table indexed by the acting positions of g and p.
-    Both are exact int64.  :meth:`run` stays callable on such a plan (it
-    then sets up its slab first), and the tests use it as the oracle.
+    pairs g < p of a table indexed by the keys of g and p.  Both are exact
+    int64.  The slab takes the cross-gate plans, where a route of U_g
+    reads another gate's key.  :meth:`run` stays callable on a table plan
+    (it then sets up its slab first), and the tests use it as the oracle.
 
     The slab: the data wires are numbered 0..W-1 in the sorted order of
     ``refs``, and column r of a chunk is one x.  Each wire holds the gate
@@ -804,8 +814,8 @@ class _Sweep:
     :attr:`state_bytes` is the working set of one column.  On the slab:
     its slab rows, one byte per condition mask, the intp acting positions
     if a condition reads them, and the uint8 control bits of a
-    ``BitControl``.  On the table route: the intp acting positions, three
-    int64 vectors and the ok mask.
+    ``BitControl``.  On the table route: the intp keys, three int64
+    vectors and the ok mask.
     :attr:`rows` is the most states a chunk holds (:func:`_chunk_rows`),
     and :attr:`state_cost` what a state costs the fork rule of
     :func:`_parallel_sweep`.
@@ -840,7 +850,7 @@ class _Sweep:
         self.tables = self._pair_tables()
         if self.tables is None:
             self.state_bytes = self._build_slab()
-        else:  # intp acting positions, three int64 vectors and the ok mask
+        else:  # intp keys, three int64 vectors and the ok mask
             self.state_bytes = 8 * self.n + 24 + 1
             self.state_cost = _TABLE_STATE_COST
         self.rows = _chunk_rows(self.state_bytes)
@@ -880,31 +890,40 @@ class _Sweep:
 
     def _pair_tables(self) -> tuple[tuple, tuple] | None:
         """The tables of :meth:`run_tables`, or None if the plan does not
-        qualify: a ``QuditControl`` at n <= :data:`MAX_READOUT_N` whose every
-        route applying U_g has no condition or reads only where U_g acts (a
-        position condition on g, or none of such conditions).
+        qualify: n <= :data:`MAX_READOUT_N`, and every route applying U_g
+        has no condition or reads only U_g's own key (a condition on it, or
+        none of such conditions).  U_g's key is where it acts under a
+        ``QuditControl`` (position conditions), its factoradic digit a_g
+        under a ``BitControl`` (conditions on bits (g, i)); U_0 has no
+        digit, and its key is 0.
 
         Returns (checks, pairs).  ``checks`` lists (g, ok_g) for the gates
         whose ok_g has a False: ok_g[a] holds iff the wires U_g lands on
-        where it acts at position a carry it as often as the reference
-        words do.  ``pairs`` lists (g, p, W), in ascending p, for g < p
-        with a nonzero table: W[a * n + b] = e[g][p] * #{an apply of U_p
-        before an apply of U_g on the same wire, U_g acting at a and U_p
-        at b} mod n!, the phase those two gates add, int64.
+        where its key is a carry it as often as the reference words do
+        (True for a digit a > g, which never occurs).  ``pairs`` lists
+        (g, p, W), in ascending p, for g < p with a nonzero table:
+        W[a * n + b] = e[g][p] * #{an apply of U_p before an apply of U_g
+        on the same wire, U_g's key a and U_p's key b} mod n!, the phase
+        those two gates add, int64.
         """
         n, m = self.n, self.modulus
-        if not isinstance(self.control, QuditControl) or n > MAX_READOUT_N:
+        if n > MAX_READOUT_N:
             return None
-        # reads[c]: the gate whose acting position condition c reads, -1 if
-        # none; masks[c]: the positions of that gate where c holds.  Index
+        digits = isinstance(self.control, BitControl)
+        slot_bits = _bit_tables(n, self.control.slots)[0] if digits else None
+        # reads[c]: the gate whose key condition c reads, -1 if none;
+        # masks[c]: the keys of that gate where c holds.  Index
         # len(conditions) stands for no condition.
         count = len(self.conditions)
         reads = [-1] * count
-        ranges, nones, starts, excluded = [], [], [], []
+        ranges, bits, nones, starts, excluded = [], [], [], [], []
         for c, key in enumerate(self.conditions):
             if key[0] == "position":
                 reads[c] = key[1]
                 ranges.append((c, max(key[2], 0), max(key[3], 0)))
+            elif key[0] == "bit":
+                reads[c] = key[1][0]
+                bits.append((c, *key[1:]))
             elif key[0] == "none":
                 if len({reads[i] for i in key[1:]}) == 1:
                     reads[c] = reads[key[1]]
@@ -924,6 +943,9 @@ class _Sweep:
             c, lo, hi = np.array(ranges).T
             positions = np.arange(n)
             masks[c] = (lo[:, None] <= positions) & (positions < hi[:, None])
+        for c, bit, polarity in bits:  # over a_k = 0..k; no digit lies past k
+            masks[c] = False
+            masks[c, : bit[0] + 1] = slot_bits[bit] == polarity
         if nones:
             masks[nones] = ~np.logical_or.reduceat(masks[excluded], starts)
         events = len(conds)
@@ -949,6 +971,8 @@ class _Sweep:
             minlength=len(self.refs) * n,
         ).reshape(-1, n, 1)
         ok = (carried == reference).all(axis=0)
+        if digits:
+            ok |= ~np.tri(n, dtype=bool)  # [g, a]: a > g
         checks = tuple((g, ok[g]) for g in range(n) if not ok[g].all())
 
         e = np.array(
@@ -1117,30 +1141,40 @@ class _Sweep:
         first = int(ok.argmin()) if not ok.all() else size
         return (phase.astype(np.int64) - self.ref_phase) % self.modulus, first
 
-    def run_tables(self, xs: range) -> tuple[np.ndarray, int]:
-        """:meth:`run` for a plan with :attr:`tables`: the chunk's acting
-        positions, ok = AND_g ok_g[pos_g] over the checked gates, and
-        p(x) = sum over the pairs of W[pos_g * n + pos_p] - ref_phase mod
-        n!, one int64 gather per pair.  The sum stays below 2^63 for every
-        n <= :data:`MAX_READOUT_N`."""
+    def run_tables(self, xs: range) -> tuple[np.ndarray, int] | None:
+        """:meth:`run` for a plan with :attr:`tables`: the chunk's keys
+        (acting positions, or digits), ok = AND_g ok_g[key_g] over the
+        checked gates, and p(x) = sum over the pairs of
+        W[key_g * n + key_p] - ref_phase mod n!, one int64 gather per pair.
+        The sum stays below 2^63 for every n <= :data:`MAX_READOUT_N`.
+        Returns None, as :meth:`run` does, if some x of the chunk has a
+        digit the control's bit slots cannot write."""
         checks, pairs = self.tables
-        size = len(xs)
-        positions = self.control.labeling.positions(xs)  # [g, r]: where U_g acts; ours to scale
+        n, size = self.n, len(xs)
+        if isinstance(self.control, QuditControl):
+            keys = self.control.labeling.positions(xs)  # [g, r]: where U_g acts
+        else:  # [g, r]: the digit a_g, and 0 for U_0
+            digits = factoradic_blocks(n).digits(xs)
+            unwritten = _bit_tables(n, self.control.slots)[1]
+            if any(unwritten[k][digits[k - 1]].any() for k in unwritten):
+                return None
+            keys = np.zeros((n, size), dtype=np.intp)
+            keys[1:] = digits
         first = size
         if checks:
             ok = np.ones(size, dtype=bool)
             for g, ok_g in checks:
-                ok &= ok_g[positions[g]]
+                ok &= ok_g[keys[g]]
             if not ok.all():
                 first = int(ok.argmin())
         phase = np.full(size, -self.ref_phase % self.modulus, dtype=np.int64)
         at, term = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.int64)
-        scaled = 0  # positions[:scaled] hold pos_g * n
+        scaled = 0  # keys[:scaled] hold key_g * n; the keys are ours to scale
         for g, p, table in pairs:  # ascending p, so every g < p is scaled by now
             if scaled < p:
-                positions[scaled:p] *= self.n
+                keys[scaled:p] *= n
                 scaled = p
-            np.add(positions[g], positions[p], out=at)
+            np.add(keys[g], keys[p], out=at)
             table.take(at, out=term, mode="clip")  # clip: no buffered bound check
             phase += term
         phase %= self.modulus
@@ -1211,8 +1245,9 @@ def phase_profile(
     The reference words come from :func:`execute` at x=0, the single-x
     reference.  Every x then runs in chunks through a numpy engine of
     :meth:`_Sweep.sweep`: the per-gate-pair tables where every apply of U_g
-    is routed by where U_g acts alone (sqrt and sim-switch, exact in int64),
-    else the float64 slab.  The first failing x is run again through
+    is routed by U_g's own key alone, where it acts (sqrt and sim-switch)
+    or its factoradic digit (nlogn and nlogn-reduced), exact in int64; else
+    the float64 slab.  The first failing x is run again through
     :func:`execute`, so the failure names the same witness, wire and words
     the per-x sweep would.  A circuit the engines do not lower, or one
     that takes the slab where its float64 sums would not be exact, sweeps
@@ -1274,13 +1309,15 @@ def _parallel_sweep(sweep: _Sweep, processes: int | None) -> tuple[np.ndarray, s
     Forks at most ``processes`` workers, and only as many as get states of
     cost at least _STATES_PER_WORKER each (n! times
     :attr:`_Sweep.state_cost`); below that the serial sweep is faster.  On
-    the slab route two workers would sweep nlogn at n=8 slower than one,
-    and gain from n=9 on, with the workers' exponents sent back as int64
-    arrays.  The table route sweeps sqrt and sim-switch some four times
-    faster a state than the slab sweeps nlogn, and its n=9 sweep is too
-    short for the pool to pay, so it forks from n=10 on.  The xs go out as
-    about 4 tasks per worker, in x order, and each task grows its chunks
-    from the first size again; the first failing task ends the sweep.
+    the slab route two workers sweep at n=8 slower than one, and gain from
+    n=9 on, with the workers' exponents sent back as int64 arrays.  The
+    table route sweeps sqrt, sim-switch and nlogn several times faster a
+    state than the slab, and its n=9 sweep is too short for the pool to
+    pay, so it forks from n=10 on.  nlogn's tables hold about half the
+    pairs of sqrt's (25 of 45 at n=10), and there two workers still do not
+    beat one.  The xs go out as about 4 tasks per worker, in x order, and
+    each task grows its chunks from the first size again; the first
+    failing task ends the sweep.
     """
     m = sweep.modulus
     workers = min(processes or 1, int(m * sweep.state_cost) // _STATES_PER_WORKER)
@@ -1338,20 +1375,20 @@ class VerificationReport:
 
     @property
     def phase_linear(self) -> bool:
-        p = self.profile
-        return p.residuals_ok and self.y % p.readout_period == 0
+        ok, period, _, _ = self.profile._rule
+        return ok and self.y % period == 0
 
     @property
     def solved_y(self) -> int | None:
-        p = self.profile
-        if p.residuals_ok and self.y % p.readout_period == 0:
-            return p._p1 * self.y % p.modulus
-        return None
+        ok, period, p1, m = self.profile._rule
+        y = self.y
+        return p1 * y % m if ok and y % period == 0 else None
 
     @property
     def passed(self) -> bool:
-        p, y = self.profile, self.y
-        return p.residuals_ok and y % p.readout_period == 0 and p._p1 * y % p.modulus == y
+        ok, period, p1, m = self.profile._rule
+        y = self.y
+        return ok and y % period == 0 and p1 * y % m == y
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _REPORT_REPR)

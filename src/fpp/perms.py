@@ -146,17 +146,17 @@ class Labeling:
 _LOW_GATES = 7
 
 
-def _insertions(start: int, stop: int) -> np.ndarray:
-    """Acting sequences made by inserting U_start..U_{stop-1} into ``start``
-    free slots (-1), one int8 row per digit string a_start..a_{stop-1}.
+def _insertions(stop: int) -> np.ndarray:
+    """Acting sequences of U_0..U_{stop-1}, one int8 row per digit string
+    a_1..a_{stop-1}.
 
     Shifting U_k right a_k written steps puts it at index k - a_k of the
-    acting sequence of U_0..U_k: a_k lower gates act after it.  Row q is the
-    digit string with q = sum_k a_k * k!/start!, so U_k's k + 1 digit values
-    make one block copy of the table each.
+    acting sequence of U_0..U_k: a_k lower gates act after it.  Row r is the
+    digit string with r = sum_k a_k * k!, so U_k's k + 1 digit values make
+    one block copy of the table each.
     """
-    seq = np.full((1, start), -1, dtype=np.int8)
-    for k in range(start, stop):
+    seq = np.empty((1, 0), dtype=np.int8)
+    for k in range(stop):
         seq = np.concatenate([np.insert(seq, k - a, k, axis=1) for a in range(k + 1)])
     return seq
 
@@ -171,16 +171,17 @@ class FactoradicBlocks:
     where U_k..U_{n-1} act, which leaves k free acting positions that the
     low gates fill in their own order.  So the tables are, per r (L rows):
     the acting sequence of the low gates, each low gate's index in it, and
-    the digits a_1..a_{k-1}; and per q (n!/L rows): the acting sequence
-    with -1 at the free positions.  The decoder takes only a unit-step
-    range of xs inside [0, n!) (:meth:`decodes`), and decodes it per q it
-    meets (at most three per chunk of the sweep): its words are one row copy
-    and one column scatter of low rows, its positions a copy of rank rows
-    moved past the high gates.  Labelings and bit controls send any other
-    xs to their per-x references.
+    the digits a_1..a_{k-1}.  Per q, :meth:`high` gives the acting sequence
+    with -1 at the free positions; it is built for each q a range meets,
+    never for all n!/L of them.  The decoder takes only a unit-step range
+    of xs inside [0, n!) (:meth:`decodes`), and decodes it per q it meets
+    (a few per chunk of the sweep): its words are one row copy and one
+    column scatter of low rows, its positions a copy of rank rows moved
+    past the high gates.  Labelings and bit controls send any other xs to
+    their per-x references.
 
     The tables are int8/uint8, depend on n alone and are built on first
-    use, each in one numpy pass: 101 KB at n=8, 188 KB at n=11.
+    use, each in one numpy pass: 101 KB from n=7 on.
     """
 
     def __init__(self, n: int) -> None:
@@ -192,17 +193,21 @@ class FactoradicBlocks:
     @cached_property
     def low(self) -> np.ndarray:
         """[r]: the acting sequence of U_0..U_{k-1} for low part r."""
-        return _insertions(0, self.k)
+        return _insertions(self.k)
 
     @cached_property
     def rank(self) -> np.ndarray:
         """[g, r]: the index of U_g in ``low[r]``."""
         return np.ascontiguousarray(np.argsort(self.low, axis=1).astype(np.int8).T)
 
-    @cached_property
-    def high(self) -> np.ndarray:
-        """[q]: the acting sequence of high part q, -1 where a low gate acts."""
-        return _insertions(self.k, self.n)
+    def high(self, q: int) -> np.ndarray:
+        """The acting sequence of high part q, -1 where a low gate acts:
+        U_j (j >= k) inserted at index j - a_j, as :func:`_insertions`
+        inserts the low gates."""
+        seq = [-1] * self.k
+        for j in range(self.k, self.n):
+            seq.insert(j - q // (factorial(j) // self.rows) % (j + 1), j)
+        return np.array(seq, dtype=np.int8)
 
     @cached_property
     def low_digits(self) -> np.ndarray:
@@ -233,7 +238,7 @@ class FactoradicBlocks:
         """Acting sequences of xs, one int8 row per x."""
         out = np.empty((len(xs), self.n), dtype=np.int8)
         for cols, q, r0, r1 in self._segments(xs):
-            template = self.high[q]
+            template = self.high(q)
             out[cols] = template
             out[cols, template < 0] = self.low[r0:r1]
         return out
@@ -243,7 +248,7 @@ class FactoradicBlocks:
         is where U_g acts in the word of xs[i]."""
         out = np.empty((self.n, len(xs)), dtype=np.intp)
         for cols, q, r0, r1 in self._segments(xs):
-            template = self.high[q]
+            template = self.high(q)
             placed = np.flatnonzero(template >= 0)
             low = self.rank[:, r0:r1].copy()
             for p in placed.tolist():  # ascending: a low gate at or past p acts one later

@@ -1,6 +1,7 @@
 """Tests for permutation words, labelings, validation and enumeration."""
 
 import itertools
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -487,13 +488,33 @@ def test_decoder_refuses_what_it_does_not_decode():
 
 def test_decoder_tables_are_small_and_lazy():
     blocks = perms.FactoradicBlocks(11)
-    assert not vars(blocks).keys() & {"low", "rank", "high", "low_digits"}
+    assert not vars(blocks).keys() & {"low", "rank", "low_digits"}
     blocks.positions(range(5040 * 3 - 7, 5040 * 3 + 7))  # across a block boundary
-    assert vars(blocks).keys() >= {"low", "rank", "high"}
-    tables = [blocks.low, blocks.rank, blocks.high, blocks.low_digits]
+    assert vars(blocks).keys() >= {"low", "rank"}
+    tables = [blocks.low, blocks.rank, blocks.low_digits]
     assert all(t.dtype.itemsize == 1 for t in tables)
     assert sum(t.nbytes for t in tables) < 200_000
     assert factoradic_blocks(11) is factoradic_blocks(11)
+
+
+def test_decoder_builds_only_the_high_rows_a_range_meets():
+    # n=14 has n!/7! = 17 297 280 high parts: a table of them would take
+    # over 17 MB; the last 40 states meet one
+    n = 14
+    m = factorial(n)
+    xs = range(m - 40, m)
+    blocks = perms.FactoradicBlocks(n)
+    tracemalloc.start()
+    try:
+        decoded = blocks.acting(xs), blocks.positions(xs), blocks.digits(xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    words = [FactoradicLabeling(n).word(x) for x in xs]
+    assert decoded[0].tolist() == [list(w.acting_sequence()) for w in words]
+    assert decoded[1].T.tolist() == [list(w.positions()) for w in words]
+    assert decoded[2].T.tolist() == [list(to_factoradic(x, n).digits) for x in xs]
 
 
 def test_explicit_labeling_positions_match_word():

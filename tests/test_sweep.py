@@ -46,7 +46,7 @@ from fpp.circuit import (
     query_count,
 )
 from fpp.commutation import CommutationTable, brute_force_phase, factoradic_table, random_table
-from fpp.errors import FppError, StructuralError
+from fpp.errors import FppError, InvariantError, StructuralError
 from fpp.numsys import ceil_log2
 from fpp.perms import (
     ExplicitLabeling,
@@ -268,9 +268,9 @@ def test_chunk_boundary_inside_sweep(monkeypatch):
 
     sqrt_bytes = _engine(c, lab).state_bytes
     monkeypatch.setattr(algorithms, "_CHUNK_BYTES", 7 * sqrt_bytes)  # chunks of 7 xs for sqrt
-    for name, circuit in circuits.items():
+    for name, circuit in circuits.items():  # every family with a plan takes the tables here
         engine = algorithms._Sweep(circuit, table)
-        assert engine.rows < lab.size and (engine.rows == 7) == (name in ("sqrt", "sim-switch"))
+        assert engine.tables is not None and engine.rows == 7, name
         assert phase_profile(circuit, lab) == whole[name]
         assert_sweeps_agree(circuit, lab)
     assert phase_profile(broken, lab).failure == whole_failure
@@ -293,21 +293,21 @@ def test_pool_forks_from_16384_states_per_worker(forks_from_n8, forks):
 
 def test_pool_forks_from_n9_with_two_workers(forks):
     # 32 768 states per worker: two workers lose to one at n=8 (40 320
-    # states), so n=9 is the first n that forks
+    # states), so n=9 is the first n that forks on the slab
     assert algorithms._STATES_PER_WORKER == 2**15
     lab8 = FactoradicLabeling(8)
-    for name in ("nlogn", "sqrt"):
-        assert phase_profile(FAMILIES[name].build(8, lab8), lab8, processes=2).slope == 1
+    for circuit in (_cross_digit(8), sqrt_circuit(8)):
+        assert phase_profile(circuit, lab8, processes=2).slope == 1
     assert forks == []
     lab9 = FactoradicLabeling(9)
-    assert phase_profile(nlogn_circuit(9), lab9, processes=2).slope == 1
+    assert phase_profile(_cross_digit(9), lab9, processes=2).slope == 1
     assert forks == ["fork"]
 
 
 def test_table_route_forks_from_n10(monkeypatch):
     # a state of the table route counts _TABLE_STATE_COST of a slab state:
-    # two workers lose to one at n=9 and win from n=10 on; the slab forks
-    # from n=9 on.  The pool is only asked for, not started.
+    # two workers lose to one at n=9, so the tables fork from n=10 on; the
+    # slab forks from n=9 on.  The pool is only asked for, not started.
     asked = []
 
     class Asked(Exception):
@@ -319,15 +319,17 @@ def test_table_route_forks_from_n10(monkeypatch):
             raise Asked
 
     monkeypatch.setattr(algorithms.multiprocessing, "get_context", lambda method: Context())
-    sqrt9 = algorithms._Sweep(sqrt_circuit(9), factoradic_table(9))
-    assert sqrt9.state_cost == algorithms._TABLE_STATE_COST < 1
-    exponents, failure = algorithms._parallel_sweep(sqrt9, 2)
-    assert failure is None and exponents.tolist() == list(range(factorial(9)))
+    for circuit in (sqrt_circuit(9), nlogn_circuit(9)):
+        sweep = algorithms._Sweep(circuit, factoradic_table(9))
+        assert sweep.state_cost == algorithms._TABLE_STATE_COST < 1
+        exponents, failure = algorithms._parallel_sweep(sweep, 2)
+        assert failure is None and exponents.tolist() == list(range(factorial(9)))
     assert asked == []
-    for circuit, n in ((sqrt_circuit(10), 10), (sim_switch_circuit(10), 10), (nlogn_circuit(9), 9)):
+    forking = [sqrt_circuit(10), sim_switch_circuit(10), nlogn_circuit(10), _cross_digit(9)]
+    for circuit in forking:
         with pytest.raises(Asked):
-            algorithms._parallel_sweep(algorithms._Sweep(circuit, factoradic_table(n)), 2)
-    assert asked == [2, 2, 2]
+            algorithms._parallel_sweep(algorithms._Sweep(circuit, factoradic_table(circuit.n)), 2)
+    assert asked == [2, 2, 2, 2]
 
 
 @pytest.mark.parametrize("cause", [ValueError, OSError])
@@ -496,13 +498,17 @@ def test_nlogn_keeps_a_block_for_every_wire():
     engine = algorithms._Sweep(circuit, table)
     # psi_8_8 carries only U_0, and keeps its one-row block too
     assert set(engine.wire) == {w.id for w in circuit.data_wires()}
-    # the plan moves no token, so each wire counts U_0 and its own U_k only
+    # the table route: per state, the intp digits, three int64 vectors and the ok mask
+    assert engine.tables is not None and engine.state_bytes == 8 * 8 + 24 + 1
+    assert engine.rows == algorithms._chunk_rows(engine.state_bytes)
+    # the slab, set up as the oracle: the plan moves no token, so each wire
+    # counts U_0 and its own U_k only; per state, the slab column, the bit
+    # masks and the control bits, no positions
+    slab_bytes = engine._build_slab()
     targets = [algorithms._nlogn_target(k, i) for k in range(1, 8) for i in range(1, 4)]
     count_rows = sum(1 + targets.count(w) for w in engine.wire)
     assert [len(gates) for _, gates in engine.blocks] == [1 + targets.count(w) for w in engine.wire]
-    # per state: the slab column, the bit masks and the control bits; no positions
-    assert engine.state_bytes == 8 * count_rows + len(engine.conditions) + len(circuit.control.slots)
-    assert engine.rows == algorithms._chunk_rows(engine.state_bytes)
+    assert slab_bytes == 8 * count_rows + len(engine.conditions) + len(circuit.control.slots)
     profile = phase_profile(circuit, lab)
     assert profile.residuals["psi_8_8"] == (0,) and profile.slope == 1
 
@@ -771,12 +777,13 @@ def sandwich_circuits(draw, own_gates=False):
     Sometimes an auxiliary wire is missing; the switches then avoid the
     position of its gate at x=0.
 
-    With ``own_gates`` the control is a qudit, each Apply of a
-    ``PosCondSwap`` sandwich applies the gate whose position the swap
-    reads, and each Apply on an auxiliary wire a_i of a switch sandwich
-    applies U_i: mostly plans that take the table route."""
+    With ``own_gates`` each Apply of a conditional-swap sandwich applies
+    the gate whose key the swap reads (U_g for a ``PosCondSwap`` on g, U_k
+    for a ``ControlledSwap`` on bit (k, i)), and each Apply on an auxiliary
+    wire a_i of a switch sandwich applies U_i: mostly plans that take the
+    table route."""
     n = draw(st.integers(2, 5))
-    qudit = own_gates or draw(st.booleans())
+    qudit = draw(st.booleans())
     slots = [(k, i) for k in range(1, n) for i in range(1, ceil_log2(n) + 1)]
     targets = ["t0", "t1"]
     fac = lab = FactoradicLabeling(n)
@@ -845,9 +852,9 @@ def sandwich_circuits(draw, own_gates=False):
             continue
         a, b = draw(st.lists(st.sampled_from(data), min_size=2, max_size=2, unique=True))
         swap = conditional_swap(a, b)
+        own = swap.gate if qudit else swap.bit[0]
         middle = [
-            Apply(swap.gate if own_gates else draw(st.integers(0, n - 1)),
-                  draw(st.sampled_from(pick)))
+            Apply(own if own_gates else draw(st.integers(0, n - 1)), draw(st.sampled_from(pick)))
             for pick in draw(st.lists(st.sampled_from([[a, b], data]), max_size=3))
         ]
         close = swap
@@ -1004,7 +1011,7 @@ def test_pool_tasks_with_growing_chunks_fill_exponents_in_x_order(
     monkeypatch.setattr(algorithms, "_FIRST_CHUNK", 5)
     monkeypatch.setattr(algorithms, "_CHUNK_BYTES", 2**15)
     lab = FactoradicLabeling(8)
-    circuit = nlogn_circuit(8)
+    circuit = _cross_digit(8)  # the slab: about 100 states a chunk
     assert _engine(circuit, lab).rows < 128
     parallel = phase_profile(circuit, lab, processes=2)
     assert forks == ["fork"]
@@ -1048,16 +1055,20 @@ def assert_table_route_agrees(circuit: Circuit, labeling: Labeling, per_x=None):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_table_route_matches_slab_and_per_x_on_paper_circuits(n):
-    # per x on every x up to n=6; at n=7 and n=8 on the first and last 150
+    # sqrt, sim-switch, nlogn and nlogn-reduced; per x on every x up to
+    # n=6, at n=7 and n=8 on the first and last 150
     fac = FactoradicLabeling(n)
     renamed = relabeled(fac, tuple(reversed(range(n))))
     m = fac.size
     per_x = None if n <= 6 else (range(0, 150), range(m - 150, m))
+    nlogn = [nlogn_circuit(n, reduced) for reduced in ((False, True) if n in (4, 8) else (False,))]
     for lab in (fac, renamed):
         for build in (sqrt_circuit, sim_switch_circuit):
             assert assert_table_route_agrees(build(n, lab), lab, per_x) == m
             if lab is renamed:  # a circuit of one labeling verified against another
                 assert assert_table_route_agrees(build(n, fac), lab, per_x) == m
+        for circuit in nlogn:  # keyed by digits, under either labeling's table
+            assert assert_table_route_agrees(circuit, lab, per_x) == m
 
 
 def _qualifying(circuit: Circuit, labeling: Labeling) -> bool:
@@ -1086,9 +1097,8 @@ def test_table_route_matches_on_single_mutants(n):
 def test_table_route_matches_on_reject_suites(monkeypatch, n, seed):
     lab = FactoradicLabeling(n)
     qualifying = [m for m in _reject_suite(monkeypatch, n, seed) if _qualifying(m.circuit, lab)]
-    assert qualifying
+    assert {m.circuit.family for m in qualifying} == {"nlogn", "sim-switch", "sqrt"}
     for mutant in qualifying:
-        assert mutant.circuit.family in ("sim-switch", "sqrt")
         first = assert_table_route_agrees(mutant.circuit, lab)
         if mutant.has_witness:
             assert first < lab.size, mutant.name
@@ -1109,32 +1119,30 @@ def test_table_route_matches_on_random_sandwiches(case):
 
 @pytest.mark.parametrize("n", range(2, MAX_READOUT_N + 1))
 def test_table_route_selection(n):
-    # sqrt and sim-switch qualify at every n a profile admits; the tables
-    # are built, and from n=10 on not swept but on the last few xs
+    # sqrt, sim-switch, nlogn and nlogn-reduced qualify at every n a
+    # profile admits and they are built for; the tables are built, and from
+    # n=10 on not swept but on the last few xs
     table = factoradic_table(n)
     m = factorial(n)
-    for build in (sqrt_circuit, sim_switch_circuit):
-        sweep = algorithms._Sweep(build(n), table)
-        checks, pairs = sweep.tables
-        assert checks == () and sweep.expected is None
-        assert [(g, p) for g, p, _ in pairs] == [(g, p) for p in range(n) for g in range(p)]
-        assert sweep.state_cost == algorithms._TABLE_STATE_COST
-        if n == 9:  # the int64 tables take under 25 KB
-            assert sum(t.nbytes for _, _, t in pairs) < 25_000
-        xs = range(m) if n < 10 else range(m - 5, m)
-        exponents, failure = sweep.sweep(xs)
-        assert failure is None and exponents.tolist() == list(xs)
     lab = FactoradicLabeling(n)
     for name, family in FAMILIES.items():
         if name == "switch" or (family.sizes and n not in family.sizes):
             continue
         sweep = algorithms._Sweep(family.build(n, lab), table)
-        if name in ("nlogn", "nlogn-reduced"):  # bit conditions: the slab
-            assert sweep.tables is None and sweep.expected is not None and sweep.state_cost == 1
-        elif name in ("superperm", "six-query"):  # Rewire steps: per x
+        if name in ("superperm", "six-query"):  # Rewire steps: per x
             assert sweep.plan is None and sweep.tables is None
-        else:
-            assert sweep.tables is not None, name
+            continue
+        checks, pairs = sweep.tables
+        assert checks == () and sweep.expected is None, name
+        assert sweep.state_cost == algorithms._TABLE_STATE_COST
+        if name in ("sqrt", "sim-switch"):
+            assert [(g, p) for g, p, _ in pairs] == [(g, p) for p in range(n) for g in range(p)]
+        if n == 9:  # the int64 tables take under 25 KB
+            assert sum(t.nbytes for _, _, t in pairs) < 25_000
+        xs = range(m) if n < 10 else range(m - 5, m)
+        exponents, failure = sweep.sweep(xs)
+        assert exponents.dtype == np.int64
+        assert failure is None and exponents.tolist() == list(xs), name
 
 
 def test_cross_gate_sandwiches_keep_the_slab():
@@ -1155,3 +1163,57 @@ def test_cross_gate_sandwiches_keep_the_slab():
     assert sweep.plan is not None and sweep.tables is None and sweep.expected is not None
     assert assert_sweeps_agree(cross, lab)[1] is not None
     assert assert_table_route_agrees(own, lab) < lab.size
+
+
+def _cross_digit(n, polarities=(1, 0), gate=1):
+    """nlogn with U_gate applied on a new target t under bit (2, 1), once
+    per polarity.  For gate 1 that reads a_2, another gate's digit; with
+    both polarities t carries U_1 for every x, and the circuit passes."""
+    c = nlogn_circuit(n)
+    applies = tuple(ControlledApply(gate, "t", (2, 1), p) for p in polarities)
+    return replace(c, wires=c.wires + (Wire("t", TARGET),), gates=c.gates + applies)
+
+
+def test_cross_digit_applies_keep_the_slab():
+    # U_1 under a bit of a_2 reads another gate's key, so the plan takes
+    # the slab, and agrees with per x whether it passes or fails (one
+    # polarity: t carries U_1 for some xs only); U_2 under that bit reads
+    # its own digit and takes the tables
+    n = 5
+    lab = FactoradicLabeling(n)
+    for polarities in ((1, 0), (1,)):
+        circuit = _cross_digit(n, polarities)
+        sweep = _engine(circuit, lab)
+        assert sweep.plan is not None and sweep.tables is None and sweep.expected is not None
+        assert sweep.state_cost == 1
+        _, failure = assert_sweeps_agree(circuit, lab)
+        assert (failure is None) == (len(polarities) == 2)
+    assert assert_table_route_agrees(_cross_digit(n, (1,), gate=2), lab) < lab.size
+
+
+def test_table_route_reruns_the_chunk_with_an_unwritable_digit(monkeypatch, chunks):
+    # nlogn n=4 without slot (2, 1): no bits write a_2 = 2, first at x=4.
+    # In chunks of 3, the tables sweep 0..2 and give up on 3..5, which the
+    # reference runs, raising at x=4 as it does over every x
+    n = 4
+    lab = FactoradicLabeling(n)
+    full = nlogn_circuit(n)
+    slots = tuple(s for s in full.control.slots if s != (2, 1))
+    gates = tuple(g for g in full.gates if getattr(g, "bit", None) != (2, 1))
+    circuit = replace(full, gates=gates, control=BitControl(n, slots))
+    monkeypatch.setattr(algorithms, "_chunk_rows", lambda state_bytes: 3)
+    sweep = _engine(circuit, lab)
+    assert sweep.tables is not None and sweep.rows == 3
+    assert sweep.run_tables(range(3, 6)) is None and sweep.run(range(3, 6)) is None
+    calls = []
+    reference = algorithms._Sweep.reference
+    monkeypatch.setattr(
+        algorithms._Sweep, "reference", lambda self, xs: calls.append(xs) or reference(self, xs)
+    )
+    chunks.clear()
+    with pytest.raises(InvariantError) as exc:
+        sweep.sweep(range(lab.size))
+    assert chunks == [range(0, 3), range(3, 6)] and calls == [range(3, 6)]
+    with pytest.raises(InvariantError) as per_x:
+        circuit.control.assignment(4)
+    assert str(exc.value) == str(per_x.value)
