@@ -22,8 +22,11 @@ Every family is one entry of :data:`FAMILIES`, which the CLI and
 The verifier executes a circuit for every control basis state, checks that
 the word on each wire is x-independent up to commutation (same multiset, and
 tokens returned home), accumulates the phase exponent of the rewrite onto
-the x=0 reference, and recovers y from the linear phase profile.  Exponents
-are exact integers mod n!, with y symbolic until solve time.
+the x=0 reference, and recovers y from the linear phase profile.  It sweeps
+the control states in chunks through per-gate-pair tables where every apply
+of a gate is routed by that gate's own key, and one at a time through
+:func:`~fpp.circuit.execute` otherwise.  Exponents are exact integers mod
+n!, with y symbolic until solve time.
 """
 
 from __future__ import annotations
@@ -729,39 +732,24 @@ def _chunks(xs: range, rows: int) -> Iterator[range]:
         size = min(2 * size, rows)
 
 
-@dataclass(eq=False)
-class _Slot:
-    """U_gate applied on a wire, in the routes of a plan.
-
-    :class:`_Sweep` fills in the rest when it sets up the slab: ``row`` is
-    the slab row that counts it, and ``dot`` is None if it adds no phase,
-    else (lo, hi, vector), and the phase it adds is ``vector @ slab[lo:hi]``.
-    """
-
-    wire: int
-    gate: int
-    row: int = -1
-    dot: tuple[int, int, np.ndarray] | None = None
-
-
 class _Sweep:
     """The sweep of one circuit under one commutation table.
 
     ``__init__`` runs :func:`execute` at x=0 (rejecting a circuit that
     leaves a token off its wire there), keeps the per-wire reference data
     (:attr:`refs`, by wire id) and the written words (:attr:`residuals`),
-    and lowers the gate list once into :attr:`plan`.  :meth:`sweep` runs a
-    range of xs in chunks through one of two engines, each a whole chunk of
-    control states at once in numpy: :meth:`run_tables` where the plan has
-    :attr:`tables`, else :meth:`run`, the slab.  :meth:`reference` runs xs
-    one at a time through :func:`execute` and the residual checks.  ``plan``
-    is None only for a circuit with a gate that may leave a token off its
-    wire (a ``Rewire``, or a swap gate outside a sandwich); :attr:`exact` is
-    False where applies^2 * n! reaches 2^53 (below).  Every x runs through
-    :meth:`reference` where ``plan`` is None, or where the plan has no
-    tables and is not exact.
+    lowers the gate list once into :attr:`plan` and derives the plan's
+    :attr:`tables`.  :meth:`sweep` runs a range of xs on one of two routes:
+    :meth:`run_tables`, a whole chunk of control states at once in numpy,
+    where the plan has tables; else :meth:`reference`, which runs xs one at
+    a time through :func:`execute` and the residual checks, and is the
+    oracle the tests hold the tables to.  ``plan`` is None for a circuit
+    with a gate that may leave a token off its wire (a ``Rewire``, or a
+    swap gate outside a sandwich); a plan has no tables past
+    :data:`MAX_READOUT_N` or where it is cross-gate, a route of U_g reading
+    another gate's key.
 
-    The table route (:meth:`_pair_tables`) takes a plan at n <=
+    The tables (:meth:`_pair_tables`) take a plan at n <=
     :data:`MAX_READOUT_N` in which every route applying U_g has no
     condition or reads only U_g's own key: where U_g acts under a
     ``QuditControl`` (the plans of sqrt and sim-switch), its factoradic
@@ -770,55 +758,29 @@ class _Sweep:
     depends on its own key alone, so the residual check of an x is an AND
     over the gates of a per-gate table, and its phase is a sum over gate
     pairs g < p of a table indexed by the keys of g and p.  Both are exact
-    int64.  The slab takes the cross-gate plans, where a route of U_g
-    reads another gate's key.  :meth:`run` stays callable on a table plan
-    (it then sets up its slab first), and the tests use it as the oracle.
-
-    The slab: the data wires are numbered 0..W-1 in the sorted order of
-    ``refs``, and column r of a chunk is one x.  Each wire holds the gate
-    counts of its token in a contiguous block of rows of the float64
-    ``slab``, one row per gate its routes apply there, in ascending order:
-    ``slab[row, r]`` counts the U_g applied on that wire in column r.  These
-    rows include every gate of the wire's reference word (an auxiliary wire
-    of sim-switch or sqrt has one row).  An x passes the residual checks iff
-    its column ends equal to :attr:`expected`, the counts of the reference
-    words.
-
-    ``phase[r]`` is the descending-order exponent of all words so far:
-    applying U_g to a token adds e[g][p] for every U_p (p > g) it already
-    carries, which is the sum :func:`~fpp.commutation.perm_phase_exponent`
-    takes over the finished word, repeated gates included.  That sum is one
-    BLAS dot of e[g] over the later gates of the block with the block's rows
-    below g (a :class:`_Slot`'s ``dot``); it is left out where those entries
-    are all zero.  Counts, dots and phases are integers below
-    applies^2 * n!, which float64 holds exactly while that is below 2^53;
-    from there on only the reference's Python ints are exact.
+    int64.
 
     Every step of a plan is a routed apply, a tuple of ``(condition,
-    slot)`` routes: U_g on the wire of each route's slot, in the columns of
-    the route's condition, or in every column where the condition is None.
-    No two conditions of a step share a column.  ``Apply`` is one route
-    with no condition, ``ControlledApply`` one route on its bit's
-    condition.  Swap gates lower by one rule, the sandwich: a swap gate,
-    then a run of ``Apply`` gates, then a gate with the same
-    transpositions (:meth:`_transpositions`).  Each ``Apply`` in between is
-    routed to the partner wire where a transposition on its wire holds, and
-    stays on its own wire elsewhere.  The transpositions that hold at one x
-    are disjoint and their conditions depend on x only, so the closing gate
-    undoes the opening one and no token moves.  Each distinct condition (a
-    control bit and polarity, a position range of one gate, or none of some
-    other conditions) is made when a route first uses it and evaluated once
-    per chunk.  Gates of the wrong control kind are left to the x=0
+    slot)`` routes: U_gate on the wire of each route's slot ``(wire,
+    gate)``, the data wires numbered 0..W-1 in the sorted order of
+    ``refs``, for the xs where the route's condition holds, or for every x
+    where the condition is None.  No two conditions of a step hold at one
+    x.  ``Apply`` is one route with no condition, ``ControlledApply`` one
+    route on its bit's condition.  Swap gates lower by one rule, the
+    sandwich: a swap gate, then a run of ``Apply`` gates, then a gate with
+    the same transpositions (:meth:`_transpositions`).  Each ``Apply`` in
+    between is routed to the partner wire where a transposition on its
+    wire holds, and stays on its own wire elsewhere.  The transpositions
+    that hold at one x are disjoint and their conditions depend on x only,
+    so the closing gate undoes the opening one and no token moves.  Each
+    distinct condition (a control bit and polarity, a position range of one
+    gate, or none of some other conditions) is made when a route first
+    uses it.  Gates of the wrong control kind are left to the x=0
     reference execution, which rejects them before any sweep.
 
-    :attr:`state_bytes` is the working set of one column.  On the slab:
-    its slab rows, one byte per condition mask, the intp acting positions
-    if a condition reads them, and the uint8 control bits of a
-    ``BitControl``.  On the table route: the intp keys, three int64
-    vectors and the ok mask.
-    :attr:`rows` is the most states a chunk holds (:func:`_chunk_rows`),
-    and :attr:`state_cost` what a state costs the fork rule of
-    :func:`_parallel_sweep`.
+    :attr:`state_bytes` is the working set of one state on the table
+    route: the intp keys, three int64 vectors and the ok mask.
+    :attr:`rows` is the most states a chunk holds (:func:`_chunk_rows`).
     """
 
     def __init__(self, circuit: Circuit, table: CommutationTable):
@@ -839,54 +801,10 @@ class _Sweep:
         self.ref_phase = sum(r.phase for r in self.refs)
         self.wire = {r.wire: i for i, r in enumerate(self.refs)}
         self.conditions: dict[tuple, int] = {}
-        self.inside: dict[tuple, np.ndarray] = {}
-        self.slots: dict[tuple[int, int], _Slot] = {}
-        self.exact = max(query_count(circuit), 1) ** 2 * self.modulus < 2**53
         self.plan = self._lower(circuit.gates)
-        self.tables = self.expected = None
-        self.state_cost = 1
-        if self.plan is None:
-            return
-        self.tables = self._pair_tables()
-        if self.tables is None:
-            self.state_bytes = self._build_slab()
-        else:  # intp keys, three int64 vectors and the ok mask
-            self.state_bytes = 8 * self.n + 24 + 1
-            self.state_cost = _TABLE_STATE_COST
+        self.tables = None if self.plan is None else self._pair_tables()
+        self.state_bytes = 8 * self.n + 24 + 1
         self.rows = _chunk_rows(self.state_bytes)
-
-    def _build_slab(self) -> int:
-        """Set up :meth:`run`: the wires' blocks of slab rows, the
-        :attr:`expected` counts and each slot's row and dot.  Returns the
-        slab route's working set of one column."""
-        n = self.n
-        gates = [set() for _ in self.refs]
-        for w, g in self.slots:
-            gates[w].add(g)
-        # blocks[w]: (first slab row of wire w, its gates in ascending order)
-        self.blocks, start = [], 0
-        for block in gates:
-            self.blocks.append((start, sorted(block)))
-            start += len(block)
-        self.expected = np.zeros(start)
-        for (first, block), r in zip(self.blocks, self.refs):
-            for g in r.sorted_word:
-                self.expected[first + block.index(g)] += 1
-        e = np.zeros((n, n))
-        for (j, k), v in self.table.entries.items():
-            e[j, k] = v % self.modulus
-        for slot in self.slots.values():
-            first, block = self.blocks[slot.wire]
-            slot.row = first + block.index(slot.gate)
-            later = e[slot.gate, block[block.index(slot.gate) + 1 :]]
-            if later.any():
-                slot.dot = (slot.row + 1, first + len(block), later)
-        state_bytes = 8 * start + len(self.conditions)
-        if any(key[0] == "position" for key in self.conditions):
-            state_bytes += 8 * n
-        if isinstance(self.control, BitControl):
-            state_bytes += len(self.control.slots)
-        return state_bytes
 
     def _pair_tables(self) -> tuple[tuple, tuple] | None:
         """The tables of :meth:`run_tables`, or None if the plan does not
@@ -932,10 +850,10 @@ class _Sweep:
                 excluded += key[1:]
         conds, gates, wires = [], [], []  # one event per route, in plan order
         for routes in self.plan:
-            for cond, slot in routes:
+            for cond, (wire, gate) in routes:
                 conds.append(count if cond is None else cond)
-                gates.append(slot.gate)
-                wires.append(slot.wire)
+                gates.append(gate)
+                wires.append(wire)
         if any(c < count and reads[c] != g for c, g in zip(conds, gates)):
             return None
         masks = np.ones((count + 1, n), dtype=bool)
@@ -987,20 +905,9 @@ class _Sweep:
         )
         return checks, pairs
 
-    def _slot(self, wire: int, gate: int) -> _Slot:
-        if (wire, gate) not in self.slots:
-            self.slots[wire, gate] = _Slot(wire, gate)
-        return self.slots[wire, gate]
-
     def _condition(self, key: tuple) -> int:
-        """Index of a condition among the masks of a chunk."""
-        if key not in self.conditions:
-            self.conditions[key] = len(self.conditions)
-            if key[0] == "position":  # inside[p]: lo <= p < hi
-                _, g, lo, hi = key
-                self.inside[key] = np.zeros(self.n, dtype=bool)
-                self.inside[key][max(lo, 0) : max(hi, 0)] = True
-        return self.conditions[key]
+        """Index of a condition among :attr:`conditions`."""
+        return self.conditions.setdefault(key, len(self.conditions))
 
     def _transpositions(self, gate) -> dict[str, list[tuple[str, tuple]]] | None:
         """The transpositions of a swap gate the plan lowers, keyed by wire:
@@ -1040,23 +947,24 @@ class _Sweep:
                 by_wire.setdefault(b, []).append((a, key))
         return by_wire
 
-    def _lower(self, gates: Sequence) -> tuple[tuple[tuple[int | None, _Slot], ...], ...] | None:
+    def _lower(
+        self, gates: Sequence
+    ) -> tuple[tuple[tuple[int | None, tuple[int, int]], ...], ...] | None:
         """The plan of the gate list, or None if a gate may move a token: a
         ``Rewire``, or a swap gate that opens no sandwich.  A sandwich is a
         gate with :meth:`_transpositions`, a run of ``Apply`` gates, then a
         gate with the same transpositions; each ``Apply`` of the run is
         routed to the partner of each transposition on its wire, under that
-        transposition's condition, and stays on its wire where none holds.
-        The plan does not depend on :attr:`exact`."""
-        wire, slot, plan, j = self.wire, self._slot, [], 0
+        transposition's condition, and stays on its wire where none holds."""
+        wire, plan, j = self.wire, [], 0
         while j < len(gates):
             gate = gates[j]
             j += 1
             if isinstance(gate, Apply):
-                plan.append(((None, slot(wire[gate.wire], gate.gate)),))
+                plan.append(((None, (wire[gate.wire], gate.gate)),))
             elif isinstance(gate, ControlledApply):
                 cond = self._condition(("bit", gate.bit, gate.polarity))
-                plan.append(((cond, slot(wire[gate.wire], gate.gate)),))
+                plan.append(((cond, (wire[gate.wire], gate.gate)),))
             else:  # a sandwich opened by this gate, or no plan
                 swaps = self._transpositions(gate)
                 end = j
@@ -1068,15 +976,15 @@ class _Sweep:
                     return None
                 for mid in gates[j:end]:
                     routes = tuple(
-                        (self._condition(key), slot(wire[partner], mid.gate))
+                        (self._condition(key), (wire[partner], mid.gate))
                         for partner, key in swaps.get(mid.wire, ())
                     )
                     stay = self._condition(("none", *(c for c, _ in routes))) if routes else None
-                    plan.append(routes + ((stay, slot(wire[mid.wire], mid.gate)),))
+                    plan.append(routes + ((stay, (wire[mid.wire], mid.gate)),))
                 j = end + 1
         return tuple(plan)
 
-    def reference(self, xs: range) -> tuple[list[int], str | None]:
+    def reference(self, xs: Iterable[int]) -> tuple[list[int], str | None]:
         """Per-x reference sweep: :func:`execute` and the residual checks,
         one x at a time.  Returns (exponents, first failure or None)."""
         m = self.modulus
@@ -1097,58 +1005,16 @@ class _Sweep:
             exponents.append((total - self.ref_phase) % m)
         return exponents, None
 
-    def run(self, xs: range) -> tuple[np.ndarray, int] | None:
-        """Exponents of the chunk and the index of its first failing x
-        (``len(xs)`` if none fails), or None if some x of the chunk has no
-        bit assignment."""
-        size = len(xs)
-        bits = positions = None
-        if self.expected is None:  # a table plan, run as the oracle of run_tables
-            self._build_slab()
-        if isinstance(self.control, BitControl):
-            try:
-                bits = self.control.assignments(xs)
-            except InvariantError:
-                return None
-        masks: list[np.ndarray] = []
-        for key in self.conditions:
-            kind = key[0]
-            if kind == "position":
-                if positions is None:  # [g, r]: where U_g acts in the word of column r
-                    positions = self.control.labeling.positions(xs)
-                masks.append(self.inside[key][positions[key[1]]])
-            elif kind == "none":  # the columns where none of these conditions hold
-                some = masks[key[1]]
-                for cond in key[2:]:
-                    some = some | masks[cond]
-                masks.append(~some)
-            else:
-                _, bit, polarity = key
-                masks.append(bits[bit] == polarity)
-        bits = positions = None  # freed before the slab is allocated
-        slab = np.zeros((len(self.expected), size))
-        phase = np.zeros(size)
-        for routes in self.plan:
-            for cond, slot in routes:
-                mask = 1 if cond is None else masks[cond]
-                if slot.dot is not None:
-                    lo, hi, later = slot.dot
-                    added = later.dot(slab[lo:hi])
-                    phase += added if cond is None else np.multiply(added, mask, out=added)
-                slab[slot.row] += mask
-        slab -= self.expected[:, None]  # in place: no bool copy of the slab
-        ok = ~slab.any(axis=0)
-        first = int(ok.argmin()) if not ok.all() else size
-        return (phase.astype(np.int64) - self.ref_phase) % self.modulus, first
-
     def run_tables(self, xs: range) -> tuple[np.ndarray, int] | None:
-        """:meth:`run` for a plan with :attr:`tables`: the chunk's keys
-        (acting positions, or digits), ok = AND_g ok_g[key_g] over the
-        checked gates, and p(x) = sum over the pairs of
-        W[key_g * n + key_p] - ref_phase mod n!, one int64 gather per pair.
-        The sum stays below 2^63 for every n <= :data:`MAX_READOUT_N`.
-        Returns None, as :meth:`run` does, if some x of the chunk has a
-        digit the control's bit slots cannot write."""
+        """Exponents of the chunk and the index of its first failing x
+        (``len(xs)`` if none fails), or None if some x of the chunk has a
+        digit the control's bit slots cannot write.
+
+        The chunk's keys are decoded (acting positions, or digits); then ok
+        = AND_g ok_g[key_g] over the checked gates, and p(x) = sum over the
+        pairs of W[key_g * n + key_p] - ref_phase mod n!, one int64 gather
+        per pair.  The sum stays below 2^63 for every n <=
+        :data:`MAX_READOUT_N`."""
         checks, pairs = self.tables
         n, size = self.n, len(xs)
         if isinstance(self.control, QuditControl):
@@ -1184,24 +1050,22 @@ class _Sweep:
         """Exponent deltas for xs; returns (int64 exponents, first failure or
         None).  On a failure the exponents are those of the xs before it.
 
-        Runs :meth:`run_tables` (a plan with :attr:`tables`) or :meth:`run`
-        over the chunks of :func:`_chunks`: _FIRST_CHUNK states first, then
-        doubling up to :attr:`rows`, so the chunk that finds an early
-        failure is small.  The first x it finds failing is run again through
-        :meth:`reference`, so the failure text is the per-x one; so is a
-        chunk holding an x with no bit assignment, which the reference then
-        raises on.  Where ``plan`` is None, or it has no tables and is not
-        :attr:`exact`, every x runs through :meth:`reference`.  Exponents
+        A plan with :attr:`tables` runs :meth:`run_tables` over the chunks
+        of :func:`_chunks`: _FIRST_CHUNK states first, then doubling up to
+        :attr:`rows`, so the chunk that finds an early failure is small.
+        The first x it finds failing is run again through :meth:`reference`,
+        so the failure text is the per-x one; so is a chunk holding an x
+        with no bit assignment, which the reference then raises on.  Every
+        other circuit runs every x through :meth:`reference`.  Exponents
         lie below n!, which int64 holds for n <= 20.
         """
-        if self.plan is None or (self.tables is None and not self.exact):
+        if self.tables is None:
             exps, failure = self.reference(xs)
             return np.array(exps, dtype=np.int64), failure
-        run = self.run if self.tables is None else self.run_tables
         exponents = np.empty(len(xs), dtype=np.int64)
         for chunk in _chunks(xs, self.rows):
             at = chunk.start - xs.start
-            result = run(chunk)
+            result = self.run_tables(chunk)
             if result is None:  # the reference fails or raises within this chunk
                 exps, failure = self.reference(chunk)
                 exponents[at : at + len(exps)] = exps
@@ -1219,11 +1083,8 @@ class _Sweep:
         return exponents, None
 
 
-# The fewest control states a forked worker of the sweep gets, counted at
-# their cost (:attr:`_Sweep.state_cost`): a state of the slab or the per-x
-# route costs 1, a state of the table route _TABLE_STATE_COST.
-_STATES_PER_WORKER = 2**15
-_TABLE_STATE_COST = 1 / 8
+# The fewest control states a forked worker of the sweep gets.
+_STATES_PER_WORKER = 2**18
 _POOL_STATE: dict = {}
 
 
@@ -1243,22 +1104,21 @@ def phase_profile(
     """Execute for every x and accumulate phase exponents against x=0.
 
     The reference words come from :func:`execute` at x=0, the single-x
-    reference.  Every x then runs in chunks through a numpy engine of
-    :meth:`_Sweep.sweep`: the per-gate-pair tables where every apply of U_g
-    is routed by U_g's own key alone, where it acts (sqrt and sim-switch)
-    or its factoradic digit (nlogn and nlogn-reduced), exact in int64; else
-    the float64 slab.  The first failing x is run again through
-    :func:`execute`, so the failure names the same witness, wire and words
-    the per-x sweep would.  A circuit the engines do not lower, or one
-    that takes the slab where its float64 sums would not be exact, sweeps
-    through :func:`execute`, one x at a time.  A target whose n is not the
-    labeling's is refused first.
+    reference.  Where every apply of U_g is routed by U_g's own key alone,
+    where it acts (sqrt and sim-switch) or its factoradic digit (nlogn and
+    nlogn-reduced), every x then runs in chunks through the per-gate-pair
+    tables of :meth:`_Sweep.sweep`, exact in int64, and the first failing x
+    is run again through :func:`execute`, so the failure names the same
+    witness, wire and words the per-x sweep would.  Every other circuit (a
+    gate that may move a token, as in the rail circuits, or a cross-gate
+    plan) sweeps through :func:`execute`, one x at a time.  A target whose
+    n is not the labeling's is refused first.
 
     The sweep is embarrassingly parallel over x; ``processes`` > 1 forks up
     to that many worker processes where the platform allows, when each gets
-    enough work (:func:`_parallel_sweep`: from n=9 on for the slab, from
-    n=10 on for the tables), and runs the serial path otherwise.  Results
-    are deterministic regardless of schedule.
+    enough work (:func:`_parallel_sweep`: from n=10 on), and runs the
+    serial path otherwise.  Results are deterministic regardless of
+    schedule.
     """
     if target.n != labeling.n:
         raise DomainError(
@@ -1306,21 +1166,18 @@ def _parallel_sweep(sweep: _Sweep, processes: int | None) -> tuple[np.ndarray, s
     """The exponents of x in [0, n!) and the first failure, as
     ``sweep.sweep(range(n!))`` gives them.
 
-    Forks at most ``processes`` workers, and only as many as get states of
-    cost at least _STATES_PER_WORKER each (n! times
-    :attr:`_Sweep.state_cost`); below that the serial sweep is faster.  On
-    the slab route two workers sweep at n=8 slower than one, and gain from
-    n=9 on, with the workers' exponents sent back as int64 arrays.  The
-    table route sweeps sqrt, sim-switch and nlogn several times faster a
-    state than the slab, and its n=9 sweep is too short for the pool to
-    pay, so it forks from n=10 on.  nlogn's tables hold about half the
-    pairs of sqrt's (25 of 45 at n=10), and there two workers still do not
-    beat one.  The xs go out as about 4 tasks per worker, in x order, and
+    Forks at most ``processes`` workers, and only as many as get at least
+    _STATES_PER_WORKER states each; below that the serial sweep is
+    faster.  The tables sweep sqrt, sim-switch and nlogn at n=9 too fast
+    for the pool to pay, so they fork from n=10 on, with the workers'
+    exponents sent back as int64 arrays.  nlogn's tables hold about half
+    the pairs of sqrt's (25 of 45 at n=10), and there two workers still do
+    not beat one.  The xs go out as about 4 tasks per worker, in x order, and
     each task grows its chunks from the first size again; the first
     failing task ends the sweep.
     """
     m = sweep.modulus
-    workers = min(processes or 1, int(m * sweep.state_cost) // _STATES_PER_WORKER)
+    workers = min(processes or 1, m // _STATES_PER_WORKER)
     if workers <= 1:
         return sweep.sweep(range(m))
     step = -(-m // (4 * workers))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError, StructuralError
 from .numsys import bit_weight, greedy_bits, to_factoradic
-from .perms import Labeling, PermWord, factoradic_blocks
+from .perms import Labeling, PermWord
 
 __all__ = [
     "Wire",
@@ -167,29 +167,6 @@ class BitControl:
             for i, b in zip(slots_k, greedy_bits(digits.digit(k), weights)):
                 bits[(k, i)] = b
         return bits
-
-    def assignments(self, xs: Sequence[int]) -> dict[tuple[int, int], np.ndarray]:
-        """:meth:`assignment` for many xs: one 0/1 uint8 array per slot.
-
-        Where :func:`~fpp.perms.factoradic_blocks` takes xs, the digits come
-        from it and each slot's bit from its per-k table over the digit
-        values (see :func:`_bit_tables`); any other xs run through
-        :meth:`assignment` per x.  Raises what :meth:`assignment` raises for
-        the first x it rejects.
-        """
-        bits, unwritten = _bit_tables(self.n, self.slots)
-        blocks = factoradic_blocks(self.n)
-        if not blocks.decodes(xs):
-            rows = [self.assignment(x) for x in xs]
-            return {slot: np.array([row[slot] for row in rows], dtype=np.uint8) for slot in bits}
-        digits = blocks.digits(xs)
-        rejected = None
-        for k, digit_unwritten in unwritten.items():
-            missed = digit_unwritten[digits[k - 1]]
-            rejected = missed if rejected is None else rejected | missed
-        if rejected is not None and rejected.any():
-            self.assignment(xs[int(rejected.argmax())])
-        return {slot: np.take(bit, digits[slot[0] - 1]) for slot, bit in bits.items()}
 
 
 @lru_cache(maxsize=None)

@@ -22,8 +22,6 @@ def forks(monkeypatch):
 
 @pytest.fixture
 def forks_from_n8(monkeypatch):
-    """2^14 states per worker on every route, the table route's included,
-    so that two workers fork from n=8 on: the pool's mechanism tests fork
-    at n=8, the smallest n where two can."""
+    """2^14 states per worker, so that two workers fork from n=8 on: the
+    pool's mechanism tests fork at n=8, the smallest n where two can."""
     monkeypatch.setattr(algorithms, "_STATES_PER_WORKER", 2**14)
-    monkeypatch.setattr(algorithms, "_TABLE_STATE_COST", 1)

@@ -45,7 +45,7 @@ from fpp.circuit import (
     execute,
     query_count,
 )
-from fpp.commutation import CommutationTable, brute_force_phase, factoradic_table, random_table
+from fpp.commutation import brute_force_phase, factoradic_table, random_table
 from fpp.errors import FppError, InvariantError, StructuralError
 from fpp.numsys import ceil_log2
 from fpp.perms import (
@@ -191,62 +191,17 @@ def test_exponents_past_int64_stay_exact():
     assert (exponents.tolist(), failure) == sweep.reference(xs)
 
 
-def _max_phase_table(n):
-    """The table whose every later entry e[j][k] (j < k) is n! - 1."""
-    return CommutationTable.from_upper(
-        n, {(j, k): factorial(n) - 1 for j in range(n) for k in range(j + 1, n)}
-    )
-
-
-def _bound_circuit(n, applies):
-    """The switch simulation onto t, then U_{n-1} and U_0 alternately on t
-    up to ``applies`` gates: the phase of t nears applies^2 * n! / 4."""
-    lab = FactoradicLabeling(n)
-    wires = (Wire("x", CONTROL_QUDIT), Wire("t", TARGET))
-    wires += tuple(Wire(aux_wire(g), AUXILIARY) for g in range(n))
-    gates = _switch_steps(n, "t", range(n))
-    gates += [Apply((n - 1) * (k % 2 == 0), "t") for k in range(applies - n * n)]
-    return Circuit(n, "bound", wires, tuple(gates), QuditControl(lab))
-
-
-@pytest.mark.parametrize("side", ["below", "above"])
-def test_float64_bound_from_both_sides(monkeypatch, side):
-    # 321^2 * 14! < 2^53 <= 322^2 * 14!: both sides have a plan; just below
-    # the bound the engine sweeps, just above it the reference does; both
-    # stay exact
-    n = 14
-    table = _max_phase_table(n)
-    applies = 321 if side == "below" else 322
-    assert (applies**2 * factorial(n) < 2**53) == (side == "below")
-    sweep = algorithms._Sweep(_bound_circuit(n, applies), table)
-    assert sweep.plan is not None and sweep.exact == (side == "below")
-    xs = range(factorial(n) - 40, factorial(n))
-    expected = sweep.reference(xs)
-    runs = []
-    run = algorithms._Sweep.run
-    monkeypatch.setattr(algorithms._Sweep, "run", lambda self, xs: runs.append(xs) or run(self, xs))
-    exponents, failure = sweep.sweep(xs)
-    assert (exponents.tolist(), failure) == expected
-    assert (runs != []) == (side == "below")
-    exponents, failure = expected
-    assert failure is None and len(set(exponents)) > 1
-
-
-def test_paper_circuits_lower_past_the_float64_bound(monkeypatch):
-    # 256^2 * 16! >= 2^53: sqrt and sim-switch are lowered at n=16, but the
-    # sweep runs the reference, which gives the factoradic exponent x
+def test_paper_circuits_lower_past_the_float64_bound():
+    # sqrt and sim-switch are lowered at n=16, past MAX_READOUT_N, where
+    # there are no tables: the sweep runs the reference, which gives the
+    # factoradic exponent x
     n = 16
     table = factoradic_table(n)
-
-    def run(self, xs):
-        raise AssertionError("_Sweep.run called past the float64 bound")
-
-    monkeypatch.setattr(algorithms._Sweep, "run", run)
     for build in (sqrt_circuit, sim_switch_circuit):
         circuit = build(n)
         sweep = algorithms._Sweep(circuit, table)
-        assert query_count(circuit) == 256 and not sweep.exact
-        assert len(sweep.plan) == 256
+        assert query_count(circuit) == 256 and len(sweep.plan) == 256
+        assert sweep.tables is None
         xs = range(factorial(n) - 5, factorial(n))
         exponents, failure = sweep.sweep(xs)
         assert failure is None and exponents.tolist() == list(xs)
@@ -291,23 +246,9 @@ def test_pool_forks_from_16384_states_per_worker(forks_from_n8, forks):
     assert forks == ["fork"]
 
 
-def test_pool_forks_from_n9_with_two_workers(forks):
-    # 32 768 states per worker: two workers lose to one at n=8 (40 320
-    # states), so n=9 is the first n that forks on the slab
-    assert algorithms._STATES_PER_WORKER == 2**15
-    lab8 = FactoradicLabeling(8)
-    for circuit in (_cross_digit(8), sqrt_circuit(8)):
-        assert phase_profile(circuit, lab8, processes=2).slope == 1
-    assert forks == []
-    lab9 = FactoradicLabeling(9)
-    assert phase_profile(_cross_digit(9), lab9, processes=2).slope == 1
-    assert forks == ["fork"]
-
-
 def test_table_route_forks_from_n10(monkeypatch):
-    # a state of the table route counts _TABLE_STATE_COST of a slab state:
-    # two workers lose to one at n=9, so the tables fork from n=10 on; the
-    # slab forks from n=9 on.  The pool is only asked for, not started.
+    # 262 144 states per worker: two workers lose to one at n=9, so the
+    # sweep forks from n=10 on.  The pool is only asked for, not started.
     asked = []
 
     class Asked(Exception):
@@ -321,15 +262,13 @@ def test_table_route_forks_from_n10(monkeypatch):
     monkeypatch.setattr(algorithms.multiprocessing, "get_context", lambda method: Context())
     for circuit in (sqrt_circuit(9), nlogn_circuit(9)):
         sweep = algorithms._Sweep(circuit, factoradic_table(9))
-        assert sweep.state_cost == algorithms._TABLE_STATE_COST < 1
         exponents, failure = algorithms._parallel_sweep(sweep, 2)
         assert failure is None and exponents.tolist() == list(range(factorial(9)))
     assert asked == []
-    forking = [sqrt_circuit(10), sim_switch_circuit(10), nlogn_circuit(10), _cross_digit(9)]
-    for circuit in forking:
+    for circuit in (sqrt_circuit(10), sim_switch_circuit(10), nlogn_circuit(10)):
         with pytest.raises(Asked):
-            algorithms._parallel_sweep(algorithms._Sweep(circuit, factoradic_table(circuit.n)), 2)
-    assert asked == [2, 2, 2, 2]
+            algorithms._parallel_sweep(algorithms._Sweep(circuit, factoradic_table(10)), 2)
+    assert asked == [2, 2, 2]
 
 
 @pytest.mark.parametrize("cause", [ValueError, OSError])
@@ -384,10 +323,11 @@ def _engine(circuit: Circuit, labeling: Labeling) -> algorithms._Sweep:
 def _plan(circuit: Circuit, labeling: Labeling):
     """The engine's plan of the circuit: routed applies, or None if not lowered."""
     plan = _engine(circuit, labeling).plan
-    if plan is not None:  # every step a tuple of (condition or None, slot) routes
+    if plan is not None:  # every step a tuple of (condition or None, (wire, gate)) routes
         for routes in plan:
-            for cond, slot in routes:
-                assert (cond is None or isinstance(cond, int)) and isinstance(slot, algorithms._Slot)
+            for cond, (wire, gate) in routes:
+                assert cond is None or isinstance(cond, int)
+                assert isinstance(wire, int) and isinstance(gate, int)
     return plan
 
 
@@ -496,19 +436,11 @@ def test_nlogn_keeps_a_block_for_every_wire():
     table = lab.validate().table
     circuit = nlogn_circuit(8)
     engine = algorithms._Sweep(circuit, table)
-    # psi_8_8 carries only U_0, and keeps its one-row block too
+    # psi_8_8 carries only U_0, and keeps its wire too
     assert set(engine.wire) == {w.id for w in circuit.data_wires()}
     # the table route: per state, the intp digits, three int64 vectors and the ok mask
     assert engine.tables is not None and engine.state_bytes == 8 * 8 + 24 + 1
     assert engine.rows == algorithms._chunk_rows(engine.state_bytes)
-    # the slab, set up as the oracle: the plan moves no token, so each wire
-    # counts U_0 and its own U_k only; per state, the slab column, the bit
-    # masks and the control bits, no positions
-    slab_bytes = engine._build_slab()
-    targets = [algorithms._nlogn_target(k, i) for k in range(1, 8) for i in range(1, 4)]
-    count_rows = sum(1 + targets.count(w) for w in engine.wire)
-    assert [len(gates) for _, gates in engine.blocks] == [1 + targets.count(w) for w in engine.wire]
-    assert slab_bytes == 8 * count_rows + len(engine.conditions) + len(circuit.control.slots)
     profile = phase_profile(circuit, lab)
     assert profile.residuals["psi_8_8"] == (0,) and profile.slope == 1
 
@@ -559,12 +491,13 @@ def test_near_miss_switch_sandwiches_match_per_x():
 
 
 def test_unlowered_plans_sweep_per_x(monkeypatch, forks_from_n8, forks):
-    # a circuit whose plan is None never reaches _Sweep.run, neither in the
-    # serial sweep nor in the pool's forked workers, which inherit the patch
-    def run(self, xs):
-        raise AssertionError("_Sweep.run called for a plan that is None")
+    # a circuit whose plan is None never reaches _Sweep.run_tables, neither
+    # in the serial sweep nor in the pool's forked workers, which inherit
+    # the patch
+    def run_tables(self, xs):
+        raise AssertionError("_Sweep.run_tables called for a plan that is None")
 
-    monkeypatch.setattr(algorithms._Sweep, "run", run)
+    monkeypatch.setattr(algorithms._Sweep, "run_tables", run_tables)
     lab3 = FactoradicLabeling(3)
     assert assert_sweeps_agree(FAMILIES["six-query"].build(3, lab3), lab3)[1] is None
     # sim-switch with the closing SwitchSwap of its last step replaced by the
@@ -899,7 +832,7 @@ def test_random_bit_circuits_match_per_x(case):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(sandwich_circuits())
+@given(st.one_of(sandwich_circuits(), sandwich_circuits(own_gates=True)))
 def test_random_sandwiches_match_per_x(case):
     _check_random(case)
 
@@ -916,17 +849,27 @@ def small_chunks(monkeypatch):
     monkeypatch.setattr(algorithms, "_CHUNK_BYTES", 2**13)
 
 
+def _recording(monkeypatch, name):
+    """The xs each call of the :class:`_Sweep` method ``name`` sees, in
+    order; the calls go through to the method."""
+    seen = []
+    method = getattr(algorithms._Sweep, name)
+    monkeypatch.setattr(
+        algorithms._Sweep, name, lambda self, xs: seen.append(xs) or method(self, xs)
+    )
+    return seen
+
+
 @pytest.fixture
 def chunks(monkeypatch):
-    """The chunks of xs :meth:`_Sweep.run` or :meth:`_Sweep.run_tables`
-    sees, in order."""
-    seen = []
-    for name in ("run", "run_tables"):
-        run = getattr(algorithms._Sweep, name)
-        monkeypatch.setattr(
-            algorithms._Sweep, name, lambda self, xs, run=run: seen.append(xs) or run(self, xs)
-        )
-    return seen
+    """The chunks of xs :meth:`_Sweep.run_tables` sees, in order."""
+    return _recording(monkeypatch, "run_tables")
+
+
+@pytest.fixture
+def references(monkeypatch):
+    """The xs :meth:`_Sweep.reference` is called with, in order."""
+    return _recording(monkeypatch, "reference")
 
 
 def _assert_schedule(seen, xs, rows):
@@ -950,7 +893,7 @@ def test_growing_chunks_match_per_x(small_chunks, chunks, n):
         exponents, failure = assert_sweeps_agree(circuit, lab)
         assert failure is None and len(exponents) == factorial(n)
         engine = _engine(circuit, lab)
-        if engine.plan is None:  # the rail circuits sweep per x
+        if engine.tables is None:  # the rail circuits sweep per x
             assert chunks == []
         else:
             _assert_schedule(chunks, range(lab.size), engine.rows)
@@ -958,7 +901,7 @@ def test_growing_chunks_match_per_x(small_chunks, chunks, n):
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
-@given(case=sandwich_circuits())
+@given(case=st.one_of(sandwich_circuits(), sandwich_circuits(own_gates=True)))
 def test_growing_chunks_random_sandwiches_match_per_x(small_chunks, case):
     _check_random(case)
 
@@ -1007,12 +950,12 @@ def test_early_witness_sweeps_only_the_first_chunk(chunks):
 def test_pool_tasks_with_growing_chunks_fill_exponents_in_x_order(
     monkeypatch, forks_from_n8, forks
 ):
-    # 5, 10, 20, ... states up to about 100 a chunk, 8 tasks of 5 040 states
+    # 5, 10, 20, ... states up to 92 a chunk, 8 tasks of 5 040 states
     monkeypatch.setattr(algorithms, "_FIRST_CHUNK", 5)
-    monkeypatch.setattr(algorithms, "_CHUNK_BYTES", 2**15)
+    monkeypatch.setattr(algorithms, "_CHUNK_BYTES", 2**13)
     lab = FactoradicLabeling(8)
-    circuit = _cross_digit(8)  # the slab: about 100 states a chunk
-    assert _engine(circuit, lab).rows < 128
+    circuit = nlogn_circuit(8)
+    assert _engine(circuit, lab).rows == 92
     parallel = phase_profile(circuit, lab, processes=2)
     assert forks == ["fork"]
     assert parallel.exponents.tolist() == list(range(lab.size))  # slope 1: exponent x
@@ -1023,20 +966,22 @@ def test_pool_tasks_with_growing_chunks_fill_exponents_in_x_order(
 # table route
 
 
-def assert_table_route_agrees(circuit: Circuit, labeling: Labeling, per_x=None):
-    """The table route against the slab (:meth:`_Sweep.run`) over every x,
-    and against the per-x reference over the ranges ``per_x`` (every x if
-    None): the same exponents, the same first failing x and, through
-    :meth:`_Sweep.sweep`, the same failure text.  Returns the first failing
-    x (n! if none fails)."""
+def assert_table_route_agrees(circuit: Circuit, labeling: Labeling, per_x=None,
+                              closed_form=False):
+    """The table route (:meth:`_Sweep.run_tables`) over every x against the
+    per-x reference over the sorted xs ``per_x`` (every x if None): the
+    same exponents, the same first failing x and, through
+    :meth:`_Sweep.sweep`, the same failure text.  With ``closed_form``, the
+    exponents also equal x over every x, as they do for a circuit verified
+    against its own labeling.  Returns the first failing x (n! if none
+    fails)."""
     sweep = algorithms._Sweep(circuit, labeling.validate().table)
-    assert sweep.tables is not None and sweep.expected is None  # no slab set up
+    assert sweep.tables is not None
     xs = range(labeling.size)
     exponents, first = sweep.run_tables(xs)
     assert exponents.dtype == np.int64
-    slab, slab_first = sweep.run(xs)
-    assert first == slab_first
-    assert exponents[:first].tolist() == slab[:first].tolist()
+    if closed_form:
+        assert first == len(xs) and np.array_equal(exponents, np.arange(len(xs)))
     if per_x is None:
         expected, failure = sweep.reference(xs)
         assert exponents[:first].tolist() == expected
@@ -1045,30 +990,35 @@ def assert_table_route_agrees(circuit: Circuit, labeling: Labeling, per_x=None):
         assert (chunked.tolist(), chunked_failure) == (expected, failure)
         return first
     assert first == len(xs)
-    for part in per_x:
-        expected, failure = sweep.reference(part)
-        assert failure is None and exponents[part.start : part.stop].tolist() == expected
+    expected, failure = sweep.reference(per_x)
+    assert failure is None and exponents[per_x].tolist() == expected
     chunked, failure = sweep.sweep(xs)
     assert failure is None and np.array_equal(chunked, exponents)
     return first
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_table_route_matches_slab_and_per_x_on_paper_circuits(n):
+def test_table_route_matches_per_x_on_paper_circuits(n):
     # sqrt, sim-switch, nlogn and nlogn-reduced; per x on every x up to
-    # n=6, at n=7 and n=8 on the first and last 150
+    # n=6.  At n=7 and n=8 per x on the first and last 150, and where a
+    # circuit is verified against another labeling than its own, on a
+    # seeded sample of 300 more; against its own labeling p(x) = x on every x
     fac = FactoradicLabeling(n)
     renamed = relabeled(fac, tuple(reversed(range(n))))
     m = fac.size
-    per_x = None if n <= 6 else (range(0, 150), range(m - 150, m))
+    own = other = None
+    if n > 6:
+        own = [*range(0, 150), *range(m - 150, m)]
+        other = sorted({*own, *random.Random(n).sample(range(m), 300)})
     nlogn = [nlogn_circuit(n, reduced) for reduced in ((False, True) if n in (4, 8) else (False,))]
     for lab in (fac, renamed):
         for build in (sqrt_circuit, sim_switch_circuit):
-            assert assert_table_route_agrees(build(n, lab), lab, per_x) == m
+            assert assert_table_route_agrees(build(n, lab), lab, own, closed_form=True) == m
             if lab is renamed:  # a circuit of one labeling verified against another
-                assert assert_table_route_agrees(build(n, fac), lab, per_x) == m
+                assert assert_table_route_agrees(build(n, fac), lab, other) == m
         for circuit in nlogn:  # keyed by digits, under either labeling's table
-            assert assert_table_route_agrees(circuit, lab, per_x) == m
+            per_x = own if lab is fac else other
+            assert assert_table_route_agrees(circuit, lab, per_x, closed_form=lab is fac) == m
 
 
 def _qualifying(circuit: Circuit, labeling: Labeling) -> bool:
@@ -1133,8 +1083,7 @@ def test_table_route_selection(n):
             assert sweep.plan is None and sweep.tables is None
             continue
         checks, pairs = sweep.tables
-        assert checks == () and sweep.expected is None, name
-        assert sweep.state_cost == algorithms._TABLE_STATE_COST
+        assert checks == (), name
         if name in ("sqrt", "sim-switch"):
             assert [(g, p) for g, p, _ in pairs] == [(g, p) for p in range(n) for g in range(p)]
         if n == 9:  # the int64 tables take under 25 KB
@@ -1145,10 +1094,23 @@ def test_table_route_selection(n):
         assert failure is None and exponents.tolist() == list(xs), name
 
 
-def test_cross_gate_sandwiches_keep_the_slab():
+def _assert_sweeps_per_x(circuit: Circuit, labeling: Labeling, references):
+    """The circuit has a plan but no tables, and :meth:`_Sweep.sweep` hands
+    :meth:`_Sweep.reference` every x in one call; returns the shared
+    (exponents, failure) of both sweeps."""
+    sweep = _engine(circuit, labeling)
+    assert sweep.plan is not None and sweep.tables is None
+    references.clear()
+    sweep.sweep(range(labeling.size))
+    assert references == [range(labeling.size)]
+    return assert_sweeps_agree(circuit, labeling)
+
+
+def test_cross_gate_sandwiches_sweep_per_x(references):
     # an Apply of U_1 routed by where U_2 acts reads another gate's
-    # position, so the plan takes the slab; routed by where U_1 acts, it
-    # takes the table route (both fail: t carries U_1 for some xs only)
+    # position, so the plan has no tables and sweeps per x; routed by where
+    # U_1 acts, it takes the table route (both fail: t carries U_1 for some
+    # xs only)
     n = 4
     lab = FactoradicLabeling(n)
     wires = (Wire("x", CONTROL_QUDIT), Wire("t", TARGET))
@@ -1159,9 +1121,7 @@ def test_cross_gate_sandwiches_keep_the_slab():
         Circuit(n, name, wires, head + (s, Apply(1, aux_wire(1)), s), QuditControl(lab))
         for name, s in (("cross", swap), ("own", replace(swap, gate=1)))
     )
-    sweep = _engine(cross, lab)
-    assert sweep.plan is not None and sweep.tables is None and sweep.expected is not None
-    assert assert_sweeps_agree(cross, lab)[1] is not None
+    assert _assert_sweeps_per_x(cross, lab, references)[1] is not None
     assert assert_table_route_agrees(own, lab) < lab.size
 
 
@@ -1174,24 +1134,20 @@ def _cross_digit(n, polarities=(1, 0), gate=1):
     return replace(c, wires=c.wires + (Wire("t", TARGET),), gates=c.gates + applies)
 
 
-def test_cross_digit_applies_keep_the_slab():
-    # U_1 under a bit of a_2 reads another gate's key, so the plan takes
-    # the slab, and agrees with per x whether it passes or fails (one
-    # polarity: t carries U_1 for some xs only); U_2 under that bit reads
-    # its own digit and takes the tables
+def test_cross_digit_applies_sweep_per_x(references):
+    # U_1 under a bit of a_2 reads another gate's key, so the plan has no
+    # tables and sweeps per x, whether it passes or fails (one polarity: t
+    # carries U_1 for some xs only); U_2 under that bit reads its own digit
+    # and takes the tables
     n = 5
     lab = FactoradicLabeling(n)
     for polarities in ((1, 0), (1,)):
-        circuit = _cross_digit(n, polarities)
-        sweep = _engine(circuit, lab)
-        assert sweep.plan is not None and sweep.tables is None and sweep.expected is not None
-        assert sweep.state_cost == 1
-        _, failure = assert_sweeps_agree(circuit, lab)
+        _, failure = _assert_sweeps_per_x(_cross_digit(n, polarities), lab, references)
         assert (failure is None) == (len(polarities) == 2)
     assert assert_table_route_agrees(_cross_digit(n, (1,), gate=2), lab) < lab.size
 
 
-def test_table_route_reruns_the_chunk_with_an_unwritable_digit(monkeypatch, chunks):
+def test_table_route_reruns_the_chunk_with_an_unwritable_digit(monkeypatch, chunks, references):
     # nlogn n=4 without slot (2, 1): no bits write a_2 = 2, first at x=4.
     # In chunks of 3, the tables sweep 0..2 and give up on 3..5, which the
     # reference runs, raising at x=4 as it does over every x
@@ -1204,16 +1160,11 @@ def test_table_route_reruns_the_chunk_with_an_unwritable_digit(monkeypatch, chun
     monkeypatch.setattr(algorithms, "_chunk_rows", lambda state_bytes: 3)
     sweep = _engine(circuit, lab)
     assert sweep.tables is not None and sweep.rows == 3
-    assert sweep.run_tables(range(3, 6)) is None and sweep.run(range(3, 6)) is None
-    calls = []
-    reference = algorithms._Sweep.reference
-    monkeypatch.setattr(
-        algorithms._Sweep, "reference", lambda self, xs: calls.append(xs) or reference(self, xs)
-    )
+    assert sweep.run_tables(range(3, 6)) is None
     chunks.clear()
     with pytest.raises(InvariantError) as exc:
         sweep.sweep(range(lab.size))
-    assert chunks == [range(0, 3), range(3, 6)] and calls == [range(3, 6)]
+    assert chunks == [range(0, 3), range(3, 6)] and references == [range(3, 6)]
     with pytest.raises(InvariantError) as per_x:
         circuit.control.assignment(4)
     assert str(exc.value) == str(per_x.value)
