@@ -54,8 +54,6 @@ from .perms import (
     Labeling,
     PermWord,
     enumerate_valid_labelings,
-    factoradic_labeling,
-    label_of,
     labeling_from_text,
     labeling_to_text,
     relabeled,

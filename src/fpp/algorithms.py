@@ -32,8 +32,6 @@ n!, with y symbolic until solve time.
 from __future__ import annotations
 
 import json
-import multiprocessing
-import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
 from math import factorial, gcd, isqrt, log2
@@ -706,12 +704,12 @@ class _WireRef:
     phase: int  # descending-order exponent of the written word
 
 
-# A sweep, and each task of the pool, runs its xs in chunks of
-# _FIRST_CHUNK control states, then twice as many each time up to the cap of
-# :func:`_chunk_rows`.  A chunk costs about the same numpy calls however many
-# states it holds, so a long passing sweep wants large chunks, while a
-# failure at a small x is found after one small chunk.  The cap keeps the
-# chunk's working set within _CHUNK_BYTES.
+# A sweep runs its xs in chunks of _FIRST_CHUNK control states, then twice
+# as many each time up to the cap of :func:`_chunk_rows`.  A chunk costs
+# about the same numpy calls however many states it holds, so a long
+# passing sweep wants large chunks, while a failure at a small x is found
+# after one small chunk.  The cap keeps the chunk's working set within
+# _CHUNK_BYTES.
 _FIRST_CHUNK = 2**10
 _CHUNK_BYTES = 2**21
 
@@ -1083,19 +1081,6 @@ class _Sweep:
         return exponents, None
 
 
-# The fewest control states a forked worker of the sweep gets.
-_STATES_PER_WORKER = 2**18
-_POOL_STATE: dict = {}
-
-
-def _pool_init(sweep: _Sweep) -> None:
-    _POOL_STATE["sweep"] = sweep
-
-
-def _pool_chunk(bounds: tuple[int, int]) -> tuple[np.ndarray, str | None]:
-    return _POOL_STATE["sweep"].sweep(range(bounds[0], bounds[1]))
-
-
 def phase_profile(
     target: Circuit | ReferenceSwitch,
     labeling: Labeling,
@@ -1114,11 +1099,8 @@ def phase_profile(
     plan) sweeps through :func:`execute`, one x at a time.  A target whose
     n is not the labeling's is refused first.
 
-    The sweep is embarrassingly parallel over x; ``processes`` > 1 forks up
-    to that many worker processes where the platform allows, when each gets
-    enough work (:func:`_parallel_sweep`: from n=10 on), and runs the
-    serial path otherwise.  Results are deterministic regardless of
-    schedule.
+    Every x is swept in this process.  ``processes`` is accepted and
+    ignored, for callers written when the sweep could fork workers.
     """
     if target.n != labeling.n:
         raise DomainError(
@@ -1144,7 +1126,7 @@ def phase_profile(
         queries = target.query_count
     else:
         sweep = _Sweep(target, table)
-        exponents, failure = _parallel_sweep(sweep, processes)
+        exponents, failure = sweep.sweep(range(m))
         residuals = sweep.residuals
         queries = query_count(target)
     exponents.flags.writeable = False  # the profile takes the array without a copy
@@ -1160,46 +1142,6 @@ def phase_profile(
         residuals_ok=failure is None,
         failure=failure,
     )
-
-
-def _parallel_sweep(sweep: _Sweep, processes: int | None) -> tuple[np.ndarray, str | None]:
-    """The exponents of x in [0, n!) and the first failure, as
-    ``sweep.sweep(range(n!))`` gives them.
-
-    Forks at most ``processes`` workers, and only as many as get at least
-    _STATES_PER_WORKER states each; below that the serial sweep is
-    faster.  The tables sweep sqrt, sim-switch and nlogn at n=9 too fast
-    for the pool to pay, so they fork from n=10 on, with the workers'
-    exponents sent back as int64 arrays.  nlogn's tables hold about half
-    the pairs of sqrt's (25 of 45 at n=10), and there two workers still do
-    not beat one.  The xs go out as about 4 tasks per worker, in x order, and
-    each task grows its chunks from the first size again; the first
-    failing task ends the sweep.
-    """
-    m = sweep.modulus
-    workers = min(processes or 1, m // _STATES_PER_WORKER)
-    if workers <= 1:
-        return sweep.sweep(range(m))
-    step = -(-m // (4 * workers))
-    bounds = [(lo, min(lo + step, m)) for lo in range(0, m, step)]
-    try:
-        pool = multiprocessing.get_context("fork").Pool(
-            workers, initializer=_pool_init, initargs=(sweep,)
-        )
-    except (ValueError, OSError) as exc:  # no fork start method; fork failed
-        warnings.warn(
-            f"fork pool unavailable ({exc!r}); sweeping {m} control states serially",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return sweep.sweep(range(m))
-    exponents = np.empty(m, dtype=np.int64)
-    with pool:  # tasks come back in x order; the first failure ends the sweep
-        for (lo, _), (exps, failure) in zip(bounds, pool.imap(_pool_chunk, bounds)):
-            exponents[lo : lo + len(exps)] = exps
-            if failure is not None:
-                return exponents[: lo + len(exps)], failure
-    return exponents, None
 
 
 @dataclass(frozen=True, slots=True)
@@ -1273,14 +1215,26 @@ class VerificationReport:
     def from_json(cls, text: str) -> "VerificationReport":
         """Rebuild the profile (modulus n!) and view it at the payload's y.
 
-        Raises :class:`DomainError` where the payload's verdict fields
-        disagree with the verdict its exponents give, and
-        :class:`UnsupportedError` for an n past :data:`MAX_READOUT_N`.
+        Raises :class:`DomainError` where n, y or an exponent is not a JSON
+        integer (a bool, float or string is refused, not converted), where
+        n < 2, and where the payload's verdict fields disagree with the
+        verdict its exponents give; :class:`UnsupportedError` for an n past
+        :data:`MAX_READOUT_N`.
         """
         d = json.loads(text)
+        for key in ("n", "y"):
+            if type(d[key]) is not int:
+                raise DomainError(f"report gives {key}={d[key]!r}, not an integer")
+        exponents = d["exponents"]
+        if not isinstance(exponents, list):
+            raise DomainError(f"report gives exponents={exponents!r}, not a list")
+        if not all(type(e) is int for e in exponents):
+            x = next(x for x, e in enumerate(exponents) if type(e) is not int)
+            raise DomainError(f"report gives exponents[{x}]={exponents[x]!r}, not an integer")
+        if d["n"] < 2:
+            raise DomainError(f"report gives n={d['n']}, below 2")
         require_readout_n(d["n"])
         m = factorial(d["n"])
-        exponents = d["exponents"]
         ok = d["residuals_x_independent"]
         if ok and len(exponents) != m:
             raise DomainError(
@@ -1364,7 +1318,6 @@ def verify_and_solve(
     target: Circuit | ReferenceSwitch,
     labeling: Labeling,
     y: int,
-    processes: int | None = None,
 ) -> VerificationReport:
     """Full check for one y: sweep all x, then solve.
 
@@ -1373,4 +1326,4 @@ def verify_and_solve(
     :func:`solve_profile` per y, each call O(1) and sharing the profile,
     or :func:`readout` for many y at once.
     """
-    return solve_profile(phase_profile(target, labeling, processes=processes), y)
+    return solve_profile(phase_profile(target, labeling), y)

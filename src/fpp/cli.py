@@ -5,16 +5,13 @@ The ``--alg`` choices, the supported ``--n`` per family and the families
 
 Exit codes: 0 on success, 1 on verification/cross-check failure, 2 on usage
 errors, including malformed integers in ``--y``, ``--labeling`` and
-labeling files.  Output ordering is deterministic (ascending x / y)
-regardless of the parallelism degree; ``--parallel`` caps the worker
-count and defaults to the number of CPUs.
+labeling files.  Output ordering is deterministic (ascending x / y).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from math import factorial
@@ -150,7 +147,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     target = FAMILIES[args.alg].build(args.n, labeling)
     m = factorial(args.n)
     ys = _parse_ys(args.y, m, args.seed)
-    profile = phase_profile(target, labeling, processes=args.parallel)
+    profile = phase_profile(target, labeling)
     counts_ok = profile.counts_match
 
     if args.format == "structured":
@@ -278,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--labeling", default="factoradic")
     run.add_argument("--y", default="all")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--parallel", type=int, default=os.cpu_count() or 1)
     run.add_argument("--format", choices=("text", "structured"), default="text")
     run.set_defaults(func=_cmd_run)
 
@@ -322,8 +318,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error(f"{args.alg} requires " + " or ".join(f"--n {k}" for k in sizes))
         if args.n < 2:
             parser.error("--n must be at least 2")
-    if getattr(args, "parallel", 1) < 1:
-        parser.error("--parallel must be at least 1")
     try:
         return args.func(args)
     except FppError as exc:

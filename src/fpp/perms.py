@@ -39,9 +39,7 @@ __all__ = [
     "ExplicitLabeling",
     "ContradictionWitness",
     "ConsistencyResult",
-    "factoradic_labeling",
     "factoradic_blocks",
-    "label_of",
     "validate_labeling",
     "enumerate_valid_labelings",
     "relabeled",
@@ -370,16 +368,6 @@ class ExplicitLabeling(Labeling):
             return self._inverse[order]
         except KeyError:
             raise DomainError(f"word {order} not present in labeling {self.name!r}")
-
-
-def factoradic_labeling(n: int) -> FactoradicLabeling:
-    """Factory matching the operation name used throughout the docs and CLI."""
-    return FactoradicLabeling(n)
-
-
-def label_of(labeling: Labeling, w: PermWord | Sequence[int]) -> int:
-    """Inverse lookup: the x with labeling.word(x) == w."""
-    return labeling.label(w)
 
 
 @dataclass(frozen=True)

@@ -584,19 +584,6 @@ def test_verifier_rejects_unsalvageable_circuit():
         verify_and_solve(broken, lab, 1)
 
 
-def test_parallel_sweep_matches_serial(forks_from_n8, forks):
-    # n=8 is the smallest n where two workers get 16 384 states each
-    lab = FactoradicLabeling(8)
-    c = sqrt_circuit(8, lab)
-    serial = phase_profile(c, lab, processes=1)
-    assert forks == []
-    parallel = phase_profile(c, lab, processes=2)
-    assert forks == ["fork"]
-    assert serial == parallel
-    assert serial.exponents.tolist() == parallel.exponents.tolist()
-    assert serial.residuals == parallel.residuals
-
-
 def test_report_json_roundtrip():
     lab = FactoradicLabeling(3)
     report = verify_and_solve(six_query_n3(lab), lab, 4)

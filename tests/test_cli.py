@@ -18,7 +18,7 @@ def run_cli(capsys, *argv):
 def test_run_six_query_all(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--alg", "six-query", "--n", "3",
-        "--labeling", "factoradic", "--y", "all", "--parallel", "1",
+        "--labeling", "factoradic", "--y", "all",
     )
     assert code == 0
     assert "queries=6" in out
@@ -28,7 +28,7 @@ def test_run_six_query_all(capsys):
 def test_run_reference_switch(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--alg", "switch", "--n", "4",
-        "--y", "all", "--parallel", "1",
+        "--y", "all",
     )
     assert code == 0
     assert "queries=4" in out
@@ -38,7 +38,7 @@ def test_run_reference_switch(capsys):
 def test_run_sim_switch_sample(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--alg", "sim-switch", "--n", "4",
-        "--y", "sample:5", "--parallel", "1",
+        "--y", "sample:5",
     )
     assert code == 0
     assert "queries=16" in out
@@ -48,7 +48,7 @@ def test_run_sqrt_sample(capsys):
     # n=5: nhat=3, khat=2, so (3 + 4*2 - 4) * 5 = 35 queries
     code, out, _ = run_cli(
         capsys, "run", "--alg", "sqrt", "--n", "5",
-        "--y", "sample:5", "--parallel", "1",
+        "--y", "sample:5",
     )
     assert code == 0
     assert "queries=35" in out
@@ -57,7 +57,7 @@ def test_run_sqrt_sample(capsys):
 def test_run_structured_output(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--alg", "six-query", "--n", "3",
-        "--y", "2", "--format", "structured", "--parallel", "1",
+        "--y", "2", "--format", "structured",
     )
     assert code == 0
     payload = json.loads(out)
@@ -99,14 +99,14 @@ def test_run_incompatible_flags_exit2(capsys):
         assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_run_parallel_below_one_exit2(capsys, value):
+def test_run_refuses_the_removed_parallel_flag(capsys):
+    # every control state is swept in one process; there is no worker count
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--alg", "sqrt", "--n", "4", "--y", "all", "--parallel", value])
+        main(["run", "--alg", "sqrt", "--n", "4", "--y", "all", "--parallel", "1"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: --parallel must be at least 1" in captured.err
+    assert "unrecognized arguments: --parallel 1" in captured.err
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -120,7 +120,7 @@ def test_run_malformed_integer_exit2(tmp_path, capsys, flag, value):
     bad_file.write_text("0 2 1 0\n1 2 x 1\n")
     code, out, err = run_cli(
         capsys, "run", "--alg", "six-query", "--n", "3",
-        flag, value.format(bad_file=bad_file), "--parallel", "1",
+        flag, value.format(bad_file=bad_file),
     )
     assert code == 2
     assert out == ""
@@ -137,7 +137,7 @@ def test_run_six_query_enumerated_labeling(capsys):
     # the six-query circuit is built for whichever labeling is requested
     code, out, _ = run_cli(
         capsys, "run", "--alg", "six-query", "--n", "3",
-        "--labeling", "enumerate-index:1", "--y", "all", "--parallel", "1",
+        "--labeling", "enumerate-index:1", "--y", "all",
     )
     assert code == 0
 
@@ -147,7 +147,7 @@ def test_run_nlogn_wrong_labeling_exit1(capsys):
     # fails verification (except at y=0) and the run exits 1
     code, out, _ = run_cli(
         capsys, "run", "--alg", "nlogn", "--n", "3",
-        "--labeling", "enumerate-index:1", "--y", "all", "--parallel", "1",
+        "--labeling", "enumerate-index:1", "--y", "all",
     )
     assert code == 1
     assert "RESULT: FAIL" in out
@@ -156,7 +156,7 @@ def test_run_nlogn_wrong_labeling_exit1(capsys):
 def test_run_missing_labeling_file(capsys):
     code, out, err = run_cli(
         capsys, "run", "--alg", "six-query", "--n", "3",
-        "--labeling", "file:/nonexistent", "--parallel", "1",
+        "--labeling", "file:/nonexistent",
     )
     assert code == 2
     assert out == ""
@@ -168,7 +168,7 @@ def test_run_binary_labeling_file(tmp_path, capsys):
     path.write_bytes(b"\xff\xfe\x00")
     code, out, err = run_cli(
         capsys, "run", "--alg", "six-query", "--n", "3",
-        "--labeling", f"file:{path}", "--parallel", "1",
+        "--labeling", f"file:{path}",
     )
     assert code == 2
     assert out == ""
@@ -180,7 +180,7 @@ def test_run_labeling_file_mixed_word_lengths(tmp_path, capsys):
     path.write_text("0 1 0\n1 2 1 0\n")
     code, out, err = run_cli(
         capsys, "run", "--alg", "sim-switch", "--n", "2",
-        "--labeling", f"file:{path}", "--parallel", "1",
+        "--labeling", f"file:{path}",
     )
     assert code == 2
     assert out == ""
@@ -193,7 +193,7 @@ def test_run_labeling_file_repeated_x(tmp_path, capsys):
     path.write_text("0 1 0\n1 1 0\n1 0 1\n")
     code, out, err = run_cli(
         capsys, "run", "--alg", "sim-switch", "--n", "2",
-        "--labeling", f"file:{path}", "--y", "all", "--parallel", "1",
+        "--labeling", f"file:{path}", "--y", "all",
     )
     assert code == 2
     assert out == ""
@@ -221,7 +221,7 @@ def test_run_labeling_file(tmp_path, capsys):
     path.write_text(labeling_to_text(FactoradicLabeling(3)))
     code, out, _ = run_cli(
         capsys, "run", "--alg", "six-query", "--n", "3",
-        "--labeling", f"file:{path}", "--y", "all", "--parallel", "1",
+        "--labeling", f"file:{path}", "--y", "all",
     )
     assert code == 0
     assert "RESULT: PASS" in out
@@ -269,7 +269,7 @@ def test_enumerate_dump_roundtrip(tmp_path, capsys):
     path.write_text(out)
     code2, out2, _ = run_cli(
         capsys, "run", "--alg", "six-query", "--n", "3",
-        "--labeling", f"file:{path}", "--y", "all", "--parallel", "1",
+        "--labeling", f"file:{path}", "--y", "all",
     )
     assert code2 == 0
     assert "RESULT: PASS" in out2
@@ -309,7 +309,7 @@ def test_dense_n3_six_query(capsys):
 def test_run_nlogn8_documented_example(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--alg", "nlogn", "--n", "8",
-        "--y", "sample:10", "--parallel", "1",
+        "--y", "sample:10",
     )
     assert code == 0
     assert "queries=56" in out
@@ -319,14 +319,14 @@ def test_run_nlogn8_documented_example(capsys):
 def test_run_prints_nonlinear_witness_once_under_residuals(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--alg", "nlogn", "--n", "3",
-        "--labeling", "enumerate-index:1", "--y", "all", "--parallel", "1",
+        "--labeling", "enumerate-index:1", "--y", "all",
     )
     assert code == 1
     lines = out.splitlines()
     assert lines[1] == "residuals x-independent: yes"
     assert lines[2] == "phase not linear: p(2)=5, but 2*p(1)=0 mod 6"
     assert sum(line.startswith("phase not linear") for line in lines) == 1
-    _, out, _ = run_cli(capsys, "run", "--alg", "nlogn", "--n", "3", "--parallel", "1")
+    _, out, _ = run_cli(capsys, "run", "--alg", "nlogn", "--n", "3")
     assert "phase not linear" not in out
 
 

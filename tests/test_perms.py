@@ -20,7 +20,6 @@ from fpp.perms import (
     PermWord,
     enumerate_valid_labelings,
     factoradic_blocks,
-    label_of,
     labeling_from_text,
     labeling_to_text,
     relabeled,
@@ -75,8 +74,8 @@ def test_factoradic_rejects_small_n():
 
 def test_label_of_examples():
     lab = FactoradicLabeling(3)
-    assert label_of(lab, PermWord(3, (2, 1, 0))) == 0
-    assert label_of(lab, PermWord(3, (0, 2, 1))) == 3
+    assert lab.label(PermWord(3, (2, 1, 0))) == 0
+    assert lab.label(PermWord(3, (0, 2, 1))) == 3
     with pytest.raises(DomainError):
         lab.label((0, 1))
 

@@ -101,19 +101,19 @@ def _copied(profile: PhaseProfile, y: int) -> _CopiedReport:
 
 
 def _linear() -> PhaseProfile:
-    return phase_profile(nlogn_circuit(4), FactoradicLabeling(4), processes=1)
+    return phase_profile(nlogn_circuit(4), FactoradicLabeling(4))
 
 
 def _non_linear() -> PhaseProfile:
     fac = FactoradicLabeling(4)
-    return phase_profile(sqrt_circuit(4, relabeled(fac, (1, 0, 2, 3))), fac, processes=1)
+    return phase_profile(sqrt_circuit(4, relabeled(fac, (1, 0, 2, 3))), fac)
 
 
 def _failing() -> PhaseProfile:
     circuit = nlogn_circuit(5)
     # gates[0] is the polarity-1 query of U_4 on psi_2_2
     mutant = replace(circuit, gates=circuit.gates[1:])
-    return phase_profile(mutant, FactoradicLabeling(5), processes=1)
+    return phase_profile(mutant, FactoradicLabeling(5))
 
 
 PROFILES = {"linear": _linear, "non-linear": _non_linear, "failing": _failing}
@@ -182,6 +182,36 @@ def test_from_json_rejects_short_exponents():
     payload = json.loads(solve_profile(_linear(), 1).to_json())
     payload["exponents"] = payload["exponents"][:-1]
     with pytest.raises(DomainError, match="23 exponents"):
+        VerificationReport.from_json(json.dumps(payload))
+
+
+_NOT_JSON_INTEGERS = [
+    ("exponents", 1.9, r"exponents\[1\]=1.9, not an integer"),
+    ("exponents", 1.0, r"exponents\[1\]=1.0, not an integer"),
+    ("exponents", "1", r"exponents\[1\]='1', not an integer"),
+    ("exponents", True, r"exponents\[1\]=True, not an integer"),
+    ("y", "1", "y='1', not an integer"),
+    ("y", 1.0, "y=1.0, not an integer"),
+    ("y", True, "y=True, not an integer"),
+    ("n", -1, "n=-1, below 2"),
+    ("n", 1, "n=1, below 2"),
+    ("n", "4", "n='4', not an integer"),
+    ("n", 4.0, "n=4.0, not an integer"),
+    ("n", True, "n=True, not an integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, message", _NOT_JSON_INTEGERS,
+    ids=[f"{key}={value!r}" for key, value, _ in _NOT_JSON_INTEGERS],
+)
+def test_from_json_refuses_fields_that_are_not_json_integers(key, value, message):
+    payload = json.loads(solve_profile(_linear(), 1).to_json())
+    if key == "exponents":
+        payload["exponents"][1] = value  # p(1) = 1, so 1.9 would truncate to a passing report
+    else:
+        payload[key] = value
+    with pytest.raises(DomainError, match=message):
         VerificationReport.from_json(json.dumps(payload))
 
 
@@ -310,7 +340,7 @@ def test_from_json_refuses_large_n_before_forming_n_factorial():
 
 def test_nonlinear_witness_names_first_x():
     fac = FactoradicLabeling(5)
-    profile = phase_profile(sqrt_circuit(5, relabeled(fac, (1, 0, 2, 3, 4))), fac, processes=1)
+    profile = phase_profile(sqrt_circuit(5, relabeled(fac, (1, 0, 2, 3, 4))), fac)
     assert profile.residuals_ok and profile.readout_period == 30
     p = profile.exponents.tolist()
     first = next(x for x in range(120) if p[x] != x * p[1] % 120)

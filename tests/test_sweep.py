@@ -232,81 +232,6 @@ def test_chunk_boundary_inside_sweep(monkeypatch):
     assert len(assert_sweeps_agree(broken, lab)[0]) == 96
 
 
-def test_pool_forks_from_16384_states_per_worker(forks_from_n8, forks):
-    assert algorithms._STATES_PER_WORKER == 16384
-    lab7 = FactoradicLabeling(7)
-    for name in ("sim-switch", "nlogn", "sqrt"):  # 5 040 states: not 2 workers' worth
-        assert phase_profile(FAMILIES[name].build(7, lab7), lab7, processes=2).slope == 1
-    assert forks == []
-    lab8 = FactoradicLabeling(8)
-    circuit = nlogn_circuit(8)  # 40 320 states: 2 workers' worth
-    assert phase_profile(circuit, lab8, processes=1).slope == 1
-    assert forks == []
-    assert phase_profile(circuit, lab8, processes=2).slope == 1
-    assert forks == ["fork"]
-
-
-def test_table_route_forks_from_n10(monkeypatch):
-    # 262 144 states per worker: two workers lose to one at n=9, so the
-    # sweep forks from n=10 on.  The pool is only asked for, not started.
-    asked = []
-
-    class Asked(Exception):
-        pass
-
-    class Context:
-        def Pool(self, workers, **kwargs):
-            asked.append(workers)
-            raise Asked
-
-    monkeypatch.setattr(algorithms.multiprocessing, "get_context", lambda method: Context())
-    for circuit in (sqrt_circuit(9), nlogn_circuit(9)):
-        sweep = algorithms._Sweep(circuit, factoradic_table(9))
-        exponents, failure = algorithms._parallel_sweep(sweep, 2)
-        assert failure is None and exponents.tolist() == list(range(factorial(9)))
-    assert asked == []
-    for circuit in (sqrt_circuit(10), sim_switch_circuit(10), nlogn_circuit(10)):
-        with pytest.raises(Asked):
-            algorithms._parallel_sweep(algorithms._Sweep(circuit, factoradic_table(10)), 2)
-    assert asked == [2, 2, 2]
-
-
-@pytest.mark.parametrize("cause", [ValueError, OSError])
-def test_pool_fallback_warns_and_sweeps_serially(monkeypatch, forks_from_n8, cause):
-    # no fork start method raises ValueError from get_context; a fork that
-    # fails raises OSError when the pool starts
-    lab = FactoradicLabeling(8)
-    circuit = nlogn_circuit(8)
-    serial = phase_profile(circuit, lab, processes=1)
-
-    class NoPool:
-        def Pool(self, *args, **kwargs):
-            raise OSError("fork failed")
-
-    def get_context(method):
-        if cause is ValueError:
-            raise ValueError(f"cannot find context for {method!r}")
-        return NoPool()
-
-    monkeypatch.setattr(algorithms.multiprocessing, "get_context", get_context)
-    with pytest.warns(RuntimeWarning, match=f"{cause.__name__}.*serially") as record:
-        assert phase_profile(circuit, lab, processes=2) == serial
-    assert len(record) == 1
-
-
-def test_parallel_failure_matches_serial(forks_from_n8, forks):
-    n = 8
-    lab = FactoradicLabeling(n)
-    c = sim_switch_circuit(n, lab)
-    j = max(j for j, g in enumerate(c.gates) if isinstance(g, Apply) and g.gate == 0)
-    broken = replace(c, gates=c.gates[:j] + c.gates[j + 1 :])
-    serial = phase_profile(broken, lab, processes=1)
-    assert serial.failure is not None
-    assert forks == []
-    assert phase_profile(broken, lab, processes=2).failure == serial.failure
-    assert forks == ["fork"]
-
-
 def _switch_steps(n, target, order):
     """Switch-simulation steps onto ``target`` for the positions in ``order``."""
     steps = []
@@ -490,10 +415,8 @@ def test_near_miss_switch_sandwiches_match_per_x():
     assert assert_sweeps_agree(partial, lab) == ("KeyError", "'a_3'")
 
 
-def test_unlowered_plans_sweep_per_x(monkeypatch, forks_from_n8, forks):
-    # a circuit whose plan is None never reaches _Sweep.run_tables, neither
-    # in the serial sweep nor in the pool's forked workers, which inherit
-    # the patch
+def test_unlowered_plans_sweep_per_x(monkeypatch):
+    # a circuit whose plan is None never reaches _Sweep.run_tables
     def run_tables(self, xs):
         raise AssertionError("_Sweep.run_tables called for a plan that is None")
 
@@ -513,11 +436,8 @@ def test_unlowered_plans_sweep_per_x(monkeypatch, forks_from_n8, forks):
     undo = PosCondSwap("psi_t", aux_wire(last), last, n - 1, n)
     broken = replace(c, gates=c.gates[:j] + (undo,))
     assert _plan(broken, lab) is None
-    serial = phase_profile(broken, lab, processes=1)
-    assert serial.failure == "x=5040: tokens did not return to their home wires"
-    assert forks == []
-    assert phase_profile(broken, lab, processes=2).failure == serial.failure
-    assert forks == ["fork"]
+    failure = phase_profile(broken, lab).failure
+    assert failure == "x=5040: tokens did not return to their home wires"
 
 
 def test_sweep_and_validation_decode_only_ranges(monkeypatch):
@@ -533,7 +453,7 @@ def test_sweep_and_validation_decode_only_ranges(monkeypatch):
         monkeypatch.setattr(perms.FactoradicBlocks, name, spy)
     lab = FactoradicLabeling(8)
     for name in ("nlogn", "sqrt"):  # the first profile validates the labeling
-        assert phase_profile(FAMILIES[name].build(8, lab), lab, processes=1).slope == 1
+        assert phase_profile(FAMILIES[name].build(8, lab), lab).slope == 1
     assert {name for name, _ in seen} == {"acting", "positions", "digits"}
     assert all(decodes for _, decodes in seen)
 
@@ -943,23 +863,19 @@ def test_early_witness_sweeps_only_the_first_chunk(chunks):
     c = nlogn_circuit(8)
     j = next(j for j, g in enumerate(c.gates) if isinstance(g, ControlledApply) and g.bit == (1, 1) and g.polarity)
     broken = replace(c, gates=c.gates[:j] + c.gates[j + 1 :])
-    assert phase_profile(broken, lab, processes=1).failure.startswith("x=1:")
+    assert phase_profile(broken, lab).failure.startswith("x=1:")
     assert chunks == [range(0, algorithms._FIRST_CHUNK)]
 
 
-def test_pool_tasks_with_growing_chunks_fill_exponents_in_x_order(
-    monkeypatch, forks_from_n8, forks
-):
-    # 5, 10, 20, ... states up to 92 a chunk, 8 tasks of 5 040 states
+def test_small_growing_chunks_fill_exponents_in_x_order(monkeypatch):
+    # 5, 10, 20, ... states up to 92 a chunk, over 40 320 states
     monkeypatch.setattr(algorithms, "_FIRST_CHUNK", 5)
     monkeypatch.setattr(algorithms, "_CHUNK_BYTES", 2**13)
     lab = FactoradicLabeling(8)
     circuit = nlogn_circuit(8)
     assert _engine(circuit, lab).rows == 92
-    parallel = phase_profile(circuit, lab, processes=2)
-    assert forks == ["fork"]
-    assert parallel.exponents.tolist() == list(range(lab.size))  # slope 1: exponent x
-    assert parallel == phase_profile(circuit, lab, processes=1)
+    profile = phase_profile(circuit, lab)
+    assert profile.exponents.tolist() == list(range(lab.size))  # slope 1: exponent x
 
 
 # ---------------------------------------------------------------------------
