@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from math import factorial, gcd, isqrt, log2
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -60,10 +60,17 @@ from .circuit import (
     execute,
     query_count,
 )
-from .commutation import CommutationTable, normal_order, perm_phase_exponent
+from .commutation import CommutationTable, add_pair_sums, normal_order, perm_phase_exponent
 from .errors import DomainError, InvariantError, StructuralError, UnsupportedError
 from .numsys import ceil_log2
-from .perms import FactoradicLabeling, Labeling, PermWord, factoradic_blocks
+from .perms import (
+    FactoradicLabeling,
+    Labeling,
+    PermWord,
+    _chunk_rows,
+    _chunks,
+    factoradic_blocks,
+)
 
 __all__ = [
     "ReferenceSwitch",
@@ -704,32 +711,6 @@ class _WireRef:
     phase: int  # descending-order exponent of the written word
 
 
-# A sweep runs its xs in chunks of _FIRST_CHUNK control states, then twice
-# as many each time up to the cap of :func:`_chunk_rows`.  A chunk costs
-# about the same numpy calls however many states it holds, so a long
-# passing sweep wants large chunks, while a failure at a small x is found
-# after one small chunk.  The cap keeps the chunk's working set within
-# _CHUNK_BYTES.
-_FIRST_CHUNK = 2**10
-_CHUNK_BYTES = 2**21
-
-
-def _chunk_rows(state_bytes: int) -> int:
-    """The most control states per chunk when each costs ``state_bytes`` of
-    working set (see :attr:`_Sweep.state_bytes`)."""
-    return max(1, _CHUNK_BYTES // max(state_bytes, 1))
-
-
-def _chunks(xs: range, rows: int) -> Iterator[range]:
-    """Consecutive chunks of xs: _FIRST_CHUNK states (at most ``rows``),
-    then twice the last size, up to ``rows``; the last chunk takes the rest."""
-    size, lo = min(_FIRST_CHUNK, rows), xs.start
-    while lo < xs.stop:
-        yield range(lo, min(lo + size, xs.stop))
-        lo += size
-        size = min(2 * size, rows)
-
-
 class _Sweep:
     """The sweep of one circuit under one commutation table.
 
@@ -1011,8 +992,8 @@ class _Sweep:
         The chunk's keys are decoded (acting positions, or digits); then ok
         = AND_g ok_g[key_g] over the checked gates, and p(x) = sum over the
         pairs of W[key_g * n + key_p] - ref_phase mod n!, one int64 gather
-        per pair.  The sum stays below 2^63 for every n <=
-        :data:`MAX_READOUT_N`."""
+        per pair (:func:`~fpp.commutation.add_pair_sums`).  The sum stays
+        below 2^63 for every n <= :data:`MAX_READOUT_N`."""
         checks, pairs = self.tables
         n, size = self.n, len(xs)
         if isinstance(self.control, QuditControl):
@@ -1032,15 +1013,7 @@ class _Sweep:
             if not ok.all():
                 first = int(ok.argmin())
         phase = np.full(size, -self.ref_phase % self.modulus, dtype=np.int64)
-        at, term = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.int64)
-        scaled = 0  # keys[:scaled] hold key_g * n; the keys are ours to scale
-        for g, p, table in pairs:  # ascending p, so every g < p is scaled by now
-            if scaled < p:
-                keys[scaled:p] *= n
-                scaled = p
-            np.add(keys[g], keys[p], out=at)
-            table.take(at, out=term, mode="clip")  # clip: no buffered bound check
-            phase += term
+        add_pair_sums(phase, keys, pairs)  # the keys are ours to scale
         phase %= self.modulus
         return phase, first
 
@@ -1049,8 +1022,9 @@ class _Sweep:
         None).  On a failure the exponents are those of the xs before it.
 
         A plan with :attr:`tables` runs :meth:`run_tables` over the chunks
-        of :func:`_chunks`: _FIRST_CHUNK states first, then doubling up to
-        :attr:`rows`, so the chunk that finds an early failure is small.
+        of :func:`~fpp.perms._chunks`: ``_FIRST_CHUNK`` states first, then
+        doubling up to :attr:`rows`, so the chunk that finds an early
+        failure is small.
         The first x it finds failing is run again through :meth:`reference`,
         so the failure text is the per-x one; so is a chunk holding an x
         with no bit assignment, which the reference then raises on.  Every
@@ -1215,16 +1189,35 @@ class VerificationReport:
     def from_json(cls, text: str) -> "VerificationReport":
         """Rebuild the profile (modulus n!) and view it at the payload's y.
 
-        Raises :class:`DomainError` where n, y or an exponent is not a JSON
-        integer (a bool, float or string is refused, not converted), where
-        n < 2, and where the payload's verdict fields disagree with the
-        verdict its exponents give; :class:`UnsupportedError` for an n past
+        Raises :class:`DomainError` where n, y, query_count, an exponent or
+        a residual symbol is not a JSON integer (a bool, float or string is
+        refused, not converted), expected_queries is neither an integer nor
+        null, residuals_x_independent is not a boolean, where n < 2, and
+        where the payload's verdict fields disagree with the verdict its
+        exponents give; :class:`UnsupportedError` for an n past
         :data:`MAX_READOUT_N`.
         """
         d = json.loads(text)
-        for key in ("n", "y"):
+        for key in ("n", "y", "query_count"):
             if type(d[key]) is not int:
                 raise DomainError(f"report gives {key}={d[key]!r}, not an integer")
+        if d["expected_queries"] is not None and type(d["expected_queries"]) is not int:
+            raise DomainError(
+                f"report gives expected_queries={d['expected_queries']!r}, not an integer or null"
+            )
+        if type(d["residuals_x_independent"]) is not bool:
+            raise DomainError(
+                f"report gives residuals_x_independent={d['residuals_x_independent']!r}, "
+                "not a boolean"
+            )
+        residuals = d["residuals"]
+        if not isinstance(residuals, dict):
+            raise DomainError(f"report gives residuals={residuals!r}, not an object")
+        for wire, word in residuals.items():
+            if not isinstance(word, list) or not all(type(g) is int for g in word):
+                raise DomainError(
+                    f"report gives residuals[{wire!r}]={word!r}, not a list of integers"
+                )
         exponents = d["exponents"]
         if not isinstance(exponents, list):
             raise DomainError(f"report gives exponents={exponents!r}, not a list")
@@ -1249,7 +1242,7 @@ class VerificationReport:
             query_count=d["query_count"],
             expected_queries=d["expected_queries"],
             exponents=exponents,
-            residuals={w: tuple(word) for w, word in d["residuals"].items()},
+            residuals={w: tuple(word) for w, word in residuals.items()},
             residuals_ok=ok,
             failure=d["failure"],
         )

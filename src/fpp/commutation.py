@@ -15,7 +15,15 @@ in 0..n-1, repeats allowed (equal symbols commute, so only inverted pairs of
 distinct symbols contribute), and returns a plain int mod n!.  They must
 always agree; tests enforce it.  The bubble sort exists once, in numpy over
 a block of equal-length words (:func:`brute_force_phases`, which labeling
-validation runs on every x); :func:`brute_force_phase` is its one-row call.
+validation runs where a labeling fails); :func:`brute_force_phase` is its
+one-row call.
+
+A fourth route reads a permutation word by the acting positions of its
+gates: the written pair "j k" (j < k) is there exactly where U_k acts
+before U_j, so the exponent is a sum over gate pairs of a table indexed by
+the two positions (:func:`position_pairs`).  :func:`add_pair_sums` gathers
+such per-pair tables over a block of words in int64; labeling validation
+and the circuit sweep both run it.
 """
 
 from __future__ import annotations
@@ -38,6 +46,8 @@ __all__ = [
     "brute_force_phase",
     "brute_force_phases",
     "word_rows",
+    "position_pairs",
+    "add_pair_sums",
 ]
 
 
@@ -201,3 +211,40 @@ def brute_force_phase(word: Sequence[int], table: CommutationTable) -> int:
     """Independent oracle: bubble-sort to descending order, one phase per
     swap; :func:`brute_force_phases` on a single row."""
     return int(brute_force_phases([list(word)], table)[0])
+
+
+def position_pairs(table: CommutationTable) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """The exponent relative to the descending order as a pair sum over
+    acting positions: (j, k, E) for each j < k with e[j][k] != 0 mod n!, in
+    ascending k, where E[a * n + b] = e[j][k] if b < a and 0 otherwise
+    (int64, reduced mod n!).  With U_j acting at a and U_k at b, b < a is
+    the written pair "j k", the one :func:`perm_phase_exponent` counts."""
+    n, m = table.n, table.modulus
+    below = np.tri(n, k=-1, dtype=np.int64).reshape(n * n)  # [a * n + b]: b < a
+    return tuple(
+        (j, k, table.entries[j, k] % m * below)
+        for k in range(n) for j in range(k) if table.entries[j, k] % m
+    )
+
+
+def add_pair_sums(
+    phase: np.ndarray, keys: np.ndarray, pairs: Sequence[tuple[int, int, np.ndarray]]
+) -> None:
+    """Add the pair sum of every column of ``keys`` to ``phase``, in place:
+    phase[r] += W[keys[g, r] * n + keys[p, r]] over the ``pairs`` (g, p, W),
+    with g < p, in ascending p, and each W of length n * n, where n is
+    ``len(keys)``.  One int64 gather per pair.
+
+    ``keys`` is intp, each entry in [0, n), and is the caller's to give up:
+    the rows below the last p are multiplied by n in place.  The caller
+    bounds the sum below 2^63 and reduces it."""
+    n, size = len(keys), len(phase)
+    at, term = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.int64)
+    scaled = 0  # keys[:scaled] hold key_g * n
+    for g, p, table in pairs:  # ascending p, so every g < p is scaled by now
+        if scaled < p:
+            keys[scaled:p] *= n
+            scaled = p
+        np.add(keys[g], keys[p], out=at)
+        table.take(at, out=term, mode="clip")  # clip: no buffered bound check
+        phase += term

@@ -9,12 +9,14 @@ digits of x ("right" means toward the end of the written product, i.e.
 toward acting earlier).
 
 Validation derives the pairwise table from the two designated permutations
-per pair (all other gates in descending order in front), then checks with
-the independent brute-force oracle that the exponent of every labeled word
-relative to the identity word equals its label.  The oracle is a bubble sort
-run in numpy over blocks of words, on every x at every n.  On failure a
-witness pair with two conflicting exponents is produced from
-adjacent-transposition constraints.
+per pair (all other gates in descending order in front), then checks that
+the exponent of every labeled word relative to the identity word equals its
+label, on every x at every n: as a sum over gate pairs of a table indexed
+by the two gates' acting positions, in numpy over chunks of words.  Where
+that fails, the independent brute-force oracle, a bubble sort in numpy over
+blocks of words, decides again from the words themselves, and a witness
+pair with two conflicting exponents is produced from adjacent-transposition
+constraints.
 """
 
 from __future__ import annotations
@@ -27,7 +29,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .commutation import CommutationTable, brute_force_phases, word_rows
+from .commutation import (
+    CommutationTable,
+    add_pair_sums,
+    brute_force_phases,
+    position_pairs,
+    word_rows,
+)
 from .errors import DomainError, FppError, InvariantError, RangeError, UnsupportedError
 from .numsys import FactoradicDigits, from_factoradic, to_factoradic
 
@@ -389,7 +397,33 @@ class ConsistencyResult:
         return self.status == "consistent"
 
 
-# Words resolved per call of Labeling.words while validating.
+# Validation runs its xs in chunks of _FIRST_CHUNK states, then twice as
+# many each time up to the cap of :func:`_chunk_rows`; so does the circuit
+# sweep (fpp.algorithms).  A chunk costs about the same numpy calls however
+# many states it holds, so a long passing run wants large chunks, while a
+# failure at a small x is found after one small chunk.  The cap keeps the
+# chunk's working set within _CHUNK_BYTES.
+_FIRST_CHUNK = 2**10
+_CHUNK_BYTES = 2**21
+
+
+def _chunk_rows(state_bytes: int) -> int:
+    """The most states per chunk when each costs ``state_bytes`` of working
+    set."""
+    return max(1, _CHUNK_BYTES // max(state_bytes, 1))
+
+
+def _chunks(xs: range, rows: int) -> Iterator[range]:
+    """Consecutive chunks of xs: _FIRST_CHUNK states (at most ``rows``),
+    then twice the last size, up to ``rows``; the last chunk takes the rest."""
+    size, lo = min(_FIRST_CHUNK, rows), xs.start
+    while lo < xs.stop:
+        yield range(lo, min(lo + size, xs.stop))
+        lo += size
+        size = min(2 * size, rows)
+
+
+# Words resolved per call of Labeling.words on the oracle route.
 _WORD_BLOCK = 4096
 
 
@@ -447,25 +481,65 @@ def _find_witness(keys: np.ndarray, n: int, table: CommutationTable) -> Contradi
     return ContradictionWitness((j, k), (table.entry(j, k), value))
 
 
+def _pair_sums_hold(labeling: Labeling, table: CommutationTable) -> bool:
+    """Whether phi(x) - phi(0) = x mod n! for every x, where phi is the pair
+    sum of :func:`~fpp.commutation.position_pairs` over the acting
+    positions of word(x).
+
+    The xs run in the chunks of :func:`_chunks`, at 8n + 24 bytes a state
+    (the intp positions and three int64 vectors), each decoded once through
+    :meth:`Labeling.positions` (for the factoradic labeling, by
+    :func:`factoradic_blocks`).  False at the first chunk with an x that
+    fails or a position outside [0, n), and False without a look where the
+    sum could pass int64."""
+    n, m = labeling.n, labeling.size
+    pairs = position_pairs(table)
+    if len(pairs) * (m - 1) >= 2**63:
+        return False
+    p0 = 0
+    for chunk in _chunks(range(m), _chunk_rows(8 * n + 24)):
+        keys = labeling.positions(chunk)  # intp, ours to scale
+        if keys.view(np.uintp).max() >= n:  # a negative one wraps past n
+            return False
+        # phase[r] ends as phi(x) - x - phi(0) for x = chunk[r]
+        phase = np.arange(-chunk.start - p0, -chunk.stop - p0, -1, dtype=np.int64)
+        add_pair_sums(phase, keys, pairs)
+        if chunk.start == 0:
+            p0 = int(phase[0]) % m
+            phase -= p0
+        phase %= m
+        if phase.any():
+            return False
+    return True
+
+
 def validate_labeling(labeling: Labeling) -> ConsistencyResult:
     """Derive the pairwise table and check every labeled word against it.
 
-    Consistent iff for every x the brute-force exponent of word(x) relative
-    to word(0) equals x mod n!.  Every x is checked, with no sampling, in
-    one pass over blocks of x: each block's words are resolved once,
-    through :meth:`Labeling.words` (for the factoradic labeling, a range of
-    :func:`factoradic_blocks` rows), kept as base-n keys, and fed to the
-    bubble-sort oracle :func:`brute_force_phases`, which sorts the whole
-    block at once.  The sorted keys then check bijectivity, which a
-    labeling must pass before any other verdict or error.
+    Consistent iff for every x the exponent of word(x) relative to word(0)
+    equals x mod n!.  Every x is checked, with no sampling, as a pair sum
+    over acting positions (:func:`_pair_sums_hold`): one int64 gather per
+    gate pair, over chunks of positions, with nothing of size n! held.  A
+    pass needs no separate bijectivity check: distinct x get distinct
+    exponents, so no two x share a word.
+
+    Where the pair sums do not hold, or the table cannot be derived, the
+    oracle route decides, over blocks of x: each block's words are
+    resolved once through :meth:`Labeling.words`, kept as base-n keys, and
+    fed to the bubble-sort oracle :func:`brute_force_phases`, which sorts
+    the whole block at once.  The sorted keys then check bijectivity, which
+    a labeling must pass before any other verdict or error, and the keys
+    give the contradiction witness.
     """
-    n, m = labeling.n, labeling.size
     try:
         table, unlabeled = _derived_table(labeling), None
     except (FppError, NotImplementedError) as exc:
         # a labeling that is not a bijection may answer no label(); it
         # fails on bijectivity first
         table, unlabeled = None, exc
+    if table is not None and _pair_sums_hold(labeling, table):
+        return ConsistencyResult("consistent", table, None)
+    n, m = labeling.n, labeling.size
     place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
     keys = np.empty(m, dtype=np.int64)
     p0, consistent = None, True

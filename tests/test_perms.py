@@ -1,6 +1,7 @@
 """Tests for permutation words, labelings, validation and enumeration."""
 
 import itertools
+import random
 import tracemalloc
 from math import factorial
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpp import perms
+from fpp.commutation import add_pair_sums, brute_force_phases, position_pairs, random_table
 from fpp.errors import DomainError, InvariantError, RangeError, UnsupportedError
 from fpp.numsys import to_factoradic
 from fpp.perms import (
@@ -345,10 +347,9 @@ def test_witness_matches_per_x_scan(n, data):
     perturbed = ExplicitLabeling(n, words, "perturbed")
     table = perms._derived_table(perturbed)
     keys = np.array([w.order for w in words]) @ (n ** np.arange(n - 1, -1, -1))
-    expected = _find_witness_per_x(perturbed, table)
-    assert perms._find_witness(keys, n, table) == expected
-    result = validate_labeling(perturbed)
-    assert result.witness == (None if result.consistent else expected)
+    expected, _ = _validate_per_x(perturbed)
+    assert perms._find_witness(keys, n, table) == expected.witness
+    assert validate_labeling(perturbed) == expected
 
 
 def test_swapped_words_witness_matches_per_x_scan_at_n8():
@@ -359,25 +360,88 @@ def test_swapped_words_witness_matches_per_x_scan_at_n8():
 
 
 class _LastWordFlat(FactoradicLabeling):
-    """Factoradic, except that words() gives x = n!-1 the word 0 0 ... 0:
-    still n! distinct words, and the only x whose exponent is off."""
+    """Factoradic, except that x = n!-1 has the word 0 0 ... 0, in which no
+    gate acts after another: words() gives it that row and positions()
+    puts every gate at position 0.  Still n! distinct words, and the only x
+    whose exponent is off."""
 
     def words(self, xs):
         out = super().words(xs)
         out[np.asarray(xs) == self.size - 1] = 0
         return out
 
+    def positions(self, xs):
+        out = super().positions(xs)
+        out[:, np.asarray(xs) == self.size - 1] = 0
+        return out
+
 
 def test_validation_checks_every_block():
-    # n=7 has 5040 words: one full block of 4096 and a partial one.
+    # n=7 has 5040 words: chunks of 1024, 2048 and the last 1968.  A
+    # contradiction in the last word, or across a chunk boundary, fails
+    # the pair sums and is decided on the oracle route as per x.
     m = factorial(7)
-    assert perms._WORD_BLOCK < m < 2 * perms._WORD_BLOCK
-    expected, first_bad = _assert_same_as_per_x(_LastWordFlat(7))
+    starts = [chunk.start for chunk in perms._chunks(range(m), perms._chunk_rows(8 * 7 + 24))]
+    assert starts == [0, perms._FIRST_CHUNK, 3 * perms._FIRST_CHUNK] and m < 7 * perms._FIRST_CHUNK
+    flat = _LastWordFlat(7)
+    assert not perms._pair_sums_hold(flat, perms._derived_table(flat))
+    expected, first_bad = _assert_same_as_per_x(flat)
     assert expected == ConsistencyResult("contradiction", None, None) and first_bad == m - 1
-    swapped = _swapped(FactoradicLabeling(7), perms._WORD_BLOCK, perms._WORD_BLOCK + 1)
-    expected, first_bad = _assert_same_as_per_x(swapped)
-    assert not expected.consistent and expected.witness is not None
-    assert first_bad == perms._WORD_BLOCK
+    for x in [x for start in starts[1:] for x in (start - 1, start)]:  # the last x of a chunk, the first
+        swapped = _swapped(FactoradicLabeling(7), x, x + 1)
+        assert not perms._pair_sums_hold(swapped, perms._derived_table(swapped))
+        expected, first_bad = _assert_same_as_per_x(swapped)
+        assert not expected.consistent and expected.witness is not None
+        assert first_bad == x
+
+
+def test_positions_outside_the_word_go_to_the_oracle_route():
+    # the gate acting first placed at n instead of 0, where the gate acting
+    # last has a higher index: every gather then reads the value position 0
+    # gives (past the table, it clips to its last entry, 0), so only the
+    # range check stops the pair sums from passing positions no word has
+    class FirstAtN(FactoradicLabeling):
+        def positions(self, xs):
+            out = super().positions(xs)
+            first, last = out.argmin(axis=0), out.argmax(axis=0)
+            cols = np.flatnonzero(last > first)
+            out[first[cols], cols] = self.n
+            return out
+
+    lab = FirstAtN(4)
+    assert not perms._pair_sums_hold(lab, perms._derived_table(lab))
+    assert validate_labeling(lab) == validate_labeling(FactoradicLabeling(4))  # decided by the words
+
+
+def test_pair_sums_match_the_bubble_sort_on_every_x():
+    # phi by the pair sum over acting positions equals the oracle's
+    # exponent of every word, under the labeling's own table and a drawn one
+    rng = random.Random(5)
+    labelings = [lab for n in range(2, 9) for lab in (
+        FactoradicLabeling(n), relabeled(FactoradicLabeling(n), [(g + 1) % n for g in range(n)])
+    )]
+    labelings += enumerate_valid_labelings(3)
+    for lab in labelings:
+        m = lab.size
+        for table in (perms._derived_table(lab), random_table(lab.n, rng)):
+            phase = np.zeros(m, dtype=np.int64)
+            add_pair_sums(phase, lab.positions(range(m)), position_pairs(table))
+            oracle = brute_force_phases(lab.words(range(m)), table)
+            assert (phase % m == oracle).all(), lab.name
+        assert perms._pair_sums_hold(lab, perms._derived_table(lab)), lab.name
+
+
+def test_consistent_validation_holds_nothing_of_size_n_factorial():
+    lab = FactoradicLabeling(10)
+    lab.positions(range(1))  # the decoder's tables, shared by every labeling of n=10
+    tracemalloc.start()
+    try:
+        result = validate_labeling(lab)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.consistent
+    assert peak < lab.size * 8 // 4, peak  # n! int64 keys alone take 29 MB
 
 
 def test_non_bijective_labeling_still_rejected():

@@ -201,6 +201,21 @@ _NOT_JSON_INTEGERS = [
 ]
 
 
+_WRONG_TYPES = [
+    ("query_count", "18", "query_count='18', not an integer"),
+    ("query_count", 1.5, "query_count=1.5, not an integer"),
+    ("query_count", True, "query_count=True, not an integer"),
+    ("expected_queries", "x", "expected_queries='x', not an integer or null"),
+    ("expected_queries", 18.0, "expected_queries=18.0, not an integer or null"),
+    ("residuals_x_independent", 1, "residuals_x_independent=1, not a boolean"),
+    ("residuals_x_independent", "true", "residuals_x_independent='true', not a boolean"),
+    ("residuals", [[0, 1]], r"residuals=\[\[0, 1\]\], not an object"),
+    ("residuals", {"t": [0.5, "a"]}, r"residuals\['t'\]=\[0.5, 'a'\], not a list of integers"),
+    ("residuals", {"t": [0, True]}, r"residuals\['t'\]=\[0, True\], not a list of integers"),
+    ("residuals", {"t": "01"}, r"residuals\['t'\]='01', not a list of integers"),
+]
+
+
 @pytest.mark.parametrize(
     "key, value, message", _NOT_JSON_INTEGERS,
     ids=[f"{key}={value!r}" for key, value, _ in _NOT_JSON_INTEGERS],
@@ -211,6 +226,17 @@ def test_from_json_refuses_fields_that_are_not_json_integers(key, value, message
         payload["exponents"][1] = value  # p(1) = 1, so 1.9 would truncate to a passing report
     else:
         payload[key] = value
+    with pytest.raises(DomainError, match=message):
+        VerificationReport.from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "key, value, message", _WRONG_TYPES,
+    ids=[f"{key}={value!r}" for key, value, _ in _WRONG_TYPES],
+)
+def test_from_json_refuses_other_fields_of_the_wrong_type(key, value, message):
+    payload = json.loads(solve_profile(_linear(), 1).to_json())
+    payload[key] = value
     with pytest.raises(DomainError, match=message):
         VerificationReport.from_json(json.dumps(payload))
 

@@ -222,7 +222,7 @@ def test_chunk_boundary_inside_sweep(monkeypatch):
     assert whole_failure.startswith("x=96:")
 
     sqrt_bytes = _engine(c, lab).state_bytes
-    monkeypatch.setattr(algorithms, "_CHUNK_BYTES", 7 * sqrt_bytes)  # chunks of 7 xs for sqrt
+    monkeypatch.setattr(perms, "_CHUNK_BYTES", 7 * sqrt_bytes)  # chunks of 7 xs for sqrt
     for name, circuit in circuits.items():  # every family with a plan takes the tables here
         engine = algorithms._Sweep(circuit, table)
         assert engine.tables is not None and engine.rows == 7, name
@@ -454,7 +454,26 @@ def test_sweep_and_validation_decode_only_ranges(monkeypatch):
     lab = FactoradicLabeling(8)
     for name in ("nlogn", "sqrt"):  # the first profile validates the labeling
         assert phase_profile(FAMILIES[name].build(8, lab), lab).slope == 1
-    assert {name for name, _ in seen} == {"acting", "positions", "digits"}
+    assert {name for name, _ in seen} == {"positions", "digits"}  # a pass decodes no words
+    assert all(decodes for _, decodes in seen)
+
+    class LastWordsSwapped(FactoradicLabeling):
+        """Factoradic with the words of the last two xs exchanged (both
+        in the last chunk and the last word block)."""
+
+        def words(self, xs):
+            out, last = super().words(xs), np.asarray(xs) >= self.size - 2
+            out[last] = out[last][::-1]
+            return out
+
+        def positions(self, xs):
+            out, last = super().positions(xs), np.asarray(xs) >= self.size - 2
+            out[:, last] = out[:, last][:, ::-1]
+            return out
+
+    seen.clear()
+    assert not LastWordsSwapped(8).validate().consistent  # the oracle route decodes words
+    assert {name for name, _ in seen} == {"acting", "positions"}
     assert all(decodes for _, decodes in seen)
 
 
@@ -765,8 +784,8 @@ def test_random_sandwiches_match_per_x(case):
 def small_chunks(monkeypatch):
     """A first chunk of 3 states and a budget of 2^13 bytes: chunks of 3,
     6, 12, ... up to 16-48 states (``engine.rows``) at n = 5..7."""
-    monkeypatch.setattr(algorithms, "_FIRST_CHUNK", 3)
-    monkeypatch.setattr(algorithms, "_CHUNK_BYTES", 2**13)
+    monkeypatch.setattr(perms, "_FIRST_CHUNK", 3)
+    monkeypatch.setattr(perms, "_CHUNK_BYTES", 2**13)
 
 
 def _recording(monkeypatch, name):
@@ -799,7 +818,7 @@ def _assert_schedule(seen, xs, rows):
     assert all(a.stop == b.start for a, b in zip(seen, seen[1:]))
     assert all(c.step == 1 and 0 < len(c) <= rows for c in seen)
     sizes = [len(c) for c in seen]
-    assert sizes[0] == min(algorithms._FIRST_CHUNK, rows, len(xs))
+    assert sizes[0] == min(perms._FIRST_CHUNK, rows, len(xs))
     assert all(b == min(2 * a, rows) for a, b in zip(sizes, sizes[1:-1]))
     assert len(seen) == 1 or sizes[-1] <= min(2 * sizes[-2], rows)
 
@@ -849,7 +868,7 @@ def test_chunks_grow_from_the_first_size(chunks):
     table = lab.validate().table
     for name in ("nlogn", "sqrt", "sim-switch"):
         engine = algorithms._Sweep(FAMILIES[name].build(n, lab), table)
-        assert algorithms._FIRST_CHUNK < engine.rows < lab.size
+        assert perms._FIRST_CHUNK < engine.rows < lab.size
         for xs in (range(lab.size), range(1000, 30001), range(7, 900), range(lab.size - 1, lab.size)):
             chunks.clear()
             exponents, failure = engine.sweep(xs)
@@ -864,13 +883,13 @@ def test_early_witness_sweeps_only_the_first_chunk(chunks):
     j = next(j for j, g in enumerate(c.gates) if isinstance(g, ControlledApply) and g.bit == (1, 1) and g.polarity)
     broken = replace(c, gates=c.gates[:j] + c.gates[j + 1 :])
     assert phase_profile(broken, lab).failure.startswith("x=1:")
-    assert chunks == [range(0, algorithms._FIRST_CHUNK)]
+    assert chunks == [range(0, perms._FIRST_CHUNK)]
 
 
 def test_small_growing_chunks_fill_exponents_in_x_order(monkeypatch):
     # 5, 10, 20, ... states up to 92 a chunk, over 40 320 states
-    monkeypatch.setattr(algorithms, "_FIRST_CHUNK", 5)
-    monkeypatch.setattr(algorithms, "_CHUNK_BYTES", 2**13)
+    monkeypatch.setattr(perms, "_FIRST_CHUNK", 5)
+    monkeypatch.setattr(perms, "_CHUNK_BYTES", 2**13)
     lab = FactoradicLabeling(8)
     circuit = nlogn_circuit(8)
     assert _engine(circuit, lab).rows == 92
