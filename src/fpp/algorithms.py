@@ -60,7 +60,13 @@ from .circuit import (
     execute,
     query_count,
 )
-from .commutation import CommutationTable, add_pair_sums, normal_order, perm_phase_exponent
+from .commutation import (
+    CommutationTable,
+    add_block_sums,
+    block_tables,
+    normal_order,
+    perm_phase_exponent,
+)
 from .errors import DomainError, InvariantError, StructuralError, UnsupportedError
 from .numsys import ceil_log2
 from .perms import (
@@ -782,6 +788,7 @@ class _Sweep:
         self.conditions: dict[tuple, int] = {}
         self.plan = self._lower(circuit.gates)
         self.tables = None if self.plan is None else self._pair_tables()
+        self.blocks = None if self.tables is None else block_tables(self.tables[1], self.n)
         self.state_bytes = 8 * self.n + 24 + 1
         self.rows = _chunk_rows(self.state_bytes)
 
@@ -992,9 +999,11 @@ class _Sweep:
         The chunk's keys are decoded (acting positions, or digits); then ok
         = AND_g ok_g[key_g] over the checked gates, and p(x) = sum over the
         pairs of W[key_g * n + key_p] - ref_phase mod n!, one int64 gather
-        per pair (:func:`~fpp.commutation.add_pair_sums`).  The sum stays
-        below 2^63 for every n <= :data:`MAX_READOUT_N`."""
-        checks, pairs = self.tables
+        per pair of two-gate blocks, from the tables :attr:`blocks` folds
+        (:func:`~fpp.commutation.add_block_sums`).  A block entry is a sum
+        of per-pair entries, each below n!, so a state's sum stays below
+        (C(n, 2) + 1) * n! < 2^63 for every n <= :data:`MAX_READOUT_N`."""
+        checks = self.tables[0]
         n, size = self.n, len(xs)
         if isinstance(self.control, QuditControl):
             keys = self.control.labeling.positions(xs)  # [g, r]: where U_g acts
@@ -1013,7 +1022,7 @@ class _Sweep:
             if not ok.all():
                 first = int(ok.argmin())
         phase = np.full(size, -self.ref_phase % self.modulus, dtype=np.int64)
-        add_pair_sums(phase, keys, pairs)  # the keys are ours to scale
+        add_block_sums(phase, keys, self.blocks)  # the keys are ours to scale
         phase %= self.modulus
         return phase, first
 

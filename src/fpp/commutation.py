@@ -21,9 +21,13 @@ one-row call.
 A fourth route reads a permutation word by the acting positions of its
 gates: the written pair "j k" (j < k) is there exactly where U_k acts
 before U_j, so the exponent is a sum over gate pairs of a table indexed by
-the two positions (:func:`position_pairs`).  :func:`add_pair_sums` gathers
-such per-pair tables over a block of words in int64; labeling validation
-and the circuit sweep both run it.
+the two positions (:func:`position_pairs`).  :func:`block_tables` folds
+such per-pair tables over blocks of two gates, and :func:`add_block_sums`
+gathers them over a block of words in int64, one gather per pair of
+blocks; labeling validation and the circuit sweep both run it.  The fold
+does not reduce mod n!, so a sum is exact in int64 while the number of
+per-pair tables times n! stays below 2^63: with every pair, up to n = 18;
+at n = 12 a sum is at most C(12, 2) * 12!, about 3.2e10.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ __all__ = [
     "brute_force_phases",
     "word_rows",
     "position_pairs",
-    "add_pair_sums",
+    "block_tables",
+    "add_block_sums",
 ]
 
 
@@ -227,24 +232,88 @@ def position_pairs(table: CommutationTable) -> tuple[tuple[int, int, np.ndarray]
     )
 
 
-def add_pair_sums(
-    phase: np.ndarray, keys: np.ndarray, pairs: Sequence[tuple[int, int, np.ndarray]]
+def block_tables(
+    pairs: Sequence[tuple[int, int, np.ndarray]], n: int
+) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """The per-pair tables (g, p, W), g < p, folded over blocks of two
+    gates for :func:`add_block_sums`.
+
+    Gates 2b and 2b + 1 form block b, keyed K_b = key_2b * n + key_2b+1 <
+    n^2; for odd n the last gate is a block alone, keyed by its own key.
+    Returns (b, c, T) for each b < c with a nonzero cross pair, in
+    descending b: T[K_c * n^2 + K_b] is the sum of the W of the (up to
+    four) pairs with one gate in each block, int64 of length n^4.  The
+    pair within block b is added to the first such T whose b is b, else to
+    the first whose c is b; where neither exists, it comes alone as (b, b,
+    W), read at K_b.  Nothing is reduced mod n!: each entry is a sum of
+    per-pair entries, so a blocked sum equals the per-pair sum as int64.
+    Built in numpy over the live block pairs alone."""
+    cross, within = {}, {}  # (b, c): [(s, r, W) of gates 2c + s, 2b + r]; k: W
+    for g, p, w in pairs:
+        if n % 2 and p == n - 1:  # its block's low digit; the high one is empty (key 0)
+            p = n
+        if g >> 1 == p >> 1:
+            within[g >> 1] = w
+        else:
+            cross.setdefault((g >> 1, p >> 1), []).append((p & 1, g & 1, w))
+    live = sorted(cross, key=lambda bc: (-bc[0], bc[1]))
+    # [l, key_2c, key_2c+1, K_b]; made before the temporaries below, which
+    # kept 3 MB off the peak of an n=10 run by where the allocator put them
+    folded = np.empty((len(live), n, n, n * n), dtype=np.int64)
+    # terms[l, s, r, a, a']: the pair of gate 2c + s at key a and gate 2b + r at key a'
+    terms = np.zeros((len(live), 2, 2, n, n), dtype=np.int64)
+    for l, bc in enumerate(live):
+        for s, r, w in cross[bc]:
+            terms[l, s, r] = w.reshape(n, n).T
+    # rows[l, s, a, K_b]: the pairs of gate 2c + s at key a with block b at K_b
+    rows = (terms[:, :, 0, :, :, None] + terms[:, :, 1, :, None, :]).reshape(-1, 2, n, n * n)
+    as_b, as_c = {}, {}  # block: the first table whose b (c) it is
+    for l, (b, c) in enumerate(live):
+        as_b.setdefault(b, l)
+        as_c.setdefault(c, l)
+    alone, later = [], []
+    for k, w in within.items():
+        if k in as_b:
+            rows[as_b[k], 0] += w
+        elif k in as_c:
+            later.append((as_c[k], w))
+        else:
+            alone.append((k, k, w))
+    np.add(rows[:, 0, :, None, :], rows[:, 1, None, :, :], out=folded)
+    for l, w in later:
+        folded[l] += w.reshape(n, n, 1)
+    blocks = [(b, c, t) for (b, c), t in zip(live, folded.reshape(-1, n**4))]
+    return tuple(sorted(blocks + alone, key=lambda t: -t[0]))
+
+
+def add_block_sums(
+    phase: np.ndarray, keys: np.ndarray, blocks: Sequence[tuple[int, int, np.ndarray]]
 ) -> None:
-    """Add the pair sum of every column of ``keys`` to ``phase``, in place:
-    phase[r] += W[keys[g, r] * n + keys[p, r]] over the ``pairs`` (g, p, W),
-    with g < p, in ascending p, and each W of length n * n, where n is
-    ``len(keys)``.  One int64 gather per pair.
+    """Add the pair sum of every column of ``keys`` to ``phase``, in place,
+    one int64 gather per block table (b, c, T) of :func:`block_tables`:
+    phase[r] += T[K_c * n^2 + K_b] (T[K_b] where b = c), with K_b the key
+    of block b in column r and n ``len(keys)``.  That is the sum of W[keys[g,
+    r] * n + keys[p, r]] over the per-pair tables (g, p, W) the blocks were
+    folded from, exactly.
 
     ``keys`` is intp, each entry in [0, n), and is the caller's to give up:
-    the rows below the last p are multiplied by n in place.  The caller
-    bounds the sum below 2^63 and reduces it."""
+    row 2b is made K_b, times n^2 once b is above the b of a table.  Every
+    table entry is a sum of per-pair entries, so with each per-pair entry
+    below n!, the sum added is below (number of per-pair tables) * n!; the
+    caller bounds that below 2^63 and reduces the result."""
     n, size = len(keys), len(phase)
+    lead = keys[: n - 1 : 2]  # the first gate of each block of two
+    lead *= n
+    lead += keys[1::2]
     at, term = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.int64)
-    scaled = 0  # keys[:scaled] hold key_g * n
-    for g, p, table in pairs:  # ascending p, so every g < p is scaled by now
-        if scaled < p:
-            keys[scaled:p] *= n
-            scaled = p
-        np.add(keys[g], keys[p], out=at)
-        table.take(at, out=term, mode="clip")  # clip: no buffered bound check
+    scaled = (n + 1) // 2  # the blocks from here on hold K * n^2
+    for b, c, table in blocks:  # descending b, so every c > b is scaled by now
+        if scaled > b + 1:
+            keys[2 * b + 2 : 2 * scaled : 2] *= n * n
+            scaled = b + 1
+        if b == c:
+            table.take(keys[2 * b], out=term, mode="clip")  # clip: no buffered bound check
+        else:
+            np.add(keys[2 * c], keys[2 * b], out=at)
+            table.take(at, out=term, mode="clip")
         phase += term

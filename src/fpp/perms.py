@@ -31,7 +31,8 @@ import numpy as np
 
 from .commutation import (
     CommutationTable,
-    add_pair_sums,
+    add_block_sums,
+    block_tables,
     brute_force_phases,
     position_pairs,
     word_rows,
@@ -123,6 +124,11 @@ class Labeling:
     def label(self, w: PermWord | Sequence[int]) -> int:
         raise NotImplementedError
 
+    def labels(self, rows: np.ndarray) -> Sequence[int]:
+        """:meth:`label` of each row of ``rows``, a written order per row;
+        the first row it rejects raises its error."""
+        return [self.label(PermWord(self.n, tuple(row))) for row in rows.tolist()]
+
     def items(self) -> Iterator[tuple[int, PermWord]]:
         for x in range(self.size):
             yield x, self.word(x)
@@ -145,6 +151,13 @@ class Labeling:
         if self._validation is None:
             self._validation = validate_labeling(self)
         return self._validation
+
+
+def _is_span(xs: Sequence[int], size: int) -> bool:
+    """Whether ``xs`` is a unit-step range inside [0, size)."""
+    return isinstance(xs, range) and xs.step == 1 and (
+        not xs or (xs.start >= 0 and xs.stop <= size)
+    )
 
 
 # The low table holds the words of U_0..U_{k-1} for k = min(n, _LOW_GATES):
@@ -225,9 +238,7 @@ class FactoradicBlocks:
 
     def decodes(self, xs: Sequence[int]) -> bool:
         """Whether the decoder takes ``xs``: a unit-step range inside [0, n!)."""
-        return isinstance(xs, range) and xs.step == 1 and (
-            not xs or (xs.start >= 0 and xs.stop <= self.size)
-        )
+        return _is_span(xs, self.size)
 
     def _segments(self, xs: range) -> Iterator[tuple[slice, int, int, int]]:
         """(columns, q, r0, r1): the xs q * L + r0 .. q * L + r1 - 1 sit in
@@ -330,6 +341,22 @@ class FactoradicLabeling(Labeling):
             seq.pop(i)
         return from_factoradic(FactoradicDigits(self.n, tuple(digits)))
 
+    def labels(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`label` of each row of ``rows`` at once: the digit a_k is
+        the number of gates below k written left of U_k, which is where
+        :meth:`label` finds U_k once the gates above k are gone."""
+        n = self.n
+        rows = np.asarray(rows).reshape(-1, n)
+        at = np.full(rows.shape, n)  # [r, g]: the written index of U_g, n if it is missing
+        r, i = np.nonzero((rows >= 0) & (rows < n))
+        at[r, rows[r, i]] = i
+        missing = (at == n).any(axis=1)  # n symbols without each of 0..n-1: no permutation
+        if missing.any():
+            self.label(rows[missing.argmax()].tolist())  # raises its DomainError
+        left = (at[:, :, None] < at[:, None, :]) & np.tri(n, k=-1, dtype=bool).T  # [r, g, k], g < k
+        weights = np.array([factorial(k) for k in range(n)], dtype=np.int64 if n <= 20 else object)
+        return (left.sum(axis=1) * weights).sum(axis=1)
+
 
 class ExplicitLabeling(Labeling):
     """A labeling given by an explicit word table."""
@@ -367,8 +394,10 @@ class ExplicitLabeling(Labeling):
         return self._table[self._check_xs(xs)]
 
     def positions(self, xs: Sequence[int]) -> np.ndarray:
-        """Columns of the position table, built on first use."""
-        return self._positions[:, self._check_xs(xs)].astype(np.intp)
+        """Columns of the position table, built on first use: a slice of
+        them for a unit-step range."""
+        cols = slice(xs.start, xs.stop) if _is_span(xs, self.size) else self._check_xs(xs)
+        return self._positions[:, cols].astype(np.intp)
 
     def label(self, w: PermWord | Sequence[int]) -> int:
         order = w.order if isinstance(w, PermWord) else tuple(w)
@@ -376,6 +405,10 @@ class ExplicitLabeling(Labeling):
             return self._inverse[order]
         except KeyError:
             raise DomainError(f"word {order} not present in labeling {self.name!r}")
+
+    def labels(self, rows: np.ndarray) -> list[int]:
+        """:meth:`label` of each row, looked up without a :class:`PermWord`."""
+        return [self.label(row) for row in rows.tolist()]
 
 
 @dataclass(frozen=True)
@@ -427,19 +460,31 @@ def _chunks(xs: range, rows: int) -> Iterator[range]:
 _WORD_BLOCK = 4096
 
 
+@lru_cache(maxsize=None)
+def _designated_rows(n: int) -> np.ndarray:
+    """The two designated words of each pair j < k, in (j, k) order, as
+    written orders: rows 2i and 2i + 1 of the i-th pair are the other gates
+    descending, then j k, and then k j."""
+    pairs = list(itertools.combinations(range(n), 2))
+    rows = np.empty((len(pairs), 2, n), dtype=np.int64)
+    for i, (j, k) in enumerate(pairs):
+        rows[i, :, : n - 2] = [g for g in range(n - 1, -1, -1) if g not in (j, k)]
+        rows[i, :, n - 2 :] = (j, k), (k, j)
+    rows = rows.reshape(-1, n)
+    rows.flags.writeable = False
+    return rows
+
+
 def _derived_table(labeling: Labeling) -> CommutationTable:
     """Pairwise exponents from the two designated permutations per pair:
-    e[j][k] = label(desc-others U_j U_k) - label(desc-others U_k U_j)."""
-    n = labeling.n
-    m = labeling.size
-    upper: dict[tuple[int, int], int] = {}
-    for j in range(n):
-        for k in range(j + 1, n):
-            others = tuple(g for g in range(n - 1, -1, -1) if g not in (j, k))
-            x1 = labeling.label(PermWord(n, others + (j, k)))
-            x2 = labeling.label(PermWord(n, others + (k, j)))
-            upper[(j, k)] = (x1 - x2) % m
-    return CommutationTable.from_upper(n, upper)
+    e[j][k] = label(desc-others U_j U_k) - label(desc-others U_k U_j),
+    every designated word labeled in one :meth:`Labeling.labels` call."""
+    n, m = labeling.n, labeling.size
+    x = [int(v) for v in labeling.labels(_designated_rows(n))]
+    return CommutationTable.from_upper(n, {
+        pair: (x[2 * i] - x[2 * i + 1]) % m
+        for i, pair in enumerate(itertools.combinations(range(n), 2))
+    })
 
 
 def _find_witness(keys: np.ndarray, n: int, table: CommutationTable) -> ContradictionWitness | None:
@@ -486,16 +531,23 @@ def _pair_sums_hold(labeling: Labeling, table: CommutationTable) -> bool:
     sum of :func:`~fpp.commutation.position_pairs` over the acting
     positions of word(x).
 
-    The xs run in the chunks of :func:`_chunks`, at 8n + 24 bytes a state
-    (the intp positions and three int64 vectors), each decoded once through
+    The per-pair tables are folded once over blocks of two gates
+    (:func:`~fpp.commutation.block_tables`), and each chunk sums them in
+    one int64 gather per block pair
+    (:func:`~fpp.commutation.add_block_sums`).  The xs run in the chunks
+    of :func:`_chunks`, at 8n + 24 bytes a state (the intp positions and
+    three int64 vectors), each decoded once through
     :meth:`Labeling.positions` (for the factoradic labeling, by
     :func:`factoradic_blocks`).  False at the first chunk with an x that
-    fails or a position outside [0, n), and False without a look where the
-    sum could pass int64."""
+    fails or a position outside [0, n).  A block entry is a sum of
+    per-pair entries, each below n!, so the gathers add at most (number of
+    per-pair tables) * (n! - 1) to a state; False without a look where
+    that reaches 2^63, which it does only from n = 19 on."""
     n, m = labeling.n, labeling.size
     pairs = position_pairs(table)
     if len(pairs) * (m - 1) >= 2**63:
         return False
+    blocks = block_tables(pairs, n)
     p0 = 0
     for chunk in _chunks(range(m), _chunk_rows(8 * n + 24)):
         keys = labeling.positions(chunk)  # intp, ours to scale
@@ -503,7 +555,7 @@ def _pair_sums_hold(labeling: Labeling, table: CommutationTable) -> bool:
             return False
         # phase[r] ends as phi(x) - x - phi(0) for x = chunk[r]
         phase = np.arange(-chunk.start - p0, -chunk.stop - p0, -1, dtype=np.int64)
-        add_pair_sums(phase, keys, pairs)
+        add_block_sums(phase, keys, blocks)
         if chunk.start == 0:
             p0 = int(phase[0]) % m
             phase -= p0
@@ -519,9 +571,9 @@ def validate_labeling(labeling: Labeling) -> ConsistencyResult:
     Consistent iff for every x the exponent of word(x) relative to word(0)
     equals x mod n!.  Every x is checked, with no sampling, as a pair sum
     over acting positions (:func:`_pair_sums_hold`): one int64 gather per
-    gate pair, over chunks of positions, with nothing of size n! held.  A
-    pass needs no separate bijectivity check: distinct x get distinct
-    exponents, so no two x share a word.
+    pair of two-gate blocks, over chunks of positions, with nothing of size
+    n! held.  A pass needs no separate bijectivity check: distinct x get
+    distinct exponents, so no two x share a word.
 
     Where the pair sums do not hold, or the table cannot be derived, the
     oracle route decides, over blocks of x: each block's words are

@@ -6,14 +6,19 @@ from math import factorial
 import pytest
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpp.commutation import (
     CommutationTable,
+    add_block_sums,
+    block_tables,
     brute_force_phase,
     brute_force_phases,
     factoradic_table,
     normal_order,
     perm_phase_exponent,
+    position_pairs,
     random_table,
 )
 from fpp.errors import DomainError, InvariantError
@@ -260,3 +265,120 @@ def test_factoradic_table_matches_derived():
 def test_modulus():
     for n in (2, 3, 5):
         assert factoradic_table(n).modulus == factorial(n)
+
+
+# ---------------------------------------------------------------------------
+# the blocked pair sum, against the per-pair sum and the bubble-sort oracle
+
+
+def per_pair_sum(keys, pairs):
+    """The pair sum one gather per pair: W[keys[g] * n + keys[p]] over the
+    pairs (g, p, W), in int64."""
+    n = len(keys)
+    total = np.zeros(keys.shape[1], dtype=np.int64)
+    for g, p, table in pairs:
+        total += table[keys[g] * n + keys[p]]
+    return total
+
+
+def blocked_sum(keys, pairs):
+    """The pair sum through :func:`block_tables` and :func:`add_block_sums`,
+    on a copy of the keys, which the kernel scales."""
+    phase = np.zeros(keys.shape[1], dtype=np.int64)
+    add_block_sums(phase, keys.astype(np.intp), block_tables(pairs, len(keys)))
+    return phase
+
+
+PAIR_SETS = ("empty", "single", "within", "cross", "last", "random", "all")
+
+
+def pair_set(n, kind, rng):
+    """Gate pairs g < p of one kind: none, one, only pairs inside a block of
+    two, only pairs across blocks, only pairs with the last gate, a random
+    subset, or all of them."""
+    pairs = [(g, p) for p in range(n) for g in range(p)]
+    if kind == "empty":
+        return []
+    if kind == "single":
+        return [rng.choice(pairs)]
+    if kind == "within":
+        pairs = [(g, p) for g, p in pairs if g // 2 == p // 2]
+    elif kind == "cross":
+        pairs = [(g, p) for g, p in pairs if g // 2 != p // 2]
+    elif kind == "last":
+        pairs = [(g, p) for g, p in pairs if p == n - 1]
+    if kind != "all":
+        pairs = [gp for gp in pairs if rng.random() < 0.6] or pairs[:1]
+    return pairs
+
+
+def keys_with_extremes(n, cols, rng):
+    """Keys in [0, n), shape n x cols, with a column all 0, one all n - 1 and
+    one alternating the two."""
+    keys = rng.integers(0, n, (n, cols))
+    keys[:, 0], keys[:, 1], keys[:, 2] = 0, n - 1, np.arange(n) % 2 * (n - 1)
+    return keys
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 12), st.sampled_from(PAIR_SETS), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_blocked_sum_is_the_per_pair_sum(n, kind, seed, top):
+    # exactly, as raw int64: the fold regroups the per-pair entries and
+    # reduces nothing, with entries up to n! - 1 (all of them, when top)
+    rng = np.random.default_rng(seed)
+    m = factorial(n)
+    pairs = [
+        (g, p, np.full(n * n, m - 1, dtype=np.int64) if top else rng.integers(0, m, n * n))
+        for g, p in pair_set(n, kind, random.Random(seed))
+    ]
+    keys = keys_with_extremes(n, 40, rng)
+    assert (blocked_sum(keys, pairs) == per_pair_sum(keys, pairs)).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 12), st.sampled_from(PAIR_SETS), st.integers(0, 2**32 - 1))
+def test_blocked_sum_matches_the_bubble_sort(n, kind, seed):
+    # on the acting positions of random words, under a drawn table that is
+    # zero off the pair set, mod n!: the word with every gate written in
+    # ascending and in descending order included
+    rng = random.Random(seed)
+    m = factorial(n)
+    chosen = set(pair_set(n, kind, rng))
+    table = CommutationTable.from_upper(n, {
+        (j, k): rng.randrange(1, m) if (j, k) in chosen else 0
+        for j in range(n) for k in range(j + 1, n)
+    })
+    words = [list(range(n)), list(range(n - 1, -1, -1))]
+    words += [rng.sample(range(n), n) for _ in range(30)]
+    written = np.array(words)
+    positions = (n - 1 - np.argsort(written, axis=1)).T  # [g, word]: where U_g acts
+    pairs = position_pairs(table)
+    assert [(g, p) for g, p, _ in pairs] == sorted(chosen, key=lambda gp: (gp[1], gp[0]))
+    assert (blocked_sum(positions, pairs) % m == brute_force_phases(written, table)).all()
+
+
+def test_block_tables_shape():
+    # two-gate blocks, the last gate alone at odd n: one table per pair of
+    # blocks with a cross pair, n^4 entries each, in descending b; a
+    # block whose only pair is its own comes alone, with n^2 entries
+    for n in range(2, 13):
+        half = (n + 1) // 2
+        pairs = position_pairs(factoradic_table(n))
+        blocks = block_tables(pairs, n)
+        expected = [(b, c) for b in range(half - 1, -1, -1) for c in range(b + 1, half)]
+        assert [(b, c) for b, c, _ in blocks] == (expected or [(0, 0)]), n
+        assert all(t.dtype == np.int64 and t.shape == ((n**4,) if b < c else (n * n,))
+                   for b, c, t in blocks)
+    within = [(g, g + 1, np.arange(1, 17)) for g in (0, 2)]  # n=4, no cross pair
+    assert [(b, c) for b, c, _ in block_tables(within, 4)] == [(1, 1), (0, 0)]
+    assert block_tables([], 5) == ()
+
+
+def test_blocked_sum_exact_at_n12():
+    # every per-pair entry at n! - 1: the blocked sum is the sum of all of
+    # them in Python integers, 66 * (12! - 1), far below 2^63
+    n, m = 12, factorial(12)
+    pairs = [(g, p, np.full(n * n, m - 1, dtype=np.int64)) for p in range(n) for g in range(p)]
+    keys = keys_with_extremes(n, 5, np.random.default_rng(1))
+    assert blocked_sum(keys, pairs).tolist() == [len(pairs) * (m - 1)] * 5

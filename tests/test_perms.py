@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpp import perms
-from fpp.commutation import add_pair_sums, brute_force_phases, position_pairs, random_table
+from fpp.commutation import (
+    add_block_sums,
+    block_tables,
+    brute_force_phases,
+    position_pairs,
+    random_table,
+)
 from fpp.errors import DomainError, InvariantError, RangeError, UnsupportedError
 from fpp.numsys import to_factoradic
 from fpp.perms import (
@@ -87,6 +93,69 @@ def test_label_roundtrip_exhaustive():
         lab = FactoradicLabeling(n)
         for x in range(factorial(n)):
             assert lab.label(lab.word(x)) == x
+
+
+def test_labels_match_label_per_word():
+    # the batch decode of FactoradicLabeling and ExplicitLabeling, and the
+    # per-row default, against label(), errors included
+    rng = random.Random(7)
+    labelings = [FactoradicLabeling(n) for n in range(2, 10)]
+    labelings += [relabeled(FactoradicLabeling(n), [(g + 2) % n for g in range(n)]) for n in range(2, 6)]
+    for lab in labelings:
+        n = lab.n
+        rows = np.array([rng.sample(range(n), n) for _ in range(40)] + [list(range(n))])
+        assert list(lab.labels(rows)) == [lab.label(tuple(r)) for r in rows.tolist()], lab.name
+    lab = FactoradicLabeling(4)
+    bad = np.array([[3, 2, 1, 0], [0, 1, 1, 3]])
+    with pytest.raises(DomainError) as batch:
+        lab.labels(bad)
+    with pytest.raises(DomainError) as one:
+        lab.label((0, 1, 1, 3))
+    assert str(batch.value) == str(one.value)
+
+    class PerWord(FactoradicLabeling):  # label() alone, as a custom labeling defines it
+        labels = Labeling.labels
+
+    rows = np.array([[2, 0, 1], [0, 1, 2]])
+    assert PerWord(3).labels(rows) == list(FactoradicLabeling(3).labels(rows)) == [1, 5]
+    explicit = ExplicitLabeling(3, [FactoradicLabeling(3).word(x) for x in range(6)], "e")
+    assert explicit.labels(rows) == [1, 5]
+    with pytest.raises(DomainError, match="not present"):
+        explicit.labels(np.array([[2, 1, 0], [0, 0, 1]]))
+
+
+def test_derived_table_matches_labels_per_word():
+    # the designated words labeled in one batch give the table that
+    # label() per designated word gives
+    def per_word(lab):
+        n, m = lab.n, lab.size
+        upper = {}
+        for j, k in itertools.combinations(range(n), 2):
+            others = tuple(g for g in range(n - 1, -1, -1) if g not in (j, k))
+            x1 = lab.label(PermWord(n, others + (j, k)))
+            x2 = lab.label(PermWord(n, others + (k, j)))
+            upper[j, k] = (x1 - x2) % m
+        return upper
+
+    labelings = [FactoradicLabeling(n) for n in range(2, 11)]
+    labelings += [relabeled(FactoradicLabeling(n), [(g + 1) % n for g in range(n)]) for n in range(2, 7)]
+    labelings += enumerate_valid_labelings(3)
+    for lab in labelings:
+        table = perms._derived_table(lab)
+        assert {(j, k): table.entry(j, k) for j, k in itertools.combinations(range(lab.n), 2)} \
+            == per_word(lab), lab.name
+
+
+def test_explicit_positions_of_a_range_are_a_copied_slice():
+    lab = relabeled(FactoradicLabeling(5), [4, 0, 3, 1, 2])
+    for xs in (range(0, 120), range(7, 50), range(119, 120), range(30, 30)):
+        out = lab.positions(xs)
+        assert out.dtype == np.intp
+        assert (out == lab.positions(list(xs))).all()
+        out += 1  # the caller's to scale: the table is not touched
+        assert (lab.positions(xs) == out - 1).all()
+    with pytest.raises(RangeError, match="x=120"):
+        lab.positions(range(110, 121))
 
 
 def test_factoradic_bijective():
@@ -425,7 +494,8 @@ def test_pair_sums_match_the_bubble_sort_on_every_x():
         m = lab.size
         for table in (perms._derived_table(lab), random_table(lab.n, rng)):
             phase = np.zeros(m, dtype=np.int64)
-            add_pair_sums(phase, lab.positions(range(m)), position_pairs(table))
+            blocks = block_tables(position_pairs(table), lab.n)
+            add_block_sums(phase, lab.positions(range(m)), blocks)
             oracle = brute_force_phases(lab.words(range(m)), table)
             assert (phase % m == oracle).all(), lab.name
         assert perms._pair_sums_hold(lab, perms._derived_table(lab)), lab.name

@@ -8,7 +8,7 @@ They must agree on the exponents, the failure text and the errors raised.
 import importlib
 import random
 from dataclasses import replace
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import numpy as np
@@ -1027,6 +1027,19 @@ def test_table_route_selection(n):
         exponents, failure = sweep.sweep(xs)
         assert exponents.dtype == np.int64
         assert failure is None and exponents.tolist() == list(xs), name
+
+
+def test_table_route_gathers_per_block_pair():
+    # the per-pair tables fold into one table per pair of two-gate blocks
+    # (the last gate alone at odd n): 6 gathers at n=8 for sqrt's 28 pairs
+    # and nlogn's 16, 10 at n=10; sqrt's block tables take under 3 MB at n=12
+    for n in (8, 9, 10, 12):
+        lab = FactoradicLabeling(n)
+        for name in ("sqrt", "nlogn"):
+            sweep = algorithms._Sweep(FAMILIES[name].build(n, lab), factoradic_table(n))
+            assert len(sweep.blocks) == comb((n + 1) // 2, 2), (name, n)
+            if name == "sqrt" and n == 12:
+                assert sum(t.nbytes for _, _, t in sweep.blocks) < 3_000_000
 
 
 def _assert_sweeps_per_x(circuit: Circuit, labeling: Labeling, references):
