@@ -1100,10 +1100,12 @@ def phase_profile(
 
     if isinstance(target, ReferenceSwitch):
         # Validation has checked that every word's exponent relative to
-        # word(0) is its label, so the switch needs no sweep.
-        labels = np.arange(m) if target.labeling is labeling else np.array(
-            [labeling.label(target.word(x)) for x in range(m)]
-        )
+        # word(0) is its label, so the switch needs no sweep: its words
+        # are labeled in the chunks of the sweep's schedule.
+        labels = np.arange(m)
+        if target.labeling is not labeling:
+            for chunk in _chunks(range(m), _chunk_rows(8 * target.n)):
+                labels[chunk.start : chunk.stop] = labeling.labels(target.labeling.words(chunk))
         exponents, failure = (labels - labels[0]) % m, None
         residuals = {"psi_t": target.word(0).order}
         queries = target.query_count

@@ -15,8 +15,12 @@ each wire's applied word from the symbolic executor
 (:func:`fpp.circuit.execute`), multiplies the wire's start vector by it, and
 assembles the control marginal from the Gram matrix of the |psi_x>, one
 matrix product per wire - exact linear algebra at a cost of n! * wires * d
-amplitudes instead of d^wires.  The words do not depend on y, so a call on
-the circuit of the call before reuses them instead of executing again.
+amplitudes instead of d^wires.  Nothing of this but the unitaries depends
+on y, so a run of calls (one per y) does the rest once: a call on the
+circuit of the call before reuses its words instead of executing again,
+each wire multiplies its start vector once per distinct word it carries,
+the seeded start vectors are prefixes of one cached normal stream per seed,
+and :func:`fourier` is built once per m.
 :func:`run_dense_joint` is the literal full-statevector reference for tiny
 dimensions; it replays the same per-x event stream
 (:func:`fpp.circuit.events`) as tensor contractions and axis swaps on every
@@ -26,6 +30,7 @@ call.  Neither backend resolves control states itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial, gcd, prod
 
 import numpy as np
@@ -57,12 +62,16 @@ def _check_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> None:
         raise InvariantError("matrix is not unitary within tolerance")
 
 
+@lru_cache(maxsize=16)
 def fourier(m: int) -> np.ndarray:
-    """F[x][y] = omega^{x*y} / sqrt(m) with omega = exp(2*pi*i/m)."""
+    """F[x][y] = omega^{x*y} / sqrt(m) with omega = exp(2*pi*i/m), built
+    once per m and returned read-only."""
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     grid = np.outer(np.arange(m), np.arange(m))
-    return np.exp(2j * np.pi * grid / m) / np.sqrt(m)
+    f = np.exp(2j * np.pi * grid / m) / np.sqrt(m)
+    f.flags.writeable = False
+    return f
 
 
 def pairwise_deviation(
@@ -169,18 +178,41 @@ def _check_inputs(circuit: Circuit, unitaries: list[np.ndarray]) -> int:
     return d
 
 
+# The last seed's standard normals, at least _STREAM of them: run_dense is
+# called once per y with one seed, and each y's start vectors are a prefix.
+_STREAM = 1024
+_last_normals: tuple[int, np.ndarray] | None = None
+
+
+def _normals(seed: int, size: int) -> np.ndarray:
+    """The first ``size`` standard normals of ``default_rng(seed)``.
+    Generator.normal fills its values in order, so a shorter draw is a
+    prefix of a longer one: the last seed's stream is kept, and drawn again
+    (longer) only for a call that needs more of it."""
+    global _last_normals
+    memo = _last_normals
+    if memo is None or memo[0] != seed or len(memo[1]) < size:
+        stream = np.random.default_rng(seed).normal(size=max(size, _STREAM))
+        stream.flags.writeable = False
+        memo = _last_normals = (seed, stream)
+    return memo[1][:size]
+
+
 def _initial_vectors(
     circuit: Circuit, d: int, seed: int | None
 ) -> dict[str, np.ndarray]:
+    """Each data wire's start vector: |0>, or with a seed a normalized
+    complex normal vector, real and imaginary parts drawn d at a time, wire
+    by wire, from :func:`_normals`."""
     wires = [w.id for w in circuit.data_wires()]
     if seed is None:
         vec = np.zeros(d, dtype=complex)
         vec[0] = 1.0
         return {w: vec.copy() for w in wires}
-    rng = np.random.default_rng(seed)
+    parts = _normals(seed, 2 * d * len(wires)).reshape(len(wires), 2, d)
     out = {}
-    for w in wires:
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    for w, (real, imag) in zip(wires, parts):
+        v = real + 1j * imag
         out[w] = v / np.linalg.norm(v)
     return out
 
@@ -223,7 +255,9 @@ def run_dense(
     overlap matrices F_w F_w^H, with the wire's final vectors as the rows
     of F_w.  The words come from :func:`fpp.circuit.execute`, once per x
     for a run of calls on one circuit object (one call per y, say): they do
-    not depend on the unitaries, so only the last circuit's are kept.
+    not depend on the unitaries, so only the last circuit's are kept.  A
+    wire's start vector is multiplied through each distinct word it carries
+    once, and the x with that word share the result.
     """
     d = _check_inputs(circuit, unitaries)
     m = factorial(circuit.n)
@@ -235,13 +269,18 @@ def run_dense(
         )
 
     init = _initial_vectors(circuit, d, seed)
+    words = _applied_words(circuit)
     final = {w: np.empty((m, d), dtype=complex) for w in wires}  # row x: |psi_x>_w
-    for x, applied in enumerate(_applied_words(circuit)):
-        for w in wires:
-            v = init[w]
-            for g in applied[w]:
-                v = unitaries[g] @ v
-            final[w][x] = v
+    for w in wires:
+        landed: dict[tuple[int, ...], np.ndarray] = {}  # word -> the start vector through it
+        for x, applied in enumerate(words):
+            word = applied[w]
+            if word not in landed:
+                v = init[w]
+                for g in word:
+                    v = unitaries[g] @ v
+                landed[word] = v
+            final[w][x] = landed[word]
 
     gram = np.ones((m, m), dtype=complex)  # <psi_x'|psi_x> at [x, x']
     for rows in final.values():

@@ -103,6 +103,18 @@ def test_reference_switch_profile_matches_word_phases():
     assert phase_profile(reference_switch(4), fac).exponents.tolist() == list(range(24))
 
 
+def test_switch_over_a_foreign_labeling_matches_per_x_labels():
+    # n=8: the words are labeled in several chunks, factoradic by explicit
+    # and explicit by factoradic
+    fac = FactoradicLabeling(8)
+    renamed = relabeled(fac, (3, 0, 7, 1, 6, 2, 5, 4))
+    m = fac.size
+    for target, verifier in ((renamed, fac), (fac, renamed)):
+        labels = [verifier.label(target.word(x)) for x in range(m)]
+        profile = phase_profile(reference_switch(8, target), verifier)
+        assert profile.exponents.tolist() == [(v - labels[0]) % m for v in labels]
+
+
 # ---------------------------------------------------------------------------
 # switch simulations
 

@@ -356,3 +356,78 @@ def test_dense_probabilities_normalized():
     units = build_promise_unitaries(2, 1, table)
     result = run_dense(sim_switch_circuit(2, lab), units)
     assert abs(result.probabilities.sum() - 1) < 1e-9
+
+
+def _per_x_dense(circuit, units, seed):
+    """run_dense's probabilities recomputed from scratch: start vectors
+    drawn fresh from default_rng(seed), wire by wire, every x executed and
+    multiplied through its words, and the Fourier matrix built anew."""
+    m, d = factorial(circuit.n), units[0].shape[0]
+    wires = [w.id for w in circuit.data_wires()]
+    init = {}
+    rng = np.random.default_rng(seed)
+    for w in wires:
+        if seed is None:
+            init[w] = np.eye(d, dtype=complex)[0]
+        else:
+            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            init[w] = v / np.linalg.norm(v)
+    gram = np.ones((m, m), dtype=complex)
+    for w in wires:
+        rows = np.empty((m, d), dtype=complex)
+        for x in range(m):
+            v = init[w]
+            for g in execute(circuit, x).applied[w]:
+                v = units[g] @ v
+            rows[x] = v
+        gram *= rows @ rows.conj().T
+    f = np.exp(2j * np.pi * np.outer(np.arange(m), np.arange(m)) / m) / np.sqrt(m)
+    return np.real(np.diag(f.conj().T @ (gram / m) @ f))
+
+
+def test_run_dense_is_bit_identical_to_a_fresh_per_x_loop():
+    # seeds and dimensions change from call to call, so the cached normal
+    # stream is drawn again, reused as a prefix, and switched between seeds
+    rng = random.Random(21)
+    labelings = enumerate_valid_labelings(3)
+    for lab in (labelings[0], labelings[17]):
+        table = lab.validate().table
+        units = [build_promise_unitaries(3, y, table) for y in range(6)]
+        for family in ("sim-switch", "six-query", "superperm"):
+            circuit = FAMILIES[family].build(3, lab)
+            calls = [(seed, y) for seed in (7, 8, None, 7) for y in (0, 1, 2, 3, 4, 5)]
+            calls += [(rng.choice([7, 8, 9]), rng.randrange(6)) for _ in range(12)]
+            for seed, y in calls:
+                got = run_dense(circuit, units[y], seed=seed).probabilities
+                assert np.array_equal(got, _per_x_dense(circuit, units[y], seed)), (family, seed, y)
+
+
+def test_fourier_is_built_once_and_read_only():
+    f = fourier(6)
+    assert fourier(6) is f and not f.flags.writeable
+    with pytest.raises(ValueError):
+        f[0, 0] = 0
+    with pytest.raises(DomainError):
+        fourier(0)
+
+
+def test_run_dense_multiplies_each_distinct_word_once():
+    # sim-switch at n=3: 54 applies over the 6 x, 24 of them in distinct
+    # words of their wire
+    lab = FactoradicLabeling(3)
+    circuit = sim_switch_circuit(3, lab)
+    units = build_promise_unitaries(3, 1, lab.validate().table)
+    words = [execute(circuit, x).applied for x in range(6)]
+    wires = [w.id for w in circuit.data_wires()]
+    assert sum(len(applied[w]) for applied in words for w in wires) == 54
+    assert sum(len(word) for w in wires for word in {applied[w] for applied in words}) == 24
+    matvecs = 0
+
+    class Counting(np.ndarray):
+        def __matmul__(self, other):
+            nonlocal matvecs
+            matvecs += np.ndim(other) == 1
+            return np.asarray(self) @ other
+
+    run_dense(circuit, [u.view(Counting) for u in units])
+    assert matvecs == 24

@@ -119,7 +119,7 @@ def test_labels_match_label_per_word():
     rows = np.array([[2, 0, 1], [0, 1, 2]])
     assert PerWord(3).labels(rows) == list(FactoradicLabeling(3).labels(rows)) == [1, 5]
     explicit = ExplicitLabeling(3, [FactoradicLabeling(3).word(x) for x in range(6)], "e")
-    assert explicit.labels(rows) == [1, 5]
+    assert list(explicit.labels(rows)) == [1, 5]
     with pytest.raises(DomainError, match="not present"):
         explicit.labels(np.array([[2, 1, 0], [0, 0, 1]]))
 
@@ -657,3 +657,185 @@ def test_explicit_labeling_positions_match_word():
     assert Labeling.positions(lab, xs).tolist() == lab.positions(xs).tolist()
     with pytest.raises(RangeError, match="x=24 outside"):
         lab.positions([1, 24])
+
+
+def _error(call):
+    """The type and text of the error ``call`` raises (None if it returns)."""
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - compared as they are
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _route_cases():
+    """(name, n, written orders by x) for factoradic, renamed and perturbed
+    labelings at n=2..7 and the 24 consistent n=3 labelings."""
+    rng = random.Random(11)
+    cases = []
+    for n in range(2, 8):
+        fac = FactoradicLabeling(n)
+        renamed = relabeled(fac, rng.sample(range(n), n))
+        for lab in (fac, renamed):
+            orders = [tuple(row) for row in lab.words(range(lab.size)).tolist()]
+            cases.append((lab.name, n, orders))
+            perturbed = list(orders)
+            for _ in range(2):
+                a, b = rng.sample(range(lab.size), 2)
+                perturbed[a], perturbed[b] = perturbed[b], perturbed[a]
+            cases.append((f"{lab.name}-perturbed", n, perturbed))
+    cases += [(lab.name, 3, [lab.word(x).order for x in range(6)]) for lab in enumerate_valid_labelings(3)]
+    return cases
+
+
+def test_table_and_word_routes_agree():
+    # ExplicitLabeling built from PermWords and from an int64 or int8
+    # table: the same words, positions, labels and validation, witnesses
+    # included
+    rng = random.Random(12)
+    for name, n, orders in _route_cases():
+        m = factorial(n)
+        routes = [
+            ExplicitLabeling(n, [PermWord(n, w) for w in orders], name),
+            ExplicitLabeling(n, np.array(orders, dtype=np.int64), name),
+            ExplicitLabeling(n, np.array(orders, dtype=np.int8), name),
+        ]
+        xs = sorted(rng.sample(range(m), min(m, 50))) + [m - 1, 0, 0]
+        every = [tuple(w) for w in itertools.permutations(range(n))]
+        words = every if m <= 120 else rng.sample(every, 120)
+        rows = np.array(words + [orders[3 % m], orders[0]])
+        first = routes[0]
+        for lab in routes[1:]:
+            assert [lab.word(x) for x in xs] == [first.word(x) for x in xs]
+            for chunk in (range(m), range(1, m - 1), xs):
+                assert np.array_equal(lab.words(chunk), first.words(chunk))
+                assert np.array_equal(lab.positions(chunk), first.positions(chunk))
+            assert [lab.label(w) for w in words] == [first.label(w) for w in words]
+            assert lab.labels(rows).tolist() == first.labels(rows).tolist()
+            assert lab.labels(rows).tolist() == [first.label(w) for w in rows.tolist()]
+            assert validate_labeling(lab) == validate_labeling(first), name
+        for bad in ((0,) * n, tuple(range(n + 1)), tuple(range(n - 1)), (n,) + tuple(range(1, n))):
+            expected = _error(lambda: first.label(bad))
+            assert expected == ("DomainError", f"word {bad} not present in labeling {name!r}")
+            for lab in routes:
+                assert _error(lambda: lab.label(bad)) == expected
+                if len(bad) == n:
+                    assert _error(lambda: lab.labels(np.array([orders[0], bad]))) == expected
+
+
+def test_table_and_word_routes_raise_the_same_errors():
+    fac = FactoradicLabeling(4)
+    orders = [fac.word(x).order for x in range(24)]
+
+    def both(n, orders, name="e"):
+        # the PermWord route (building each PermWord first), then the table
+        return (
+            _error(lambda: ExplicitLabeling(n, [PermWord(len(w), w) for w in orders], name)),
+            _error(lambda: ExplicitLabeling(n, np.array(orders), name)),
+        )
+
+    word, table = both(4, orders[:23])
+    assert word == table == ("DomainError", "expected 24 words for n=4, got 23")
+    word, table = both(4, orders[:5] + orders[4:23])
+    assert word == table == ("DomainError", "labeling is not bijective: repeated words")
+    word, table = both(2, [(1, 0, 2), (0, 1, 2)])
+    assert word == table == ("DomainError", "word 0 (1, 0, 2) does not have size n=2")
+    word, table = both(1, [(0,)])
+    assert word == table == ("DomainError", "labelings need n >= 2, got 1")
+    for bad in ((0, 0, 1, 2), (0, 1, 2, 4), (-1, 0, 1, 2), (0, 1, 2, 300)):
+        orders_bad = orders[:7] + [bad] + orders[8:]
+        orders_bad[15] = (3, 3, 3, 3)  # a later bad row: the first one raises
+        word, table = both(4, orders_bad)
+        assert word == table == ("DomainError", f"order {bad} is not a permutation of 0..3")
+
+
+def test_lehmer_ranks_are_the_factoradic_labels():
+    # the rank is the factoradic label, in chunks: n=7 runs three
+    for n in range(2, 8):
+        fac = FactoradicLabeling(n)
+        ranks, ok = perms._lehmer_ranks(fac.words(range(fac.size)), n)
+        assert ok.all() and np.array_equal(ranks, np.arange(fac.size))
+    rows = np.array([[0, 0, 1], [0, 1, 3], [2, 1, 0], [-1, 0, 1], [0, 2, 1]])
+    ranks, ok = perms._lehmer_ranks(rows, 3)
+    assert ok.tolist() == [False, False, True, False, True]
+    assert ranks[ok].tolist() == [0, 3]
+    assert not perms._lehmer_ranks(np.array([[0, 1, 2, 3]]), 3)[1].any()
+    big = np.array([[2**70, 0, 1], [2, 0, 1]], dtype=object)  # past int64, as a parsed file can give
+    assert perms._lehmer_ranks(big, 3)[1].tolist() == [False, True]
+
+
+def test_relabeled_matches_per_x():
+    rng = random.Random(13)
+    for n in range(2, 9):
+        fac = FactoradicLabeling(n)
+        for source in (fac, relabeled(fac, rng.sample(range(n), n))):
+            tau = rng.sample(range(n), n)
+            renamed = relabeled(source, tau)
+            expected = [[tau[g] for g in source.word(x).order] for x in range(source.size)]
+            assert renamed.words(range(source.size)).tolist() == expected
+            assert renamed.name == f"{source.name}-renamed"
+            assert renamed.validate().consistent
+
+
+def test_relabeled_memory_at_n9():
+    # two arrays: the int8 word table (3.3 MB) and the int32 inverse (1.5 MB)
+    fac = FactoradicLabeling(9)
+    fac.words(range(1))  # the decoder's tables, shared by every labeling of n=9
+    tracemalloc.start()
+    try:
+        renamed = relabeled(fac, [(g + 4) % 9 for g in range(9)])
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 8 * 2**20, held
+    assert peak <= 32 * 2**20, peak
+    assert renamed.word(362879).order == tuple((g + 4) % 9 for g in fac.word(362879).order)
+
+
+def test_text_roundtrip_is_byte_for_byte():
+    rng = random.Random(14)
+    labelings = [FactoradicLabeling(n) for n in range(2, 7)]
+    labelings += [relabeled(lab, rng.sample(range(lab.n), lab.n)) for lab in labelings]
+    labelings += enumerate_valid_labelings(3)
+    labelings.append(_swapped(FactoradicLabeling(5), 37, 91))
+    for lab in labelings:
+        text = labeling_to_text(lab)
+        per_x = "".join(f"{x} {' '.join(str(g) for g in lab.word(x).order)}\n" for x in range(lab.size))
+        assert text == per_x
+        parsed = labeling_from_text(text, name="copy")
+        assert labeling_to_text(parsed) == text
+        assert validate_labeling(parsed).witness == validate_labeling(lab).witness
+
+
+@pytest.mark.parametrize("text, error", [
+    # the first failing line raises; on one line, the first check it fails
+    ("0 1 0\n1 1 1\nx\n", "order (1, 1) is not a permutation of 0..1"),
+    ("0 1 0\n1 0 1\n0 a b\n", "line 3: fields must be integers, got '0 a b'"),
+    ("0 1 0\n1 0 1 x\n", "line 2: fields must be integers, got '1 0 1 x'"),
+    ("0 1 0\n0 0 1 2\n", "line 2: word has 3 symbols, but line 1 has 2"),
+    ("0 1 1\n0 0 1\n", "order (1, 1) is not a permutation of 0..1"),
+    ("0 1 0\n0 0 0\n", "line 2: x=0 already given on line 1"),
+    ("# c\n\n  # d\n", "empty labeling file"),
+    ("0 1 0\n1 0 -1\n", "order (0, -1) is not a permutation of 0..1"),
+    ("1 0 1\n-1 1 0\n", "labeling file must cover x = 0..n!-1 exactly once"),
+    ("0 1 0\n1 1 0\n", "labeling is not bijective: repeated words"),
+    ("0\n", "labelings need n >= 2, got 0"),
+    # integers past int64 still count, as Python reads them
+    ("99999999999999999999 1 0\n1 0 1\n", "labeling file must cover x = 0..n!-1 exactly once"),
+    ("99999999999999999999 1 0\n99999999999999999999 0 1\n",
+     "line 2: x=99999999999999999999 already given on line 1"),
+    ("0 1 0\n1 0 99999999999999999999\n", "order (0, 99999999999999999999) is not a permutation of 0..1"),
+])
+def test_serialization_reports_the_first_failing_line(text, error):
+    with pytest.raises(DomainError) as exc:
+        labeling_from_text(text)
+    assert str(exc.value) == error
+
+
+def test_serialization_reads_what_python_reads():
+    # comments, blank lines, tabs, CRLF, other line breaks, signs and
+    # underscores, as str.splitlines, str.split and int read them
+    text = "# head\r\n+0\t1 0\r\n   # indented\n\n0_1 0 1\x1c"
+    assert labeling_from_text(text).words(range(2)).tolist() == [[1, 0], [0, 1]]
+    with pytest.raises(DomainError, match="line 7: x=0 already given on line 2"):
+        labeling_from_text(text + "\n-0 0 1")
