@@ -723,45 +723,37 @@ class _Sweep:
     ``__init__`` runs :func:`execute` at x=0 (rejecting a circuit that
     leaves a token off its wire there), keeps the per-wire reference data
     (:attr:`refs`, by wire id) and the written words (:attr:`residuals`),
-    lowers the gate list once into :attr:`plan` and derives the plan's
-    :attr:`tables`.  :meth:`sweep` runs a range of xs on one of two routes:
-    :meth:`run_tables`, a whole chunk of control states at once in numpy,
-    where the plan has tables; else :meth:`reference`, which runs xs one at
-    a time through :func:`execute` and the residual checks, and is the
-    oracle the tests hold the tables to.  ``plan`` is None for a circuit
-    with a gate that may leave a token off its wire (a ``Rewire``, or a
-    swap gate outside a sandwich); a plan has no tables past
-    :data:`MAX_READOUT_N` or where it is cross-gate, a route of U_g reading
-    another gate's key.
+    lowers the gate list once (:meth:`_lower`) and derives the lowered
+    applies' :attr:`tables`.  :meth:`sweep` runs a range of xs on one of two
+    routes: :meth:`run_tables`, a whole chunk of control states at once in
+    numpy, where there are tables; else :meth:`reference`, which runs xs
+    one at a time through :func:`execute` and the residual checks, and is
+    the oracle the tests hold the tables to.  There are no tables past
+    :data:`MAX_READOUT_N`, for a circuit with a gate that may leave a token
+    off its wire (a ``Rewire``, or a swap gate outside a sandwich), or
+    where it is cross-gate, a route of U_g reading another gate's key.
 
-    The tables (:meth:`_pair_tables`) take a plan at n <=
-    :data:`MAX_READOUT_N` in which every route applying U_g has no
-    condition or reads only U_g's own key: where U_g acts under a
-    ``QuditControl`` (the plans of sqrt and sim-switch), its factoradic
-    digit a_g under a ``BitControl`` (nlogn and nlogn-reduced, whose U_k
-    is controlled by bits (k, i) alone).  There, where each U_g lands
-    depends on its own key alone, so the residual check of an x is an AND
-    over the gates of a per-gate table, and its phase is a sum over gate
-    pairs g < p of a table indexed by the keys of g and p.  Both are exact
-    int64.
+    The lowering keeps one apply per route: U_g on a data wire (numbered
+    0..W-1 in the sorted order of ``refs``) for the keys of U_g where the
+    apply lands there.  U_g's key is where it acts under a
+    ``QuditControl`` (sqrt and sim-switch), its factoradic digit a_g under
+    a ``BitControl`` (nlogn and nlogn-reduced, whose U_k is controlled by
+    bits (k, i) alone); U_0 has no digit, and its key is 0.  Where each
+    U_g lands depends on its own key alone, so the residual check of an x
+    is an AND over the gates of a per-gate table, and its phase is a sum
+    over gate pairs g < p of a table indexed by the keys of g and p
+    (:meth:`_pair_tables`).  Both are exact int64.
 
-    Every step of a plan is a routed apply, a tuple of ``(condition,
-    slot)`` routes: U_gate on the wire of each route's slot ``(wire,
-    gate)``, the data wires numbered 0..W-1 in the sorted order of
-    ``refs``, for the xs where the route's condition holds, or for every x
-    where the condition is None.  No two conditions of a step hold at one
-    x.  ``Apply`` is one route with no condition, ``ControlledApply`` one
-    route on its bit's condition.  Swap gates lower by one rule, the
-    sandwich: a swap gate, then a run of ``Apply`` gates, then a gate with
-    the same transpositions (:meth:`_transpositions`).  Each ``Apply`` in
-    between is routed to the partner wire where a transposition on its
-    wire holds, and stays on its own wire elsewhere.  The transpositions
-    that hold at one x are disjoint and their conditions depend on x only,
-    so the closing gate undoes the opening one and no token moves.  Each
-    distinct condition (a control bit and polarity, a position range of one
-    gate, or none of some other conditions) is made when a route first
-    uses it.  Gates of the wrong control kind are left to the x=0
-    reference execution, which rejects them before any sweep.
+    ``Apply`` lands on its wire for every key, ``ControlledApply`` where
+    its bit holds.  Swap gates lower by one rule, the sandwich: a swap
+    gate, then a run of ``Apply`` gates, then a gate with the same
+    transpositions (:meth:`_transpositions`).  Each ``Apply`` in between
+    lands on the partner wire where a transposition on its wire holds, and
+    stays on its own wire where none does.  The transpositions that hold
+    at one x are disjoint and their conditions depend on x only, so the
+    closing gate undoes the opening one and no token moves.  Gates of the
+    wrong control kind are left to the x=0 reference execution, which
+    rejects them before any sweep.
 
     :attr:`state_bytes` is the working set of one state on the table
     route: the intp keys, three int64 vectors and the ok mask.
@@ -785,21 +777,16 @@ class _Sweep:
         self.modulus = table.modulus
         self.ref_phase = sum(r.phase for r in self.refs)
         self.wire = {r.wire: i for i, r in enumerate(self.refs)}
-        self.conditions: dict[tuple, int] = {}
-        self.plan = self._lower(circuit.gates)
-        self.tables = None if self.plan is None else self._pair_tables()
+        lowered = self._lower(circuit.gates) if self.n <= MAX_READOUT_N else None
+        self.tables = None if lowered is None else self._pair_tables(*lowered)
         self.blocks = None if self.tables is None else block_tables(self.tables[1], self.n)
         self.state_bytes = 8 * self.n + 24 + 1
         self.rows = _chunk_rows(self.state_bytes)
 
-    def _pair_tables(self) -> tuple[tuple, tuple] | None:
-        """The tables of :meth:`run_tables`, or None if the plan does not
-        qualify: n <= :data:`MAX_READOUT_N`, and every route applying U_g
-        has no condition or reads only U_g's own key (a condition on it, or
-        none of such conditions).  U_g's key is where it acts under a
-        ``QuditControl`` (position conditions), its factoradic digit a_g
-        under a ``BitControl`` (conditions on bits (g, i)); U_0 has no
-        digit, and its key is 0.
+    def _pair_tables(self, wires: Sequence, gates: Sequence, masks: Sequence) -> tuple:
+        """The tables of :meth:`run_tables`, from the lowered applies:
+        apply e puts U_{gates[e]} on data wire ``wires[e]`` where that
+        gate's key is in ``masks[e]``.
 
         Returns (checks, pairs).  ``checks`` lists (g, ok_g) for the gates
         whose ok_g has a False: ok_g[a] holds iff the wires U_g lands on
@@ -811,58 +798,17 @@ class _Sweep:
         those two gates add, int64.
         """
         n, m = self.n, self.modulus
-        if n > MAX_READOUT_N:
-            return None
-        digits = isinstance(self.control, BitControl)
-        slot_bits = _bit_tables(n, self.control.slots)[0] if digits else None
-        # reads[c]: the gate whose key condition c reads, -1 if none;
-        # masks[c]: the keys of that gate where c holds.  Index
-        # len(conditions) stands for no condition.
-        count = len(self.conditions)
-        reads = [-1] * count
-        ranges, bits, nones, starts, excluded = [], [], [], [], []
-        for c, key in enumerate(self.conditions):
-            if key[0] == "position":
-                reads[c] = key[1]
-                ranges.append((c, max(key[2], 0), max(key[3], 0)))
-            elif key[0] == "bit":
-                reads[c] = key[1][0]
-                bits.append((c, *key[1:]))
-            elif key[0] == "none":
-                if len({reads[i] for i in key[1:]}) == 1:
-                    reads[c] = reads[key[1]]
-                nones.append(c)
-                starts.append(len(excluded))
-                excluded += key[1:]
-        conds, gates, wires = [], [], []  # one event per route, in plan order
-        for routes in self.plan:
-            for cond, (wire, gate) in routes:
-                conds.append(count if cond is None else cond)
-                gates.append(gate)
-                wires.append(wire)
-        if any(c < count and reads[c] != g for c, g in zip(conds, gates)):
-            return None
-        masks = np.ones((count + 1, n), dtype=bool)
-        if ranges:
-            c, lo, hi = np.array(ranges).T
-            positions = np.arange(n)
-            masks[c] = (lo[:, None] <= positions) & (positions < hi[:, None])
-        for c, bit, polarity in bits:  # over a_k = 0..k; no digit lies past k
-            masks[c] = False
-            masks[c, : bit[0] + 1] = slot_bits[bit] == polarity
-        if nones:
-            masks[nones] = ~np.logical_or.reduceat(masks[excluded], starts)
-        events = len(conds)
+        events = len(gates)
         wires = np.array(wires, dtype=np.intp)
-        # landed[e, g * n + a]: the event applies U_g where U_g acts at a
+        # landed[e, g * n + a]: apply e applies U_g where U_g's key is a
         landed = np.zeros((events, n, n))
-        landed[np.arange(events), gates] = masks[conds]
+        landed[np.arange(events), gates] = np.reshape(masks, (events, n))
         landed = landed.reshape(events, n * n)
-        order = np.argsort(wires, kind="stable")  # plan order within a wire
+        order = np.argsort(wires, kind="stable")  # gate order within a wire
         landed, wires = landed[order], wires[order]
         earlier = np.cumsum(landed, axis=0)
         earlier -= landed
-        earlier -= earlier[np.searchsorted(wires, wires)]  # on the event's wire only
+        earlier -= earlier[np.searchsorted(wires, wires)]  # on the apply's wire only
         # counts[g, a, p, b]: applies of U_p (p acting at b) before an apply
         # of U_g (g acting at a) on the same wire; exact float64 integers
         counts = (landed.T @ earlier).reshape(n, n, n, n).astype(np.int64)
@@ -875,7 +821,7 @@ class _Sweep:
             minlength=len(self.refs) * n,
         ).reshape(-1, n, 1)
         ok = (carried == reference).all(axis=0)
-        if digits:
+        if isinstance(self.control, BitControl):
             ok |= ~np.tri(n, dtype=bool)  # [g, a]: a > g
         checks = tuple((g, ok[g]) for g in range(n) if not ok[g].all())
 
@@ -891,14 +837,11 @@ class _Sweep:
         )
         return checks, pairs
 
-    def _condition(self, key: tuple) -> int:
-        """Index of a condition among :attr:`conditions`."""
-        return self.conditions.setdefault(key, len(self.conditions))
-
     def _transpositions(self, gate) -> dict[str, list[tuple[str, tuple]]] | None:
-        """The transpositions of a swap gate the plan lowers, keyed by wire:
-        ``[wire]`` lists (partner wire, condition key) for each transposition
-        on that wire, in the gate's order.  None for any other gate.
+        """The transpositions of a swap gate that opens a sandwich, keyed by
+        wire: ``[wire]`` lists (partner wire, condition key) for each
+        transposition on that wire, in the gate's order.  None for any other
+        gate.
 
         A conditional swap (``PosCondSwap``, ``ControlledSwap``) is one
         transposition.  A ``SwitchSwap`` whose pairs name distinct
@@ -933,25 +876,46 @@ class _Sweep:
                 by_wire.setdefault(b, []).append((a, key))
         return by_wire
 
-    def _lower(
-        self, gates: Sequence
-    ) -> tuple[tuple[tuple[int | None, tuple[int, int]], ...], ...] | None:
-        """The plan of the gate list, or None if a gate may move a token: a
-        ``Rewire``, or a swap gate that opens no sandwich.  A sandwich is a
-        gate with :meth:`_transpositions`, a run of ``Apply`` gates, then a
-        gate with the same transpositions; each ``Apply`` of the run is
-        routed to the partner of each transposition on its wire, under that
-        transposition's condition, and stays on its wire where none holds."""
-        wire, plan, j = self.wire, [], 0
+    def _lower(self, gates: Sequence) -> list[tuple] | None:
+        """The applies of the gate list, one per route, as three aligned
+        tuples: the data wire, the gate g, and the bool mask over U_g's key
+        where the apply lands on that wire.  None if a gate may move a
+        token (a ``Rewire``, or a swap gate that opens no sandwich), or if
+        a route of U_g reads another gate's key.  A sandwich is a gate with
+        :meth:`_transpositions`, a run of ``Apply`` gates, then a gate with
+        the same transpositions."""
+        n, wire = self.n, self.wire
+        if isinstance(self.control, BitControl):
+            slot_bits = _bit_tables(n, self.control.slots)[0]
+        everywhere = np.ones(n, dtype=bool)
+        memo: dict[tuple, np.ndarray] = {}  # condition key -> mask
+
+        def lands(key: tuple, gate: int) -> np.ndarray | None:
+            """Where a condition holds, over U_gate's key; None if it reads
+            another gate's key."""
+            if (key[1] if key[0] == "position" else key[1][0]) != gate:
+                return None
+            if key not in memo:
+                mask = memo[key] = np.zeros(n, dtype=bool)
+                if key[0] == "position":  # lo <= where U_gate acts < hi
+                    mask[max(key[2], 0) : max(key[3], 0)] = True
+                else:  # the bit's value is the polarity, over a_k = 0..k
+                    mask[: gate + 1] = slot_bits[key[1]] == key[2]
+            return memo[key]
+
+        routes = []  # (data wire, gate, mask)
+        j = 0
         while j < len(gates):
             gate = gates[j]
             j += 1
-            if isinstance(gate, Apply):
-                plan.append(((None, (wire[gate.wire], gate.gate)),))
-            elif isinstance(gate, ControlledApply):
-                cond = self._condition(("bit", gate.bit, gate.polarity))
-                plan.append(((cond, (wire[gate.wire], gate.gate)),))
-            else:  # a sandwich opened by this gate, or no plan
+            if isinstance(gate, (Apply, ControlledApply)):
+                mask = everywhere if isinstance(gate, Apply) else lands(
+                    ("bit", gate.bit, gate.polarity), gate.gate
+                )
+                if mask is None:
+                    return None
+                routes.append((wire[gate.wire], gate.gate, mask))
+            else:  # a sandwich opened by this gate, or no lowering
                 swaps = self._transpositions(gate)
                 end = j
                 while end < len(gates) and isinstance(gates[end], Apply):
@@ -960,15 +924,17 @@ class _Sweep:
                     gates[end] != gate and self._transpositions(gates[end]) != swaps
                 ):
                     return None
-                for mid in gates[j:end]:
-                    routes = tuple(
-                        (self._condition(key), (wire[partner], mid.gate))
-                        for partner, key in swaps.get(mid.wire, ())
-                    )
-                    stay = self._condition(("none", *(c for c, _ in routes))) if routes else None
-                    plan.append(routes + ((stay, (wire[mid.wire], mid.gate)),))
+                for mid in gates[j:end]:  # each lands on partners, else stays
+                    stay = everywhere
+                    for partner, key in swaps.get(mid.wire, ()):
+                        mask = lands(key, mid.gate)
+                        if mask is None:
+                            return None
+                        routes.append((wire[partner], mid.gate, mask))
+                        stay = stay & ~mask
+                    routes.append((wire[mid.wire], mid.gate, stay))
                 j = end + 1
-        return tuple(plan)
+        return list(zip(*routes)) or [(), (), ()]  # three aligned tuples
 
     def reference(self, xs: Iterable[int]) -> tuple[list[int], str | None]:
         """Per-x reference sweep: :func:`execute` and the residual checks,
@@ -1030,7 +996,7 @@ class _Sweep:
         """Exponent deltas for xs; returns (int64 exponents, first failure or
         None).  On a failure the exponents are those of the xs before it.
 
-        A plan with :attr:`tables` runs :meth:`run_tables` over the chunks
+        A circuit with :attr:`tables` runs :meth:`run_tables` over the chunks
         of :func:`~fpp.perms._chunks`: ``_FIRST_CHUNK`` states first, then
         doubling up to :attr:`rows`, so the chunk that finds an early
         failure is small.
@@ -1079,7 +1045,7 @@ def phase_profile(
     is run again through :func:`execute`, so the failure names the same
     witness, wire and words the per-x sweep would.  Every other circuit (a
     gate that may move a token, as in the rail circuits, or a cross-gate
-    plan) sweeps through :func:`execute`, one x at a time.  A target whose
+    route) sweeps through :func:`execute`, one x at a time.  A target whose
     n is not the labeling's is refused first.
 
     Every x is swept in this process.  ``processes`` is accepted and
@@ -1200,15 +1166,27 @@ class VerificationReport:
     def from_json(cls, text: str) -> "VerificationReport":
         """Rebuild the profile (modulus n!) and view it at the payload's y.
 
-        Raises :class:`DomainError` where n, y, query_count, an exponent or
+        Raises :class:`DomainError` where the payload is not a JSON object
+        or lacks a key of :meth:`to_json`, n, y, query_count, an exponent or
         a residual symbol is not a JSON integer (a bool, float or string is
-        refused, not converted), expected_queries is neither an integer nor
-        null, residuals_x_independent is not a boolean, where n < 2, and
-        where the payload's verdict fields disagree with the verdict its
-        exponents give; :class:`UnsupportedError` for an n past
-        :data:`MAX_READOUT_N`.
+        refused, not converted), family or labeling is not a string,
+        failure is neither a string nor null, expected_queries is neither
+        an integer nor null, residuals_x_independent is not a boolean,
+        where n < 2, and where the payload's verdict fields disagree with
+        the verdict its exponents give; :class:`UnsupportedError` for an n
+        past :data:`MAX_READOUT_N`.
         """
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise DomainError("report is not a JSON object")
+        missing = [key for key in _REPORT_KEYS if key not in d]
+        if missing:
+            raise DomainError(f"report lacks {', '.join(map(repr, missing))}")
+        for key in ("family", "labeling"):
+            if not isinstance(d[key], str):
+                raise DomainError(f"report gives {key}={d[key]!r}, not a string")
+        if d["failure"] is not None and not isinstance(d["failure"], str):
+            raise DomainError(f"report gives failure={d['failure']!r}, not a string or null")
         for key in ("n", "y", "query_count"):
             if type(d[key]) is not int:
                 raise DomainError(f"report gives {key}={d[key]!r}, not an integer")
@@ -1271,6 +1249,11 @@ class VerificationReport:
 _REPORT_REPR = (
     "n", "family", "labeling_name", "y", "query_count", "expected_queries",
     "residuals_x_independent", "phase_linear", "solved_y", "passed", "failure",
+)
+# The keys of a to_json payload, in its sorted order.
+_REPORT_KEYS = (
+    "expected_queries", "exponents", "failure", "family", "labeling", "n", "passed",
+    "phase_linear", "query_count", "residuals", "residuals_x_independent", "solved_y", "y",
 )
 
 

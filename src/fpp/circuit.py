@@ -212,12 +212,16 @@ class Circuit:
         if len(set(ids)) != len(ids):
             raise StructuralError("wire ids must be unique")
         data = {w.id for w in self.data_wires()}
+        slots = set(self.control.slots) if isinstance(self.control, BitControl) else None
         for g in self.gates:
             for ref in _wire_refs(g):
                 if ref not in data:
                     if ref in ids:
                         raise StructuralError(f"gate {g} acts on control wire {ref!r}")
                     raise StructuralError(f"gate {g} references unknown wire {ref!r}")
+            if slots is not None and isinstance(g, (ControlledApply, ControlledSwap)):
+                if g.bit not in slots:
+                    raise StructuralError(f"gate {g} reads bit {g.bit}, not a control slot")
             for idx in _gate_indices(g):
                 if not 0 <= idx < self.n:
                     raise StructuralError(f"black-box index {idx} out of range for n={self.n}")

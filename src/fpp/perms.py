@@ -387,8 +387,13 @@ class ExplicitLabeling(Labeling):
 
     @cached_property
     def _positions(self) -> np.ndarray:
-        """The n x n! acting positions: n - 1 minus each gate's written index."""
-        return np.ascontiguousarray((self.n - 1 - np.argsort(self._table, axis=1)).astype(np.int8).T)
+        """The n x n! acting positions: n - 1 minus each gate's written
+        index, one scatter per written index into the int8 table."""
+        positions = np.empty((self.n, self.size), dtype=np.int8)
+        xs = np.arange(self.size)
+        for j in range(self.n):
+            positions[self._table[:, j], xs] = self.n - 1 - j
+        return positions
 
     def words(self, xs: Sequence[int]) -> np.ndarray:
         """Rows of the word table."""

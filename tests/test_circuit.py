@@ -16,6 +16,7 @@ from fpp.circuit import (
     Apply,
     BitControl,
     Circuit,
+    ControlledApply,
     ControlledSwap,
     PosCondSwap,
     QuditControl,
@@ -94,6 +95,17 @@ def test_bit_control_of_another_n_rejected():
     for m in (4, 6):
         with pytest.raises(DomainError, match=f"bit control has n={m}, expected 5"):
             replace(c, control=BitControl(m, c.control.slots))
+
+
+def test_bit_outside_the_control_slots_rejected():
+    c = nlogn_circuit(4)
+    for gate in (
+        ControlledApply(1, "psi_2_1", (1, 7), 1),
+        ControlledSwap("psi_2_1", "psi_2_2", (9, 9), 0),
+    ):
+        k, i = gate.bit
+        with pytest.raises(StructuralError, match=rf"reads bit \({k}, {i}\), not a control slot"):
+            replace(c, gates=c.gates + (gate,))
 
 
 def test_gate_index_out_of_range():
@@ -311,7 +323,7 @@ def test_sweep_runs_the_reference_on_the_chunk_without_bits(monkeypatch):
     circuit = Circuit(n, full.family, full.wires, gates, BitControl(n, slots))
     monkeypatch.setattr(algorithms, "_chunk_rows", lambda state_bytes: 7)
     sweep = algorithms._Sweep(circuit, lab.validate().table)
-    assert sweep.plan is not None and sweep.rows == 7
+    assert sweep.tables is not None and sweep.rows == 7
     calls = []
     reference = algorithms._Sweep.reference
 

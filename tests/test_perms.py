@@ -792,6 +792,21 @@ def test_relabeled_memory_at_n9():
     assert renamed.word(362879).order == tuple((g + 4) % 9 for g in fac.word(362879).order)
 
 
+def test_explicit_positions_memory_at_n9():
+    # the int8 position table (3.3 MB) is scattered from the word table,
+    # with no n! x n int64 temporary (an argsort peaked at about 50 MB)
+    lab = relabeled(FactoradicLabeling(9), [(g + 4) % 9 for g in range(9)])
+    tracemalloc.start()
+    try:
+        lab.positions(range(1))  # builds the whole table
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, peak
+    written = np.argsort(lab.words(range(lab.size)), axis=1)
+    assert (lab.positions(range(lab.size)) == (8 - written).T).all()
+
+
 def test_text_roundtrip_is_byte_for_byte():
     rng = random.Random(14)
     labelings = [FactoradicLabeling(n) for n in range(2, 7)]

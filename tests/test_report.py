@@ -213,6 +213,9 @@ _WRONG_TYPES = [
     ("residuals", {"t": [0.5, "a"]}, r"residuals\['t'\]=\[0.5, 'a'\], not a list of integers"),
     ("residuals", {"t": [0, True]}, r"residuals\['t'\]=\[0, True\], not a list of integers"),
     ("residuals", {"t": "01"}, r"residuals\['t'\]='01', not a list of integers"),
+    ("family", 5, "family=5, not a string"),
+    ("labeling", ["x"], r"labeling=\['x'\], not a string"),
+    ("failure", 3, "failure=3, not a string or null"),
 ]
 
 
@@ -239,6 +242,17 @@ def test_from_json_refuses_other_fields_of_the_wrong_type(key, value, message):
     payload[key] = value
     with pytest.raises(DomainError, match=message):
         VerificationReport.from_json(json.dumps(payload))
+
+
+def test_from_json_refuses_a_missing_key_and_a_payload_that_is_not_an_object():
+    payload = json.loads(solve_profile(_linear(), 1).to_json())
+    for key in payload:
+        rest = {k: v for k, v in payload.items() if k != key}
+        with pytest.raises(DomainError, match=f"report lacks '{key}'$"):
+            VerificationReport.from_json(json.dumps(rest))
+    for text in ("[]", "3", '"report"', "null"):
+        with pytest.raises(DomainError, match="report is not a JSON object"):
+            VerificationReport.from_json(text)
 
 
 def _oracle_period(profile: PhaseProfile) -> int:

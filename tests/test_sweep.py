@@ -192,15 +192,15 @@ def test_exponents_past_int64_stay_exact():
 
 
 def test_paper_circuits_lower_past_the_float64_bound():
-    # sqrt and sim-switch are lowered at n=16, past MAX_READOUT_N, where
-    # there are no tables: the sweep runs the reference, which gives the
+    # sqrt and sim-switch lower at n=16, past MAX_READOUT_N, where the
+    # sweep builds no tables and runs the reference, which gives the
     # factoradic exponent x
     n = 16
     table = factoradic_table(n)
     for build in (sqrt_circuit, sim_switch_circuit):
         circuit = build(n)
         sweep = algorithms._Sweep(circuit, table)
-        assert query_count(circuit) == 256 and len(sweep.plan) == 256
+        assert query_count(circuit) == 256 and len(_steps(sweep)) == 256
         assert sweep.tables is None
         xs = range(factorial(n) - 5, factorial(n))
         exponents, failure = sweep.sweep(xs)
@@ -223,7 +223,7 @@ def test_chunk_boundary_inside_sweep(monkeypatch):
 
     sqrt_bytes = _engine(c, lab).state_bytes
     monkeypatch.setattr(perms, "_CHUNK_BYTES", 7 * sqrt_bytes)  # chunks of 7 xs for sqrt
-    for name, circuit in circuits.items():  # every family with a plan takes the tables here
+    for name, circuit in circuits.items():  # every family here takes the tables
         engine = algorithms._Sweep(circuit, table)
         assert engine.tables is not None and engine.rows == 7, name
         assert phase_profile(circuit, lab) == whole[name]
@@ -245,15 +245,33 @@ def _engine(circuit: Circuit, labeling: Labeling) -> algorithms._Sweep:
     return algorithms._Sweep(circuit, labeling.validate().table)
 
 
-def _plan(circuit: Circuit, labeling: Labeling):
-    """The engine's plan of the circuit: routed applies, or None if not lowered."""
-    plan = _engine(circuit, labeling).plan
-    if plan is not None:  # every step a tuple of (condition or None, (wire, gate)) routes
-        for routes in plan:
-            for cond, (wire, gate) in routes:
-                assert cond is None or isinstance(cond, int)
-                assert isinstance(wire, int) and isinstance(gate, int)
-    return plan
+def _steps(engine: algorithms._Sweep):
+    """The engine's lowered applies grouped per ``Apply`` or
+    ``ControlledApply`` of its circuit, in gate order, or None if the
+    circuit does not lower.  Each group lists the (wire, gate, mask) routes
+    of that apply: the partner routes of a sandwich, then the one on its
+    own wire, whose mask in a sandwich is where no partner route holds."""
+    circuit = engine.circuit
+    lowered = engine._lower(circuit.gates)
+    if lowered is None:
+        return None
+    wires, gates, masks = lowered
+    assert len(wires) == len(gates) == len(masks)
+    assert all(mask.dtype == bool and mask.shape == (circuit.n,) for mask in masks)
+    routes = list(zip(wires, gates, masks))
+    steps = []
+    for gate in circuit.gates:
+        if isinstance(gate, (Apply, ControlledApply)):
+            own = engine.wire[gate.wire]
+            end = next(i for i, (wire, _, _) in enumerate(routes) if wire == own) + 1
+            step, routes = routes[:end], routes[end:]
+            assert all(g == gate.gate for _, g, _ in step)
+            if len(step) > 1:
+                partners = np.logical_or.reduce([mask for _, _, mask in step[:-1]])
+                assert (step[-1][2] == ~partners).all()
+            steps.append(step)
+    assert routes == []
+    return steps
 
 
 def test_sqrt_sandwiches_lower_to_routed_applies():
@@ -261,9 +279,9 @@ def test_sqrt_sandwiches_lower_to_routed_applies():
     lab = FactoradicLabeling(n)
     circuit = sqrt_circuit(n, lab)
     khat = -(-n // algorithms.ceil_sqrt(n))
-    plan = _plan(circuit, lab)
-    # one routed apply per Apply: the sandwiches' and the switch steps'
-    sandwiches = len(plan) - algorithms.ceil_sqrt(n) * n
+    steps = _steps(_engine(circuit, lab))
+    # one lowered step per Apply: the sandwiches' and the switch steps'
+    sandwiches = len(steps) - algorithms.ceil_sqrt(n) * n
     assert sandwiches == 4 * (khat - 1) * n == 20
     # every conditional swap of the circuit sits in a sandwich
     assert sum(isinstance(g, PosCondSwap) for g in circuit.gates) == 2 * sandwiches
@@ -275,7 +293,8 @@ def test_near_miss_sandwiches_match_per_x():
     # and [3, 4) of U_2, so t carries it once and a_2 twice for every x;
     # each near miss replaces the middle sandwich.  An Apply on a third
     # wire, or a second Apply between, is still a sandwich of the one rule;
-    # a closing swap with another condition is not
+    # a closing swap with another condition is not, and an Apply of U_1
+    # routed by where U_2 acts does not lower (it reads another gate's key)
     n = 4
     lab = FactoradicLabeling(n)
     wires = (Wire("x", CONTROL_QUDIT), Wire("t", TARGET), Wire("u", TARGET))
@@ -286,6 +305,7 @@ def test_near_miss_sandwiches_match_per_x():
         "shifted bound": (swap, apply, replace(swap, hi=swap.hi + 1)),
         "third wire": (swap, Apply(2, "u"), swap),
         "two gates between": (swap, apply, Apply(1, aux_wire(2)), swap),
+        "two applies between": (swap, apply, apply, swap),
     }
 
     def sandwich(lo, hi):
@@ -298,20 +318,21 @@ def test_near_miss_sandwiches_match_per_x():
         return Circuit(n, "sandwiches", wires, gates, QuditControl(lab))
 
     exact = circuit((swap, apply, swap))
-    assert [len(routes) for routes in _plan(exact, lab)] == [2] * (n * n + 3)
+    assert [len(routes) for routes in _steps(_engine(exact, lab))] == [2] * (n * n + 3)
     exponents, failure = assert_sweeps_agree(exact, lab)
     assert failure is None and any(exponents)
-    routes = {  # per step of the plan after the head and the first sandwich
+    routes = {  # per lowered step after the head and the first sandwich
         "shifted bound": None,
         "third wire": [1, 2],  # U_2 stays on u for every x
-        "two gates between": [2, 2, 2],
+        "two gates between": None,
+        "two applies between": [2, 2, 2],
     }
     for name, middle in near_misses.items():
-        plan = _plan(circuit(middle), lab)
+        steps = _steps(_engine(circuit(middle), lab))
         if routes[name] is None:
-            assert plan is None, name
+            assert steps is None, name
         else:
-            assert [len(r) for r in plan] == [2] * (n * n + 1) + routes[name], name
+            assert [len(r) for r in steps] == [2] * (n * n + 1) + routes[name], name
         assert_sweeps_agree(circuit(middle), lab)
 
 
@@ -332,8 +353,8 @@ def test_reversed_closing_swap_is_the_same_sandwich():
     eliminated = eliminate_controlled_unknowns(nlogn_circuit(n))
     for circuit, kind in ((sqrt, PosCondSwap), (eliminated, ControlledSwap)):
         reversed_swap = _with_reversed_closing_swap(circuit, kind)
-        plan = _plan(reversed_swap, lab)
-        assert plan is not None and len(plan) == len(_plan(circuit, lab)), kind.__name__
+        steps = _steps(_engine(reversed_swap, lab))
+        assert steps is not None and len(steps) == len(_steps(_engine(circuit, lab))), kind.__name__
         exponents, failure = assert_sweeps_agree(reversed_swap, lab)
         assert failure is None
         assert exponents == assert_sweeps_agree(circuit, lab)[0]
@@ -344,15 +365,35 @@ def test_paper_circuits_lower_to_plans_that_move_no_token():
     lab = FactoradicLabeling(n)
     for name in ("sim-switch", "sqrt", "nlogn"):
         circuit = FAMILIES[name].build(n, lab)
-        # one routed apply per Apply or ControlledApply
-        assert len(_plan(circuit, lab)) == query_count(circuit), name
-    assert [len(routes) for routes in _plan(sim_switch_circuit(n, lab), lab)] == [2] * n * n
+        # one lowered step per Apply or ControlledApply
+        assert len(_steps(_engine(circuit, lab))) == query_count(circuit), name
+    # in step p of sim-switch, U_i lands on the target where it acts at p,
+    # and on a_i elsewhere
+    engine = _engine(sim_switch_circuit(n, lab), lab)
+    at = np.eye(n, dtype=bool)
+    assert [
+        [(wire, gate, mask.tolist()) for wire, gate, mask in step] for step in _steps(engine)
+    ] == [
+        [(engine.wire["psi_t"], i, at[p].tolist()), (engine.wire[aux_wire(i)], i, (~at[p]).tolist())]
+        for p in range(n) for i in range(n)
+    ]
+    # nlogn's U_k lands under bit (k, i) on the digits a_k = 0..k that set it
+    engine = _engine(nlogn_circuit(n), lab)
+    slot_bits = algorithms._bit_tables(n, engine.control.slots)[0]
+    for step, gate in zip(_steps(engine), engine.circuit.gates):
+        [(_, _, mask)] = step
+        if isinstance(gate, ControlledApply):
+            k = gate.bit[0]
+            assert mask[: k + 1].tolist() == (slot_bits[gate.bit] == gate.polarity).tolist()
+            assert not mask[k + 1 :].any()
+        else:
+            assert mask.all()
     # the rail circuits move tokens by Rewire, so they sweep per x
     lab3 = FactoradicLabeling(3)
     for circuit in (FAMILIES["six-query"].build(3, lab3), *(
         FAMILIES["superperm"].build(m, FactoradicLabeling(m)) for m in (3, 4)
     )):
-        assert _plan(circuit, circuit.control.labeling) is None, circuit.family
+        assert _steps(_engine(circuit, circuit.control.labeling)) is None, circuit.family
         assert assert_sweeps_agree(circuit, circuit.control.labeling)[1] is None
 
 
@@ -374,7 +415,8 @@ def test_near_miss_switch_sandwiches_match_per_x():
     # a switch simulation onto t whose step at position 1 is an exact
     # sandwich or a near miss of one; each is valid at x=0 and must sweep as
     # execute does.  An Apply on the switched target is still a sandwich of
-    # the one rule: it counts on a_i where U_i acts at position 1
+    # the one rule, but does not lower: it lands on a_i where U_i acts at
+    # position 1, which reads the keys of the other gates
     n = 4
     lab = FactoradicLabeling(n)
     wires = (Wire("x", CONTROL_QUDIT), Wire("t", TARGET), Wire("u", TARGET))
@@ -399,26 +441,22 @@ def test_near_miss_switch_sandwiches_match_per_x():
         return Circuit(n, "switch-sandwiches", wires, head + gates + tail, QuditControl(lab))
 
     exact = circuit((switch, *middle, switch))
-    assert len(_plan(exact, lab)) == 2 * n * n
+    assert len(_steps(_engine(exact, lab))) == 2 * n * n
     exponents, failure = assert_sweeps_agree(exact, lab)
     assert failure is None and any(exponents)
     for name, gates in near_misses.items():
-        plan = _plan(circuit(gates), lab)
-        if name == "apply on the target":  # n routes to the a_i, one to stay on t
-            assert [len(r) for r in plan] == [2] * (5 * n) + [n + 1] + [2] * (3 * n)
-        else:
-            assert plan is None, name
+        assert _steps(_engine(circuit(gates), lab)) is None, name
         assert_sweeps_agree(circuit(gates), lab)
     # a missing auxiliary wire: x=0 puts U_1 at position 1, x=12 puts U_3
     partial = Circuit(n, "partial", wires[:-1], (switch, switch), QuditControl(lab))
-    assert _plan(partial, lab) is None
+    assert _steps(_engine(partial, lab)) is None
     assert assert_sweeps_agree(partial, lab) == ("KeyError", "'a_3'")
 
 
 def test_unlowered_plans_sweep_per_x(monkeypatch):
-    # a circuit whose plan is None never reaches _Sweep.run_tables
+    # a circuit that does not lower never reaches _Sweep.run_tables
     def run_tables(self, xs):
-        raise AssertionError("_Sweep.run_tables called for a plan that is None")
+        raise AssertionError("_Sweep.run_tables called for a circuit that does not lower")
 
     monkeypatch.setattr(algorithms._Sweep, "run_tables", run_tables)
     lab3 = FactoradicLabeling(3)
@@ -435,7 +473,7 @@ def test_unlowered_plans_sweep_per_x(monkeypatch):
     last = lab.word(0).acting(n - 1)
     undo = PosCondSwap("psi_t", aux_wire(last), last, n - 1, n)
     broken = replace(c, gates=c.gates[:j] + (undo,))
-    assert _plan(broken, lab) is None
+    assert _steps(_engine(broken, lab)) is None
     failure = phase_profile(broken, lab).failure
     assert failure == "x=5040: tokens did not return to their home wires"
 
@@ -652,8 +690,8 @@ def sandwich_circuits(draw, own_gates=False):
     With ``own_gates`` each Apply of a conditional-swap sandwich applies
     the gate whose key the swap reads (U_g for a ``PosCondSwap`` on g, U_k
     for a ``ControlledSwap`` on bit (k, i)), and each Apply on an auxiliary
-    wire a_i of a switch sandwich applies U_i: mostly plans that take the
-    table route."""
+    wire a_i of a switch sandwich applies U_i: mostly circuits that take
+    the table route."""
     n = draw(st.integers(2, 5))
     qudit = draw(st.booleans())
     slots = [(k, i) for k in range(1, n) for i in range(1, ceil_log2(n) + 1)]
@@ -1015,7 +1053,7 @@ def test_table_route_selection(n):
             continue
         sweep = algorithms._Sweep(family.build(n, lab), table)
         if name in ("superperm", "six-query"):  # Rewire steps: per x
-            assert sweep.plan is None and sweep.tables is None
+            assert sweep.tables is None and _steps(sweep) is None
             continue
         checks, pairs = sweep.tables
         assert checks == (), name
@@ -1043,11 +1081,11 @@ def test_table_route_gathers_per_block_pair():
 
 
 def _assert_sweeps_per_x(circuit: Circuit, labeling: Labeling, references):
-    """The circuit has a plan but no tables, and :meth:`_Sweep.sweep` hands
-    :meth:`_Sweep.reference` every x in one call; returns the shared
-    (exponents, failure) of both sweeps."""
+    """The circuit is cross-gate, so it does not lower and has no tables,
+    and :meth:`_Sweep.sweep` hands :meth:`_Sweep.reference` every x in one
+    call; returns the shared (exponents, failure) of both sweeps."""
     sweep = _engine(circuit, labeling)
-    assert sweep.plan is not None and sweep.tables is None
+    assert sweep.tables is None and _steps(sweep) is None
     references.clear()
     sweep.sweep(range(labeling.size))
     assert references == [range(labeling.size)]
@@ -1056,7 +1094,7 @@ def _assert_sweeps_per_x(circuit: Circuit, labeling: Labeling, references):
 
 def test_cross_gate_sandwiches_sweep_per_x(references):
     # an Apply of U_1 routed by where U_2 acts reads another gate's
-    # position, so the plan has no tables and sweeps per x; routed by where
+    # position, so the circuit does not lower and sweeps per x; routed by where
     # U_1 acts, it takes the table route (both fail: t carries U_1 for some
     # xs only)
     n = 4
@@ -1083,8 +1121,8 @@ def _cross_digit(n, polarities=(1, 0), gate=1):
 
 
 def test_cross_digit_applies_sweep_per_x(references):
-    # U_1 under a bit of a_2 reads another gate's key, so the plan has no
-    # tables and sweeps per x, whether it passes or fails (one polarity: t
+    # U_1 under a bit of a_2 reads another gate's key, so the circuit does
+    # not lower and sweeps per x, whether it passes or fails (one polarity: t
     # carries U_1 for some xs only); U_2 under that bit reads its own digit
     # and takes the tables
     n = 5
