@@ -573,12 +573,12 @@ FAMILIES: dict[str, Family] = {
             "six-query", lambda n, labeling: six_query_n3(labeling), lambda n: 6,
             sizes=(3,), dense=True,
         ),
-        Family("nlogn", lambda n, labeling: nlogn_circuit(n), nlogn_query_count),
+        Family("nlogn", lambda n, labeling: nlogn_circuit(n), nlogn_query_count, dense=True),
         Family(
             "nlogn-reduced", lambda n, labeling: nlogn_circuit(n, reduced=True),
-            {4: 14, 8: 46}.get, sizes=(4, 8),
+            {4: 14, 8: 46}.get, sizes=(4, 8), dense=True,
         ),
-        Family("sqrt", sqrt_circuit, sqrt_query_count),
+        Family("sqrt", sqrt_circuit, sqrt_query_count, dense=True),
     )
 }
 

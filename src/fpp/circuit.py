@@ -158,6 +158,13 @@ class BitControl:
     n: int
     slots: tuple[tuple[int, int], ...]
 
+    def __post_init__(self) -> None:
+        for k, i in self.slots:
+            if not (1 <= k < self.n and i >= 1):
+                raise StructuralError(
+                    f"bit slot ({k}, {i}) is outside 1 <= k < n={self.n}, i >= 1"
+                )
+
     def assignment(self, x: int) -> dict[tuple[int, int], int]:
         digits = to_factoradic(x, self.n)
         bits: dict[tuple[int, int], int] = {}

@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--labeling", default="factoradic")
     export.set_defaults(func=_cmd_export)
 
-    dense = sub.add_parser("dense", help="dense numerical cross-check (n <= 3)")
+    dense = sub.add_parser("dense", help="dense numerical cross-check (n <= 4)")
     dense.add_argument(
         "--alg", required=True, choices=tuple(f.name for f in FAMILIES.values() if f.dense)
     )

@@ -2,29 +2,15 @@
 
 Builds concrete promise-satisfying unitaries (one clock/shift register per
 gate 1..n-1, sized by the phases it carries), runs the full Fourier-sandwich
-protocol numerically, and reads y off the control marginal.  Every promise
-unitary is monomial - a permutation of the register basis times a diagonal
-of clock phases - and is written into its dense matrix with one scatter
-from index arithmetic over the register digits.  The matrices have up to
-(n!)^(n-1) rows, so n <= 3.
-
-Because every circuit in scope is classically controlled on control basis
-states, the joint state after the circuit is (1/sqrt(n!)) sum_x |x> |psi_x>
-with |psi_x> a product over data wires.  :func:`run_dense` therefore takes
-each wire's applied word from the symbolic executor
-(:func:`fpp.circuit.execute`), multiplies the wire's start vector by it, and
-assembles the control marginal from the Gram matrix of the |psi_x>, one
-matrix product per wire - exact linear algebra at a cost of n! * wires * d
-amplitudes instead of d^wires.  Nothing of this but the unitaries depends
-on y, so a run of calls (one per y) does the rest once: a call on the
-circuit of the call before reuses its words instead of executing again,
-each wire multiplies its start vector once per distinct word it carries,
-the seeded start vectors are prefixes of one cached normal stream per seed,
-and :func:`fourier` is built once per m.
-:func:`run_dense_joint` is the literal full-statevector reference for tiny
-dimensions; it replays the same per-x event stream
-(:func:`fpp.circuit.events`) as tensor contractions and axis swaps on every
-call.  Neither backend resolves control states itself.
+protocol numerically, and reads y off the control marginal.  Each unitary
+is held as a :class:`MonomialUnitary` (the row and the phase exponent of
+every column), applied in O(d) and checked exactly, in integers, on every
+build; the registers reach 13 824 dimensions at n=4, so n <= 4.
+:func:`run_dense` takes each data wire's applied words from
+:func:`fpp.circuit.execute` and assembles the control marginal from the
+Gram matrix of the per-x product states, reusing across a run of calls (one
+per y) what does not depend on y.  :func:`run_dense_joint` is the literal
+full-statevector reference for tiny dimensions, on the dense matrices.
 """
 
 from __future__ import annotations
@@ -40,14 +26,8 @@ from .commutation import CommutationTable
 from .errors import DimensionError, DomainError, InvariantError, UnsupportedError
 
 __all__ = [
-    "UNITARITY_TOL",
-    "PROBABILITY_TOL",
-    "DenseRunResult",
-    "fourier",
-    "require_supported_n",
-    "build_promise_unitaries",
-    "pairwise_deviation",
-    "run_dense",
+    "UNITARITY_TOL", "PROBABILITY_TOL", "DenseRunResult", "MonomialUnitary", "fourier",
+    "require_supported_n", "build_promise_unitaries", "pairwise_deviation", "run_dense",
     "run_dense_joint",
 ]
 
@@ -74,15 +54,69 @@ def fourier(m: int) -> np.ndarray:
     return f
 
 
-def pairwise_deviation(
-    units: list[np.ndarray], table: CommutationTable, y: int
-) -> float:
-    """max over pairs of || U_j U_k - omega^{e[j][k]*y} U_k U_j ||_max."""
+@lru_cache(maxsize=16)
+def _omega(m: int) -> np.ndarray:
+    """exp(2*pi*i*p/m) for p = 0..m-1, built once per m, read-only."""
+    powers = np.exp(2j * np.pi * np.arange(m) / m)
+    powers.flags.writeable = False
+    return powers
+
+
+class MonomialUnitary:
+    """U|t> = omega^phase[t] |rows[t]>, with omega = exp(2*pi*i/modulus).
+
+    ``rows`` must be a permutation of 0..d-1: for a matrix with one
+    unit-modulus entry per column that is unitarity, checked exactly here
+    (:class:`InvariantError` otherwise).  Both vectors are kept as read-only
+    copies, ``phase`` reduced mod ``modulus``, with the inverse permutation
+    ``cols`` and the per-row amplitudes ``amp``, so that ``u @ v`` for a
+    vector v is ``amp * v[cols]``.  ``np.asarray(u)`` is the dense matrix.
+    The value is frozen: its attributes cannot be set.
+    """
+
+    __slots__ = ("rows", "phase", "modulus", "cols", "amp")
+
+    def __init__(self, rows, phase, modulus: int) -> None:
+        rows = np.array(rows, dtype=np.intp)
+        phase = np.array(phase, dtype=np.int64) % modulus
+        if rows.ndim != 1 or phase.shape != rows.shape:
+            raise InvariantError("rows and phases must be two vectors of one length")
+        cols = rows.argsort()  # the inverse permutation, if rows is one
+        if (rows[cols] != np.arange(rows.size)).any():
+            raise InvariantError("rows do not form a bijection: the matrix is not unitary")
+        amp = _omega(modulus)[phase[cols]]
+        for array in (rows, phase, cols, amp):
+            array.flags.writeable = False
+        for name, value in zip(self.__slots__, (rows, phase, modulus, cols, amp)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"MonomialUnitary is frozen; cannot set {name!r}")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows.size, self.rows.size)
+
+    def __matmul__(self, v):
+        if isinstance(v, np.ndarray) and v.ndim == 1:
+            return self.amp * v[self.cols]
+        return NotImplemented  # a matrix operand multiplies the dense form
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:  # numpy casts to dtype
+        dense = np.zeros(self.shape, dtype=complex)
+        dense[self.rows, np.arange(self.rows.size)] = _omega(self.modulus)[self.phase]
+        return dense
+
+
+def pairwise_deviation(units: list, table: CommutationTable, y: int) -> float:
+    """max over pairs of || U_j U_k - omega^{e[j][k]*y} U_k U_j ||_max, on
+    the dense matrices."""
     if len(units) != table.n:
         raise DomainError(f"expected {table.n} unitaries, got {len(units)}")
     m = table.modulus
     if not 0 <= y < m:
         raise DomainError(f"y={y} outside [0, {m - 1}]")
+    units = [np.asarray(u) for u in units]
     omega = np.exp(2j * np.pi / m)
     worst = 0.0
     for j in range(table.n):
@@ -93,19 +127,32 @@ def pairwise_deviation(
     return worst
 
 
+def _check_promise(units: list[MonomialUnitary], table: CommutationTable, y: int) -> None:
+    """The exact form of ``pairwise_deviation == 0``: for every j < k,
+    U_j U_k and U_k U_j send each column to one row, and the phase
+    exponents of U_j U_k exceed those of U_k U_j by e[j][k]*y mod n!."""
+    for k, uk in enumerate(units):
+        for j, uj in enumerate(units[:k]):
+            gap = uk.phase + uj.phase[uk.rows] - uj.phase - uk.phase[uj.rows]
+            bad = (gap - table.entry(j, k) * y) % table.modulus != 0
+            bad |= uj.rows[uk.rows] != uk.rows[uj.rows]
+            if bad.any():
+                raise InvariantError(
+                    f"U_{j} U_{k} != omega^(e[{j}][{k}]*y) U_{k} U_{j} on column "
+                    f"{np.flatnonzero(bad)[0]}"
+                )
+
+
 def require_supported_n(n: int) -> None:
-    """Raise :class:`UnsupportedError` for an n whose promise unitaries
-    :func:`build_promise_unitaries` would not store densely (n > 3)."""
-    if n > 3:
+    """Raise :class:`UnsupportedError` for an n whose promise registers
+    :func:`build_promise_unitaries` would not build (n > 4)."""
+    if n > 4:
         raise UnsupportedError(
-            f"dense promise unitaries have up to (n!)^(n-1) rows; n={n} is "
-            "unsupported (n <= 3)"
+            f"dense promise unitaries have up to (n!)^(n-1) rows; n={n} is unsupported (n <= 4)"
         )
 
 
-def build_promise_unitaries(
-    n: int, y: int, table: CommutationTable
-) -> list[np.ndarray]:
+def build_promise_unitaries(n: int, y: int, table: CommutationTable) -> list[MonomialUnitary]:
     """Concrete unitaries satisfying every pairwise relation of ``table`` at y.
 
     One clock/shift register per gate k = 1..n-1, of dimension
@@ -114,15 +161,10 @@ def build_promise_unitaries(
     X^a(k,q) on every register q > k (X|t> = |t+1 mod d_q>) and the identity
     below k, with a(j,k) = -e[j][k]*y*d_k/n! mod d_k.  A pair j < k then
     meets only on register k, where X^a Z = exp(-2*pi*i*a/d_k) Z X^a carries
-    exactly omega^{e[j][k]*y}.  The total dimension is at most (n!)^(n-1):
-    36 at n=3, already 24^3 rows per dense matrix at n=4, which is why
-    :func:`require_supported_n` stops at n=3.
-
-    Each U_i is built from its monomial form: column t (digits t_k, register
-    1 most significant) has one nonzero entry, in the row whose digits are
-    t_k + a(i,k) mod d_k on every register k > i, of amplitude
-    exp(2*pi*i*t_i/d_i) (1 for U_0).  Every construction is then checked
-    against the table and for unitarity.
+    exactly omega^{e[j][k]*y}.  So U_i sends column t (digits t_k, register
+    1 most significant) to the row of digits t_k + a(i,k) mod d_k on every
+    register k > i, with phase exponent t_i * n!/d_i (0 for U_0).  Every
+    construction is checked exactly against the table.
     """
     if n != table.n:
         raise DomainError(f"table has n={table.n}, expected {n}")
@@ -131,30 +173,17 @@ def build_promise_unitaries(
         raise DomainError(f"y={y} outside [0, {m - 1}]")
     require_supported_n(n)
 
-    phase = {(j, k): table.entry(j, k) * y % m for k in range(n) for j in range(k)}
-    dims = [m // gcd(m, *(phase[j, k] for j in range(k))) for k in range(1, n)]
-    size = prod(dims)
-    digits = np.indices(dims).reshape(len(dims), size)  # digits[k - 1]: t_k
-    cols = np.arange(size)
-
-    units = []
-    for i in range(n):
-        rows = 0
-        for k, (t, d) in enumerate(zip(digits, dims), start=1):
-            shift = -phase[i, k] * d // m if i < k else 0
-            rows = rows * d + (t + shift) % d
-        amp = 1.0
-        if i:  # the clock on register i
-            d = dims[i - 1]
-            amp = np.exp(2j * np.pi * np.arange(d) / d)[digits[i - 1]]
-        u = np.zeros((size, size), dtype=complex)
-        u[rows, cols] = amp
-        units.append(u)
-    deviation = pairwise_deviation(units, table, y)
-    if deviation > 1e-9:
-        raise InvariantError(f"construction violates the table by {deviation}")
-    for u in units:
-        _check_unitary(u)
+    carried = [[table.entry(j, k) * y % m if j < k else 0 for k in range(n)] for j in range(n)]
+    dims = [m // gcd(m, *(carried[j][k] for j in range(k))) for k in range(1, n)]
+    strides = np.array([prod(dims[k:]) for k in range(1, n)])
+    radix = np.array(dims)[:, None]
+    digits = np.arange(prod(dims)) // strides[:, None] % radix  # digits[k - 1]: t_k
+    shifts = -np.array(carried)[:, 1:, None] * radix // m  # [i, k - 1]: a(i, k), 0 unless i < k
+    rows = strides @ ((digits + shifts) % radix)
+    phases = np.zeros_like(rows)
+    phases[1:] = digits * (m // radix)
+    units = [MonomialUnitary(r, p, m) for r, p in zip(rows, phases)]
+    _check_promise(units, table, y)
     return units
 
 
@@ -165,30 +194,29 @@ class DenseRunResult:
     probabilities: np.ndarray
 
 
-def _check_inputs(circuit: Circuit, unitaries: list[np.ndarray]) -> int:
+def _check_inputs(circuit: Circuit, unitaries: list) -> int:
     """The shared dimension d of ``unitaries``: one unitary d x d matrix per
-    gate of ``circuit``."""
+    gate of ``circuit``.  A :class:`MonomialUnitary` was checked exactly
+    when it was made; a plain matrix is checked for unitarity here."""
     if len(unitaries) != circuit.n:
         raise DomainError(f"expected {circuit.n} unitaries, got {len(unitaries)}")
     d = unitaries[0].shape[0]
     for u in unitaries:
         if u.shape != (d, d):
             raise DomainError("unitaries must share one square dimension")
-        _check_unitary(u)
+        if not isinstance(u, MonomialUnitary):
+            _check_unitary(u)
     return d
 
 
-# The last seed's standard normals, at least _STREAM of them: run_dense is
-# called once per y with one seed, and each y's start vectors are a prefix.
+# The last seed's standard normals, at least _STREAM of them.
 _STREAM = 1024
 _last_normals: tuple[int, np.ndarray] | None = None
 
 
 def _normals(seed: int, size: int) -> np.ndarray:
-    """The first ``size`` standard normals of ``default_rng(seed)``.
-    Generator.normal fills its values in order, so a shorter draw is a
-    prefix of a longer one: the last seed's stream is kept, and drawn again
-    (longer) only for a call that needs more of it."""
+    """The first ``size`` standard normals of ``default_rng(seed)``, a
+    prefix of the last seed's stream, drawn again only to make it longer."""
     global _last_normals
     memo = _last_normals
     if memo is None or memo[0] != seed or len(memo[1]) < size:
@@ -198,37 +226,34 @@ def _normals(seed: int, size: int) -> np.ndarray:
     return memo[1][:size]
 
 
-def _initial_vectors(
-    circuit: Circuit, d: int, seed: int | None
-) -> dict[str, np.ndarray]:
-    """Each data wire's start vector: |0>, or with a seed a normalized
-    complex normal vector, real and imaginary parts drawn d at a time, wire
-    by wire, from :func:`_normals`."""
-    wires = [w.id for w in circuit.data_wires()]
+@lru_cache(maxsize=16)
+def _start_vectors(seed: int | None, d: int, count: int) -> np.ndarray:
+    """One start vector per data wire, the rows of a read-only array: |0>,
+    or with a seed d real then d imaginary parts from :func:`_normals`, wire
+    by wire, divided by their norm as ``np.linalg.norm`` computes it."""
     if seed is None:
-        vec = np.zeros(d, dtype=complex)
-        vec[0] = 1.0
-        return {w: vec.copy() for w in wires}
-    parts = _normals(seed, 2 * d * len(wires)).reshape(len(wires), 2, d)
-    out = {}
-    for w, (real, imag) in zip(wires, parts):
-        v = real + 1j * imag
-        out[w] = v / np.linalg.norm(v)
+        out = np.zeros((count, d), dtype=complex)
+        out[:, 0] = 1.0
+    else:
+        parts = _normals(seed, 2 * d * count).reshape(count, 2, d)
+        out = parts[:, 0] + 1j * parts[:, 1]
+        for v in out:
+            v /= np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    out.flags.writeable = False
     return out
 
 
-# The last circuit run_dense executed and its per-x applied words.  The
-# words do not depend on y, so `fpp dense --y all` executes each x once.
-# Keyed by identity (a Circuit with a Rewire is unhashable), holding the
-# circuit itself so that its id cannot be reused while the entry lives, and
-# one entry only, so memory stays bounded.
-_last_words: tuple[Circuit, tuple[dict[str, tuple[int, ...]], ...]] | None = None
+# The last circuit run_dense executed and its words, keyed by identity (a
+# Circuit with a Rewire is unhashable) and holding the circuit, so that its
+# id cannot be reused while the entry lives.
+_Words = tuple[tuple[tuple[int, tuple[int, ...]], ...], np.ndarray]
+_last_words: tuple[Circuit, _Words] | None = None
 
 
-def _applied_words(circuit: Circuit) -> tuple[dict[str, tuple[int, ...]], ...]:
-    """Per control state x, each data wire's applied word (application
-    order), from :func:`fpp.circuit.execute`; reused when ``circuit`` is the
-    object of the call before.  Raises :class:`InvariantError`, and keeps
+def _wire_words(circuit: Circuit) -> _Words:
+    """The distinct (data wire index, word) pairs of :func:`execute` over all
+    x, and at [wire, x] the index of x's pair, for the circuit of the call
+    before or else executed anew.  Raises :class:`InvariantError`, keeping
     nothing, when some x leaves a token off its home wire."""
     global _last_words
     memo = _last_words
@@ -237,72 +262,48 @@ def _applied_words(circuit: Circuit) -> tuple[dict[str, tuple[int, ...]], ...]:
     outcomes = [execute(circuit, x) for x in range(factorial(circuit.n))]
     if not all(out.tokens_home for out in outcomes):
         raise InvariantError("tokens did not return home; marginal undefined")
-    words = tuple(out.applied for out in outcomes)
-    _last_words = (circuit, words)
-    return words
+    index: dict[tuple[int, tuple[int, ...]], int] = {}
+    which = [
+        [index.setdefault((w, out.applied[wire.id]), len(index)) for out in outcomes]
+        for w, wire in enumerate(circuit.data_wires())
+    ]
+    _last_words = (circuit, (tuple(index), np.array(which)))
+    return _last_words[1]
 
 
-def run_dense(
-    circuit: Circuit,
-    unitaries: list[np.ndarray],
-    seed: int | None = None,
-) -> DenseRunResult:
-    """Numerically run the Fourier sandwich and measure the control register.
-
-    Per control basis state the data stays a product state, so each wire is
-    propagated as one d-dimensional vector; the control marginal after the
-    inverse Fourier transform is the elementwise product over wires of the
-    overlap matrices F_w F_w^H, with the wire's final vectors as the rows
-    of F_w.  The words come from :func:`fpp.circuit.execute`, once per x
-    for a run of calls on one circuit object (one call per y, say): they do
-    not depend on the unitaries, so only the last circuit's are kept.  A
-    wire's start vector is multiplied through each distinct word it carries
-    once, and the x with that word share the result.
+def run_dense(circuit: Circuit, unitaries: list, seed: int | None = None) -> DenseRunResult:
+    """Numerically run the Fourier sandwich and measure the control register:
+    the control marginal is the elementwise product over data wires of the
+    overlap matrices F_w F_w^H, with the wire's final vectors as rows of F_w.
     """
     d = _check_inputs(circuit, unitaries)
     m = factorial(circuit.n)
-    wires = [w.id for w in circuit.data_wires()]
-    if m * len(wires) * d > 10**7 or m * m > 10**7:
-        raise DimensionError(
-            f"dense run needs {m * len(wires) * d} amplitudes and an "
-            f"{m}x{m} control marginal; limit is 1e7"
-        )
+    wires = len(circuit.data_wires())
+    if m * wires * d > 10**7 or m * m > 10**7:
+        raise DimensionError(f"dense run needs {m * wires * d} amplitudes and an "
+                             f"{m}x{m} control marginal; limit is 1e7")
 
-    init = _initial_vectors(circuit, d, seed)
-    words = _applied_words(circuit)
-    final = {w: np.empty((m, d), dtype=complex) for w in wires}  # row x: |psi_x>_w
-    for w in wires:
-        landed: dict[tuple[int, ...], np.ndarray] = {}  # word -> the start vector through it
-        for x, applied in enumerate(words):
-            word = applied[w]
-            if word not in landed:
-                v = init[w]
-                for g in word:
-                    v = unitaries[g] @ v
-                landed[word] = v
-            final[w][x] = landed[word]
+    init = _start_vectors(seed, d, wires)
+    words, which = _wire_words(circuit)
+    landed = []  # each wire's start vector through each distinct word it carries
+    for w, word in words:
+        v = init[w]
+        for g in word:
+            v = unitaries[g] @ v
+        landed.append(v)
+    final = np.array(landed)[which]  # [wire, x]: |psi_x>_w
 
-    gram = np.ones((m, m), dtype=complex)  # <psi_x'|psi_x> at [x, x']
-    for rows in final.values():
-        gram *= rows @ rows.conj().T
-    rho = gram / m
+    # <psi_x'|psi_x> at [x, x'], multiplied over the wires
+    gram = np.multiply.reduce(final @ final.conj().transpose(0, 2, 1))
     f = fourier(m)
-    rho_out = f.conj().T @ rho @ f
-    probs = np.real(np.diag(rho_out))
+    probs = np.real(np.diag(f.conj().T @ (gram / m) @ f))
     measured = int(np.argmax(probs))
     return DenseRunResult(measured, float(probs[measured]), probs)
 
 
-def run_dense_joint(
-    circuit: Circuit,
-    unitaries: list[np.ndarray],
-    seed: int | None = None,
-) -> DenseRunResult:
-    """Literal joint-statevector reference (cost m * d^wires amplitudes).
-
-    Only feasible for tiny dimensions; used to cross-check the product-state
-    engine.
-    """
+def run_dense_joint(circuit: Circuit, unitaries: list, seed: int | None = None) -> DenseRunResult:
+    """Literal joint-statevector reference (cost m * d^wires amplitudes) on
+    the dense matrices, for tiny dimensions: the check of :func:`run_dense`."""
     d = _check_inputs(circuit, unitaries)
     m = factorial(circuit.n)
     wires = [w.id for w in circuit.data_wires()]
@@ -310,11 +311,10 @@ def run_dense_joint(
     if total > 10**7:
         raise DimensionError(f"joint vector needs {total} amplitudes; limit is 1e7")
 
-    init = _initial_vectors(circuit, d, seed)
-    control = np.full(m, 1 / np.sqrt(m), dtype=complex)  # F|0>
-    state = control
-    for w in wires:
-        state = np.kron(state, init[w])
+    unitaries = [np.asarray(u) for u in unitaries]
+    state = np.full(m, 1 / np.sqrt(m), dtype=complex)  # F|0>
+    for start in _start_vectors(seed, d, len(wires)):
+        state = np.kron(state, start)
     state = state.reshape((m,) + (d,) * len(wires))
 
     axis_of = {w: idx for idx, w in enumerate(wires)}
@@ -330,9 +330,7 @@ def run_dense_joint(
                 slice_x = np.swapaxes(slice_x, axis_of[first], axis_of[second])
         state[x] = slice_x
 
-    f_inv = fourier(m).conj().T
-    state = np.tensordot(f_inv, state, axes=([1], [0]))
-    amp2 = np.abs(state.reshape(m, -1)) ** 2
-    probs = amp2.sum(axis=1)
+    state = np.tensordot(fourier(m).conj().T, state, axes=([1], [0]))
+    probs = (np.abs(state.reshape(m, -1)) ** 2).sum(axis=1)
     measured = int(np.argmax(probs))
     return DenseRunResult(measured, float(probs[measured]), probs)

@@ -92,9 +92,13 @@ def test_gates_on_control_wires_rejected():
 
 def test_bit_control_of_another_n_rejected():
     c = nlogn_circuit(5)
+    # at m=4 the slots of k=4 no longer exist, and BitControl refuses them
+    with pytest.raises(StructuralError, match=r"bit slot \(4, 1\) is outside 1 <= k < n=4"):
+        BitControl(4, c.control.slots)
     for m in (4, 6):
+        slots = tuple(slot for slot in c.control.slots if slot[0] < m)
         with pytest.raises(DomainError, match=f"bit control has n={m}, expected 5"):
-            replace(c, control=BitControl(m, c.control.slots))
+            replace(c, control=BitControl(m, slots))
 
 
 def test_bit_outside_the_control_slots_rejected():
@@ -106,6 +110,22 @@ def test_bit_outside_the_control_slots_rejected():
         k, i = gate.bit
         with pytest.raises(StructuralError, match=rf"reads bit \({k}, {i}\), not a control slot"):
             replace(c, gates=c.gates + (gate,))
+
+
+def test_control_slot_outside_the_digits_rejected():
+    # a slot (k, i) needs 1 <= k < n and i >= 1: the greedy map writes no
+    # other, so a gate on one used to build and fail later with a KeyError
+    c = nlogn_circuit(4)
+    for k, i in ((9, 9), (4, 1), (0, 1), (-1, 1), (1, 0)):
+        with pytest.raises(StructuralError, match=rf"bit slot \({k}, {i}\) is outside 1 <= k < n=4"):
+            BitControl(4, c.control.slots + ((k, i),))
+    with pytest.raises(StructuralError, match=r"bit slot \(9, 9\)"):
+        replace(
+            c,
+            control=replace(c.control, slots=c.control.slots + ((9, 9),)),
+            gates=c.gates + (ControlledSwap("psi_2_1", "psi_2_2", (9, 9), 0),),
+        )
+    assert BitControl(4, c.control.slots + ((3, 5),)).assignment(23)[(3, 5)] == 0
 
 
 def test_gate_index_out_of_range():

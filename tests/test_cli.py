@@ -90,7 +90,7 @@ def test_run_incompatible_flags_exit2(capsys):
         (["run", "--alg", "six-query", "--n", "4"], "six-query requires --n 3"),
         (["run", "--alg", "superperm", "--n", "5"], "superperm requires --n 3 or --n 4"),
         (["run", "--alg", "switch", "--n", "1"], "--n must be at least 2"),
-        (["dense", "--alg", "nlogn", "--n", "3"], "invalid choice: 'nlogn'"),
+        (["dense", "--alg", "switch", "--n", "3"], "invalid choice: 'switch'"),
     ]
     for argv, message in cases:
         with pytest.raises(SystemExit) as exc:
@@ -212,7 +212,7 @@ def test_dense_unsupported_n_exits_before_sweep(capsys, monkeypatch):
     assert out == ""
     assert (
         "error: dense promise unitaries have up to (n!)^(n-1) rows; "
-        "n=8 is unsupported (n <= 3)" in err
+        "n=8 is unsupported (n <= 4)" in err
     )
 
 

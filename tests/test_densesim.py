@@ -19,6 +19,9 @@ from fpp.algorithms import (
 from fpp.circuit import eliminate_controlled_unknowns, execute
 from fpp.densesim import (
     PROBABILITY_TOL,
+    MonomialUnitary,
+    _check_promise,
+    _check_unitary,
     build_promise_unitaries,
     fourier,
     pairwise_deviation,
@@ -55,7 +58,7 @@ def test_n2_pauli_pair():
     assert np.allclose(units1[0], [[0, 1], [1, 0]])
     assert np.allclose(units1[1], [[1, 0], [0, -1]])
     units0 = build_promise_unitaries(2, 0, table)
-    assert [u.tolist() for u in units0] == [[[1]], [[1]]]
+    assert [np.asarray(u).tolist() for u in units0] == [[[1]], [[1]]]
 
 
 def test_n3_construction_satisfies_table():
@@ -99,19 +102,26 @@ def kron_promise_unitaries(n, y, table):
 
 
 def assert_matches_kron_reference(units, n, y, table):
-    # np.array_equal, not byte equality: the kron chain leaves -0.0 where
-    # the scatter writes 0.0
+    # each unit's dense view; np.array_equal, not byte equality: the kron
+    # chain leaves -0.0 where the dense view writes 0.0
     reference = kron_promise_unitaries(n, y, table)
     assert len(units) == len(reference) == n
     for u, r in zip(units, reference):
-        assert u.dtype == r.dtype and np.array_equal(u, r)
+        dense = np.asarray(u)
+        assert dense.dtype == r.dtype and np.array_equal(dense, r)
 
 
 def test_construction_matches_kron_reference_on_n3_labelings():
+    # the dense checks stay as the independent check of the exact ones
     for lab in enumerate_valid_labelings(3):
         table = lab.validate().table
         for y in range(6):
-            assert_matches_kron_reference(build_promise_unitaries(3, y, table), 3, y, table)
+            units = build_promise_unitaries(3, y, table)
+            assert all(isinstance(u, MonomialUnitary) for u in units)
+            assert_matches_kron_reference(units, 3, y, table)
+            assert pairwise_deviation(units, table, y) < 1e-9
+            for u in units:
+                _check_unitary(np.asarray(u))
 
 
 def test_construction_on_random_tables():
@@ -128,6 +138,7 @@ def test_construction_on_random_tables():
             assert_matches_kron_reference(units, n, y, table)
             size = prod(register_dims(n, y, table))
             assert pairwise_deviation(units, table, y) < 1e-9
+            units = [np.asarray(u) for u in units]
             for u in units:
                 assert u.shape == (size, size)
                 assert np.allclose(u.conj().T @ u, np.eye(size), atol=1e-12)
@@ -151,9 +162,9 @@ def test_pairwise_deviation_rejects_bad_inputs():
 
 
 def test_construction_unsupported_n():
-    lab = FactoradicLabeling(4)
-    with pytest.raises(UnsupportedError):
-        build_promise_unitaries(4, 0, lab.validate().table)
+    lab = FactoradicLabeling(5)
+    with pytest.raises(UnsupportedError, match=r"n=5 is unsupported \(n <= 4\)"):
+        build_promise_unitaries(5, 0, lab.validate().table)
 
 
 def test_construction_rejects_bad_y():
@@ -304,7 +315,7 @@ def test_run_dense_reuse_follows_the_circuit():
     # differ only in x-independent auxiliary words, which leave the marginal
     # as it is, so the words themselves are compared too; unitaries off the
     # promise make six-query's marginal differ from sim-switch's.
-    from fpp.densesim import _applied_words
+    from fpp.densesim import _wire_words
 
     lab = FactoradicLabeling(3)
     a = sim_switch_circuit(3, lab)
@@ -319,7 +330,16 @@ def test_run_dense_reuse_follows_the_circuit():
     assert not np.allclose(expected[id(a)], expected[id(c)], atol=1e-3)
     for k in (a, b, a, c, a):
         assert np.allclose(run_dense(k, units).probabilities, expected[id(k)], atol=1e-12)
-        assert _applied_words(k) == tuple(execute(k, x).applied for x in range(6))
+        words, which = _wire_words(k)
+        wires = [w.id for w in k.data_wires()]
+        assert len(set(words)) == len(words) and which.shape == (len(wires), 6)
+        rebuilt = [{}, {}, {}, {}, {}, {}]
+        for i, wire in enumerate(wires):
+            for x in range(6):
+                at, word = words[which[i, x]]
+                assert at == i
+                rebuilt[x][wire] = word
+        assert tuple(rebuilt) == tuple(execute(k, x).applied for x in range(6))
 
 
 def test_run_dense_rejects_stranded_tokens_on_every_call():
@@ -411,7 +431,7 @@ def test_fourier_is_built_once_and_read_only():
         fourier(0)
 
 
-def test_run_dense_multiplies_each_distinct_word_once():
+def test_run_dense_multiplies_each_distinct_word_once(monkeypatch):
     # sim-switch at n=3: 54 applies over the 6 x, 24 of them in distinct
     # words of their wire
     lab = FactoradicLabeling(3)
@@ -429,5 +449,148 @@ def test_run_dense_multiplies_each_distinct_word_once():
             matvecs += np.ndim(other) == 1
             return np.asarray(self) @ other
 
-    run_dense(circuit, [u.view(Counting) for u in units])
+    dense = run_dense(circuit, [np.asarray(u).view(Counting) for u in units])
     assert matvecs == 24
+
+    matvecs = 0
+    apply = MonomialUnitary.__matmul__
+
+    def counting_apply(self, other):
+        nonlocal matvecs
+        matvecs += np.ndim(other) == 1
+        return apply(self, other)
+
+    monkeypatch.setattr(MonomialUnitary, "__matmul__", counting_apply)
+    monomial = run_dense(circuit, units)
+    assert matvecs == 24
+    assert monomial.measured_y == dense.measured_y == 1
+    assert np.allclose(monomial.probabilities, dense.probabilities, atol=1e-12)
+
+
+def test_monomial_refuses_two_columns_on_one_row_and_an_off_phase():
+    # non-vacuity of the exact checks: a non-bijective unit, and each single
+    # phase exponent moved by one (at n=3, y=1 some other unit moves every
+    # column, so no shift cancels)
+    with pytest.raises(InvariantError, match="do not form a bijection"):
+        MonomialUnitary([0, 2, 0], [0, 0, 0], 6)
+    with pytest.raises(InvariantError, match="do not form a bijection"):
+        MonomialUnitary([0, 1, 3], [0, 0, 0], 6)
+    with pytest.raises(InvariantError, match="two vectors of one length"):
+        MonomialUnitary([0, 1], [0, 0, 0], 6)
+    table = FactoradicLabeling(3).validate().table
+    units = build_promise_unitaries(3, 1, table)
+    _check_promise(units, table, 1)
+    assert units[0].shape == (18, 18)
+    for i, u in enumerate(units):
+        for t in range(18):
+            phase = u.phase.copy()
+            phase[t] += 1
+            broken = units[:i] + [MonomialUnitary(u.rows, phase, 6)] + units[i + 1:]
+            with pytest.raises(InvariantError, match=r"!= omega\^\(e\[\d\]\[\d\]\*y\)"):
+                _check_promise(broken, table, 1)
+    # a permutation that breaks the commutation of the rows
+    swapped = units[0].rows.copy()
+    swapped[[0, 1]] = swapped[[1, 0]]
+    broken = [MonomialUnitary(swapped, units[0].phase, 6)] + units[1:]
+    with pytest.raises(InvariantError, match="on column"):
+        _check_promise(broken, table, 1)
+
+
+def test_monomial_values_are_read_only_copies():
+    rows, phase = np.array([1, 2, 0]), np.array([7, 0, -1])
+    u = MonomialUnitary(rows, phase, 6)
+    rows[0], phase[0] = 0, 0  # the caller's arrays stay the caller's
+    assert u.rows.tolist() == [1, 2, 0] and u.phase.tolist() == [1, 0, 5]
+    assert u.cols.tolist() == [2, 0, 1] and u.shape == (3, 3)
+    for array in (u.rows, u.phase, u.cols, u.amp):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        u.rows[0] = 2
+    with pytest.raises(AttributeError):
+        u.modulus = 3
+    dense = np.asarray(u)
+    omega = np.exp(2j * np.pi / 6)
+    assert np.allclose(dense, [[0, 0, omega**5], [omega, 0, 0], [0, 1, 0]])
+
+
+def test_monomial_apply_matches_the_dense_view():
+    rng = np.random.default_rng(4)
+    for lab in enumerate_valid_labelings(3)[::5]:
+        table = lab.validate().table
+        for y in range(6):
+            for u in build_promise_unitaries(3, y, table):
+                d = u.shape[0]
+                v = rng.normal(size=d) + 1j * rng.normal(size=d)
+                assert np.allclose(u @ v, np.asarray(u) @ v, atol=1e-14)
+                # a matrix operand multiplies the dense form
+                assert np.array_equal(u @ np.eye(d), np.asarray(u))
+
+
+def test_run_dense_monomial_matches_dense_views():
+    # the gather apply against matrix-vector products with the dense views
+    for lab in enumerate_valid_labelings(3)[::7]:
+        table = lab.validate().table
+        for family in ("sim-switch", "six-query", "superperm", "nlogn", "sqrt"):
+            circuit = FAMILIES[family].build(3, lab)
+            for y in range(6):
+                units = build_promise_unitaries(3, y, table)
+                for seed in (None, 5):
+                    a = run_dense(circuit, units, seed=seed)
+                    b = run_dense(circuit, [np.asarray(u) for u in units], seed=seed)
+                    assert a.measured_y == b.measured_y
+                    assert np.abs(a.probabilities - b.probabilities).max() < 1e-12
+
+
+def test_start_vectors_are_cached_read_only_and_fresh():
+    from fpp.densesim import _start_vectors
+
+    def fresh(seed, d, count):
+        rng = np.random.default_rng(seed)
+        rows = []
+        for _ in range(count):
+            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            rows.append(v / np.linalg.norm(v))
+        return np.array(rows)
+
+    calls = [(7, 18, 4), (8, 9, 6), (7, 2, 4), (7, 18, 4), (None, 9, 3), (8, 36, 6), (7, 9, 6)]
+    calls += [(9, 1152, 7), (7, 18, 4), (8, 9, 6)]
+    for seed, d, count in calls:
+        got = _start_vectors(seed, d, count)
+        assert _start_vectors(seed, d, count) is got
+        assert not got.flags.writeable and got.shape == (count, d)
+        if seed is None:
+            assert np.array_equal(got, np.eye(d, dtype=complex)[[0] * count])
+        else:
+            assert np.array_equal(got, fresh(seed, d, count)), (seed, d, count)
+        with pytest.raises(ValueError):
+            got[0, 0] = 0
+
+
+def test_dense_n4_factoradic_every_family_reads_every_y():
+    lab = FactoradicLabeling(4)
+    table = lab.validate().table
+    units = [build_promise_unitaries(4, y, table) for y in range(24)]
+    assert max(u[0].shape[0] for u in units) == 1152
+    families = [f for f in FAMILIES.values() if f.dense and (not f.sizes or 4 in f.sizes)]
+    assert {f.name for f in families} == {
+        "sim-switch", "superperm", "nlogn", "nlogn-reduced", "sqrt"
+    }
+    for family in families:
+        circuit = family.build(4, lab)
+        profile = phase_profile(circuit, lab)
+        for y in range(24):
+            result = run_dense(circuit, units[y], seed=3 if y % 2 else None)
+            assert result.measured_y == solve_profile(profile, y).solved_y == y, family.name
+            assert result.peak_probability >= 1 - PROBABILITY_TOL
+
+
+def test_n4_dense_views_pass_the_dense_checks():
+    # at the y whose registers stay small, the dense view of the n=4 units
+    # passes the tolerance checks that cross-check the exact ones
+    table = FactoradicLabeling(4).validate().table
+    for y in (3, 8, 12):
+        units = build_promise_unitaries(4, y, table)
+        assert units[0].shape[0] <= 128
+        assert pairwise_deviation(units, table, y) < 1e-9
+        for u in units:
+            _check_unitary(np.asarray(u))
