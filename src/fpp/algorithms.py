@@ -23,8 +23,9 @@ The verifier executes a circuit for every control basis state, checks that
 the word on each wire is x-independent up to commutation (same multiset, and
 tokens returned home), accumulates the phase exponent of the rewrite onto
 the x=0 reference, and recovers y from the linear phase profile.  It sweeps
-the control states in chunks through per-gate-pair tables where every apply
-of a gate is routed by that gate's own key, and one at a time through
+the control states in chunks where every apply of a gate is routed by that
+gate's own key, settling the residuals from per-gate ok rows before it
+builds the per-gate-pair phase tables, and one at a time through
 :func:`~fpp.circuit.execute` otherwise.  Exponents are exact integers mod
 n!, with y symbolic until solve time.
 """
@@ -665,23 +666,31 @@ class PhaseProfile:
         """p(1) as a Python int (0 if there are fewer than two exponents)."""
         return int(self.exponents[1]) if len(self.exponents) > 1 else 0
 
-    def _deviations(self) -> np.ndarray:
-        """(x*p(1) - p(x)) mod n! for every x; exact in int64 as n!^2 < 2^63."""
-        d = np.arange(len(self.exponents), dtype=np.int64)
-        d *= self._p1
-        d -= self.exponents
-        d %= self.modulus
-        return d
+    def _deviations(self) -> Iterable[tuple[range, np.ndarray]]:
+        """(xs, (x*p(1) - p(x)) mod n! over xs) for consecutive chunks of
+        every x, so no temporary is n!-sized; exact in int64 as n!^2 < 2^63."""
+        for xs in _chunks(range(len(self.exponents)), _chunk_rows(8)):
+            d = np.arange(xs.start, xs.stop, dtype=np.int64)
+            d *= self._p1
+            d -= self.exponents[xs.start : xs.stop]
+            d %= self.modulus
+            yield xs, d
 
     @cached_property
     def readout_period(self) -> int:
         """Least y0 > 0 such that y reads out deterministically iff y0 divides y.
 
         The readout is deterministic iff y*(p(x) - x*p(1)) == 0 mod n! for
-        every x, that is iff n!/gcd(n!, every p(x) - x*p(1)) divides y.
-        Meaningful only when the residuals are x-independent.
+        every x, that is iff n!/gcd(n!, every p(x) - x*p(1)) divides y.  The
+        gcd runs over the chunks and stops once it is 1.  Meaningful only
+        when the residuals are x-independent.
         """
-        return self.modulus // gcd(self.modulus, int(np.gcd.reduce(self._deviations())))
+        divisor = self.modulus
+        for _, d in self._deviations():
+            divisor = gcd(divisor, int(np.gcd.reduce(d)))
+            if divisor == 1:
+                break
+        return self.modulus // divisor
 
     @cached_property
     def _rule(self) -> tuple[bool, int, int, int]:
@@ -704,7 +713,7 @@ class PhaseProfile:
         linear; None if it is linear or the residuals fail."""
         if not self.residuals_ok or self.readout_period == 1:
             return None
-        x = int(np.flatnonzero(self._deviations())[0])
+        x = next(xs[np.flatnonzero(d)[0]] for xs, d in self._deviations() if d.any())
         return x, int(self.exponents[x]), x * self._p1 % self.modulus
 
 
@@ -724,11 +733,16 @@ class _Sweep:
     leaves a token off its wire there), keeps the per-wire reference data
     (:attr:`refs`, by wire id) and the written words (:attr:`residuals`),
     lowers the gate list once (:meth:`_lower`) and derives the lowered
-    applies' :attr:`tables`.  :meth:`sweep` runs a range of xs on one of two
-    routes: :meth:`run_tables`, a whole chunk of control states at once in
-    numpy, where there are tables; else :meth:`reference`, which runs xs
-    one at a time through :func:`execute` and the residual checks, and is
-    the oracle the tests hold the tables to.  There are no tables past
+    applies' residual ok rows, :attr:`checks`.  The phase side, the pair
+    tables (:attr:`pairs`) and their block folds (:attr:`blocks`), is built
+    on first use, so the order is: residuals from the ok rows
+    (:meth:`first_failure`), then phases for circuits that pass.
+    :meth:`sweep` runs a range of xs on one of two routes:
+    :meth:`run_tables`, a whole chunk of control states at once in numpy,
+    where there are tables; else :meth:`reference`, which runs xs one at a
+    time through :func:`execute` and the residual checks, and is the
+    oracle the tests hold the tables to.  There are no tables
+    (:attr:`tables` and :attr:`checks` are None) past
     :data:`MAX_READOUT_N`, for a circuit with a gate that may leave a token
     off its wire (a ``Rewire``, or a swap gate outside a sandwich), or
     where it is cross-gate, a route of U_g reading another gate's key.
@@ -742,7 +756,7 @@ class _Sweep:
     U_g lands depends on its own key alone, so the residual check of an x
     is an AND over the gates of a per-gate table, and its phase is a sum
     over gate pairs g < p of a table indexed by the keys of g and p
-    (:meth:`_pair_tables`).  Both are exact int64.
+    (:meth:`_checks`, :meth:`_pair_tables`).  Both are exact int64.
 
     ``Apply`` lands on its wire for every key, ``ControlledApply`` where
     its bit holds.  Swap gates lower by one rule, the sandwich: a swap
@@ -777,33 +791,70 @@ class _Sweep:
         self.modulus = table.modulus
         self.ref_phase = sum(r.phase for r in self.refs)
         self.wire = {r.wire: i for i, r in enumerate(self.refs)}
-        lowered = self._lower(circuit.gates) if self.n <= MAX_READOUT_N else None
-        self.tables = None if lowered is None else self._pair_tables(*lowered)
-        self.blocks = None if self.tables is None else block_tables(self.tables[1], self.n)
+        self._lowered = self._lower(circuit.gates) if self.n <= MAX_READOUT_N else None
+        self.checks = None if self._lowered is None else self._checks(*self._lowered)
         self.state_bytes = 8 * self.n + 24 + 1
         self.rows = _chunk_rows(self.state_bytes)
 
-    def _pair_tables(self, wires: Sequence, gates: Sequence, masks: Sequence) -> tuple:
-        """The tables of :meth:`run_tables`, from the lowered applies:
+    @cached_property
+    def pairs(self) -> tuple | None:
+        """The pair tables of :meth:`_pair_tables`, built on first use;
+        None where the circuit does not lower."""
+        return None if self._lowered is None else self._pair_tables(*self._lowered)
+
+    @cached_property
+    def blocks(self) -> tuple | None:
+        """:attr:`pairs` folded per pair of two-gate blocks
+        (:func:`~fpp.commutation.block_tables`), built on first use."""
+        return None if self._lowered is None else block_tables(self.pairs, self.n)
+
+    @property
+    def tables(self) -> tuple | None:
+        """(checks, pairs), or None where the circuit does not lower."""
+        return None if self.checks is None else (self.checks, self.pairs)
+
+    def _landed(self, gates: Sequence, masks: Sequence) -> np.ndarray:
+        """landed[e, g * n + a]: lowered apply e applies U_g where U_g's key
+        is a, as float64 0 or 1."""
+        n, events = self.n, len(gates)
+        landed = np.zeros((events, n, n))
+        landed[np.arange(events), gates] = np.reshape(masks, (events, n))
+        return landed.reshape(events, n * n)
+
+    def _checks(self, wires: Sequence, gates: Sequence, masks: Sequence) -> tuple:
+        """The ok rows of the residual check, from the lowered applies:
         apply e puts U_{gates[e]} on data wire ``wires[e]`` where that
         gate's key is in ``masks[e]``.
 
-        Returns (checks, pairs).  ``checks`` lists (g, ok_g) for the gates
-        whose ok_g has a False: ok_g[a] holds iff the wires U_g lands on
-        where its key is a carry it as often as the reference words do
-        (True for a digit a > g, which never occurs).  ``pairs`` lists
-        (g, p, W), in ascending p, for g < p with a nonzero table:
+        Lists (g, ok_g) for the gates whose ok_g has a False: ok_g[a] holds
+        iff the wires U_g lands on where its key is a carry it as often as
+        the reference words do (True for a digit a > g, which never occurs).
+        """
+        n, events = self.n, len(gates)
+        on_wire = np.zeros((len(self.refs), events))
+        on_wire[np.array(wires, dtype=np.intp), np.arange(events)] = 1
+        carried = (on_wire @ self._landed(gates, masks)).reshape(-1, n, n)  # [w, g, a]
+        reference = np.bincount(
+            [w * n + g for w, r in enumerate(self.refs) for g in r.sorted_word],
+            minlength=len(self.refs) * n,
+        ).reshape(-1, n, 1)
+        ok = (carried == reference).all(axis=0)
+        if isinstance(self.control, BitControl):
+            ok |= ~np.tri(n, dtype=bool)  # [g, a]: a > g
+        return tuple((g, ok[g]) for g in range(n) if not ok[g].all())
+
+    def _pair_tables(self, wires: Sequence, gates: Sequence, masks: Sequence) -> tuple:
+        """The phase tables of :meth:`run_tables`, from the lowered applies
+        of :meth:`_checks`.
+
+        Lists (g, p, W), in ascending p, for g < p with a nonzero table:
         W[a * n + b] = e[g][p] * #{an apply of U_p before an apply of U_g
         on the same wire, U_g's key a and U_p's key b} mod n!, the phase
         those two gates add, int64.
         """
         n, m = self.n, self.modulus
-        events = len(gates)
         wires = np.array(wires, dtype=np.intp)
-        # landed[e, g * n + a]: apply e applies U_g where U_g's key is a
-        landed = np.zeros((events, n, n))
-        landed[np.arange(events), gates] = np.reshape(masks, (events, n))
-        landed = landed.reshape(events, n * n)
+        landed = self._landed(gates, masks)
         order = np.argsort(wires, kind="stable")  # gate order within a wire
         landed, wires = landed[order], wires[order]
         earlier = np.cumsum(landed, axis=0)
@@ -813,18 +864,6 @@ class _Sweep:
         # of U_g (g acting at a) on the same wire; exact float64 integers
         counts = (landed.T @ earlier).reshape(n, n, n, n).astype(np.int64)
 
-        on_wire = np.zeros((len(self.refs), events))
-        on_wire[wires, np.arange(events)] = 1
-        carried = (on_wire @ landed).reshape(-1, n, n)  # [w, g, a]
-        reference = np.bincount(
-            [w * n + g for w, r in enumerate(self.refs) for g in r.sorted_word],
-            minlength=len(self.refs) * n,
-        ).reshape(-1, n, 1)
-        ok = (carried == reference).all(axis=0)
-        if isinstance(self.control, BitControl):
-            ok |= ~np.tri(n, dtype=bool)  # [g, a]: a > g
-        checks = tuple((g, ok[g]) for g in range(n) if not ok[g].all())
-
         e = np.array(
             [[self.table.entries[g, p] % m if g < p else 0 for p in range(n)] for g in range(n)],
             dtype=np.int64,
@@ -832,10 +871,9 @@ class _Sweep:
         tables = np.ascontiguousarray(counts.transpose(0, 2, 1, 3)).reshape(n, n, n * n)
         tables *= e[:, :, None]
         tables %= m
-        pairs = tuple(
+        return tuple(
             (g, p, tables[g, p]) for p, g in np.argwhere(tables.any(axis=2).T).tolist()
         )
-        return checks, pairs
 
     def _transpositions(self, gate) -> dict[str, list[tuple[str, tuple]]] | None:
         """The transpositions of a swap gate that opens a sandwich, keyed by
@@ -952,42 +990,81 @@ class _Sweep:
                     return exponents, (
                         f"x={x}: wire {r.wire!r} carries {applied}, "
                         f"reference multiset is {r.sorted_word}"
+                        + _multiset_difference(applied, r.sorted_word)
                     )
                 total += perm_phase_exponent(applied[::-1], self.table)
             exponents.append((total - self.ref_phase) % m)
         return exponents, None
+
+    def _keys(self, xs: range) -> np.ndarray | None:
+        """The chunk's keys, intp [g, r]: where U_g acts under a
+        ``QuditControl``, the digit a_g (0 for U_0) under a ``BitControl``;
+        None if some x of the chunk has a digit the control's bit slots
+        cannot write."""
+        if isinstance(self.control, QuditControl):
+            return self.control.labeling.positions(xs)
+        n = self.n
+        digits = factoradic_blocks(n).digits(xs)
+        unwritten = _bit_tables(n, self.control.slots)[1]
+        if any(unwritten[k][digits[k - 1]].any() for k in unwritten):
+            return None
+        keys = np.zeros((n, len(xs)), dtype=np.intp)
+        keys[1:] = digits
+        return keys
+
+    def _first_failing(self, keys: np.ndarray) -> int:
+        """Index of the first state whose AND_g ok_g[key_g] over
+        :attr:`checks` is False; the number of states if there is none."""
+        size = keys.shape[1]
+        if not self.checks:
+            return size
+        ok = np.ones(size, dtype=bool)
+        for g, ok_g in self.checks:
+            ok &= ok_g[keys[g]]
+        return size if ok.all() else int(ok.argmin())
+
+    def _witness(self, x: int) -> str:
+        """The failure text of x, which the ok rows fail, from
+        :meth:`reference`; raises if the reference passes it."""
+        _, failure = self.reference(range(x, x + 1))
+        if failure is None:
+            raise InvariantError(
+                f"x={x}: the chunked sweep fails it, the per-x sweep does not"
+            )
+        return failure
+
+    def first_failure(self, xs: range) -> str | None:
+        """The residual check alone over the chunks of :meth:`sweep`: the
+        failure text of the first x whose ok rows fail, or None if none
+        does before the end of xs or a chunk holding a digit the bit slots
+        cannot write (:meth:`sweep` decides that chunk).  Builds no phase
+        tables.  For a circuit that lowers."""
+        for chunk in _chunks(xs, self.rows):
+            keys = self._keys(chunk)
+            if keys is None:
+                return None
+            first = self._first_failing(keys)
+            if first < len(chunk):
+                return self._witness(chunk[first])
+        return None
 
     def run_tables(self, xs: range) -> tuple[np.ndarray, int] | None:
         """Exponents of the chunk and the index of its first failing x
         (``len(xs)`` if none fails), or None if some x of the chunk has a
         digit the control's bit slots cannot write.
 
-        The chunk's keys are decoded (acting positions, or digits); then ok
-        = AND_g ok_g[key_g] over the checked gates, and p(x) = sum over the
-        pairs of W[key_g * n + key_p] - ref_phase mod n!, one int64 gather
-        per pair of two-gate blocks, from the tables :attr:`blocks` folds
+        The chunk's keys are decoded (:meth:`_keys`); then ok = AND_g
+        ok_g[key_g] over the checked gates, and p(x) = sum over the pairs
+        of W[key_g * n + key_p] - ref_phase mod n!, one int64 gather per
+        pair of two-gate blocks, from the tables :attr:`blocks` folds
         (:func:`~fpp.commutation.add_block_sums`).  A block entry is a sum
         of per-pair entries, each below n!, so a state's sum stays below
         (C(n, 2) + 1) * n! < 2^63 for every n <= :data:`MAX_READOUT_N`."""
-        checks = self.tables[0]
-        n, size = self.n, len(xs)
-        if isinstance(self.control, QuditControl):
-            keys = self.control.labeling.positions(xs)  # [g, r]: where U_g acts
-        else:  # [g, r]: the digit a_g, and 0 for U_0
-            digits = factoradic_blocks(n).digits(xs)
-            unwritten = _bit_tables(n, self.control.slots)[1]
-            if any(unwritten[k][digits[k - 1]].any() for k in unwritten):
-                return None
-            keys = np.zeros((n, size), dtype=np.intp)
-            keys[1:] = digits
-        first = size
-        if checks:
-            ok = np.ones(size, dtype=bool)
-            for g, ok_g in checks:
-                ok &= ok_g[keys[g]]
-            if not ok.all():
-                first = int(ok.argmin())
-        phase = np.full(size, -self.ref_phase % self.modulus, dtype=np.int64)
+        keys = self._keys(xs)
+        if keys is None:
+            return None
+        first = self._first_failing(keys)
+        phase = np.full(len(xs), -self.ref_phase % self.modulus, dtype=np.int64)
         add_block_sums(phase, keys, self.blocks)  # the keys are ours to scale
         phase %= self.modulus
         return phase, first
@@ -1020,14 +1097,24 @@ class _Sweep:
             exps, first = result
             exponents[at : at + first] = exps[:first]
             if first < len(chunk):
-                x = chunk[first]
-                _, failure = self.reference(range(x, x + 1))
-                if failure is None:
-                    raise InvariantError(
-                        f"x={x}: the chunked sweep fails it, the per-x sweep does not"
-                    )
-                return exponents[: at + first], failure
+                return exponents[: at + first], self._witness(chunk[first])
         return exponents, None
+
+
+def _multiset_difference(word: Sequence[int], reference: Sequence[int]) -> str:
+    """What a wire's word lacks and holds beyond its reference multiset, as
+    '; missing U_a, U_b; extra U_c' (each part only where it is not empty)."""
+    missing, extra = list(reference), []
+    for g in word:
+        if g in missing:
+            missing.remove(g)
+        else:
+            extra.append(g)
+    return "".join(
+        f"; {name} {', '.join(f'U_{g}' for g in sorted(gates))}"
+        for name, gates in (("missing", missing), ("extra", extra))
+        if gates
+    )
 
 
 def phase_profile(
@@ -1040,10 +1127,16 @@ def phase_profile(
     The reference words come from :func:`execute` at x=0, the single-x
     reference.  Where every apply of U_g is routed by U_g's own key alone,
     where it acts (sqrt and sim-switch) or its factoradic digit (nlogn and
-    nlogn-reduced), every x then runs in chunks through the per-gate-pair
-    tables of :meth:`_Sweep.sweep`, exact in int64, and the first failing x
-    is run again through :func:`execute`, so the failure names the same
-    witness, wire and words the per-x sweep would.  Every other circuit (a
+    nlogn-reduced), the residuals are settled first from the per-gate ok
+    rows: where some row has a False, :meth:`_Sweep.first_failure` scans
+    the chunks for the first x they fail, building no phase tables.  Only
+    a circuit that passes it (or reaches a chunk with a digit its bit
+    slots cannot write) then runs every x in chunks through the
+    per-gate-pair tables of :meth:`_Sweep.sweep`, exact in int64.  Either
+    way the first failing x is run again through :func:`execute`, so the
+    failure names the same witness, wire and words the per-x sweep would,
+    and the gates the wire's word lacks or holds beyond the reference
+    multiset.  Every other circuit (a
     gate that may move a token, as in the rail circuits, or a cross-gate
     route) sweeps through :func:`execute`, one x at a time.  A target whose
     n is not the labeling's is refused first.
@@ -1077,10 +1170,14 @@ def phase_profile(
         queries = target.query_count
     else:
         sweep = _Sweep(target, table)
-        exponents, failure = sweep.sweep(range(m))
+        # residuals first: a circuit whose ok rows fail builds no phase tables
+        failure = sweep.first_failure(range(m)) if sweep.checks else None
+        if failure is None:
+            exponents, failure = sweep.sweep(range(m))
         residuals = sweep.residuals
         queries = query_count(target)
-    exponents.flags.writeable = False  # the profile takes the array without a copy
+    if failure is None:
+        exponents.flags.writeable = False  # the profile takes the array without a copy
     return PhaseProfile(
         n=target.n,
         modulus=m,

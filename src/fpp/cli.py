@@ -92,7 +92,10 @@ def _parse_ys(spec: str, m: int, seed: int) -> Sequence[int]:
 
 
 # ys read out and printed per block: one vector readout and one write each.
-_READOUT_BLOCK = 2**16
+# A block's temporaries (about 0.5 MB each at n=10) stay small enough for
+# the allocator to reuse them across blocks; at 2**16 ys they were handed
+# back to the OS and faulted in again on every block.
+_READOUT_BLOCK = 2**14
 
 
 def _ascii(text: str) -> np.ndarray:

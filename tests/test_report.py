@@ -31,6 +31,7 @@ from fpp import (
     solve_profile,
     sqrt_circuit,
 )
+from fpp import perms
 from fpp.errors import DomainError, UnsupportedError
 
 
@@ -387,6 +388,24 @@ def test_nonlinear_witness_names_first_x():
     assert profile.nonlinear_witness == (first, p[first], first * p[1] % 120) == (2, 2, 118)
     assert all(type(v) is int for v in profile.nonlinear_witness)
     assert _linear().nonlinear_witness is None and _failing().nonlinear_witness is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn_profiles())
+def test_readout_rule_over_small_chunks(profile):
+    # the deviations in chunks of 3, 6, then 8 states: the running gcd and
+    # the first nonzero deviation give the whole-array values
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(perms, "_FIRST_CHUNK", 3)
+        patched.setattr(perms, "_CHUNK_BYTES", 64)
+        period, witness = profile.readout_period, profile.nonlinear_witness
+    assert period == _oracle_period(profile)
+    p, m = profile.exponents.tolist(), profile.modulus
+    first = next((x for x, e in enumerate(p) if e != x * p[1] % m), None)
+    if first is None or not profile.residuals_ok:
+        assert witness is None
+    else:
+        assert witness == (first, p[first], first * p[1] % m)
 
 
 def test_readout_rejects_y_outside_the_modulus():

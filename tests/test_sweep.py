@@ -113,12 +113,18 @@ def test_relabeled_labelings_match_per_x():
     assert_sweeps_agree(FAMILIES["superperm"].build(4, lab4), lab4)
 
 
+def _deletions(circuit: Circuit):
+    """(deleted gate, circuit without it) for every gate."""
+    gates = circuit.gates
+    for j, gate in enumerate(gates):
+        yield gate, replace(circuit, gates=gates[:j] + gates[j + 1 :])
+
+
 def _single_mutants(circuit: Circuit):
     """Every gate deleted, every polarity flipped, every PosCondSwap bound
     moved by one (both gates of its sandwich)."""
     gates = circuit.gates
-    for j in range(len(gates)):
-        yield replace(circuit, gates=gates[:j] + gates[j + 1 :])
+    yield from (mutant for _, mutant in _deletions(circuit))
     for j, g in enumerate(gates):
         if isinstance(g, (ControlledApply, ControlledSwap)):
             flipped = replace(g, polarity=1 - g.polarity)
@@ -914,14 +920,19 @@ def test_chunks_grow_from_the_first_size(chunks):
             _assert_schedule(chunks, xs, engine.rows)
 
 
-def test_early_witness_sweeps_only_the_first_chunk(chunks):
-    # nlogn n=8 without the gate U_1 where bit (1, 1) is set: x=1 fails
+def test_early_witness_sweeps_only_the_first_chunk(monkeypatch, chunks):
+    # nlogn n=8 without the gate U_1 where bit (1, 1) is set: x=1 fails.
+    # The residual scan decodes the first chunk alone, and the table route
+    # never runs
+    scanned = _recording(monkeypatch, "_keys")
     lab = FactoradicLabeling(8)
     c = nlogn_circuit(8)
     j = next(j for j, g in enumerate(c.gates) if isinstance(g, ControlledApply) and g.bit == (1, 1) and g.polarity)
     broken = replace(c, gates=c.gates[:j] + c.gates[j + 1 :])
-    assert phase_profile(broken, lab).failure.startswith("x=1:")
-    assert chunks == [range(0, perms._FIRST_CHUNK)]
+    failure = phase_profile(broken, lab).failure
+    assert failure.startswith("x=1:") and failure.endswith("; missing U_1")
+    assert scanned == [range(0, perms._FIRST_CHUNK)]
+    assert chunks == []
 
 
 def test_small_growing_chunks_fill_exponents_in_x_order(monkeypatch):
@@ -1154,3 +1165,92 @@ def test_table_route_reruns_the_chunk_with_an_unwritable_digit(monkeypatch, chun
     with pytest.raises(InvariantError) as per_x:
         circuit.control.assignment(4)
     assert str(exc.value) == str(per_x.value)
+
+
+# ---------------------------------------------------------------------------
+# residuals before phases
+
+
+def _no_phase_tables(*args, **kwargs):
+    raise AssertionError("phase tables built for a circuit whose residuals fail")
+
+
+def assert_residuals_decide(monkeypatch, circuit: Circuit, labeling: Labeling) -> bool:
+    """Where both sweeps fail the circuit, :func:`phase_profile` gives the
+    failure of :func:`assert_sweeps_agree` with the pair-table builder and
+    :func:`~fpp.commutation.block_tables` made to raise, so it builds
+    neither.  Returns whether the sweeps fail it (False also where the x=0
+    reference rejects it)."""
+    try:
+        engine = _engine(circuit, labeling)
+    except StructuralError:
+        return False
+    exponents, failure = assert_sweeps_agree(circuit, labeling)
+    if isinstance(exponents, str) or failure is None:  # they raise alike, or it passes
+        return False
+    assert engine.checks is None or engine.checks, "a lowered circuit fails on its ok rows"
+    with monkeypatch.context() as patched:
+        patched.setattr(algorithms._Sweep, "_pair_tables", _no_phase_tables)
+        patched.setattr(algorithms, "block_tables", _no_phase_tables)
+        profile = phase_profile(circuit, labeling)
+    assert profile.failure == failure and not profile.residuals_ok
+    assert profile.exponents.size == 0
+    return True
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_failing_reject_suites_build_no_phase_tables(monkeypatch, n):
+    lab = FactoradicLabeling(n)
+    for seed in (1, 2, 3):
+        for mutant in _reject_suite(monkeypatch, n, seed):
+            decided = assert_residuals_decide(monkeypatch, mutant.circuit, lab)
+            assert decided == mutant.has_witness, mutant.name
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_failing_deletions_build_no_phase_tables(monkeypatch, n):
+    lab = FactoradicLabeling(n)
+    for family in ("nlogn", "sqrt", "sim-switch"):
+        decided = [
+            assert_residuals_decide(monkeypatch, mutant, lab)
+            for _, mutant in _deletions(FAMILIES[family].build(n, lab))
+        ]
+        assert sum(decided) >= n, family
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(case=st.one_of(sandwich_circuits(), sandwich_circuits(own_gates=True)))
+def test_failing_random_sandwiches_build_no_phase_tables(monkeypatch, case):
+    assert_residuals_decide(monkeypatch, *case)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_witness_names_the_deleted_gate(n):
+    # Deleting one apply of U_g takes one U_g off the wire it lands on at
+    # each x, so the witness wire's word differs from its x=0 multiset by
+    # that one U_g: missing where the apply lands at the witness and not at
+    # x=0 (every nlogn ControlledApply on 1), extra where it is the other way
+    lab = FactoradicLabeling(n)
+    named = 0
+    for family in ("nlogn", "sqrt", "sim-switch"):
+        for gate, mutant in _deletions(FAMILIES[family].build(n, lab)):
+            if not isinstance(gate, (Apply, ControlledApply)):
+                continue
+            failure = phase_profile(mutant, lab).failure
+            if failure is None:
+                continue
+            difference = failure[failure.index("reference multiset is") :].split("; ")[1:]
+            if isinstance(gate, ControlledApply) and gate.polarity:
+                assert difference == [f"missing U_{gate.gate}"], failure
+            else:
+                assert difference in ([f"missing U_{gate.gate}"], [f"extra U_{gate.gate}"]), failure
+            named += 1
+    assert named > 3 * n
+
+
+def test_multiset_difference_lists_both_sides():
+    assert algorithms._multiset_difference((2, 0, 2, 5), (0, 1, 2, 3)) == (
+        "; missing U_1, U_3; extra U_2, U_5"
+    )
+    assert algorithms._multiset_difference((1, 0), (0, 1)) == ""
