@@ -36,7 +36,7 @@ import json
 from dataclasses import dataclass, fields
 from functools import cached_property
 from math import factorial, gcd, isqrt, log2
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -1242,17 +1242,26 @@ class VerificationReport:
         return f"{type(self).__qualname__}({fields})"
 
     def to_json(self) -> str:
+        """The report as the JSON object :meth:`from_json` reads; y and the
+        verdict are written as Python ints and bools, whatever integer type
+        y was given as.  Raises :class:`DomainError` for a y that is not an
+        integer."""
+        try:
+            y = index(self.y)
+        except TypeError:
+            raise DomainError(f"y={self.y!r} is not an integer") from None
+        solved = self.solved_y
         payload = {
             "n": self.n,
             "family": self.family,
             "labeling": self.labeling_name,
-            "y": self.y,
+            "y": y,
             "query_count": self.query_count,
             "expected_queries": self.expected_queries,
             "residuals_x_independent": self.residuals_x_independent,
-            "phase_linear": self.phase_linear,
-            "solved_y": self.solved_y,
-            "passed": self.passed,
+            "phase_linear": bool(self.phase_linear),
+            "solved_y": None if solved is None else int(solved),
+            "passed": bool(self.passed),
             "exponents": self.exponents.tolist(),
             "residuals": {w: list(word) for w, word in sorted(self.residuals.items())},
             "failure": self.failure,
@@ -1383,13 +1392,18 @@ def readout(profile: PhaseProfile, ys: Sequence[int]) -> tuple[np.ndarray, np.nd
     Returns int64 ``solved`` and bool ``passed`` arrays aligned with ys:
     ``solved[i]`` is the report's ``solved_y`` for ys[i], or -1 where that
     is None (the phase is not linear at that y), and ``passed[i]`` its
-    ``passed``.  p(1)*y stays exact in int64 since n!^2 < 2^63.
+    ``passed``.  p(1)*y stays exact in int64 since n!^2 < 2^63.  Raises
+    :class:`DomainError` for ys that are not integers (a bool, float or
+    string included) or lie outside [0, n!).
     """
     m = profile.modulus
-    ys = np.asarray(ys, dtype=np.int64)
+    ys = np.asarray(ys)
+    if ys.size and ys.dtype.kind not in "iu":
+        raise DomainError(f"ys must be integers in [0, {m - 1}], got dtype {ys.dtype}")
     if ys.size and not (0 <= ys.min() and ys.max() < m):
         bad = ys[(ys < 0) | (ys >= m)][0]
         raise DomainError(f"y={bad} outside [0, {m - 1}]")
+    ys = ys.astype(np.int64, copy=False)
     solved = profile._p1 * ys % m
     if not profile.residuals_ok:
         solved[:] = -1

@@ -179,6 +179,23 @@ def test_from_json_rejects_altered_verdict(key):
             VerificationReport.from_json(json.dumps(payload))
 
 
+def test_json_round_trips_a_numpy_or_bool_y(profile):
+    # y and the verdict are written as JSON integers and booleans whatever
+    # integer type y came as; a bool y is written as the integer it is
+    for y, written in ((np.int64(3), 3), (np.uint8(0), 0), (True, 1), (False, 0)):
+        report = solve_profile(profile, y)
+        payload = json.loads(report.to_json())
+        assert type(payload["y"]) is int and payload["y"] == written
+        assert payload == json.loads(solve_profile(profile, written).to_json())
+        assert VerificationReport.from_json(report.to_json()) == report
+
+
+def test_to_json_refuses_a_y_that_is_not_an_integer():
+    for y in (2.0, np.float64(1), np.True_):
+        with pytest.raises(DomainError, match="not an integer"):
+            solve_profile(_linear(), y).to_json()
+
+
 def test_from_json_rejects_short_exponents():
     payload = json.loads(solve_profile(_linear(), 1).to_json())
     payload["exponents"] = payload["exponents"][:-1]
@@ -409,6 +426,18 @@ def test_readout_rule_over_small_chunks(profile):
 
 
 def test_readout_rejects_y_outside_the_modulus():
-    for ys in ([0, 24], [-1]):
+    for ys in ([0, 24], [-1], [2**63], np.array([2**63], dtype=np.uint64)):
         with pytest.raises(DomainError, match=f"y={ys[-1]} outside"):
             readout(_linear(), ys)
+
+
+def test_readout_refuses_ys_that_are_not_integers():
+    # a float, bool or string array is refused, not cast: 1.5 would read
+    # as y=1 and "3" as y=3; so is an int past int64 next to another
+    for ys in ([1.5], ["3"], [True], np.array([1, 0], dtype=bool), [2**64], [2**63, -1]):
+        with pytest.raises(DomainError, match="must be integers"):
+            readout(_linear(), ys)
+    for ys in ([], np.array([], dtype=float), np.array([3], dtype=np.int8)):
+        solved, passed = readout(_linear(), ys)
+        assert solved.dtype == np.int64 and solved.tolist() == list(ys)
+        assert passed.all()
