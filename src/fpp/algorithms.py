@@ -63,8 +63,8 @@ from .circuit import (
 )
 from .commutation import (
     CommutationTable,
+    PairSum,
     add_block_sums,
-    block_tables,
     normal_order,
     perm_phase_exponent,
 )
@@ -732,11 +732,11 @@ class _Sweep:
     ``__init__`` runs :func:`execute` at x=0 (rejecting a circuit that
     leaves a token off its wire there), keeps the per-wire reference data
     (:attr:`refs`, by wire id) and the written words (:attr:`residuals`),
-    lowers the gate list once (:meth:`_lower`) and derives the lowered
-    applies' residual ok rows, :attr:`checks`.  The phase side, the pair
-    tables (:attr:`pairs`) and their block folds (:attr:`blocks`), is built
-    on first use, so the order is: residuals from the ok rows
-    (:meth:`first_failure`), then phases for circuits that pass.
+    lowers the gate list once (:meth:`_lower`, :meth:`_landed`) and
+    derives the lowered applies' residual ok rows, :attr:`checks`.  The
+    phase side, :attr:`pair_sum`, is built on first use, so the order is:
+    residuals from the ok rows (:meth:`first_failure`), then phases for
+    circuits that pass.
     :meth:`sweep` runs a range of xs on one of two routes:
     :meth:`run_tables`, a whole chunk of control states at once in numpy,
     where there are tables; else :meth:`reference`, which runs xs one at a
@@ -756,7 +756,7 @@ class _Sweep:
     U_g lands depends on its own key alone, so the residual check of an x
     is an AND over the gates of a per-gate table, and its phase is a sum
     over gate pairs g < p of a table indexed by the keys of g and p
-    (:meth:`_checks`, :meth:`_pair_tables`).  Both are exact int64.
+    (:meth:`_checks`, :meth:`_counts`).  Both are exact int64.
 
     ``Apply`` lands on its wire for every key, ``ControlledApply`` where
     its bit holds.  Swap gates lower by one rule, the sandwich: a swap
@@ -791,49 +791,45 @@ class _Sweep:
         self.modulus = table.modulus
         self.ref_phase = sum(r.phase for r in self.refs)
         self.wire = {r.wire: i for i, r in enumerate(self.refs)}
-        self._lowered = self._lower(circuit.gates) if self.n <= MAX_READOUT_N else None
+        lowered = self._lower(circuit.gates) if self.n <= MAX_READOUT_N else None
+        self._lowered = None if lowered is None else self._landed(*lowered)
         self.checks = None if self._lowered is None else self._checks(*self._lowered)
         self.state_bytes = 8 * self.n + 24 + 1
         self.rows = _chunk_rows(self.state_bytes)
 
     @cached_property
-    def pairs(self) -> tuple | None:
-        """The pair tables of :meth:`_pair_tables`, built on first use;
+    def pair_sum(self) -> PairSum | None:
+        """The phase as a :class:`~fpp.commutation.PairSum` of :meth:`_counts`;
         None where the circuit does not lower."""
-        return None if self._lowered is None else self._pair_tables(*self._lowered)
-
-    @cached_property
-    def blocks(self) -> tuple | None:
-        """:attr:`pairs` folded per pair of two-gate blocks
-        (:func:`~fpp.commutation.block_tables`), built on first use."""
-        return None if self._lowered is None else block_tables(self.pairs, self.n)
+        return None if self._lowered is None else PairSum(self._counts(*self._lowered), self.table)
 
     @property
     def tables(self) -> tuple | None:
-        """(checks, pairs), or None where the circuit does not lower."""
-        return None if self.checks is None else (self.checks, self.pairs)
+        """(checks, pair_sum.pairs), or None where the circuit does not lower."""
+        return None if self.checks is None else (self.checks, self.pair_sum.pairs)
 
-    def _landed(self, gates: Sequence, masks: Sequence) -> np.ndarray:
-        """landed[e, g * n + a]: lowered apply e applies U_g where U_g's key
+    def _landed(self, wires: Sequence, gates: Sequence, masks: Sequence) -> tuple:
+        """The lowering as (wires, landed): intp data wires and
+        landed[e, g * n + a], lowered apply e applies U_g where U_g's key
         is a, as float64 0 or 1."""
         n, events = self.n, len(gates)
         landed = np.zeros((events, n, n))
         landed[np.arange(events), gates] = np.reshape(masks, (events, n))
-        return landed.reshape(events, n * n)
+        return np.array(wires, dtype=np.intp), landed.reshape(events, n * n)
 
-    def _checks(self, wires: Sequence, gates: Sequence, masks: Sequence) -> tuple:
+    def _checks(self, wires: np.ndarray, landed: np.ndarray) -> tuple:
         """The ok rows of the residual check, from the lowered applies:
-        apply e puts U_{gates[e]} on data wire ``wires[e]`` where that
-        gate's key is in ``masks[e]``.
+        apply e puts U_g on data wire ``wires[e]`` where ``landed[e, g * n
+        + a]`` holds (:meth:`_landed`).
 
         Lists (g, ok_g) for the gates whose ok_g has a False: ok_g[a] holds
         iff the wires U_g lands on where its key is a carry it as often as
         the reference words do (True for a digit a > g, which never occurs).
         """
-        n, events = self.n, len(gates)
+        n, events = self.n, len(wires)
         on_wire = np.zeros((len(self.refs), events))
-        on_wire[np.array(wires, dtype=np.intp), np.arange(events)] = 1
-        carried = (on_wire @ self._landed(gates, masks)).reshape(-1, n, n)  # [w, g, a]
+        on_wire[wires, np.arange(events)] = 1
+        carried = (on_wire @ landed).reshape(-1, n, n)  # [w, g, a]
         reference = np.bincount(
             [w * n + g for w, r in enumerate(self.refs) for g in r.sorted_word],
             minlength=len(self.refs) * n,
@@ -843,37 +839,15 @@ class _Sweep:
             ok |= ~np.tri(n, dtype=bool)  # [g, a]: a > g
         return tuple((g, ok[g]) for g in range(n) if not ok[g].all())
 
-    def _pair_tables(self, wires: Sequence, gates: Sequence, masks: Sequence) -> tuple:
-        """The phase tables of :meth:`run_tables`, from the lowered applies
-        of :meth:`_checks`.
-
-        Lists (g, p, W), in ascending p, for g < p with a nonzero table:
-        W[a * n + b] = e[g][p] * #{an apply of U_p before an apply of U_g
-        on the same wire, U_g's key a and U_p's key b} mod n!, the phase
-        those two gates add, int64.
-        """
-        n, m = self.n, self.modulus
-        wires = np.array(wires, dtype=np.intp)
-        landed = self._landed(gates, masks)
+    def _counts(self, wires: np.ndarray, landed: np.ndarray) -> np.ndarray:
+        """The counts of :attr:`pair_sum` (exact float64 integers, as int64)
+        from the lowered applies of :meth:`_checks`."""
         order = np.argsort(wires, kind="stable")  # gate order within a wire
         landed, wires = landed[order], wires[order]
         earlier = np.cumsum(landed, axis=0)
         earlier -= landed
         earlier -= earlier[np.searchsorted(wires, wires)]  # on the apply's wire only
-        # counts[g, a, p, b]: applies of U_p (p acting at b) before an apply
-        # of U_g (g acting at a) on the same wire; exact float64 integers
-        counts = (landed.T @ earlier).reshape(n, n, n, n).astype(np.int64)
-
-        e = np.array(
-            [[self.table.entries[g, p] % m if g < p else 0 for p in range(n)] for g in range(n)],
-            dtype=np.int64,
-        )
-        tables = np.ascontiguousarray(counts.transpose(0, 2, 1, 3)).reshape(n, n, n * n)
-        tables *= e[:, :, None]
-        tables %= m
-        return tuple(
-            (g, p, tables[g, p]) for p, g in np.argwhere(tables.any(axis=2).T).tolist()
-        )
+        return (landed.T @ earlier).reshape((self.n,) * 4).astype(np.int64)
 
     def _transpositions(self, gate) -> dict[str, list[tuple[str, tuple]]] | None:
         """The transpositions of a swap gate that opens a sandwich, keyed by
@@ -1056,16 +1030,14 @@ class _Sweep:
         The chunk's keys are decoded (:meth:`_keys`); then ok = AND_g
         ok_g[key_g] over the checked gates, and p(x) = sum over the pairs
         of W[key_g * n + key_p] - ref_phase mod n!, one int64 gather per
-        pair of two-gate blocks, from the tables :attr:`blocks` folds
-        (:func:`~fpp.commutation.add_block_sums`).  A block entry is a sum
-        of per-pair entries, each below n!, so a state's sum stays below
-        (C(n, 2) + 1) * n! < 2^63 for every n <= :data:`MAX_READOUT_N`."""
+        pair of two-gate blocks of :attr:`pair_sum`, exact in int64 for
+        every n <= :data:`MAX_READOUT_N`."""
         keys = self._keys(xs)
         if keys is None:
             return None
         first = self._first_failing(keys)
         phase = np.full(len(xs), -self.ref_phase % self.modulus, dtype=np.int64)
-        add_block_sums(phase, keys, self.blocks)  # the keys are ours to scale
+        add_block_sums(phase, keys, self.pair_sum.blocks)  # the keys are ours to scale
         phase %= self.modulus
         return phase, first
 

@@ -18,22 +18,22 @@ a block of equal-length words (:func:`brute_force_phases`, which labeling
 validation runs where a labeling fails); :func:`brute_force_phase` is its
 one-row call.
 
-A fourth route reads a permutation word by the acting positions of its
-gates: the written pair "j k" (j < k) is there exactly where U_k acts
-before U_j, so the exponent is a sum over gate pairs of a table indexed by
-the two positions (:func:`position_pairs`).  :func:`block_tables` folds
-such per-pair tables over blocks of two gates, and :func:`add_block_sums`
-gathers them over a block of words in int64, one gather per pair of
-blocks; labeling validation and the circuit sweep both run it.  The fold
-does not reduce mod n!, so a sum is exact in int64 while the number of
-per-pair tables times n! stays below 2^63: with every pair, up to n = 18;
-at n = 12 a sum is at most C(12, 2) * 12!, about 3.2e10.
+A fourth route is a :class:`PairSum`: a sum over gate pairs of a table
+indexed by the two gates' keys, from counts of which gate acts before
+which.  Keyed by acting positions it is a word's exponent
+(:meth:`PairSum.of_positions`, which labeling validation reads); keyed by
+a circuit's routing keys it is the circuit's phase (the sweep of
+``fpp.algorithms``).  Its per-pair tables fold over blocks of two gates
+(:func:`block_tables`), and :func:`add_block_sums` gathers them over a
+block of keys in int64, one gather per pair of blocks, exact while the
+number of pairs times n! stays below 2^63 (:attr:`PairSum.fits_int64`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial
 from typing import Sequence
 
@@ -50,7 +50,7 @@ __all__ = [
     "brute_force_phase",
     "brute_force_phases",
     "word_rows",
-    "position_pairs",
+    "PairSum",
     "block_tables",
     "add_block_sums",
 ]
@@ -82,6 +82,17 @@ class CommutationTable:
 
     def entry(self, j: int, k: int) -> int:
         return self.entries[(j, k)]
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """e[j][k] mod n! as a read-only n x n array, 0 on the diagonal, built
+        once: int64 up to n = 20, Python ints (object dtype) above."""
+        m = self.modulus
+        e = np.zeros((self.n, self.n), dtype=np.int64 if m < 2**63 else object)
+        for (j, k), v in self.entries.items():
+            e[j, k] = v % m
+        e.flags.writeable = False
+        return e
 
     @classmethod
     def from_upper(cls, n: int, upper: dict[tuple[int, int], int]) -> "CommutationTable":
@@ -198,10 +209,7 @@ def brute_force_phases(
     swaps = width * (width - 1) // 2
     dtype = np.int64 if swaps * (m - 1) < 2**63 else object
     # swap_phase[a * n + b] = e[a][b] where a < b, else 0: no swap, no phase.
-    swap_phase = np.zeros(n * n, dtype=dtype)
-    for (a, b), v in table.entries.items():
-        if a < b:
-            swap_phase[a * n + b] = v
+    swap_phase = np.triu(table.array, 1).astype(dtype).reshape(n * n)
     exponent = np.zeros(len(seq), dtype=dtype)
     cols = list(seq.T.copy())
     for end in range(width - 1, 0, -1):
@@ -218,18 +226,48 @@ def brute_force_phase(word: Sequence[int], table: CommutationTable) -> int:
     return int(brute_force_phases([list(word)], table)[0])
 
 
-def position_pairs(table: CommutationTable) -> tuple[tuple[int, int, np.ndarray], ...]:
-    """The exponent relative to the descending order as a pair sum over
-    acting positions: (j, k, E) for each j < k with e[j][k] != 0 mod n!, in
-    ascending k, where E[a * n + b] = e[j][k] if b < a and 0 otherwise
-    (int64, reduced mod n!).  With U_j acting at a and U_k at b, b < a is
-    the written pair "j k", the one :func:`perm_phase_exponent` counts."""
-    n, m = table.n, table.modulus
-    below = np.tri(n, k=-1, dtype=np.int64).reshape(n * n)  # [a * n + b]: b < a
-    return tuple(
-        (j, k, table.entries[j, k] % m * below)
-        for k in range(n) for j in range(k) if table.entries[j, k] % m
-    )
+@dataclass(frozen=True, eq=False)
+class PairSum:
+    """The phase sum over g < p of e[g][p] * counts[g, k_g, p, k_p] mod n!,
+    where U_g has key k_g and ``counts[g, a, p, b]`` (int64, not multiplied
+    by e) counts the applies of U_p at key b before one of U_g at key a."""
+
+    counts: np.ndarray
+    table: CommutationTable
+
+    @classmethod
+    def of_positions(cls, table: CommutationTable) -> "PairSum":
+        """A word's exponent relative to the descending order by acting
+        positions: U_k at b < a before U_j at a is the written pair "j k"."""
+        n = table.n
+        below = np.tri(n, k=-1, dtype=np.int64)  # [a, b]: b < a
+        return cls(np.broadcast_to(below[None, :, None, :], (n, n, n, n)), table)
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int, np.ndarray], ...]:
+        """(g, p, W) for each g < p with a nonzero W, in ascending p, then g:
+        W[a * n + b] = e[g][p] * counts[g, a, p, b] mod n!, int64."""
+        n, m = self.table.n, self.table.modulus
+        e = np.triu(self.table.array, 1)  # e[g][p] for g < p, else 0
+        tables = np.ascontiguousarray(self.counts.transpose(0, 2, 1, 3), dtype=e.dtype)
+        tables = tables.reshape(n, n, n * n)
+        tables *= e[:, :, None]
+        tables %= m
+        # a copy per pair frees the n^4 array: held through validation's chunk
+        # loop, it slowed validation and the next sweep by 0.5 ms each at n=8
+        live = np.argwhere(tables.any(axis=2).T).tolist()  # [p, g], ascending p
+        return tuple((g, p, tables[g, p].copy()) for p, g in live)
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, int, np.ndarray], ...]:
+        """:attr:`pairs` folded by :func:`block_tables`."""
+        return block_tables(self.pairs, self.table.n)
+
+    @property
+    def fits_int64(self) -> bool:
+        """Whether :func:`add_block_sums` over :attr:`blocks` is exact in int64 (it
+        adds at most len(pairs) * (n! - 1) to a state): with every pair, up to n = 18."""
+        return len(self.pairs) * (self.table.modulus - 1) < 2**63
 
 
 def block_tables(

@@ -31,10 +31,9 @@ import numpy as np
 
 from .commutation import (
     CommutationTable,
+    PairSum,
     add_block_sums,
-    block_tables,
     brute_force_phases,
-    position_pairs,
     word_rows,
 )
 from .errors import DomainError, FppError, InvariantError, RangeError, UnsupportedError
@@ -566,9 +565,7 @@ def _find_witness(keys: np.ndarray, n: int, table: CommutationTable) -> Contradi
     m = len(keys)
     by_key = np.argsort(keys)
     ordered = keys[by_key]
-    e = np.zeros((n, n), dtype=np.int64)
-    for (j, k), v in table.entries.items():
-        e[j, k] = v % m
+    e = table.array
     xs = np.arange(m)
     place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
     found: list[tuple[int, int, int, int]] = []  # (j * n + k, x, p, implied e[j][k])
@@ -592,27 +589,20 @@ def _find_witness(keys: np.ndarray, n: int, table: CommutationTable) -> Contradi
 
 
 def _pair_sums_hold(labeling: Labeling, table: CommutationTable) -> bool:
-    """Whether phi(x) - phi(0) = x mod n! for every x, where phi is the pair
-    sum of :func:`~fpp.commutation.position_pairs` over the acting
-    positions of word(x).
+    """Whether phi(x) - phi(0) = x mod n! for every x, where phi is the
+    :meth:`~fpp.commutation.PairSum.of_positions` pair sum over the acting
+    positions of word(x), gathered from its block tables.
 
-    The per-pair tables are folded once over blocks of two gates
-    (:func:`~fpp.commutation.block_tables`), and each chunk sums them in
-    one int64 gather per block pair
-    (:func:`~fpp.commutation.add_block_sums`).  The xs run in the chunks
-    of :func:`_chunks`, at 8n + 24 bytes a state (the intp positions and
-    three int64 vectors), each decoded once through
+    The xs run in the chunks of :func:`_chunks`, at 8n + 24 bytes a state
+    (the intp positions and three int64 vectors), each decoded once through
     :meth:`Labeling.positions` (for the factoradic labeling, by
     :func:`factoradic_blocks`).  False at the first chunk with an x that
-    fails or a position outside [0, n).  A block entry is a sum of
-    per-pair entries, each below n!, so the gathers add at most (number of
-    per-pair tables) * (n! - 1) to a state; False without a look where
-    that reaches 2^63, which it does only from n = 19 on."""
+    fails or a position outside [0, n), and without a look where the sums
+    could pass int64 (:attr:`~fpp.commutation.PairSum.fits_int64`)."""
     n, m = labeling.n, labeling.size
-    pairs = position_pairs(table)
-    if len(pairs) * (m - 1) >= 2**63:
+    pair_sum = PairSum.of_positions(table)
+    if not pair_sum.fits_int64:
         return False
-    blocks = block_tables(pairs, n)
     p0 = 0
     for chunk in _chunks(range(m), _chunk_rows(8 * n + 24)):
         keys = labeling.positions(chunk)  # intp, ours to scale
@@ -620,7 +610,7 @@ def _pair_sums_hold(labeling: Labeling, table: CommutationTable) -> bool:
             return False
         # phase[r] ends as phi(x) - x - phi(0) for x = chunk[r]
         phase = np.arange(-chunk.start - p0, -chunk.stop - p0, -1, dtype=np.int64)
-        add_block_sums(phase, keys, blocks)
+        add_block_sums(phase, keys, pair_sum.blocks)
         if chunk.start == 0:
             p0 = int(phase[0]) % m
             phase -= p0

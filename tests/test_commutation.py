@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fpp.commutation import (
     CommutationTable,
+    PairSum,
     add_block_sums,
     block_tables,
     brute_force_phase,
@@ -18,7 +19,6 @@ from fpp.commutation import (
     factoradic_table,
     normal_order,
     perm_phase_exponent,
-    position_pairs,
     random_table,
 )
 from fpp.errors import DomainError, InvariantError
@@ -267,6 +267,43 @@ def test_modulus():
         assert factoradic_table(n).modulus == factorial(n)
 
 
+def test_table_array_is_cached_read_only_and_reduced():
+    # e[j][k] mod n!, 0 on the diagonal: int64 at n=3, Python ints at n=21,
+    # where 21! passes int64; an unreduced entry is reduced
+    for t in (CommutationTable(3, {(0, 1): 7, (1, 0): -7, (0, 2): 2, (2, 0): 4,
+                                   (1, 2): -1, (2, 1): 1}), factoradic_table(21)):
+        e, m = t.array, t.modulus
+        assert t.array is e and not e.flags.writeable
+        assert e.dtype == (np.int64 if t.n == 3 else object)
+        assert e.tolist() == [[t.entries[j, k] % m if j != k else 0 for k in range(t.n)]
+                              for j in range(t.n)]
+        with pytest.raises(ValueError, match="read-only"):
+            e[0, 1] = 0
+
+
+def test_position_pair_sum_is_e_times_below():
+    # the pair tables of of_positions are e[j][k] * [b < a] for every j < k
+    # with e[j][k] != 0 mod n!, in ascending k, from unmultiplied counts
+    rng = random.Random(8)
+    for n in range(2, 13):
+        for _ in range(3):
+            t = random_table(n, rng)
+            if rng.random() < 0.5:  # some pairs zero
+                t = CommutationTable.from_upper(n, {
+                    (j, k): t.entries[j, k] * (rng.random() < 0.5)
+                    for j in range(n) for k in range(j + 1, n)
+                })
+            pair_sum = PairSum.of_positions(t)
+            below = np.tri(n, k=-1, dtype=np.int64)  # [a, b]: b < a
+            assert (pair_sum.counts == below[None, :, None, :]).all()
+            expected = [(j, k, t.entries[j, k] % t.modulus * below.reshape(-1))
+                        for k in range(n) for j in range(k) if t.entries[j, k] % t.modulus]
+            assert len(pair_sum.pairs) == len(expected), n
+            for (g, p, w), (j, k, want) in zip(pair_sum.pairs, expected):
+                assert (g, p) == (j, k) and w.dtype == np.int64 and (w == want).all()
+            assert pair_sum.fits_int64
+
+
 # ---------------------------------------------------------------------------
 # the blocked pair sum, against the per-pair sum and the bubble-sort oracle
 
@@ -353,7 +390,7 @@ def test_blocked_sum_matches_the_bubble_sort(n, kind, seed):
     words += [rng.sample(range(n), n) for _ in range(30)]
     written = np.array(words)
     positions = (n - 1 - np.argsort(written, axis=1)).T  # [g, word]: where U_g acts
-    pairs = position_pairs(table)
+    pairs = PairSum.of_positions(table).pairs
     assert [(g, p) for g, p, _ in pairs] == sorted(chosen, key=lambda gp: (gp[1], gp[0]))
     assert (blocked_sum(positions, pairs) % m == brute_force_phases(written, table)).all()
 
@@ -364,8 +401,7 @@ def test_block_tables_shape():
     # block whose only pair is its own comes alone, with n^2 entries
     for n in range(2, 13):
         half = (n + 1) // 2
-        pairs = position_pairs(factoradic_table(n))
-        blocks = block_tables(pairs, n)
+        blocks = PairSum.of_positions(factoradic_table(n)).blocks
         expected = [(b, c) for b in range(half - 1, -1, -1) for c in range(b + 1, half)]
         assert [(b, c) for b, c, _ in blocks] == (expected or [(0, 0)]), n
         assert all(t.dtype == np.int64 and t.shape == ((n**4,) if b < c else (n * n,))

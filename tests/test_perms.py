@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 
 from fpp import perms
 from fpp.commutation import (
+    PairSum,
     add_block_sums,
-    block_tables,
     brute_force_phases,
-    position_pairs,
     random_table,
 )
 from fpp.errors import DomainError, InvariantError, RangeError, UnsupportedError
@@ -494,7 +493,7 @@ def test_pair_sums_match_the_bubble_sort_on_every_x():
         m = lab.size
         for table in (perms._derived_table(lab), random_table(lab.n, rng)):
             phase = np.zeros(m, dtype=np.int64)
-            blocks = block_tables(position_pairs(table), lab.n)
+            blocks = PairSum.of_positions(table).blocks
             add_block_sums(phase, lab.positions(range(m)), blocks)
             oracle = brute_force_phases(lab.words(range(m)), table)
             assert (phase % m == oracle).all(), lab.name

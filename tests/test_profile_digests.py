@@ -76,7 +76,7 @@ def _feed_tables(h, circuit, table) -> None:
         _feed(h, "check", g, ok.dtype.str, ok.tobytes())
     for g, p, w in pairs:
         _feed(h, "pair", g, p, w.dtype.str, w.tobytes())
-    for b, c, t in sweep.blocks:
+    for b, c, t in sweep.pair_sum.blocks:
         _feed(h, "block", b, c, t.dtype.str, t.tobytes())
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fpp import algorithms, perms
+from fpp import algorithms, commutation, perms
 from fpp.algorithms import (
     FAMILIES,
     MAX_READOUT_N,
@@ -1078,6 +1078,24 @@ def test_table_route_selection(n):
         assert failure is None and exponents.tolist() == list(xs), name
 
 
+@pytest.mark.parametrize("family", ["sqrt", "sim-switch"])
+def test_position_keyed_counts_are_apply_order_counts(family):
+    # sqrt and sim-switch read only acting positions; their unmultiplied
+    # counts, less the [b < a] of the label phase, are one value per pair
+    # j < k over every a != b, and no ok row fails
+    for n in range(3, 10):
+        circuit = FAMILIES[family].build(n, FactoradicLabeling(n))
+        sweep = algorithms._Sweep(circuit, factoradic_table(n))
+        assert sweep.checks == (), (family, n)
+        counts = sweep.pair_sum.counts
+        assert counts.dtype == np.int64 and counts.shape == (n,) * 4
+        off = ~np.eye(n, dtype=bool)
+        for k in range(n):
+            for j in range(k):
+                shift = counts[j, :, k, :] - np.tri(n, k=-1, dtype=np.int64)  # [a, b]
+                assert len(np.unique(shift[off])) == 1, (family, n, j, k)
+
+
 def test_table_route_gathers_per_block_pair():
     # the per-pair tables fold into one table per pair of two-gate blocks
     # (the last gate alone at odd n): 6 gathers at n=8 for sqrt's 28 pairs
@@ -1086,9 +1104,10 @@ def test_table_route_gathers_per_block_pair():
         lab = FactoradicLabeling(n)
         for name in ("sqrt", "nlogn"):
             sweep = algorithms._Sweep(FAMILIES[name].build(n, lab), factoradic_table(n))
-            assert len(sweep.blocks) == comb((n + 1) // 2, 2), (name, n)
+            blocks = sweep.pair_sum.blocks
+            assert len(blocks) == comb((n + 1) // 2, 2), (name, n)
             if name == "sqrt" and n == 12:
-                assert sum(t.nbytes for _, _, t in sweep.blocks) < 3_000_000
+                assert sum(t.nbytes for _, _, t in blocks) < 3_000_000
 
 
 def _assert_sweeps_per_x(circuit: Circuit, labeling: Labeling, references):
@@ -1177,7 +1196,8 @@ def _no_phase_tables(*args, **kwargs):
 
 def assert_residuals_decide(monkeypatch, circuit: Circuit, labeling: Labeling) -> bool:
     """Where both sweeps fail the circuit, :func:`phase_profile` gives the
-    failure of :func:`assert_sweeps_agree` with the pair-table builder and
+    failure of :func:`assert_sweeps_agree` with the count builder of its
+    :class:`~fpp.commutation.PairSum` and
     :func:`~fpp.commutation.block_tables` made to raise, so it builds
     neither.  Returns whether the sweeps fail it (False also where the x=0
     reference rejects it)."""
@@ -1190,8 +1210,8 @@ def assert_residuals_decide(monkeypatch, circuit: Circuit, labeling: Labeling) -
         return False
     assert engine.checks is None or engine.checks, "a lowered circuit fails on its ok rows"
     with monkeypatch.context() as patched:
-        patched.setattr(algorithms._Sweep, "_pair_tables", _no_phase_tables)
-        patched.setattr(algorithms, "block_tables", _no_phase_tables)
+        patched.setattr(algorithms._Sweep, "_counts", _no_phase_tables)
+        patched.setattr(commutation, "block_tables", _no_phase_tables)
         profile = phase_profile(circuit, labeling)
     assert profile.failure == failure and not profile.residuals_ok
     assert profile.exponents.size == 0
