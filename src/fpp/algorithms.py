@@ -64,7 +64,6 @@ from .circuit import (
 from .commutation import (
     CommutationTable,
     PairSum,
-    add_block_sums,
     normal_order,
     perm_phase_exponent,
 )
@@ -76,7 +75,7 @@ from .perms import (
     PermWord,
     _chunk_rows,
     _chunks,
-    factoradic_blocks,
+    _scan,
 )
 
 __all__ = [
@@ -732,31 +731,25 @@ class _Sweep:
     ``__init__`` runs :func:`execute` at x=0 (rejecting a circuit that
     leaves a token off its wire there), keeps the per-wire reference data
     (:attr:`refs`, by wire id) and the written words (:attr:`residuals`),
-    lowers the gate list once (:meth:`_lower`, :meth:`_landed`) and
-    derives the lowered applies' residual ok rows, :attr:`checks`.  The
-    phase side, :attr:`pair_sum`, is built on first use, so the order is:
-    residuals from the ok rows (:meth:`first_failure`), then phases for
-    circuits that pass.
-    :meth:`sweep` runs a range of xs on one of two routes:
-    :meth:`run_tables`, a whole chunk of control states at once in numpy,
-    where there are tables; else :meth:`reference`, which runs xs one at a
-    time through :func:`execute` and the residual checks, and is the
-    oracle the tests hold the tables to.  There are no tables
-    (:attr:`tables` and :attr:`checks` are None) past
-    :data:`MAX_READOUT_N`, for a circuit with a gate that may leave a token
-    off its wire (a ``Rewire``, or a swap gate outside a sandwich), or
-    where it is cross-gate, a route of U_g reading another gate's key.
+    and lowers the gate list once (:meth:`_lower`, :meth:`_landed`) into
+    the residual ok rows, :attr:`checks`.  The phase side, :attr:`pair_sum`,
+    is built on first use: residuals come first (:meth:`first_failure`),
+    then phases for circuits that pass (:meth:`sweep`), each a
+    :func:`~fpp.perms._scan` over the control's ``keys``.  A circuit that
+    does not lower (:attr:`checks` is None) runs :meth:`reference`, one x
+    at a time through :func:`execute`, which is also the tests' oracle:
+    past :data:`MAX_READOUT_N`, with a gate that may leave a token off its
+    wire (a ``Rewire``, or a swap gate outside a sandwich), or cross-gate,
+    a route of U_g reading another gate's key.
 
     The lowering keeps one apply per route: U_g on a data wire (numbered
-    0..W-1 in the sorted order of ``refs``) for the keys of U_g where the
-    apply lands there.  U_g's key is where it acts under a
-    ``QuditControl`` (sqrt and sim-switch), its factoradic digit a_g under
-    a ``BitControl`` (nlogn and nlogn-reduced, whose U_k is controlled by
-    bits (k, i) alone); U_0 has no digit, and its key is 0.  Where each
-    U_g lands depends on its own key alone, so the residual check of an x
-    is an AND over the gates of a per-gate table, and its phase is a sum
-    over gate pairs g < p of a table indexed by the keys of g and p
-    (:meth:`_checks`, :meth:`_counts`).  Both are exact int64.
+    0..W-1 in the sorted order of ``refs``) for the keys of U_g where it
+    lands there.  U_g's key is where it acts under a ``QuditControl`` (sqrt
+    and sim-switch), its factoradic digit a_g under a ``BitControl`` (nlogn
+    and nlogn-reduced), 0 for U_0.  As each U_g lands by its own key alone,
+    the residual check of an x is an AND over the gates of a per-gate row,
+    and its phase a sum over gate pairs g < p of a table indexed by the
+    keys of g and p (:meth:`_checks`, :meth:`_counts`), exact in int64.
 
     ``Apply`` lands on its wire for every key, ``ControlledApply`` where
     its bit holds.  Swap gates lower by one rule, the sandwich: a swap
@@ -802,11 +795,6 @@ class _Sweep:
         """The phase as a :class:`~fpp.commutation.PairSum` of :meth:`_counts`;
         None where the circuit does not lower."""
         return None if self._lowered is None else PairSum(self._counts(*self._lowered), self.table)
-
-    @property
-    def tables(self) -> tuple | None:
-        """(checks, pair_sum.pairs), or None where the circuit does not lower."""
-        return None if self.checks is None else (self.checks, self.pair_sum.pairs)
 
     def _landed(self, wires: Sequence, gates: Sequence, masks: Sequence) -> tuple:
         """The lowering as (wires, landed): intp data wires and
@@ -970,33 +958,6 @@ class _Sweep:
             exponents.append((total - self.ref_phase) % m)
         return exponents, None
 
-    def _keys(self, xs: range) -> np.ndarray | None:
-        """The chunk's keys, intp [g, r]: where U_g acts under a
-        ``QuditControl``, the digit a_g (0 for U_0) under a ``BitControl``;
-        None if some x of the chunk has a digit the control's bit slots
-        cannot write."""
-        if isinstance(self.control, QuditControl):
-            return self.control.labeling.positions(xs)
-        n = self.n
-        digits = factoradic_blocks(n).digits(xs)
-        unwritten = _bit_tables(n, self.control.slots)[1]
-        if any(unwritten[k][digits[k - 1]].any() for k in unwritten):
-            return None
-        keys = np.zeros((n, len(xs)), dtype=np.intp)
-        keys[1:] = digits
-        return keys
-
-    def _first_failing(self, keys: np.ndarray) -> int:
-        """Index of the first state whose AND_g ok_g[key_g] over
-        :attr:`checks` is False; the number of states if there is none."""
-        size = keys.shape[1]
-        if not self.checks:
-            return size
-        ok = np.ones(size, dtype=bool)
-        for g, ok_g in self.checks:
-            ok &= ok_g[keys[g]]
-        return size if ok.all() else int(ok.argmin())
-
     def _witness(self, x: int) -> str:
         """The failure text of x, which the ok rows fail, from
         :meth:`reference`; raises if the reference passes it."""
@@ -1008,66 +969,34 @@ class _Sweep:
         return failure
 
     def first_failure(self, xs: range) -> str | None:
-        """The residual check alone over the chunks of :meth:`sweep`: the
-        failure text of the first x whose ok rows fail, or None if none
-        does before the end of xs or a chunk holding a digit the bit slots
-        cannot write (:meth:`sweep` decides that chunk).  Builds no phase
-        tables.  For a circuit that lowers."""
-        for chunk in _chunks(xs, self.rows):
-            keys = self._keys(chunk)
-            if keys is None:
-                return None
-            first = self._first_failing(keys)
-            if first < len(chunk):
+        """The failure text of the first x whose ok rows fail, scanned
+        without phases; None if none does before the end of xs or a chunk
+        the keys refuse, which :meth:`sweep` decides."""
+        for chunk, first, _ in _scan(xs, self.rows, self.control.keys, self.checks):
+            if first is not None and first < len(chunk):
                 return self._witness(chunk[first])
         return None
 
-    def run_tables(self, xs: range) -> tuple[np.ndarray, int] | None:
-        """Exponents of the chunk and the index of its first failing x
-        (``len(xs)`` if none fails), or None if some x of the chunk has a
-        digit the control's bit slots cannot write.
-
-        The chunk's keys are decoded (:meth:`_keys`); then ok = AND_g
-        ok_g[key_g] over the checked gates, and p(x) = sum over the pairs
-        of W[key_g * n + key_p] - ref_phase mod n!, one int64 gather per
-        pair of two-gate blocks of :attr:`pair_sum`, exact in int64 for
-        every n <= :data:`MAX_READOUT_N`."""
-        keys = self._keys(xs)
-        if keys is None:
-            return None
-        first = self._first_failing(keys)
-        phase = np.full(len(xs), -self.ref_phase % self.modulus, dtype=np.int64)
-        add_block_sums(phase, keys, self.pair_sum.blocks)  # the keys are ours to scale
-        phase %= self.modulus
-        return phase, first
-
     def sweep(self, xs: range) -> tuple[np.ndarray, str | None]:
-        """Exponent deltas for xs; returns (int64 exponents, first failure or
-        None).  On a failure the exponents are those of the xs before it.
-
-        A circuit with :attr:`tables` runs :meth:`run_tables` over the chunks
-        of :func:`~fpp.perms._chunks`: ``_FIRST_CHUNK`` states first, then
-        doubling up to :attr:`rows`, so the chunk that finds an early
-        failure is small.
-        The first x it finds failing is run again through :meth:`reference`,
-        so the failure text is the per-x one; so is a chunk holding an x
-        with no bit assignment, which the reference then raises on.  Every
-        other circuit runs every x through :meth:`reference`.  Exponents
-        lie below n!, which int64 holds for n <= 20.
-        """
-        if self.tables is None:
+        """(int64 exponents, first failure or None) for xs; on a failure,
+        the exponents of the xs before it.  A circuit that lowers scans its
+        ok rows and :attr:`pair_sum`, p(x) = pair sum - ref_phase mod n!;
+        the first x it fails, or a chunk the keys refuse (an x with no bit
+        assignment), runs through :meth:`reference` for the per-x failure
+        text or error.  Every other circuit runs :meth:`reference` alone."""
+        if self.checks is None:
             exps, failure = self.reference(xs)
             return np.array(exps, dtype=np.int64), failure
         exponents = np.empty(len(xs), dtype=np.int64)
-        for chunk in _chunks(xs, self.rows):
+        for chunk, first, phase in _scan(xs, self.rows, self.control.keys, self.checks, self.pair_sum):
             at = chunk.start - xs.start
-            result = self.run_tables(chunk)
-            if result is None:  # the reference fails or raises within this chunk
+            if first is None:  # the reference fails or raises within this chunk
                 exps, failure = self.reference(chunk)
                 exponents[at : at + len(exps)] = exps
                 return exponents[: at + len(exps)], failure
-            exps, first = result
-            exponents[at : at + first] = exps[:first]
+            done = exponents[at : at + first]
+            np.subtract(phase[:first], self.ref_phase, out=done)
+            done %= self.modulus
             if first < len(chunk):
                 return exponents[: at + first], self._witness(chunk[first])
         return exponents, None
@@ -1097,21 +1026,19 @@ def phase_profile(
     """Execute for every x and accumulate phase exponents against x=0.
 
     The reference words come from :func:`execute` at x=0, the single-x
-    reference.  Where every apply of U_g is routed by U_g's own key alone,
-    where it acts (sqrt and sim-switch) or its factoradic digit (nlogn and
-    nlogn-reduced), the residuals are settled first from the per-gate ok
-    rows: where some row has a False, :meth:`_Sweep.first_failure` scans
-    the chunks for the first x they fail, building no phase tables.  Only
-    a circuit that passes it (or reaches a chunk with a digit its bit
-    slots cannot write) then runs every x in chunks through the
-    per-gate-pair tables of :meth:`_Sweep.sweep`, exact in int64.  Either
-    way the first failing x is run again through :func:`execute`, so the
-    failure names the same witness, wire and words the per-x sweep would,
-    and the gates the wire's word lacks or holds beyond the reference
-    multiset.  Every other circuit (a
-    gate that may move a token, as in the rail circuits, or a cross-gate
-    route) sweeps through :func:`execute`, one x at a time.  A target whose
-    n is not the labeling's is refused first.
+    reference.  A circuit where every apply of U_g is routed by U_g's own
+    key alone (where it acts for sqrt and sim-switch, its factoradic digit
+    for nlogn and nlogn-reduced) settles its residuals first: where some
+    per-gate ok row has a False, :meth:`_Sweep.first_failure` finds the
+    first x they fail, building no phase tables.  Only a circuit that
+    passes (or reaches a chunk with a digit its bit slots cannot write)
+    sums its phases over every x in :meth:`_Sweep.sweep`.  Either way the
+    first failing x runs again through :func:`execute`, so the failure
+    names the witness, wire and words of the per-x sweep, and the gates
+    the wire's word lacks or holds beyond the reference multiset.  Every
+    other circuit (a gate that may move a token, as in the rail circuits,
+    or a cross-gate route) sweeps through :func:`execute`, one x at a
+    time.  A target whose n is not the labeling's is refused first.
 
     Every x is swept in this process.  ``processes`` is accepted and
     ignored, for callers written when the sweep could fork workers.
@@ -1249,9 +1176,10 @@ class VerificationReport:
         a residual symbol is not a JSON integer (a bool, float or string is
         refused, not converted), family or labeling is not a string,
         failure is neither a string nor null, expected_queries is neither
-        an integer nor null, residuals_x_independent is not a boolean,
-        where n < 2, and where the payload's verdict fields disagree with
-        the verdict its exponents give; :class:`UnsupportedError` for an n
+        an integer nor null, residuals_x_independent is not a boolean or
+        is true with a failure or false without one, where n < 2, and where
+        the payload's verdict fields disagree with the verdict its
+        exponents give; :class:`UnsupportedError` for an n
         past :data:`MAX_READOUT_N`.
         """
         d = json.loads(text)
@@ -1276,6 +1204,11 @@ class VerificationReport:
             raise DomainError(
                 f"report gives residuals_x_independent={d['residuals_x_independent']!r}, "
                 "not a boolean"
+            )
+        if d["residuals_x_independent"] != (d["failure"] is None):
+            raise DomainError(
+                f"report gives residuals_x_independent={d['residuals_x_independent']!r} "
+                f"with failure={d['failure']!r}: a report names a failure iff its residuals fail"
             )
         residuals = d["residuals"]
         if not isinstance(residuals, dict):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError, StructuralError
 from .numsys import bit_weight, greedy_bits, to_factoradic
-from .perms import Labeling, PermWord
+from .perms import Labeling, PermWord, factoradic_blocks
 
 __all__ = [
     "Wire",
@@ -147,6 +147,11 @@ class QuditControl:
 
     labeling: Labeling
 
+    def keys(self, xs: range) -> np.ndarray:
+        """The sweep's keys of xs, intp [g, r]: where U_g acts in the word
+        of xs[r] (:meth:`Labeling.positions`)."""
+        return self.labeling.positions(xs)
+
 
 @dataclass(frozen=True)
 class BitControl:
@@ -174,6 +179,19 @@ class BitControl:
             for i, b in zip(slots_k, greedy_bits(digits.digit(k), weights)):
                 bits[(k, i)] = b
         return bits
+
+    def keys(self, xs: range) -> np.ndarray | None:
+        """The sweep's keys of xs, a unit-step range inside [0, n!), intp
+        [g, r]: the factoradic digit a_g of xs[r], 0 for U_0; None where
+        the slots cannot write some digit of xs (:meth:`assignment` raises
+        for that x)."""
+        digits = factoradic_blocks(self.n).digits(xs)
+        unwritten = _bit_tables(self.n, self.slots)[1]
+        if any(unwritten[k][digits[k - 1]].any() for k in unwritten):
+            return None
+        keys = np.zeros((self.n, len(xs)), dtype=np.intp)
+        keys[1:] = digits
+        return keys
 
 
 @lru_cache(maxsize=None)

@@ -240,16 +240,14 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_dense(args: argparse.Namespace) -> int:
     densesim.require_supported_n(args.n)
     labeling = _load_labeling(args.labeling, args.n)
-    validation = labeling.validate()
-    if not validation.consistent:
-        raise FppError(f"labeling {labeling.name!r} is inconsistent")
     circuit = FAMILIES[args.alg].build(args.n, labeling)
     m = factorial(args.n)
     ys = _parse_ys(args.y, m, args.seed)
-    profile = phase_profile(circuit, labeling)
+    profile = phase_profile(circuit, labeling)  # refuses an inconsistent labeling, with its witness
+    table = labeling.validate().table
     failures = 0
     for y in ys:
-        units = densesim.build_promise_unitaries(args.n, y, validation.table)
+        units = densesim.build_promise_unitaries(args.n, y, table)
         result = densesim.run_dense(circuit, units, seed=args.state_seed)
         symbolic = solve_profile(profile, y).solved_y
         ok = (

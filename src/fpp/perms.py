@@ -12,7 +12,8 @@ Validation derives the pairwise table from the two designated permutations
 per pair (all other gates in descending order in front), then checks that
 the exponent of every labeled word relative to the identity word equals its
 label, on every x at every n: as a sum over gate pairs of a table indexed
-by the two gates' acting positions, in numpy over chunks of words.  Where
+by the two gates' acting positions, in numpy over the chunks of
+:func:`_scan`, the loop the circuit sweep shares.  Where
 that fails, the independent brute-force oracle, a bubble sort in numpy over
 blocks of words, decides again from the words themselves, and a witness
 pair with two conflicting exponents is produced from adjacent-transposition
@@ -25,7 +26,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -434,12 +435,12 @@ class ConsistencyResult:
         return self.status == "consistent"
 
 
-# Validation runs its xs in chunks of _FIRST_CHUNK states, then twice as
-# many each time up to the cap of :func:`_chunk_rows`; so does the circuit
-# sweep (fpp.algorithms).  A chunk costs about the same numpy calls however
-# many states it holds, so a long passing run wants large chunks, while a
-# failure at a small x is found after one small chunk.  The cap keeps the
-# chunk's working set within _CHUNK_BYTES.
+# The scan of validation and the circuit sweep (:func:`_scan`) runs its xs
+# in chunks of _FIRST_CHUNK states, then twice as many each time up to the
+# cap of :func:`_chunk_rows`.  A chunk costs about the same numpy calls
+# however many states it holds, so a long passing run wants large chunks,
+# while a failure at a small x is found after one small chunk.  The cap
+# keeps the chunk's working set within _CHUNK_BYTES.
 _FIRST_CHUNK = 2**10
 _CHUNK_BYTES = 2**21
 
@@ -458,6 +459,41 @@ def _chunks(xs: range, rows: int) -> Iterator[range]:
         yield range(lo, min(lo + size, xs.stop))
         lo += size
         size = min(2 * size, rows)
+
+
+def _scan(
+    xs: range,
+    rows: int,
+    decode: Callable[[range], np.ndarray | None],
+    checks: Sequence[tuple[int, np.ndarray]] = (),
+    pair_sum: PairSum | None = None,
+) -> Iterator[tuple[range, int | None, np.ndarray | None]]:
+    """The chunk loop of labeling validation and of the circuit's residual
+    scan and sweep, over :func:`_chunks`.  Each chunk's keys, intp [g, r],
+    are decoded once by ``decode`` (None: it refuses the chunk); a state
+    passes where ok_g[key_g] holds for every (g, ok_g) of ``checks``; with
+    a ``pair_sum``, the phases are its unreduced int64 pair sums.
+
+    Yields (chunk, index of the first failing state or len(chunk), phases
+    or None), or (chunk, None, None) for a refused chunk, and stops after
+    a chunk that is refused or holds a failing state."""
+    for chunk in _chunks(xs, rows):
+        keys = decode(chunk)
+        if keys is None:
+            yield chunk, None, None
+            return
+        ok = np.ones(len(chunk), dtype=bool)
+        for g, ok_g in checks:
+            ok &= ok_g[keys[g]]
+        first = len(chunk) if ok.all() else int(ok.argmin())
+        phases = None
+        if pair_sum is not None:
+            phases = np.zeros(len(chunk), dtype=np.int64)
+            add_block_sums(phases, keys, pair_sum.blocks)  # the decoded keys are ours to scale
+        del keys, ok  # freed before the next chunk decodes, so their memory is reused
+        yield chunk, first, phases
+        if first < len(chunk):
+            return
 
 
 def _rank(order: Sequence[int]) -> int:
@@ -591,29 +627,28 @@ def _find_witness(keys: np.ndarray, n: int, table: CommutationTable) -> Contradi
 def _pair_sums_hold(labeling: Labeling, table: CommutationTable) -> bool:
     """Whether phi(x) - phi(0) = x mod n! for every x, where phi is the
     :meth:`~fpp.commutation.PairSum.of_positions` pair sum over the acting
-    positions of word(x), gathered from its block tables.
-
-    The xs run in the chunks of :func:`_chunks`, at 8n + 24 bytes a state
-    (the intp positions and three int64 vectors), each decoded once through
-    :meth:`Labeling.positions` (for the factoradic labeling, by
-    :func:`factoradic_blocks`).  False at the first chunk with an x that
-    fails or a position outside [0, n), and without a look where the sums
-    could pass int64 (:attr:`~fpp.commutation.PairSum.fits_int64`)."""
+    positions of word(x), in the chunks of :func:`_scan` at 8n + 24 bytes
+    a state (the intp positions and three int64 vectors).  False at the
+    first chunk with an x that fails or a position outside [0, n), and
+    without a look where the sums could pass int64
+    (:attr:`~fpp.commutation.PairSum.fits_int64`)."""
     n, m = labeling.n, labeling.size
     pair_sum = PairSum.of_positions(table)
     if not pair_sum.fits_int64:
         return False
+
+    def positions(xs: range) -> np.ndarray | None:
+        keys = labeling.positions(xs)
+        return None if keys.view(np.uintp).max() >= n else keys  # a negative one wraps past n
+
     p0 = 0
-    for chunk in _chunks(range(m), _chunk_rows(8 * n + 24)):
-        keys = labeling.positions(chunk)  # intp, ours to scale
-        if keys.view(np.uintp).max() >= n:  # a negative one wraps past n
+    for chunk, _, phase in _scan(range(m), _chunk_rows(8 * n + 24), positions, pair_sum=pair_sum):
+        if phase is None:
             return False
-        # phase[r] ends as phi(x) - x - phi(0) for x = chunk[r]
-        phase = np.arange(-chunk.start - p0, -chunk.stop - p0, -1, dtype=np.int64)
-        add_block_sums(phase, keys, pair_sum.blocks)
+        phase -= np.arange(chunk.start, chunk.stop)  # then phase[r] is phi(x) - x for x = chunk[r]
         if chunk.start == 0:
             p0 = int(phase[0]) % m
-            phase -= p0
+        phase -= p0
         phase %= m
         if phase.any():
             return False

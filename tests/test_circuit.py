@@ -38,7 +38,8 @@ from fpp.algorithms import (
 )
 from fpp import algorithms
 from fpp.errors import DomainError, InvariantError, RangeError, StructuralError
-from fpp.perms import FactoradicLabeling, factoradic_blocks
+from fpp.numsys import to_factoradic
+from fpp.perms import FactoradicLabeling, factoradic_blocks, relabeled
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -343,7 +344,7 @@ def test_sweep_runs_the_reference_on_the_chunk_without_bits(monkeypatch):
     circuit = Circuit(n, full.family, full.wires, gates, BitControl(n, slots))
     monkeypatch.setattr(algorithms, "_chunk_rows", lambda state_bytes: 7)
     sweep = algorithms._Sweep(circuit, lab.validate().table)
-    assert sweep.tables is not None and sweep.rows == 7
+    assert sweep.checks is not None and sweep.rows == 7
     calls = []
     reference = algorithms._Sweep.reference
 
@@ -357,3 +358,55 @@ def test_sweep_runs_the_reference_on_the_chunk_without_bits(monkeypatch):
     # x=4 is the first x with a_2 = 2; its chunk is 0..6, run per x
     assert calls == [range(0, 7)]
     assert str(exc.value) == _raised(circuit.control.assignment, 4)[1]
+
+
+# ---------------------------------------------------------------------------
+# the sweep's keys, decoded by the controls
+
+
+def _key_ranges(m):
+    """Every x up to n=6; from n=7 on, the first and last 300 xs and 300
+    across the middle."""
+    if m <= 720:
+        return [range(m)]
+    return [range(0, 300), range(m // 2 - 150, m // 2 + 150), range(m - 300, m)]
+
+
+def test_qudit_keys_are_the_acting_positions():
+    for n in range(2, 9):
+        fac = FactoradicLabeling(n)
+        for lab in (fac, relabeled(fac, [(g + 1) % n for g in range(n)])):
+            for xs in _key_ranges(lab.size):
+                keys = QuditControl(lab).keys(xs)
+                assert keys.dtype == np.intp and keys.shape == (n, len(xs))
+                assert keys.T.tolist() == [list(lab.word(x).positions()) for x in xs], lab.name
+
+
+def test_bit_keys_are_the_factoradic_digits():
+    for n in range(2, 9):
+        control = nlogn_circuit(n).control
+        for xs in _key_ranges(factorial(n)):
+            keys = control.keys(xs)
+            assert keys.dtype == np.intp and keys.shape == (n, len(xs))
+            assert keys.T.tolist() == [[0, *to_factoradic(x, n).digits] for x in xs]
+
+
+def test_bit_keys_refuse_exactly_the_ranges_with_an_unwritable_digit():
+    # nlogn n=4 without slot (2, 1): no bits write a_2 = 2 (x = 4, 5, 10,
+    # 11, ...), where assignment raises
+    n = 4
+    full = nlogn_circuit(n).control
+    control = BitControl(n, tuple(s for s in full.slots if s != (2, 1)))
+    unwritable = set()
+    for x in range(factorial(n)):
+        try:
+            control.assignment(x)
+        except InvariantError:
+            unwritable.add(x)
+    assert min(unwritable) == 4 and len(unwritable) == 8
+    for lo in range(factorial(n)):
+        for hi in range(lo + 1, factorial(n) + 1):
+            keys = control.keys(range(lo, hi))
+            assert (keys is None) == bool(unwritable & set(range(lo, hi))), (lo, hi)
+            if keys is not None:
+                assert (keys == full.keys(range(lo, hi))).all()

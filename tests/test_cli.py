@@ -6,7 +6,7 @@ import time
 import pytest
 
 from fpp.cli import main
-from fpp.perms import FactoradicLabeling, labeling_to_text
+from fpp.perms import ExplicitLabeling, FactoradicLabeling, labeling_to_text
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +214,23 @@ def test_dense_unsupported_n_exits_before_sweep(capsys, monkeypatch):
         "error: dense promise unitaries have up to (n!)^(n-1) rows; "
         "n=8 is unsupported (n <= 4)" in err
     )
+
+
+@pytest.mark.parametrize("command, alg", [("run", "nlogn"), ("dense", "sqrt")])
+def test_inconsistent_labeling_file_names_its_witness(tmp_path, capsys, command, alg):
+    # n=4 factoradic with words 5 and 6 swapped: exit 2 before any sweep or
+    # promise unitary, with the contradiction witness on stderr
+    lab = FactoradicLabeling(4)
+    words = [lab.word(x) for x in range(lab.size)]
+    words[5], words[6] = words[6], words[5]
+    path = tmp_path / "swapped.txt"
+    path.write_text(labeling_to_text(ExplicitLabeling(4, words, "swapped")))
+    code, out, err = run_cli(
+        capsys, command, "--alg", alg, "--n", "4", "--y", "all", "--labeling", f"file:{path}",
+    )
+    assert code == 2 and out == ""
+    assert f"error: labeling 'file:{path}' is inconsistent: " in err
+    assert "ContradictionWitness(pair=(0, 1), exponents=(1, 2))" in err
 
 
 def test_run_labeling_file(tmp_path, capsys):

@@ -68,13 +68,12 @@ def _feed_profile(h, target, lab) -> None:
 
 def _feed_tables(h, circuit, table) -> None:
     sweep = _outcome(h, algorithms._Sweep, circuit, table)
-    if sweep is None or sweep.tables is None:
+    if sweep is None or sweep.checks is None:
         _feed(h, "no tables")
         return
-    checks, pairs = sweep.tables
-    for g, ok in checks:
+    for g, ok in sweep.checks:
         _feed(h, "check", g, ok.dtype.str, ok.tobytes())
-    for g, p, w in pairs:
+    for g, p, w in sweep.pair_sum.pairs:
         _feed(h, "pair", g, p, w.dtype.str, w.tobytes())
     for b, c, t in sweep.pair_sum.blocks:
         _feed(h, "block", b, c, t.dtype.str, t.tobytes())

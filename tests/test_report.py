@@ -12,6 +12,7 @@ Python-int formulas over drawn exponent arrays.
 import dataclasses
 import json
 import pickle
+import re
 from dataclasses import dataclass, field, replace
 from math import factorial, gcd, isqrt
 
@@ -260,6 +261,22 @@ def test_from_json_refuses_other_fields_of_the_wrong_type(key, value, message):
     payload[key] = value
     with pytest.raises(DomainError, match=message):
         VerificationReport.from_json(json.dumps(payload))
+
+
+def test_from_json_refuses_residuals_that_disagree_with_the_failure():
+    # phase_profile names a failure exactly when the residuals fail
+    passing = json.loads(solve_profile(_linear(), 1).to_json())
+    failing = json.loads(solve_profile(_failing(), 1).to_json())
+    bogus = {**passing, "failure": "x=1: bogus"}
+    silent = {**passing, "residuals_x_independent": False, "phase_linear": False,
+              "solved_y": None, "passed": False}
+    for payload, message in (
+        (bogus, "residuals_x_independent=True with failure='x=1: bogus'"),
+        (silent, "residuals_x_independent=False with failure=None"),
+        ({**failing, "failure": None}, "residuals_x_independent=False with failure=None"),
+    ):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            VerificationReport.from_json(json.dumps(payload))
 
 
 def test_from_json_refuses_a_missing_key_and_a_payload_that_is_not_an_object():

@@ -207,7 +207,7 @@ def test_paper_circuits_lower_past_the_float64_bound():
         circuit = build(n)
         sweep = algorithms._Sweep(circuit, table)
         assert query_count(circuit) == 256 and len(_steps(sweep)) == 256
-        assert sweep.tables is None
+        assert sweep.checks is None
         xs = range(factorial(n) - 5, factorial(n))
         exponents, failure = sweep.sweep(xs)
         assert failure is None and exponents.tolist() == list(xs)
@@ -231,7 +231,7 @@ def test_chunk_boundary_inside_sweep(monkeypatch):
     monkeypatch.setattr(perms, "_CHUNK_BYTES", 7 * sqrt_bytes)  # chunks of 7 xs for sqrt
     for name, circuit in circuits.items():  # every family here takes the tables
         engine = algorithms._Sweep(circuit, table)
-        assert engine.tables is not None and engine.rows == 7, name
+        assert engine.checks is not None and engine.rows == 7, name
         assert phase_profile(circuit, lab) == whole[name]
         assert_sweeps_agree(circuit, lab)
     assert phase_profile(broken, lab).failure == whole_failure
@@ -411,7 +411,7 @@ def test_nlogn_keeps_a_block_for_every_wire():
     # psi_8_8 carries only U_0, and keeps its wire too
     assert set(engine.wire) == {w.id for w in circuit.data_wires()}
     # the table route: per state, the intp digits, three int64 vectors and the ok mask
-    assert engine.tables is not None and engine.state_bytes == 8 * 8 + 24 + 1
+    assert engine.checks is not None and engine.state_bytes == 8 * 8 + 24 + 1
     assert engine.rows == algorithms._chunk_rows(engine.state_bytes)
     profile = phase_profile(circuit, lab)
     assert profile.residuals["psi_8_8"] == (0,) and profile.slope == 1
@@ -460,11 +460,11 @@ def test_near_miss_switch_sandwiches_match_per_x():
 
 
 def test_unlowered_plans_sweep_per_x(monkeypatch):
-    # a circuit that does not lower never reaches _Sweep.run_tables
-    def run_tables(self, xs):
-        raise AssertionError("_Sweep.run_tables called for a circuit that does not lower")
+    # a circuit that does not lower never reaches the chunk scan
+    def scan(*args):
+        raise AssertionError("the chunk scan runs for a circuit that does not lower")
 
-    monkeypatch.setattr(algorithms._Sweep, "run_tables", run_tables)
+    monkeypatch.setattr(algorithms, "_scan", scan)
     lab3 = FactoradicLabeling(3)
     assert assert_sweeps_agree(FAMILIES["six-query"].build(3, lab3), lab3)[1] is None
     # sim-switch with the closing SwitchSwap of its last step replaced by the
@@ -485,21 +485,28 @@ def test_unlowered_plans_sweep_per_x(monkeypatch):
 
 
 def test_sweep_and_validation_decode_only_ranges(monkeypatch):
-    # the decoder's callers hand it unit-step ranges inside [0, n!) only
+    # the decoder's callers hand it unit-step ranges inside [0, n!) only;
+    # validation and each sweep decode each chunk of their scan once
     seen = []
     for name in ("acting", "positions", "digits"):
         method = getattr(perms.FactoradicBlocks, name)
 
         def spy(self, xs, name=name, method=method):
-            seen.append((name, self.decodes(xs)))
+            seen.append((name, xs, self.decodes(xs)))
             return method(self, xs)
 
         monkeypatch.setattr(perms.FactoradicBlocks, name, spy)
     lab = FactoradicLabeling(8)
-    for name in ("nlogn", "sqrt"):  # the first profile validates the labeling
-        assert phase_profile(FAMILIES[name].build(8, lab), lab).slope == 1
-    assert {name for name, _ in seen} == {"positions", "digits"}  # a pass decodes no words
-    assert all(decodes for _, decodes in seen)
+    assert lab.validate().consistent
+    assert [xs for _, xs, _ in seen] == list(perms._chunks(range(lab.size), perms._chunk_rows(8 * 8 + 24)))
+    for name in ("nlogn", "sqrt"):
+        circuit = FAMILIES[name].build(8, lab)
+        start = len(seen)
+        assert phase_profile(circuit, lab).slope == 1
+        decoded = [xs for _, xs, _ in seen[start:]]
+        assert decoded == list(perms._chunks(range(lab.size), _engine(circuit, lab).rows)), name
+    assert {name for name, _, _ in seen} == {"positions", "digits"}  # a pass decodes no words
+    assert all(decodes for _, _, decodes in seen)
 
     class LastWordsSwapped(FactoradicLabeling):
         """Factoradic with the words of the last two xs exchanged (both
@@ -517,8 +524,8 @@ def test_sweep_and_validation_decode_only_ranges(monkeypatch):
 
     seen.clear()
     assert not LastWordsSwapped(8).validate().consistent  # the oracle route decodes words
-    assert {name for name, _ in seen} == {"acting", "positions"}
-    assert all(decodes for _, decodes in seen)
+    assert {name for name, _, _ in seen} == {"acting", "positions"}
+    assert all(decodes for _, _, decodes in seen)
 
 
 def test_mixed_repeated_words_match_per_x():
@@ -845,8 +852,18 @@ def _recording(monkeypatch, name):
 
 @pytest.fixture
 def chunks(monkeypatch):
-    """The chunks of xs :meth:`_Sweep.run_tables` sees, in order."""
-    return _recording(monkeypatch, "run_tables")
+    """The chunks of xs the sweep's scan with phases yields, in order."""
+    seen = []
+    scan = algorithms._scan
+
+    def recording(xs, rows, decode, checks=(), pair_sum=None):
+        for step in scan(xs, rows, decode, checks, pair_sum):
+            if pair_sum is not None:
+                seen.append(step[0])
+            yield step
+
+    monkeypatch.setattr(algorithms, "_scan", recording)
+    return seen
 
 
 @pytest.fixture
@@ -876,7 +893,7 @@ def test_growing_chunks_match_per_x(small_chunks, chunks, n):
         exponents, failure = assert_sweeps_agree(circuit, lab)
         assert failure is None and len(exponents) == factorial(n)
         engine = _engine(circuit, lab)
-        if engine.tables is None:  # the rail circuits sweep per x
+        if engine.checks is None:  # the rail circuits sweep per x
             assert chunks == []
         else:
             _assert_schedule(chunks, range(lab.size), engine.rows)
@@ -924,7 +941,9 @@ def test_early_witness_sweeps_only_the_first_chunk(monkeypatch, chunks):
     # nlogn n=8 without the gate U_1 where bit (1, 1) is set: x=1 fails.
     # The residual scan decodes the first chunk alone, and the table route
     # never runs
-    scanned = _recording(monkeypatch, "_keys")
+    scanned = []
+    keys = BitControl.keys
+    monkeypatch.setattr(BitControl, "keys", lambda self, xs: scanned.append(xs) or keys(self, xs))
     lab = FactoradicLabeling(8)
     c = nlogn_circuit(8)
     j = next(j for j, g in enumerate(c.gates) if isinstance(g, ControlledApply) and g.bit == (1, 1) and g.polarity)
@@ -950,19 +969,33 @@ def test_small_growing_chunks_fill_exponents_in_x_order(monkeypatch):
 # table route
 
 
+def _table_route(sweep: algorithms._Sweep, xs: range):
+    """The exponents (pair sum - ref_phase mod n!) of every chunk the scan
+    yields over xs with the sweep's ok rows and pair sum, and the index of
+    the first failing x (len(xs) if none fails)."""
+    parts, first = [], len(xs)
+    scan = algorithms._scan(xs, sweep.rows, sweep.control.keys, sweep.checks, sweep.pair_sum)
+    for chunk, failing, phase in scan:
+        assert failing is not None  # every chunk has keys
+        parts.append((phase - sweep.ref_phase) % sweep.modulus)
+        if failing < len(chunk):
+            first = chunk.start - xs.start + failing
+    return np.concatenate(parts), first
+
+
 def assert_table_route_agrees(circuit: Circuit, labeling: Labeling, per_x=None,
                               closed_form=False):
-    """The table route (:meth:`_Sweep.run_tables`) over every x against the
-    per-x reference over the sorted xs ``per_x`` (every x if None): the
-    same exponents, the same first failing x and, through
-    :meth:`_Sweep.sweep`, the same failure text.  With ``closed_form``, the
-    exponents also equal x over every x, as they do for a circuit verified
-    against its own labeling.  Returns the first failing x (n! if none
-    fails)."""
+    """The table route (the chunk scan with ok rows and pair sum) over
+    every x against the per-x reference over the sorted xs ``per_x``
+    (every x if None): the same exponents, the same first failing x and,
+    through :meth:`_Sweep.sweep`, the same failure text.  With
+    ``closed_form``, the exponents also equal x over every x, as they do
+    for a circuit verified against its own labeling.  Returns the first
+    failing x (n! if none fails)."""
     sweep = algorithms._Sweep(circuit, labeling.validate().table)
-    assert sweep.tables is not None
+    assert sweep.checks is not None
     xs = range(labeling.size)
-    exponents, first = sweep.run_tables(xs)
+    exponents, first = _table_route(sweep, xs)
     assert exponents.dtype == np.int64
     if closed_form:
         assert first == len(xs) and np.array_equal(exponents, np.arange(len(xs)))
@@ -1009,7 +1042,7 @@ def _qualifying(circuit: Circuit, labeling: Labeling) -> bool:
     """Whether the circuit takes the table route (False where the x=0
     reference rejects it)."""
     try:
-        return algorithms._Sweep(circuit, labeling.validate().table).tables is not None
+        return algorithms._Sweep(circuit, labeling.validate().table).checks is not None
     except StructuralError:
         return False
 
@@ -1064,9 +1097,9 @@ def test_table_route_selection(n):
             continue
         sweep = algorithms._Sweep(family.build(n, lab), table)
         if name in ("superperm", "six-query"):  # Rewire steps: per x
-            assert sweep.tables is None and _steps(sweep) is None
+            assert sweep.checks is None and _steps(sweep) is None
             continue
-        checks, pairs = sweep.tables
+        checks, pairs = sweep.checks, sweep.pair_sum.pairs
         assert checks == (), name
         if name in ("sqrt", "sim-switch"):
             assert [(g, p) for g, p, _ in pairs] == [(g, p) for p in range(n) for g in range(p)]
@@ -1115,7 +1148,7 @@ def _assert_sweeps_per_x(circuit: Circuit, labeling: Labeling, references):
     and :meth:`_Sweep.sweep` hands :meth:`_Sweep.reference` every x in one
     call; returns the shared (exponents, failure) of both sweeps."""
     sweep = _engine(circuit, labeling)
-    assert sweep.tables is None and _steps(sweep) is None
+    assert sweep.checks is None and _steps(sweep) is None
     references.clear()
     sweep.sweep(range(labeling.size))
     assert references == [range(labeling.size)]
@@ -1175,8 +1208,9 @@ def test_table_route_reruns_the_chunk_with_an_unwritable_digit(monkeypatch, chun
     circuit = replace(full, gates=gates, control=BitControl(n, slots))
     monkeypatch.setattr(algorithms, "_chunk_rows", lambda state_bytes: 3)
     sweep = _engine(circuit, lab)
-    assert sweep.tables is not None and sweep.rows == 3
-    assert sweep.run_tables(range(3, 6)) is None
+    assert sweep.checks is not None and sweep.rows == 3
+    scan = algorithms._scan(range(3, 6), 3, sweep.control.keys, sweep.checks, sweep.pair_sum)
+    assert list(scan) == [(range(3, 6), None, None)]
     chunks.clear()
     with pytest.raises(InvariantError) as exc:
         sweep.sweep(range(lab.size))
