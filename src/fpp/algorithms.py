@@ -56,6 +56,7 @@ from .circuit import (
     Rewire,
     SwitchSwap,
     Wire,
+    WireOutcome,
     _bit_tables,
     aux_wire,
     execute,
@@ -98,6 +99,7 @@ __all__ = [
     "FAMILIES",
     "expected_queries",
     "PhaseProfile",
+    "Lowering",
     "phase_profile",
     "VerificationReport",
     "solve_profile",
@@ -716,40 +718,22 @@ class PhaseProfile:
         return x, int(self.exponents[x]), x * self._p1 % self.modulus
 
 
-@dataclass(frozen=True)
-class _WireRef:
-    """Reference (x=0) data for one wire, precomputed for the sweep."""
-
-    wire: str
-    sorted_word: tuple[int, ...]
-    phase: int  # descending-order exponent of the written word
-
-
-class _Sweep:
-    """The sweep of one circuit under one commutation table.
-
-    ``__init__`` runs :func:`execute` at x=0 (rejecting a circuit that
-    leaves a token off its wire there), keeps the per-wire reference data
-    (:attr:`refs`, by wire id) and the written words (:attr:`residuals`),
-    and lowers the gate list once (:meth:`_lower`, :meth:`_landed`) into
-    the residual ok rows, :attr:`checks`.  The phase side, :attr:`pair_sum`,
-    is built on first use: residuals come first (:meth:`first_failure`),
-    then phases for circuits that pass (:meth:`sweep`), each a
-    :func:`~fpp.perms._scan` over the control's ``keys``.  A circuit that
-    does not lower (:attr:`checks` is None) runs :meth:`reference`, one x
-    at a time through :func:`execute`, which is also the tests' oracle:
-    past :data:`MAX_READOUT_N`, with a gate that may leave a token off its
-    wire (a ``Rewire``, or a swap gate outside a sandwich), or cross-gate,
-    a route of U_g reading another gate's key.
+class Lowering:
+    """How one circuit lowers to keyed applies: :meth:`of` builds it from
+    the circuit and its x=0 outcome alone.
 
     The lowering keeps one apply per route: U_g on a data wire (numbered
-    0..W-1 in the sorted order of ``refs``) for the keys of U_g where it
+    0..W-1 in sorted order, :attr:`wire`) for the keys of U_g where it
     lands there.  U_g's key is where it acts under a ``QuditControl`` (sqrt
     and sim-switch), its factoradic digit a_g under a ``BitControl`` (nlogn
-    and nlogn-reduced), 0 for U_0.  As each U_g lands by its own key alone,
-    the residual check of an x is an AND over the gates of a per-gate row,
-    and its phase a sum over gate pairs g < p of a table indexed by the
-    keys of g and p (:meth:`_checks`, :meth:`_counts`), exact in int64.
+    and nlogn-reduced), 0 for U_0.  Apply e puts U_g = ``gates[e]`` on data
+    wire ``wires[e]`` where ``landed[e, g * n + a]`` is 1.0, with U_g's key
+    a.  As each U_g lands by its own key alone, the residual check of an x
+    is an AND over the gates of a per-gate row (:attr:`checks`), and its
+    phase a sum over gate pairs g < p of a table indexed by the keys of g
+    and p, with the pair counts of :attr:`counts`.  Both are built on first
+    use.  The lowering needs no commutation table and holds nothing of size
+    n!, so it is built at every n.
 
     ``Apply`` lands on its wire for every key, ``ControlledApply`` where
     its bit holds.  Swap gates lower by one rule, the sandwich: a swap
@@ -759,79 +743,107 @@ class _Sweep:
     stays on its own wire where none does.  The transpositions that hold
     at one x are disjoint and their conditions depend on x only, so the
     closing gate undoes the opening one and no token moves.  Gates of the
-    wrong control kind are left to the x=0 reference execution, which
-    rejects them before any sweep.
-
-    :attr:`state_bytes` is the working set of one state on the table
-    route: the intp keys, three int64 vectors and the ok mask.
-    :attr:`rows` is the most states a chunk holds (:func:`_chunk_rows`).
+    wrong control kind are left to the x=0 execution, which rejects them
+    before the lowering is built.
     """
 
-    def __init__(self, circuit: Circuit, table: CommutationTable):
-        out = execute(circuit, 0)
-        if not out.tokens_home:
-            raise StructuralError("reference execution left tokens off their home wires")
-        self.circuit = circuit
-        self.table = table
-        self.refs = tuple(
-            _WireRef(wire=w, sorted_word=tuple(sorted(applied)),
-                     phase=perm_phase_exponent(out.word(w), table))
-            for w, applied in sorted(out.applied.items())
-        )
-        self.residuals = {r.wire: out.word(r.wire) for r in self.refs}
+    def __init__(self, circuit: Circuit, out: WireOutcome):
         self.n = circuit.n
         self.control = circuit.control
-        self.modulus = table.modulus
-        self.ref_phase = sum(r.phase for r in self.refs)
-        self.wire = {r.wire: i for i, r in enumerate(self.refs)}
-        lowered = self._lower(circuit.gates) if self.n <= MAX_READOUT_N else None
-        self._lowered = None if lowered is None else self._landed(*lowered)
-        self.checks = None if self._lowered is None else self._checks(*self._lowered)
-        self.state_bytes = 8 * self.n + 24 + 1
-        self.rows = _chunk_rows(self.state_bytes)
+        self.out = out
+        self.wire = {w: i for i, w in enumerate(sorted(out.applied))}
+
+    @classmethod
+    def of(cls, circuit: Circuit, out: WireOutcome) -> Lowering | None:
+        """The lowering of ``circuit``, whose :func:`execute` outcome at x=0
+        is ``out``; None where it does not lower: with a gate that may
+        leave a token off its wire (a ``Rewire``, or a swap gate that opens
+        no sandwich), or cross-gate, a route of U_g reading another gate's
+        key."""
+        lowering, gates = cls(circuit, out), circuit.gates
+        n, wire = lowering.n, lowering.wire
+        lowering.unkeyed = np.zeros((n, n), dtype=bool)  # [g, a]: no x gives U_g key a
+        if isinstance(lowering.control, BitControl):  # the digit a_g is at most g
+            slot_bits = _bit_tables(n, lowering.control.slots)[0]
+            lowering.unkeyed = ~np.tri(n, dtype=bool)
+        everywhere = np.ones(n, dtype=bool)
+        memo: dict[tuple, np.ndarray] = {}  # condition key -> mask
+
+        def lands(key: tuple, gate: int) -> np.ndarray | None:
+            """Where a condition holds, over U_gate's key; None if it reads
+            another gate's key."""
+            if (key[1] if key[0] == "position" else key[1][0]) != gate:
+                return None
+            if key not in memo:
+                mask = memo[key] = np.zeros(n, dtype=bool)
+                if key[0] == "position":  # lo <= where U_gate acts < hi
+                    mask[max(key[2], 0) : max(key[3], 0)] = True
+                else:  # the bit's value is the polarity, over a_k = 0..k
+                    mask[: gate + 1] = slot_bits[key[1]] == key[2]
+            return memo[key]
+
+        routes = []  # (data wire, gate, mask)
+        j = 0
+        while j < len(gates):
+            gate = gates[j]
+            j += 1
+            if isinstance(gate, (Apply, ControlledApply)):
+                mask = everywhere if isinstance(gate, Apply) else lands(
+                    ("bit", gate.bit, gate.polarity), gate.gate
+                )
+                if mask is None:
+                    return None
+                routes.append((wire[gate.wire], gate.gate, mask))
+            else:  # a sandwich opened by this gate, or no lowering
+                swaps = lowering._transpositions(gate)
+                end = j
+                while end < len(gates) and isinstance(gates[end], Apply):
+                    end += 1
+                if swaps is None or end == len(gates) or (
+                    gates[end] != gate and lowering._transpositions(gates[end]) != swaps
+                ):
+                    return None
+                for mid in gates[j:end]:  # each lands on partners, else stays
+                    stay = everywhere
+                    for partner, key in swaps.get(mid.wire, ()):
+                        mask = lands(key, mid.gate)
+                        if mask is None:
+                            return None
+                        routes.append((wire[partner], mid.gate, mask))
+                        stay = stay & ~mask
+                    routes.append((wire[mid.wire], mid.gate, stay))
+                j = end + 1
+        events = len(routes)
+        lowering.wires = np.array([w for w, _, _ in routes], dtype=np.intp)
+        lowering.gates = np.array([g for _, g, _ in routes], dtype=np.intp)
+        landed = np.zeros((events, n, n))
+        landed[np.arange(events), lowering.gates] = np.reshape([m for _, _, m in routes], (events, n))
+        lowering.landed = landed.reshape(events, n * n)
+        return lowering
 
     @cached_property
-    def pair_sum(self) -> PairSum | None:
-        """The phase as a :class:`~fpp.commutation.PairSum` of :meth:`_counts`;
-        None where the circuit does not lower."""
-        return None if self._lowered is None else PairSum(self._counts(*self._lowered), self.table)
-
-    def _landed(self, wires: Sequence, gates: Sequence, masks: Sequence) -> tuple:
-        """The lowering as (wires, landed): intp data wires and
-        landed[e, g * n + a], lowered apply e applies U_g where U_g's key
-        is a, as float64 0 or 1."""
-        n, events = self.n, len(gates)
-        landed = np.zeros((events, n, n))
-        landed[np.arange(events), gates] = np.reshape(masks, (events, n))
-        return np.array(wires, dtype=np.intp), landed.reshape(events, n * n)
-
-    def _checks(self, wires: np.ndarray, landed: np.ndarray) -> tuple:
-        """The ok rows of the residual check, from the lowered applies:
-        apply e puts U_g on data wire ``wires[e]`` where ``landed[e, g * n
-        + a]`` holds (:meth:`_landed`).
-
-        Lists (g, ok_g) for the gates whose ok_g has a False: ok_g[a] holds
-        iff the wires U_g lands on where its key is a carry it as often as
-        the reference words do (True for a digit a > g, which never occurs).
-        """
-        n, events = self.n, len(wires)
-        on_wire = np.zeros((len(self.refs), events))
-        on_wire[wires, np.arange(events)] = 1
-        carried = (on_wire @ landed).reshape(-1, n, n)  # [w, g, a]
+    def checks(self) -> tuple:
+        """The ok rows of the residual check: (g, ok_g) for the gates whose
+        ok_g has a False.  ok_g[a] holds iff the wires U_g lands on where
+        its key is a carry it as often as the x=0 words do (True for a key
+        that no x gives U_g)."""
+        n, events = self.n, len(self.wires)
+        on_wire = np.zeros((len(self.wire), events))
+        on_wire[self.wires, np.arange(events)] = 1
+        carried = (on_wire @ self.landed).reshape(-1, n, n)  # [w, g, a]
         reference = np.bincount(
-            [w * n + g for w, r in enumerate(self.refs) for g in r.sorted_word],
-            minlength=len(self.refs) * n,
+            [i * n + g for w, i in self.wire.items() for g in self.out.applied[w]],
+            minlength=len(self.wire) * n,
         ).reshape(-1, n, 1)
-        ok = (carried == reference).all(axis=0)
-        if isinstance(self.control, BitControl):
-            ok |= ~np.tri(n, dtype=bool)  # [g, a]: a > g
+        ok = (carried == reference).all(axis=0) | self.unkeyed
         return tuple((g, ok[g]) for g in range(n) if not ok[g].all())
 
-    def _counts(self, wires: np.ndarray, landed: np.ndarray) -> np.ndarray:
-        """The counts of :attr:`pair_sum` (exact float64 integers, as int64)
-        from the lowered applies of :meth:`_checks`."""
-        order = np.argsort(wires, kind="stable")  # gate order within a wire
-        landed, wires = landed[order], wires[order]
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """The pair counts, int64 [g, a, p, b]: the pairs of applies on one
+        wire, U_p with key b before U_g with key a (exact in float64)."""
+        order = np.argsort(self.wires, kind="stable")  # gate order within a wire
+        landed, wires = self.landed[order], self.wires[order]
         earlier = np.cumsum(landed, axis=0)
         earlier -= landed
         earlier -= earlier[np.searchsorted(wires, wires)]  # on the apply's wire only
@@ -876,65 +888,50 @@ class _Sweep:
                 by_wire.setdefault(b, []).append((a, key))
         return by_wire
 
-    def _lower(self, gates: Sequence) -> list[tuple] | None:
-        """The applies of the gate list, one per route, as three aligned
-        tuples: the data wire, the gate g, and the bool mask over U_g's key
-        where the apply lands on that wire.  None if a gate may move a
-        token (a ``Rewire``, or a swap gate that opens no sandwich), or if
-        a route of U_g reads another gate's key.  A sandwich is a gate with
-        :meth:`_transpositions`, a run of ``Apply`` gates, then a gate with
-        the same transpositions."""
-        n, wire = self.n, self.wire
-        if isinstance(self.control, BitControl):
-            slot_bits = _bit_tables(n, self.control.slots)[0]
-        everywhere = np.ones(n, dtype=bool)
-        memo: dict[tuple, np.ndarray] = {}  # condition key -> mask
+class _Sweep:
+    """The sweep of one circuit under one commutation table.
 
-        def lands(key: tuple, gate: int) -> np.ndarray | None:
-            """Where a condition holds, over U_gate's key; None if it reads
-            another gate's key."""
-            if (key[1] if key[0] == "position" else key[1][0]) != gate:
-                return None
-            if key not in memo:
-                mask = memo[key] = np.zeros(n, dtype=bool)
-                if key[0] == "position":  # lo <= where U_gate acts < hi
-                    mask[max(key[2], 0) : max(key[3], 0)] = True
-                else:  # the bit's value is the polarity, over a_k = 0..k
-                    mask[: gate + 1] = slot_bits[key[1]] == key[2]
-            return memo[key]
+    ``__init__`` runs :func:`execute` at x=0 (rejecting a circuit that
+    leaves a token off its wire there), keeps the written words
+    (:attr:`residuals`) and their sorted multisets (:attr:`refs`), by wire
+    id, and the reference phase; up to :data:`MAX_READOUT_N` it takes the
+    circuit's :class:`Lowering` and its ok rows, :attr:`checks`.  The
+    phase side, :attr:`pair_sum`, is built from the lowering's counts on
+    first use: residuals come first (:meth:`first_failure`), then phases
+    for circuits that pass (:meth:`sweep`), each a
+    :func:`~fpp.perms._scan` over the control's ``keys``.  A circuit
+    without a lowering here (:attr:`checks` is None: past
+    :data:`MAX_READOUT_N`, or one that does not lower) runs
+    :meth:`reference`, one x at a time through :func:`execute`, which is
+    also the tests' oracle.
 
-        routes = []  # (data wire, gate, mask)
-        j = 0
-        while j < len(gates):
-            gate = gates[j]
-            j += 1
-            if isinstance(gate, (Apply, ControlledApply)):
-                mask = everywhere if isinstance(gate, Apply) else lands(
-                    ("bit", gate.bit, gate.polarity), gate.gate
-                )
-                if mask is None:
-                    return None
-                routes.append((wire[gate.wire], gate.gate, mask))
-            else:  # a sandwich opened by this gate, or no lowering
-                swaps = self._transpositions(gate)
-                end = j
-                while end < len(gates) and isinstance(gates[end], Apply):
-                    end += 1
-                if swaps is None or end == len(gates) or (
-                    gates[end] != gate and self._transpositions(gates[end]) != swaps
-                ):
-                    return None
-                for mid in gates[j:end]:  # each lands on partners, else stays
-                    stay = everywhere
-                    for partner, key in swaps.get(mid.wire, ()):
-                        mask = lands(key, mid.gate)
-                        if mask is None:
-                            return None
-                        routes.append((wire[partner], mid.gate, mask))
-                        stay = stay & ~mask
-                    routes.append((wire[mid.wire], mid.gate, stay))
-                j = end + 1
-        return list(zip(*routes)) or [(), (), ()]  # three aligned tuples
+    :attr:`state_bytes` is the working set of one state on the table
+    route: the intp keys, three int64 vectors and the ok mask.
+    :attr:`rows` is the most states a chunk holds (:func:`_chunk_rows`).
+    """
+
+    def __init__(self, circuit: Circuit, table: CommutationTable):
+        out = execute(circuit, 0)
+        if not out.tokens_home:
+            raise StructuralError("reference execution left tokens off their home wires")
+        self.circuit = circuit
+        self.table = table
+        self.refs = {w: tuple(sorted(applied)) for w, applied in sorted(out.applied.items())}
+        self.residuals = {w: out.word(w) for w in self.refs}
+        self.n = circuit.n
+        self.control = circuit.control
+        self.modulus = table.modulus
+        self.ref_phase = sum(perm_phase_exponent(word, table) for word in self.residuals.values())
+        self.lowering = Lowering.of(circuit, out) if self.n <= MAX_READOUT_N else None
+        self.checks = None if self.lowering is None else self.lowering.checks
+        self.state_bytes = 8 * self.n + 24 + 1
+        self.rows = _chunk_rows(self.state_bytes)
+
+    @cached_property
+    def pair_sum(self) -> PairSum | None:
+        """The phase as a :class:`~fpp.commutation.PairSum` of the
+        lowering's counts; None where there is no lowering."""
+        return None if self.lowering is None else PairSum(self.lowering.counts, self.table)
 
     def reference(self, xs: Iterable[int]) -> tuple[list[int], str | None]:
         """Per-x reference sweep: :func:`execute` and the residual checks,
@@ -946,13 +943,13 @@ class _Sweep:
             if not out.tokens_home:
                 return exponents, f"x={x}: tokens did not return to their home wires"
             total = 0
-            for r in self.refs:
-                applied = out.applied[r.wire]
-                if tuple(sorted(applied)) != r.sorted_word:
+            for wire, multiset in self.refs.items():
+                applied = out.applied[wire]
+                if tuple(sorted(applied)) != multiset:
                     return exponents, (
-                        f"x={x}: wire {r.wire!r} carries {applied}, "
-                        f"reference multiset is {r.sorted_word}"
-                        + _multiset_difference(applied, r.sorted_word)
+                        f"x={x}: wire {wire!r} carries {applied}, "
+                        f"reference multiset is {multiset}"
+                        + _multiset_difference(applied, multiset)
                     )
                 total += perm_phase_exponent(applied[::-1], self.table)
             exponents.append((total - self.ref_phase) % m)
@@ -1026,11 +1023,12 @@ def phase_profile(
     """Execute for every x and accumulate phase exponents against x=0.
 
     The reference words come from :func:`execute` at x=0, the single-x
-    reference.  A circuit where every apply of U_g is routed by U_g's own
-    key alone (where it acts for sqrt and sim-switch, its factoradic digit
-    for nlogn and nlogn-reduced) settles its residuals first: where some
-    per-gate ok row has a False, :meth:`_Sweep.first_failure` finds the
-    first x they fail, building no phase tables.  Only a circuit that
+    reference.  A circuit with a :class:`Lowering`, where every apply of
+    U_g is routed by U_g's own key alone (where it acts for sqrt and
+    sim-switch, its factoradic digit for nlogn and nlogn-reduced), settles
+    its residuals first: where one of the lowering's per-gate ok rows has
+    a False, :meth:`_Sweep.first_failure` finds the first x they fail,
+    building no pair counts and no phase tables.  Only a circuit that
     passes (or reaches a chunk with a digit its bit slots cannot write)
     sums its phases over every x in :meth:`_Sweep.sweep`.  Either way the
     first failing x runs again through :func:`execute`, so the failure
@@ -1176,11 +1174,12 @@ class VerificationReport:
         a residual symbol is not a JSON integer (a bool, float or string is
         refused, not converted), family or labeling is not a string,
         failure is neither a string nor null, expected_queries is neither
-        an integer nor null, residuals_x_independent is not a boolean or
-        is true with a failure or false without one, where n < 2, and where
-        the payload's verdict fields disagree with the verdict its
-        exponents give; :class:`UnsupportedError` for an n
-        past :data:`MAX_READOUT_N`.
+        an integer nor null, residuals_x_independent is not a boolean, is
+        true with a failure or without n! exponents, or is false without a
+        failure or with exponents (a failing profile holds none), where
+        n < 2, and where the payload's verdict fields disagree with the
+        verdict its exponents give; :class:`UnsupportedError` for an n past
+        :data:`MAX_READOUT_N`.
         """
         d = json.loads(text)
         if not isinstance(d, dict):
@@ -1229,11 +1228,9 @@ class VerificationReport:
         require_readout_n(d["n"])
         m = factorial(d["n"])
         ok = d["residuals_x_independent"]
-        if ok and len(exponents) != m:
-            raise DomainError(
-                f"report has {len(exponents)} exponents, but x-independent "
-                f"residuals need n! = {m}"
-            )
+        if len(exponents) != (m if ok else 0):
+            need = f"x-independent residuals need n! = {m}" if ok else "failing residuals hold none"
+            raise DomainError(f"report has {len(exponents)} exponents, but {need}")
         profile = PhaseProfile(
             n=d["n"],
             modulus=m,

@@ -250,6 +250,8 @@ class Circuit:
             for idx in _gate_indices(g):
                 if not 0 <= idx < self.n:
                     raise StructuralError(f"black-box index {idx} out of range for n={self.n}")
+            if isinstance(g, SwitchSwap) and not all(0 <= p < self.n for _, p in g.swaps):
+                raise StructuralError(f"gate {g} swaps at a position outside [0, {self.n})")
 
     def data_wires(self) -> tuple[Wire, ...]:
         return tuple(w for w in self.wires if w.kind in (TARGET, AUXILIARY))

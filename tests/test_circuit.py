@@ -20,6 +20,7 @@ from fpp.circuit import (
     ControlledSwap,
     PosCondSwap,
     QuditControl,
+    SwitchSwap,
     Wire,
     _bit_tables,
     aux_wire,
@@ -139,6 +140,19 @@ def test_gate_index_out_of_range():
             (Apply(2, "psi_t"),),
             QuditControl(lab),
         )
+
+
+def test_switch_swap_position_out_of_range():
+    # a position p >= n would wrap onto p - n in PermWord.acting, and a
+    # negative one raise a bare IndexError at execution: the circuit
+    # refuses both when it is built
+    n = 3
+    c = sim_switch_circuit(n)
+    for position in (n, n + 2, -1):
+        swap = SwitchSwap((("psi_t", position),))
+        with pytest.raises(StructuralError, match=rf"position outside \[0, {n}\)"):
+            replace(c, gates=(swap, *c.gates, swap))
+    assert replace(c, gates=c.gates[:1] + c.gates) is not None  # positions 0..n-1 build
 
 
 def test_sim_switch_descending_state():

@@ -264,16 +264,21 @@ def test_from_json_refuses_other_fields_of_the_wrong_type(key, value, message):
 
 
 def test_from_json_refuses_residuals_that_disagree_with_the_failure():
-    # phase_profile names a failure exactly when the residuals fail
+    # phase_profile names a failure exactly when the residuals fail, and
+    # then keeps no exponents
     passing = json.loads(solve_profile(_linear(), 1).to_json())
     failing = json.loads(solve_profile(_failing(), 1).to_json())
+    assert failing["exponents"] == []
     bogus = {**passing, "failure": "x=1: bogus"}
     silent = {**passing, "residuals_x_independent": False, "phase_linear": False,
               "solved_y": None, "passed": False}
+    edited = {**silent, "failure": "x=1: edited"}  # keeps the 24 passing exponents
     for payload, message in (
         (bogus, "residuals_x_independent=True with failure='x=1: bogus'"),
         (silent, "residuals_x_independent=False with failure=None"),
         ({**failing, "failure": None}, "residuals_x_independent=False with failure=None"),
+        (edited, "report has 24 exponents, but failing residuals hold none"),
+        ({**failing, "exponents": [0]}, "report has 1 exponents, but failing residuals hold none"),
     ):
         with pytest.raises(DomainError, match=re.escape(message)):
             VerificationReport.from_json(json.dumps(payload))

@@ -199,15 +199,15 @@ def test_exponents_past_int64_stay_exact():
 
 def test_paper_circuits_lower_past_the_float64_bound():
     # sqrt and sim-switch lower at n=16, past MAX_READOUT_N, where the
-    # sweep builds no tables and runs the reference, which gives the
-    # factoradic exponent x
+    # sweep takes no lowering, builds no tables and runs the reference,
+    # which gives the factoradic exponent x
     n = 16
     table = factoradic_table(n)
     for build in (sqrt_circuit, sim_switch_circuit):
         circuit = build(n)
+        assert query_count(circuit) == 256 and len(_steps(circuit)) == 256
         sweep = algorithms._Sweep(circuit, table)
-        assert query_count(circuit) == 256 and len(_steps(sweep)) == 256
-        assert sweep.checks is None
+        assert sweep.lowering is None and sweep.checks is None
         xs = range(factorial(n) - 5, factorial(n))
         exponents, failure = sweep.sweep(xs)
         assert failure is None and exponents.tolist() == list(xs)
@@ -251,24 +251,33 @@ def _engine(circuit: Circuit, labeling: Labeling) -> algorithms._Sweep:
     return algorithms._Sweep(circuit, labeling.validate().table)
 
 
-def _steps(engine: algorithms._Sweep):
-    """The engine's lowered applies grouped per ``Apply`` or
-    ``ControlledApply`` of its circuit, in gate order, or None if the
-    circuit does not lower.  Each group lists the (wire, gate, mask) routes
-    of that apply: the partner routes of a sandwich, then the one on its
-    own wire, whose mask in a sandwich is where no partner route holds."""
-    circuit = engine.circuit
-    lowered = engine._lower(circuit.gates)
-    if lowered is None:
+def _lowering(circuit: Circuit) -> algorithms.Lowering | None:
+    """The circuit's lowering, built with no commutation table."""
+    return algorithms.Lowering.of(circuit, execute(circuit, 0))
+
+
+def _steps(circuit: Circuit):
+    """The lowered applies of the circuit grouped per ``Apply`` or
+    ``ControlledApply``, in gate order, or None if the circuit does not
+    lower.  Each group lists the (wire, gate, mask) routes of that apply:
+    the partner routes of a sandwich, then the one on its own wire, whose
+    mask in a sandwich is where no partner route holds.  The mask of an
+    apply is its gate's row of ``landed``, which is 0 on every other row."""
+    lowering = _lowering(circuit)
+    if lowering is None:
         return None
-    wires, gates, masks = lowered
-    assert len(wires) == len(gates) == len(masks)
-    assert all(mask.dtype == bool and mask.shape == (circuit.n,) for mask in masks)
-    routes = list(zip(wires, gates, masks))
+    n, wires, gates = circuit.n, lowering.wires, lowering.gates
+    assert wires.dtype == gates.dtype == np.intp
+    landed = lowering.landed.reshape(-1, n, n)
+    assert landed.shape == (len(wires), n, n) == (len(gates), n, n)
+    assert np.isin(landed, (0, 1)).all()
+    masks = landed[np.arange(len(gates)), gates] == 1
+    assert landed.sum(axis=(1, 2)).tolist() == masks.sum(axis=1).tolist()
+    routes = list(zip(wires.tolist(), gates.tolist(), masks))
     steps = []
     for gate in circuit.gates:
         if isinstance(gate, (Apply, ControlledApply)):
-            own = engine.wire[gate.wire]
+            own = lowering.wire[gate.wire]
             end = next(i for i, (wire, _, _) in enumerate(routes) if wire == own) + 1
             step, routes = routes[:end], routes[end:]
             assert all(g == gate.gate for _, g, _ in step)
@@ -285,7 +294,7 @@ def test_sqrt_sandwiches_lower_to_routed_applies():
     lab = FactoradicLabeling(n)
     circuit = sqrt_circuit(n, lab)
     khat = -(-n // algorithms.ceil_sqrt(n))
-    steps = _steps(_engine(circuit, lab))
+    steps = _steps(circuit)
     # one lowered step per Apply: the sandwiches' and the switch steps'
     sandwiches = len(steps) - algorithms.ceil_sqrt(n) * n
     assert sandwiches == 4 * (khat - 1) * n == 20
@@ -324,7 +333,7 @@ def test_near_miss_sandwiches_match_per_x():
         return Circuit(n, "sandwiches", wires, gates, QuditControl(lab))
 
     exact = circuit((swap, apply, swap))
-    assert [len(routes) for routes in _steps(_engine(exact, lab))] == [2] * (n * n + 3)
+    assert [len(routes) for routes in _steps(exact)] == [2] * (n * n + 3)
     exponents, failure = assert_sweeps_agree(exact, lab)
     assert failure is None and any(exponents)
     routes = {  # per lowered step after the head and the first sandwich
@@ -334,7 +343,7 @@ def test_near_miss_sandwiches_match_per_x():
         "two applies between": [2, 2, 2],
     }
     for name, middle in near_misses.items():
-        steps = _steps(_engine(circuit(middle), lab))
+        steps = _steps(circuit(middle))
         if routes[name] is None:
             assert steps is None, name
         else:
@@ -359,8 +368,8 @@ def test_reversed_closing_swap_is_the_same_sandwich():
     eliminated = eliminate_controlled_unknowns(nlogn_circuit(n))
     for circuit, kind in ((sqrt, PosCondSwap), (eliminated, ControlledSwap)):
         reversed_swap = _with_reversed_closing_swap(circuit, kind)
-        steps = _steps(_engine(reversed_swap, lab))
-        assert steps is not None and len(steps) == len(_steps(_engine(circuit, lab))), kind.__name__
+        steps = _steps(reversed_swap)
+        assert steps is not None and len(steps) == len(_steps(circuit)), kind.__name__
         exponents, failure = assert_sweeps_agree(reversed_swap, lab)
         assert failure is None
         assert exponents == assert_sweeps_agree(circuit, lab)[0]
@@ -372,21 +381,22 @@ def test_paper_circuits_lower_to_plans_that_move_no_token():
     for name in ("sim-switch", "sqrt", "nlogn"):
         circuit = FAMILIES[name].build(n, lab)
         # one lowered step per Apply or ControlledApply
-        assert len(_steps(_engine(circuit, lab))) == query_count(circuit), name
+        assert len(_steps(circuit)) == query_count(circuit), name
     # in step p of sim-switch, U_i lands on the target where it acts at p,
     # and on a_i elsewhere
-    engine = _engine(sim_switch_circuit(n, lab), lab)
+    circuit = sim_switch_circuit(n, lab)
+    number = _lowering(circuit).wire
     at = np.eye(n, dtype=bool)
     assert [
-        [(wire, gate, mask.tolist()) for wire, gate, mask in step] for step in _steps(engine)
+        [(wire, gate, mask.tolist()) for wire, gate, mask in step] for step in _steps(circuit)
     ] == [
-        [(engine.wire["psi_t"], i, at[p].tolist()), (engine.wire[aux_wire(i)], i, (~at[p]).tolist())]
+        [(number["psi_t"], i, at[p].tolist()), (number[aux_wire(i)], i, (~at[p]).tolist())]
         for p in range(n) for i in range(n)
     ]
     # nlogn's U_k lands under bit (k, i) on the digits a_k = 0..k that set it
-    engine = _engine(nlogn_circuit(n), lab)
-    slot_bits = algorithms._bit_tables(n, engine.control.slots)[0]
-    for step, gate in zip(_steps(engine), engine.circuit.gates):
+    circuit = nlogn_circuit(n)
+    slot_bits = algorithms._bit_tables(n, circuit.control.slots)[0]
+    for step, gate in zip(_steps(circuit), circuit.gates):
         [(_, _, mask)] = step
         if isinstance(gate, ControlledApply):
             k = gate.bit[0]
@@ -399,7 +409,7 @@ def test_paper_circuits_lower_to_plans_that_move_no_token():
     for circuit in (FAMILIES["six-query"].build(3, lab3), *(
         FAMILIES["superperm"].build(m, FactoradicLabeling(m)) for m in (3, 4)
     )):
-        assert _steps(_engine(circuit, circuit.control.labeling)) is None, circuit.family
+        assert _steps(circuit) is None, circuit.family
         assert assert_sweeps_agree(circuit, circuit.control.labeling)[1] is None
 
 
@@ -409,7 +419,7 @@ def test_nlogn_keeps_a_block_for_every_wire():
     circuit = nlogn_circuit(8)
     engine = algorithms._Sweep(circuit, table)
     # psi_8_8 carries only U_0, and keeps its wire too
-    assert set(engine.wire) == {w.id for w in circuit.data_wires()}
+    assert set(engine.lowering.wire) == {w.id for w in circuit.data_wires()}
     # the table route: per state, the intp digits, three int64 vectors and the ok mask
     assert engine.checks is not None and engine.state_bytes == 8 * 8 + 24 + 1
     assert engine.rows == algorithms._chunk_rows(engine.state_bytes)
@@ -447,15 +457,15 @@ def test_near_miss_switch_sandwiches_match_per_x():
         return Circuit(n, "switch-sandwiches", wires, head + gates + tail, QuditControl(lab))
 
     exact = circuit((switch, *middle, switch))
-    assert len(_steps(_engine(exact, lab))) == 2 * n * n
+    assert len(_steps(exact)) == 2 * n * n
     exponents, failure = assert_sweeps_agree(exact, lab)
     assert failure is None and any(exponents)
     for name, gates in near_misses.items():
-        assert _steps(_engine(circuit(gates), lab)) is None, name
+        assert _steps(circuit(gates)) is None, name
         assert_sweeps_agree(circuit(gates), lab)
     # a missing auxiliary wire: x=0 puts U_1 at position 1, x=12 puts U_3
     partial = Circuit(n, "partial", wires[:-1], (switch, switch), QuditControl(lab))
-    assert _steps(_engine(partial, lab)) is None
+    assert _steps(partial) is None
     assert assert_sweeps_agree(partial, lab) == ("KeyError", "'a_3'")
 
 
@@ -479,7 +489,7 @@ def test_unlowered_plans_sweep_per_x(monkeypatch):
     last = lab.word(0).acting(n - 1)
     undo = PosCondSwap("psi_t", aux_wire(last), last, n - 1, n)
     broken = replace(c, gates=c.gates[:j] + (undo,))
-    assert _steps(_engine(broken, lab)) is None
+    assert _steps(broken) is None
     failure = phase_profile(broken, lab).failure
     assert failure == "x=5040: tokens did not return to their home wires"
 
@@ -545,11 +555,15 @@ def test_mixed_repeated_words_match_per_x():
         gates += [Apply(1, "u")]
         for circuit_lab in (lab, fac):
             circuit = Circuit(n, "mixed", wires, tuple(gates), QuditControl(circuit_lab))
-            ref_out, refs = execute(circuit, 0), algorithms._Sweep(circuit, table).refs
-            mixed = {r.wire for r in refs if 1 < len(set(r.sorted_word)) < len(r.sorted_word)}
+            sweep = algorithms._Sweep(circuit, table)
+            words = execute(circuit, 0).applied
+            assert sweep.refs == {w: tuple(sorted(word)) for w, word in sorted(words.items())}
+            mixed = {w for w, word in sweep.refs.items() if 1 < len(set(word)) < len(word)}
             assert mixed == {"t", "u", aux_wire(0)}
-            for r in refs:
-                assert r.phase == brute_force_phase(ref_out.word(r.wire), table)
+            phases = [commutation.perm_phase_exponent(word, table) for word in sweep.residuals.values()]
+            for phase, word in zip(phases, sweep.residuals.values()):
+                assert phase == brute_force_phase(word, table)
+            assert sweep.ref_phase == sum(phases)
             exponents, failure = assert_sweeps_agree(circuit, lab)
             assert failure is None
             profile = phase_profile(circuit, lab)
@@ -1097,7 +1111,7 @@ def test_table_route_selection(n):
             continue
         sweep = algorithms._Sweep(family.build(n, lab), table)
         if name in ("superperm", "six-query"):  # Rewire steps: per x
-            assert sweep.checks is None and _steps(sweep) is None
+            assert sweep.checks is None and _steps(sweep.circuit) is None
             continue
         checks, pairs = sweep.checks, sweep.pair_sum.pairs
         assert checks == (), name
@@ -1111,22 +1125,41 @@ def test_table_route_selection(n):
         assert failure is None and exponents.tolist() == list(xs), name
 
 
+def assert_closed_form_counts(family: str, n: int) -> np.ndarray:
+    """The pair counts of sqrt or sim-switch at n, read from the lowering
+    with no commutation table, in closed form: for g != p and a != b,
+    c[g, a, p, b] = [b < a] + kappa, and c[g, a, g, a] = C(r, 2), where
+    each auxiliary ends with U_g^r.  kappa = 0 and r = n - 1 for
+    sim-switch; kappa = khat - 1 and r = nhat + 2*khat - 3 for sqrt, with
+    nhat = ceil(sqrt(n)) and khat = ceil(n / nhat).  No ok row fails.
+    Returns the counts."""
+    nhat = algorithms.ceil_sqrt(n)
+    khat = -(-n // nhat)
+    kappa, r = (khat - 1, nhat + 2 * khat - 3) if family == "sqrt" else (0, n - 1)
+    lowering = _lowering(FAMILIES[family].build(n, FactoradicLabeling(n)))
+    assert lowering.checks == (), (family, n)
+    counts = lowering.counts
+    assert counts.dtype == np.int64 and counts.shape == (n,) * 4
+    off = ~np.eye(n, dtype=bool)
+    pairs = counts.transpose(0, 2, 1, 3)[off]  # [(g, p) with g != p, a, b]
+    below = np.tri(n, k=-1, dtype=np.int64)  # [a, b]: b < a
+    assert (pairs[:, off] == (below + kappa)[off]).all(), (family, n)
+    assert (np.einsum("gaga->ga", counts) == comb(r, 2)).all(), (family, n)
+    return counts
+
+
 @pytest.mark.parametrize("family", ["sqrt", "sim-switch"])
 def test_position_keyed_counts_are_apply_order_counts(family):
     # sqrt and sim-switch read only acting positions; their unmultiplied
     # counts, less the [b < a] of the label phase, are one value per pair
-    # j < k over every a != b, and no ok row fails
-    for n in range(3, 10):
-        circuit = FAMILIES[family].build(n, FactoradicLabeling(n))
-        sweep = algorithms._Sweep(circuit, factoradic_table(n))
-        assert sweep.checks == (), (family, n)
-        counts = sweep.pair_sum.counts
-        assert counts.dtype == np.int64 and counts.shape == (n,) * 4
-        off = ~np.eye(n, dtype=bool)
-        for k in range(n):
-            for j in range(k):
-                shift = counts[j, :, k, :] - np.tri(n, k=-1, dtype=np.int64)  # [a, b]
-                assert len(np.unique(shift[off])) == 1, (family, n, j, k)
+    # g != p over every a != b, and no ok row fails.  The lowering needs no
+    # table, so the closed form is checked past MAX_READOUT_N too; up to
+    # n=9 the table route's pair sum holds the same counts
+    for n in range(2, 26):
+        counts = assert_closed_form_counts(family, n)
+        if n <= 9:
+            sweep = algorithms._Sweep(FAMILIES[family].build(n, FactoradicLabeling(n)), factoradic_table(n))
+            assert sweep.checks == () and np.array_equal(sweep.pair_sum.counts, counts), (family, n)
 
 
 def test_table_route_gathers_per_block_pair():
@@ -1148,7 +1181,7 @@ def _assert_sweeps_per_x(circuit: Circuit, labeling: Labeling, references):
     and :meth:`_Sweep.sweep` hands :meth:`_Sweep.reference` every x in one
     call; returns the shared (exponents, failure) of both sweeps."""
     sweep = _engine(circuit, labeling)
-    assert sweep.checks is None and _steps(sweep) is None
+    assert sweep.checks is None and _steps(circuit) is None
     references.clear()
     sweep.sweep(range(labeling.size))
     assert references == [range(labeling.size)]
@@ -1230,8 +1263,8 @@ def _no_phase_tables(*args, **kwargs):
 
 def assert_residuals_decide(monkeypatch, circuit: Circuit, labeling: Labeling) -> bool:
     """Where both sweeps fail the circuit, :func:`phase_profile` gives the
-    failure of :func:`assert_sweeps_agree` with the count builder of its
-    :class:`~fpp.commutation.PairSum` and
+    failure of :func:`assert_sweeps_agree` with the lowering's count
+    builder (:attr:`~fpp.algorithms.Lowering.counts`) and
     :func:`~fpp.commutation.block_tables` made to raise, so it builds
     neither.  Returns whether the sweeps fail it (False also where the x=0
     reference rejects it)."""
@@ -1244,7 +1277,7 @@ def assert_residuals_decide(monkeypatch, circuit: Circuit, labeling: Labeling) -
         return False
     assert engine.checks is None or engine.checks, "a lowered circuit fails on its ok rows"
     with monkeypatch.context() as patched:
-        patched.setattr(algorithms._Sweep, "_counts", _no_phase_tables)
+        patched.setattr(algorithms.Lowering, "counts", property(_no_phase_tables))
         patched.setattr(commutation, "block_tables", _no_phase_tables)
         profile = phase_profile(circuit, labeling)
     assert profile.failure == failure and not profile.residuals_ok
