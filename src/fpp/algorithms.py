@@ -74,7 +74,6 @@ from .perms import (
     FactoradicLabeling,
     Labeling,
     PermWord,
-    _chunk_rows,
     _chunks,
     _scan,
 )
@@ -670,7 +669,7 @@ class PhaseProfile:
     def _deviations(self) -> Iterable[tuple[range, np.ndarray]]:
         """(xs, (x*p(1) - p(x)) mod n! over xs) for consecutive chunks of
         every x, so no temporary is n!-sized; exact in int64 as n!^2 < 2^63."""
-        for xs in _chunks(range(len(self.exponents)), _chunk_rows(8)):
+        for xs in _chunks(range(len(self.exponents))):
             d = np.arange(xs.start, xs.stop, dtype=np.int64)
             d *= self._p1
             d -= self.exponents[xs.start : xs.stop]
@@ -903,11 +902,8 @@ class _Sweep:
     without a lowering here (:attr:`checks` is None: past
     :data:`MAX_READOUT_N`, or one that does not lower) runs
     :meth:`reference`, one x at a time through :func:`execute`, which is
-    also the tests' oracle.
-
-    :attr:`state_bytes` is the working set of one state on the table
-    route: the intp keys, three int64 vectors and the ok mask.
-    :attr:`rows` is the most states a chunk holds (:func:`_chunk_rows`).
+    also the tests' oracle.  Both scans run in the chunks of
+    :func:`~fpp.perms._chunks`.
     """
 
     def __init__(self, circuit: Circuit, table: CommutationTable):
@@ -924,8 +920,6 @@ class _Sweep:
         self.ref_phase = sum(perm_phase_exponent(word, table) for word in self.residuals.values())
         self.lowering = Lowering.of(circuit, out) if self.n <= MAX_READOUT_N else None
         self.checks = None if self.lowering is None else self.lowering.checks
-        self.state_bytes = 8 * self.n + 24 + 1
-        self.rows = _chunk_rows(self.state_bytes)
 
     @cached_property
     def pair_sum(self) -> PairSum | None:
@@ -969,7 +963,7 @@ class _Sweep:
         """The failure text of the first x whose ok rows fail, scanned
         without phases; None if none does before the end of xs or a chunk
         the keys refuse, which :meth:`sweep` decides."""
-        for chunk, first, _ in _scan(xs, self.rows, self.control.keys, self.checks):
+        for chunk, first, _ in _scan(xs, self.control.keys, self.checks):
             if first is not None and first < len(chunk):
                 return self._witness(chunk[first])
         return None
@@ -985,7 +979,7 @@ class _Sweep:
             exps, failure = self.reference(xs)
             return np.array(exps, dtype=np.int64), failure
         exponents = np.empty(len(xs), dtype=np.int64)
-        for chunk, first, phase in _scan(xs, self.rows, self.control.keys, self.checks, self.pair_sum):
+        for chunk, first, phase in _scan(xs, self.control.keys, self.checks, self.pair_sum):
             at = chunk.start - xs.start
             if first is None:  # the reference fails or raises within this chunk
                 exps, failure = self.reference(chunk)
@@ -1036,7 +1030,10 @@ def phase_profile(
     the wire's word lacks or holds beyond the reference multiset.  Every
     other circuit (a gate that may move a token, as in the rail circuits,
     or a cross-gate route) sweeps through :func:`execute`, one x at a
-    time.  A target whose n is not the labeling's is refused first.
+    time.  The chunked loops, the reference switch's labels and the
+    profile's deviations included, run in the chunks of
+    :func:`~fpp.perms._chunks`.  A target whose n is not the labeling's is
+    refused first.
 
     Every x is swept in this process.  ``processes`` is accepted and
     ignored, for callers written when the sweep could fork workers.
@@ -1060,7 +1057,7 @@ def phase_profile(
         # are labeled in the chunks of the sweep's schedule.
         labels = np.arange(m)
         if target.labeling is not labeling:
-            for chunk in _chunks(range(m), _chunk_rows(8 * target.n)):
+            for chunk in _chunks(range(m)):
                 labels[chunk.start : chunk.stop] = labeling.labels(target.labeling.words(chunk))
         exponents, failure = (labels - labels[0]) % m, None
         residuals = {"psi_t": target.word(0).order}

@@ -169,6 +169,8 @@ class BitControl:
                 raise StructuralError(
                     f"bit slot ({k}, {i}) is outside 1 <= k < n={self.n}, i >= 1"
                 )
+        if len(set(self.slots)) != len(self.slots):
+            raise StructuralError(f"bit slots {self.slots} repeat a slot")
 
     def assignment(self, x: int) -> dict[tuple[int, int], int]:
         digits = to_factoradic(x, self.n)
@@ -244,8 +246,10 @@ class Circuit:
                     if ref in ids:
                         raise StructuralError(f"gate {g} acts on control wire {ref!r}")
                     raise StructuralError(f"gate {g} references unknown wire {ref!r}")
-            if slots is not None and isinstance(g, (ControlledApply, ControlledSwap)):
-                if g.bit not in slots:
+            if isinstance(g, (ControlledApply, ControlledSwap)):
+                if g.polarity not in (0, 1):
+                    raise StructuralError(f"gate {g} fires on polarity {g.polarity}, not 0 or 1")
+                if slots is not None and g.bit not in slots:
                     raise StructuralError(f"gate {g} reads bit {g.bit}, not a control slot")
             for idx in _gate_indices(g):
                 if not 0 <= idx < self.n:

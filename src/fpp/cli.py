@@ -37,6 +37,7 @@ from .errors import DomainError, FppError
 from .perms import (
     FactoradicLabeling,
     Labeling,
+    _chunks,
     enumerate_valid_labelings,
     labeling_from_text,
 )
@@ -91,13 +92,6 @@ def _parse_ys(spec: str, m: int, seed: int) -> Sequence[int]:
     return [y]
 
 
-# ys read out and printed per block: one vector readout and one write each.
-# A block's temporaries (about 0.5 MB each at n=10) stay small enough for
-# the allocator to reuse them across blocks; at 2**16 ys they were handed
-# back to the OS and faulted in again on every block.
-_READOUT_BLOCK = 2**14
-
-
 def _ascii(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
 
@@ -130,12 +124,13 @@ def _readout_lines(ys: np.ndarray, solved: np.ndarray, passed: np.ndarray, width
 
 
 def _print_readout(profile: PhaseProfile, ys: Sequence[int]) -> int:
-    """Print one line per y, ``y=<y>: solved=<solved_y> PASS|FAIL``, and
-    return the number that passed."""
+    """Print one line per y, ``y=<y>: solved=<solved_y> PASS|FAIL``, one
+    vector readout and one write per chunk of :func:`~fpp.perms._chunks`,
+    and return the number that passed."""
     width = max(len(str(profile.modulus - 1)), len("None"))
     passes = 0
-    for lo in range(0, len(ys), _READOUT_BLOCK):
-        block = ys[lo : lo + _READOUT_BLOCK]
+    for chunk in _chunks(range(len(ys))):
+        block = ys[chunk.start : chunk.stop]
         # np.asarray would walk a range element by element
         block = np.arange(block.start, block.stop) if isinstance(block, range) else np.asarray(block)
         solved, passed = readout(profile, block)

@@ -230,10 +230,13 @@ def _normals(seed: int, size: int) -> np.ndarray:
 def _start_vectors(seed: int | None, d: int, count: int) -> np.ndarray:
     """One start vector per data wire, the rows of a read-only array: |0>,
     or with a seed d real then d imaginary parts from :func:`_normals`, wire
-    by wire, divided by their norm as ``np.linalg.norm`` computes it."""
+    by wire, divided by their norm as ``np.linalg.norm`` computes it.  A
+    negative seed raises :class:`DomainError` before anything is drawn."""
     if seed is None:
         out = np.zeros((count, d), dtype=complex)
         out[:, 0] = 1.0
+    elif seed < 0:
+        raise DomainError(f"state seed must be non-negative, got {seed}")
     else:
         parts = _normals(seed, 2 * d * count).reshape(count, 2, d)
         out = parts[:, 0] + 1j * parts[:, 1]

@@ -15,9 +15,9 @@ label, on every x at every n: as a sum over gate pairs of a table indexed
 by the two gates' acting positions, in numpy over the chunks of
 :func:`_scan`, the loop the circuit sweep shares.  Where
 that fails, the independent brute-force oracle, a bubble sort in numpy over
-blocks of words, decides again from the words themselves, and a witness
-pair with two conflicting exponents is produced from adjacent-transposition
-constraints.
+the same chunks of words, decides again from the words themselves, and a
+witness pair with two conflicting exponents is produced from
+adjacent-transposition constraints.
 """
 
 from __future__ import annotations
@@ -435,49 +435,44 @@ class ConsistencyResult:
         return self.status == "consistent"
 
 
-# The scan of validation and the circuit sweep (:func:`_scan`) runs its xs
-# in chunks of _FIRST_CHUNK states, then twice as many each time up to the
-# cap of :func:`_chunk_rows`.  A chunk costs about the same numpy calls
-# however many states it holds, so a long passing run wants large chunks,
-# while a failure at a small x is found after one small chunk.  The cap
-# keeps the chunk's working set within _CHUNK_BYTES.
+# Every loop over control states or ys runs in the chunks of :func:`_chunks`:
+# _FIRST_CHUNK states, then twice as many each time up to _CHUNK_ROWS.  A
+# chunk costs about the same numpy calls however many states it holds, so a
+# long passing run wants large chunks, while a failure at a small x is found
+# after one small chunk.  At _CHUNK_ROWS a sweep chunk (8n + 25 bytes a
+# state) stays under 2 MiB for every n <= 12, and a chunk's temporaries stay
+# small enough for the allocator to reuse them across chunks.
 _FIRST_CHUNK = 2**10
-_CHUNK_BYTES = 2**21
+_CHUNK_ROWS = 2**14
 
 
-def _chunk_rows(state_bytes: int) -> int:
-    """The most states per chunk when each costs ``state_bytes`` of working
-    set."""
-    return max(1, _CHUNK_BYTES // max(state_bytes, 1))
-
-
-def _chunks(xs: range, rows: int) -> Iterator[range]:
-    """Consecutive chunks of xs: _FIRST_CHUNK states (at most ``rows``),
-    then twice the last size, up to ``rows``; the last chunk takes the rest."""
-    size, lo = min(_FIRST_CHUNK, rows), xs.start
+def _chunks(xs: range) -> Iterator[range]:
+    """Consecutive chunks of xs: _FIRST_CHUNK states, then twice the last
+    size, up to _CHUNK_ROWS; the last chunk takes the rest."""
+    size, lo = min(_FIRST_CHUNK, _CHUNK_ROWS), xs.start
     while lo < xs.stop:
         yield range(lo, min(lo + size, xs.stop))
         lo += size
-        size = min(2 * size, rows)
+        size = min(2 * size, _CHUNK_ROWS)
 
 
 def _scan(
     xs: range,
-    rows: int,
     decode: Callable[[range], np.ndarray | None],
     checks: Sequence[tuple[int, np.ndarray]] = (),
     pair_sum: PairSum | None = None,
 ) -> Iterator[tuple[range, int | None, np.ndarray | None]]:
     """The chunk loop of labeling validation and of the circuit's residual
-    scan and sweep, over :func:`_chunks`.  Each chunk's keys, intp [g, r],
-    are decoded once by ``decode`` (None: it refuses the chunk); a state
-    passes where ok_g[key_g] holds for every (g, ok_g) of ``checks``; with
-    a ``pair_sum``, the phases are its unreduced int64 pair sums.
+    scan and sweep, over the one schedule :func:`_chunks`.  Each chunk's
+    keys, intp [g, r], are decoded once by ``decode`` (None: it refuses the
+    chunk); a state passes where ok_g[key_g] holds for every (g, ok_g) of
+    ``checks``; with a ``pair_sum``, the phases are its unreduced int64
+    pair sums.
 
     Yields (chunk, index of the first failing state or len(chunk), phases
     or None), or (chunk, None, None) for a refused chunk, and stops after
     a chunk that is refused or holds a failing state."""
-    for chunk in _chunks(xs, rows):
+    for chunk in _chunks(xs):
         keys = decode(chunk)
         if keys is None:
             yield chunk, None, None
@@ -529,7 +524,7 @@ def _lehmer_ranks(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         return ranks, ok
     weights = np.array([factorial(k) for k in range(n)], dtype=dtype)
     small = np.int8 if n < 128 else np.intp
-    for chunk in _chunks(range(r), _chunk_rows(10 * n + 32)):
+    for chunk in _chunks(range(r)):
         part = rows[chunk.start : chunk.stop]
         inside = ((part >= 0) & (part < n)).all(axis=1)
         if not inside.all():
@@ -554,10 +549,6 @@ def _ranks_or_raise(labeling: Labeling, rows: np.ndarray) -> np.ndarray:
     if not ok.all():
         labeling.label(rows[ok.argmin()].tolist())  # raises its DomainError
     return ranks
-
-
-# Words resolved per call of Labeling.words on the oracle route.
-_WORD_BLOCK = 4096
 
 
 @lru_cache(maxsize=None)
@@ -627,8 +618,7 @@ def _find_witness(keys: np.ndarray, n: int, table: CommutationTable) -> Contradi
 def _pair_sums_hold(labeling: Labeling, table: CommutationTable) -> bool:
     """Whether phi(x) - phi(0) = x mod n! for every x, where phi is the
     :meth:`~fpp.commutation.PairSum.of_positions` pair sum over the acting
-    positions of word(x), in the chunks of :func:`_scan` at 8n + 24 bytes
-    a state (the intp positions and three int64 vectors).  False at the
+    positions of word(x), in the chunks of :func:`_scan`.  False at the
     first chunk with an x that fails or a position outside [0, n), and
     without a look where the sums could pass int64
     (:attr:`~fpp.commutation.PairSum.fits_int64`)."""
@@ -642,7 +632,7 @@ def _pair_sums_hold(labeling: Labeling, table: CommutationTable) -> bool:
         return None if keys.view(np.uintp).max() >= n else keys  # a negative one wraps past n
 
     p0 = 0
-    for chunk, _, phase in _scan(range(m), _chunk_rows(8 * n + 24), positions, pair_sum=pair_sum):
+    for chunk, _, phase in _scan(range(m), positions, pair_sum=pair_sum):
         if phase is None:
             return False
         phase -= np.arange(chunk.start, chunk.stop)  # then phase[r] is phi(x) - x for x = chunk[r]
@@ -666,12 +656,12 @@ def validate_labeling(labeling: Labeling) -> ConsistencyResult:
     distinct exponents, so no two x share a word.
 
     Where the pair sums do not hold, or the table cannot be derived, the
-    oracle route decides, over blocks of x: each block's words are
-    resolved once through :meth:`Labeling.words`, kept as base-n keys, and
-    fed to the bubble-sort oracle :func:`brute_force_phases`, which sorts
-    the whole block at once.  The sorted keys then check bijectivity, which
-    a labeling must pass before any other verdict or error, and the keys
-    give the contradiction witness.
+    oracle route decides, over the chunks of :func:`_chunks`: each chunk's
+    words are resolved once through :meth:`Labeling.words`, kept as base-n
+    keys, and fed to the bubble-sort oracle :func:`brute_force_phases`,
+    which sorts the whole chunk at once.  The sorted keys then check
+    bijectivity, which a labeling must pass before any other verdict or
+    error, and the keys give the contradiction witness.
     """
     try:
         table, unlabeled = _derived_table(labeling), None
@@ -685,14 +675,13 @@ def validate_labeling(labeling: Labeling) -> ConsistencyResult:
     place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
     keys = np.empty(m, dtype=np.int64)
     p0, consistent = None, True
-    for lo in range(0, m, _WORD_BLOCK):
-        hi = min(lo + _WORD_BLOCK, m)
-        block = word_rows(labeling.words(range(lo, hi)), n)
-        keys[lo:hi] = block @ place
+    for chunk in _chunks(range(m)):
+        block = word_rows(labeling.words(chunk), n)
+        keys[chunk.start : chunk.stop] = block @ place
         if table is not None and consistent:
             p = brute_force_phases(block, table)
             p0 = p[0] if p0 is None else p0
-            consistent = bool(((p - p0) % m == np.arange(lo, hi)).all())
+            consistent = bool(((p - p0) % m == np.arange(chunk.start, chunk.stop)).all())
     ordered = np.sort(keys)
     if (ordered[1:] == ordered[:-1]).any():
         raise DomainError(f"labeling {labeling.name!r} is not bijective")
@@ -757,7 +746,7 @@ def relabeled(labeling: Labeling, tau: Sequence[int], name: str | None = None) -
         raise DomainError(f"tau {tuple(tau)} is not a permutation of 0..{n - 1}")
     rename = np.array(tau, dtype=np.int8)
     table = np.empty((m, n), dtype=np.int8)
-    for chunk in _chunks(range(m), _chunk_rows(4 * n)):
+    for chunk in _chunks(range(m)):
         table[chunk.start : chunk.stop] = rename[labeling.words(chunk)]
     return ExplicitLabeling(n, table, name or f"{labeling.name}-renamed")
 
@@ -767,7 +756,7 @@ def labeling_to_text(labeling: Labeling) -> str:
     from the rows of :meth:`Labeling.words` over the chunks of
     :func:`_chunks`."""
     lines = []
-    for chunk in _chunks(range(labeling.size), _chunk_rows(64 * labeling.n)):
+    for chunk in _chunks(range(labeling.size)):
         rows = labeling.words(chunk).tolist()
         lines += [f"{x} {' '.join(map(str, row))}" for x, row in zip(chunk, rows)]
     return "\n".join(lines) + "\n"

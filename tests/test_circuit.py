@@ -37,7 +37,7 @@ from fpp.algorithms import (
     sqrt_circuit,
     superperm_sim_switch,
 )
-from fpp import algorithms
+from fpp import algorithms, perms
 from fpp.errors import DomainError, InvariantError, RangeError, StructuralError
 from fpp.numsys import to_factoradic
 from fpp.perms import FactoradicLabeling, factoradic_blocks, relabeled
@@ -128,6 +128,28 @@ def test_control_slot_outside_the_digits_rejected():
             gates=c.gates + (ControlledSwap("psi_2_1", "psi_2_2", (9, 9), 0),),
         )
     assert BitControl(4, c.control.slots + ((3, 5),)).assignment(23)[(3, 5)] == 0
+
+
+def test_repeated_control_slot_rejected():
+    # a repeated slot (1, 1) took weight 1 twice: assignment(1) gave it 0,
+    # the bits of x=0, while the keys read a_1 = 1 as written
+    with pytest.raises(StructuralError, match="repeat a slot"):
+        BitControl(3, ((1, 1), (1, 1), (2, 1), (2, 2)))
+    c = nlogn_circuit(4)
+    with pytest.raises(StructuralError, match="repeat a slot"):
+        replace(c, control=replace(c.control, slots=c.control.slots + c.control.slots[-1:]))
+
+
+def test_control_polarity_outside_0_1_rejected():
+    # a gate on polarity 2 never fires, yet it counted as a query and
+    # exported as on=2
+    c = nlogn_circuit(4)
+    j = next(j for j, g in enumerate(c.gates) if isinstance(g, ControlledApply))
+    for gate in (replace(c.gates[j], polarity=2), ControlledSwap("psi_2_1", "psi_2_2", (1, 1), -1)):
+        with pytest.raises(StructuralError, match=rf"polarity {gate.polarity}, not 0 or 1"):
+            replace(c, gates=c.gates[:j] + (gate,) + c.gates[j + 1 :])
+    flipped = replace(c.gates[j], polarity=1 - c.gates[j].polarity)  # 0 and 1 build
+    assert query_count(replace(c, gates=c.gates[:j] + (flipped,) + c.gates[j + 1 :])) == 18
 
 
 def test_gate_index_out_of_range():
@@ -356,9 +378,9 @@ def test_sweep_runs_the_reference_on_the_chunk_without_bits(monkeypatch):
     slots = tuple(s for s in full.control.slots if s != (2, 1))
     gates = tuple(g for g in full.gates if getattr(g, "bit", None) != (2, 1))
     circuit = Circuit(n, full.family, full.wires, gates, BitControl(n, slots))
-    monkeypatch.setattr(algorithms, "_chunk_rows", lambda state_bytes: 7)
+    monkeypatch.setattr(perms, "_CHUNK_ROWS", 7)
     sweep = algorithms._Sweep(circuit, lab.validate().table)
-    assert sweep.checks is not None and sweep.rows == 7
+    assert sweep.checks is not None and next(perms._chunks(range(lab.size))) == range(0, 7)
     calls = []
     reference = algorithms._Sweep.reference
 

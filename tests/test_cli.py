@@ -216,6 +216,15 @@ def test_dense_unsupported_n_exits_before_sweep(capsys, monkeypatch):
     )
 
 
+def test_dense_negative_state_seed_exit2(capsys):
+    # numpy's default_rng raised a ValueError traceback for a negative seed
+    code, out, err = run_cli(
+        capsys, "dense", "--alg", "six-query", "--n", "3", "--y", "0", "--state-seed", "-1",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: state seed must be non-negative, got -1\n"
+
+
 @pytest.mark.parametrize("command, alg", [("run", "nlogn"), ("dense", "sqrt")])
 def test_inconsistent_labeling_file_names_its_witness(tmp_path, capsys, command, alg):
     # n=4 factoradic with words 5 and 6 swapped: exit 2 before any sweep or
@@ -375,15 +384,22 @@ def _readout_profiles():
 def test_readout_lines_match_per_y_format(capsys, monkeypatch):
     import random
 
-    from fpp import cli
+    from fpp import cli, perms
     from fpp.algorithms import solve_profile
 
-    monkeypatch.setattr(cli, "_READOUT_BLOCK", 7)  # many blocks, a short last one
+    # many blocks of perms._chunks (3, 6, then 7 ys), a short last one
+    monkeypatch.setattr(perms, "_FIRST_CHUNK", 3)
+    monkeypatch.setattr(perms, "_CHUNK_ROWS", 7)
+    blocks = []
+    readout = cli.readout
+    monkeypatch.setattr(cli, "readout", lambda profile, ys: blocks.append(list(ys)) or readout(profile, ys))
     rng = random.Random(5)
     for profile in _readout_profiles():
         m = profile.modulus
         for ys in (range(m), [0], sorted(rng.sample(range(m), min(m, 40))), range(m // 2, m)):
+            blocks.clear()
             passes = cli._print_readout(profile, ys)
+            assert blocks == [list(ys[c.start : c.stop]) for c in perms._chunks(range(len(ys)))]
             reports = [solve_profile(profile, y) for y in ys]
             expected = "".join(
                 f"y={r.y}: solved={r.solved_y} {'PASS' if r.passed else 'FAIL'}\n" for r in reports

@@ -196,6 +196,14 @@ def test_n2_product_matches_joint():
                 assert a.peak_probability >= 1 - PROBABILITY_TOL
 
 
+def test_dense_runs_refuse_a_negative_seed():
+    lab = FactoradicLabeling(2)
+    units = build_promise_unitaries(2, 1, lab.validate().table)
+    for run in (run_dense, run_dense_joint):
+        with pytest.raises(DomainError, match="state seed must be non-negative, got -1"):
+            run(nlogn_circuit(2), units, seed=-1)
+
+
 def test_n3_six_query_dense_vs_symbolic():
     lab = FactoradicLabeling(3)
     table = lab.validate().table

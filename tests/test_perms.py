@@ -449,7 +449,7 @@ def test_validation_checks_every_block():
     # contradiction in the last word, or across a chunk boundary, fails
     # the pair sums and is decided on the oracle route as per x.
     m = factorial(7)
-    starts = [chunk.start for chunk in perms._chunks(range(m), perms._chunk_rows(8 * 7 + 24))]
+    starts = [chunk.start for chunk in perms._chunks(range(m))]
     assert starts == [0, perms._FIRST_CHUNK, 3 * perms._FIRST_CHUNK] and m < 7 * perms._FIRST_CHUNK
     flat = _LastWordFlat(7)
     assert not perms._pair_sums_hold(flat, perms._derived_table(flat))

@@ -432,12 +432,15 @@ def test_nonlinear_witness_names_first_x():
 @settings(max_examples=80, deadline=None)
 @given(drawn_profiles())
 def test_readout_rule_over_small_chunks(profile):
-    # the deviations in chunks of 3, 6, then 8 states: the running gcd and
-    # the first nonzero deviation give the whole-array values
+    # the deviations in chunks of 3, 6, then 8 states, the schedule of
+    # perms._chunks: the running gcd and the first nonzero deviation give
+    # the whole-array values
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(perms, "_FIRST_CHUNK", 3)
-        patched.setattr(perms, "_CHUNK_BYTES", 64)
+        patched.setattr(perms, "_CHUNK_ROWS", 8)
         period, witness = profile.readout_period, profile.nonlinear_witness
+        schedule = list(perms._chunks(range(len(profile.exponents))))
+        assert [xs for xs, _ in profile._deviations()] == schedule
     assert period == _oracle_period(profile)
     p, m = profile.exponents.tolist(), profile.modulus
     first = next((x for x, e in enumerate(p) if e != x * p[1] % m), None)

@@ -227,11 +227,10 @@ def test_chunk_boundary_inside_sweep(monkeypatch):
     whole_failure = phase_profile(broken, lab).failure
     assert whole_failure.startswith("x=96:")
 
-    sqrt_bytes = _engine(c, lab).state_bytes
-    monkeypatch.setattr(perms, "_CHUNK_BYTES", 7 * sqrt_bytes)  # chunks of 7 xs for sqrt
+    monkeypatch.setattr(perms, "_CHUNK_ROWS", 7)  # chunks of 7 xs
     for name, circuit in circuits.items():  # every family here takes the tables
         engine = algorithms._Sweep(circuit, table)
-        assert engine.checks is not None and engine.rows == 7, name
+        assert engine.checks is not None and next(perms._chunks(range(lab.size))) == range(0, 7), name
         assert phase_profile(circuit, lab) == whole[name]
         assert_sweeps_agree(circuit, lab)
     assert phase_profile(broken, lab).failure == whole_failure
@@ -420,9 +419,9 @@ def test_nlogn_keeps_a_block_for_every_wire():
     engine = algorithms._Sweep(circuit, table)
     # psi_8_8 carries only U_0, and keeps its wire too
     assert set(engine.lowering.wire) == {w.id for w in circuit.data_wires()}
-    # the table route: per state, the intp digits, three int64 vectors and the ok mask
-    assert engine.checks is not None and engine.state_bytes == 8 * 8 + 24 + 1
-    assert engine.rows == algorithms._chunk_rows(engine.state_bytes)
+    # the table route, in chunks that double from 1 024 up to 16 384 states
+    assert engine.checks is not None and perms._CHUNK_ROWS == 2**14
+    assert [len(c) for c in perms._chunks(range(lab.size))] == [1024, 2048, 4096, 8192, 16384, 8576]
     profile = phase_profile(circuit, lab)
     assert profile.residuals["psi_8_8"] == (0,) and profile.slope == 1
 
@@ -508,13 +507,13 @@ def test_sweep_and_validation_decode_only_ranges(monkeypatch):
         monkeypatch.setattr(perms.FactoradicBlocks, name, spy)
     lab = FactoradicLabeling(8)
     assert lab.validate().consistent
-    assert [xs for _, xs, _ in seen] == list(perms._chunks(range(lab.size), perms._chunk_rows(8 * 8 + 24)))
+    assert [xs for _, xs, _ in seen] == list(perms._chunks(range(lab.size)))
     for name in ("nlogn", "sqrt"):
         circuit = FAMILIES[name].build(8, lab)
         start = len(seen)
         assert phase_profile(circuit, lab).slope == 1
         decoded = [xs for _, xs, _ in seen[start:]]
-        assert decoded == list(perms._chunks(range(lab.size), _engine(circuit, lab).rows)), name
+        assert decoded == list(perms._chunks(range(lab.size))), name
     assert {name for name, _, _ in seen} == {"positions", "digits"}  # a pass decodes no words
     assert all(decodes for _, _, decodes in seen)
 
@@ -847,10 +846,10 @@ def test_random_sandwiches_match_per_x(case):
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    """A first chunk of 3 states and a budget of 2^13 bytes: chunks of 3,
-    6, 12, ... up to 16-48 states (``engine.rows``) at n = 5..7."""
+    """A first chunk of 3 states and a cap of 100: chunks of 3, 6, 12, 24,
+    48, 96 and then 100 states."""
     monkeypatch.setattr(perms, "_FIRST_CHUNK", 3)
-    monkeypatch.setattr(perms, "_CHUNK_BYTES", 2**13)
+    monkeypatch.setattr(perms, "_CHUNK_ROWS", 100)
 
 
 def _recording(monkeypatch, name):
@@ -870,8 +869,8 @@ def chunks(monkeypatch):
     seen = []
     scan = algorithms._scan
 
-    def recording(xs, rows, decode, checks=(), pair_sum=None):
-        for step in scan(xs, rows, decode, checks, pair_sum):
+    def recording(xs, decode, checks=(), pair_sum=None):
+        for step in scan(xs, decode, checks, pair_sum):
             if pair_sum is not None:
                 seen.append(step[0])
             yield step
@@ -886,9 +885,11 @@ def references(monkeypatch):
     return _recording(monkeypatch, "reference")
 
 
-def _assert_schedule(seen, xs, rows):
+def _assert_schedule(seen, xs):
     """The chunks tile xs; they start at the first size, and each doubles
-    the last, up to ``rows``, except the last one, which takes the rest."""
+    the last, up to ``perms._CHUNK_ROWS``, except the last one, which takes
+    the rest."""
+    rows = perms._CHUNK_ROWS
     assert seen and seen[0].start == xs.start and seen[-1].stop == xs.stop
     assert all(a.stop == b.start for a, b in zip(seen, seen[1:]))
     assert all(c.step == 1 and 0 < len(c) <= rows for c in seen)
@@ -910,7 +911,7 @@ def test_growing_chunks_match_per_x(small_chunks, chunks, n):
         if engine.checks is None:  # the rail circuits sweep per x
             assert chunks == []
         else:
-            _assert_schedule(chunks, range(lab.size), engine.rows)
+            _assert_schedule(chunks, range(lab.size))
 
 
 @settings(max_examples=100, deadline=None,
@@ -943,12 +944,12 @@ def test_chunks_grow_from_the_first_size(chunks):
     table = lab.validate().table
     for name in ("nlogn", "sqrt", "sim-switch"):
         engine = algorithms._Sweep(FAMILIES[name].build(n, lab), table)
-        assert perms._FIRST_CHUNK < engine.rows < lab.size
+        assert perms._FIRST_CHUNK < perms._CHUNK_ROWS < lab.size
         for xs in (range(lab.size), range(1000, 30001), range(7, 900), range(lab.size - 1, lab.size)):
             chunks.clear()
             exponents, failure = engine.sweep(xs)
             assert failure is None and len(exponents) == len(xs)
-            _assert_schedule(chunks, xs, engine.rows)
+            _assert_schedule(chunks, xs)
 
 
 def test_early_witness_sweeps_only_the_first_chunk(monkeypatch, chunks):
@@ -971,10 +972,10 @@ def test_early_witness_sweeps_only_the_first_chunk(monkeypatch, chunks):
 def test_small_growing_chunks_fill_exponents_in_x_order(monkeypatch):
     # 5, 10, 20, ... states up to 92 a chunk, over 40 320 states
     monkeypatch.setattr(perms, "_FIRST_CHUNK", 5)
-    monkeypatch.setattr(perms, "_CHUNK_BYTES", 2**13)
+    monkeypatch.setattr(perms, "_CHUNK_ROWS", 92)
     lab = FactoradicLabeling(8)
     circuit = nlogn_circuit(8)
-    assert _engine(circuit, lab).rows == 92
+    assert max(map(len, perms._chunks(range(lab.size)))) == 92
     profile = phase_profile(circuit, lab)
     assert profile.exponents.tolist() == list(range(lab.size))  # slope 1: exponent x
 
@@ -988,7 +989,7 @@ def _table_route(sweep: algorithms._Sweep, xs: range):
     yields over xs with the sweep's ok rows and pair sum, and the index of
     the first failing x (len(xs) if none fails)."""
     parts, first = [], len(xs)
-    scan = algorithms._scan(xs, sweep.rows, sweep.control.keys, sweep.checks, sweep.pair_sum)
+    scan = algorithms._scan(xs, sweep.control.keys, sweep.checks, sweep.pair_sum)
     for chunk, failing, phase in scan:
         assert failing is not None  # every chunk has keys
         parts.append((phase - sweep.ref_phase) % sweep.modulus)
@@ -1239,10 +1240,10 @@ def test_table_route_reruns_the_chunk_with_an_unwritable_digit(monkeypatch, chun
     slots = tuple(s for s in full.control.slots if s != (2, 1))
     gates = tuple(g for g in full.gates if getattr(g, "bit", None) != (2, 1))
     circuit = replace(full, gates=gates, control=BitControl(n, slots))
-    monkeypatch.setattr(algorithms, "_chunk_rows", lambda state_bytes: 3)
+    monkeypatch.setattr(perms, "_CHUNK_ROWS", 3)
     sweep = _engine(circuit, lab)
-    assert sweep.checks is not None and sweep.rows == 3
-    scan = algorithms._scan(range(3, 6), 3, sweep.control.keys, sweep.checks, sweep.pair_sum)
+    assert sweep.checks is not None and next(perms._chunks(range(lab.size))) == range(0, 3)
+    scan = algorithms._scan(range(3, 6), sweep.control.keys, sweep.checks, sweep.pair_sum)
     assert list(scan) == [(range(3, 6), None, None)]
     chunks.clear()
     with pytest.raises(InvariantError) as exc:
