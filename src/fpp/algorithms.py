@@ -726,8 +726,8 @@ class Lowering:
     lands there.  U_g's key is where it acts under a ``QuditControl`` (sqrt
     and sim-switch), its factoradic digit a_g under a ``BitControl`` (nlogn
     and nlogn-reduced), 0 for U_0.  Apply e puts U_g = ``gates[e]`` on data
-    wire ``wires[e]`` where ``landed[e, g * n + a]`` is 1.0, with U_g's key
-    a.  As each U_g lands by its own key alone, the residual check of an x
+    wire ``wires[e]`` for the keys a of U_g where ``masks[e, a]`` is True.
+    As each U_g lands by its own key alone, the residual check of an x
     is an AND over the gates of a per-gate row (:attr:`checks`), and its
     phase a sum over gate pairs g < p of a table indexed by the keys of g
     and p, with the pair counts of :attr:`counts`.  Both are built on first
@@ -741,9 +741,7 @@ class Lowering:
     lands on the partner wire where a transposition on its wire holds, and
     stays on its own wire where none does.  The transpositions that hold
     at one x are disjoint and their conditions depend on x only, so the
-    closing gate undoes the opening one and no token moves.  Gates of the
-    wrong control kind are left to the x=0 execution, which rejects them
-    before the lowering is built.
+    closing gate undoes the opening one and no token moves.
     """
 
     def __init__(self, circuit: Circuit, out: WireOutcome):
@@ -766,20 +764,18 @@ class Lowering:
             slot_bits = _bit_tables(n, lowering.control.slots)[0]
             lowering.unkeyed = ~np.tri(n, dtype=bool)
         everywhere = np.ones(n, dtype=bool)
-        memo: dict[tuple, np.ndarray] = {}  # condition key -> mask
 
         def lands(key: tuple, gate: int) -> np.ndarray | None:
             """Where a condition holds, over U_gate's key; None if it reads
             another gate's key."""
             if (key[1] if key[0] == "position" else key[1][0]) != gate:
                 return None
-            if key not in memo:
-                mask = memo[key] = np.zeros(n, dtype=bool)
-                if key[0] == "position":  # lo <= where U_gate acts < hi
-                    mask[max(key[2], 0) : max(key[3], 0)] = True
-                else:  # the bit's value is the polarity, over a_k = 0..k
-                    mask[: gate + 1] = slot_bits[key[1]] == key[2]
-            return memo[key]
+            mask = np.zeros(n, dtype=bool)
+            if key[0] == "position":  # lo <= where U_gate acts < hi
+                mask[max(key[2], 0) : max(key[3], 0)] = True
+            else:  # the bit's value is the polarity, over a_k = 0..k
+                mask[: gate + 1] = slot_bits[key[1]] == key[2]
+            return mask
 
         routes = []  # (data wire, gate, mask)
         j = 0
@@ -812,12 +808,9 @@ class Lowering:
                         stay = stay & ~mask
                     routes.append((wire[mid.wire], mid.gate, stay))
                 j = end + 1
-        events = len(routes)
         lowering.wires = np.array([w for w, _, _ in routes], dtype=np.intp)
         lowering.gates = np.array([g for _, g, _ in routes], dtype=np.intp)
-        landed = np.zeros((events, n, n))
-        landed[np.arange(events), lowering.gates] = np.reshape([m for _, _, m in routes], (events, n))
-        lowering.landed = landed.reshape(events, n * n)
+        lowering.masks = np.array([m for _, _, m in routes], dtype=bool).reshape(-1, n)
         return lowering
 
     @cached_property
@@ -825,11 +818,10 @@ class Lowering:
         """The ok rows of the residual check: (g, ok_g) for the gates whose
         ok_g has a False.  ok_g[a] holds iff the wires U_g lands on where
         its key is a carry it as often as the x=0 words do (True for a key
-        that no x gives U_g)."""
-        n, events = self.n, len(self.wires)
-        on_wire = np.zeros((len(self.wire), events))
-        on_wire[self.wires, np.arange(events)] = 1
-        carried = (on_wire @ self.landed).reshape(-1, n, n)  # [w, g, a]
+        that no x gives U_g): the applies summed per wire, gate and key."""
+        n = self.n
+        carried = np.zeros((len(self.wire), n, n), dtype=np.int64)  # [w, g, a]
+        np.add.at(carried, (self.wires, self.gates), self.masks)
         reference = np.bincount(
             [i * n + g for w, i in self.wire.items() for g in self.out.applied[w]],
             minlength=len(self.wire) * n,
@@ -840,13 +832,15 @@ class Lowering:
     @cached_property
     def counts(self) -> np.ndarray:
         """The pair counts, int64 [g, a, p, b]: the pairs of applies on one
-        wire, U_p with key b before U_g with key a (exact in float64)."""
-        order = np.argsort(self.wires, kind="stable")  # gate order within a wire
-        landed, wires = self.landed[order], self.wires[order]
-        earlier = np.cumsum(landed, axis=0)
-        earlier -= landed
-        earlier -= earlier[np.searchsorted(wires, wires)]  # on the apply's wire only
-        return (landed.T @ earlier).reshape((self.n,) * 4).astype(np.int64)
+        wire, U_p with key b before U_g with key a.  One pass in gate order
+        keeps, per wire, the count of the applies seen so far [w, p, b]."""
+        n = self.n
+        counts = np.zeros((n,) * 4, dtype=np.int64)
+        earlier = np.zeros((len(self.wire), n, n), dtype=np.int64)
+        for w, g, mask in zip(self.wires.tolist(), self.gates.tolist(), self.masks):
+            counts[g, mask] += earlier[w]
+            earlier[w, g] += mask
+        return counts
 
     def _transpositions(self, gate) -> dict[str, list[tuple[str, tuple]]] | None:
         """The transpositions of a swap gate that opens a sandwich, keyed by
@@ -1269,9 +1263,14 @@ def solve_profile(profile: PhaseProfile, y: int) -> VerificationReport:
     readout is deterministic iff p(x)*y == x*sigma mod n! for a single
     sigma, and then measures sigma.  The report is a view of the profile
     at y: it copies no field, and its verdict is read out on access.
+    Raises :class:`DomainError` for a y that is not an integer (a bool is
+    one) or lies outside [0, n!).
     """
-    if not 0 <= y < profile.modulus:
-        raise DomainError(f"y={y} outside [0, {profile.modulus - 1}]")
+    try:  # inline, as this runs once per y: a helper call would cost more than the check
+        if not 0 <= index(y) < profile.modulus:
+            raise DomainError(f"y={y} outside [0, {profile.modulus - 1}]")
+    except TypeError:
+        raise DomainError(f"y={y!r} is not an integer") from None
     # Set the two slots directly: the frozen dataclass __init__ costs more
     # than the rest of a one-y readout.
     report = _new_report(VerificationReport)

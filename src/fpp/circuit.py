@@ -239,8 +239,12 @@ class Circuit:
         if len(set(ids)) != len(ids):
             raise StructuralError("wire ids must be unique")
         data = {w.id for w in self.data_wires()}
-        slots = set(self.control.slots) if isinstance(self.control, BitControl) else None
+        bits = isinstance(self.control, BitControl)
+        slots = set(self.control.slots) if bits else set()
+        misfit = (PosCondSwap, SwitchSwap, Rewire) if bits else (ControlledApply, ControlledSwap)
         for g in self.gates:
+            if isinstance(g, misfit):
+                raise StructuralError(f"gate {g} cannot run under a {type(self.control).__name__}")
             for ref in _wire_refs(g):
                 if ref not in data:
                     if ref in ids:
@@ -249,7 +253,7 @@ class Circuit:
             if isinstance(g, (ControlledApply, ControlledSwap)):
                 if g.polarity not in (0, 1):
                     raise StructuralError(f"gate {g} fires on polarity {g.polarity}, not 0 or 1")
-                if slots is not None and g.bit not in slots:
+                if g.bit not in slots:
                     raise StructuralError(f"gate {g} reads bit {g.bit}, not a control slot")
             for idx in _gate_indices(g):
                 if not 0 <= idx < self.n:
@@ -335,28 +339,18 @@ def _events(
         if isinstance(gate, Apply):
             yield ("apply", gate.gate, gate.wire)
         elif isinstance(gate, ControlledApply):
-            if bits is None:
-                raise StructuralError("bit-controlled gate in a qudit-controlled circuit")
             if bits[gate.bit] == gate.polarity:
                 yield ("apply", gate.gate, gate.wire)
         elif isinstance(gate, ControlledSwap):
-            if bits is None:
-                raise StructuralError("bit-controlled gate in a qudit-controlled circuit")
             if bits[gate.bit] == gate.polarity:
                 yield ("swap", gate.wire_a, gate.wire_b)
         elif isinstance(gate, PosCondSwap):
-            if positions is None:
-                raise StructuralError("qudit-controlled gate in a bit-controlled circuit")
             if gate.lo <= positions[gate.gate] < gate.hi:
                 yield ("swap", gate.wire_a, gate.wire_b)
         elif isinstance(gate, SwitchSwap):
-            if word is None:
-                raise StructuralError("qudit-controlled gate in a bit-controlled circuit")
             for wire, position in gate.swaps:
                 yield ("swap", wire, aux_wire(word.acting(position)))
         elif isinstance(gate, Rewire):
-            if word is None:
-                raise StructuralError("qudit-controlled gate in a bit-controlled circuit")
             try:
                 swaps = gate.routes[word.order]
             except KeyError:

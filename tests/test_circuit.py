@@ -20,6 +20,7 @@ from fpp.circuit import (
     ControlledSwap,
     PosCondSwap,
     QuditControl,
+    Rewire,
     SwitchSwap,
     Wire,
     _bit_tables,
@@ -264,18 +265,26 @@ def test_execute_with_bits_validates():
         execute_with_bits(sim_switch_circuit(2), {(1, 1): 0})
 
 
-def test_control_kind_mismatch():
-    # a position-conditioned swap needs a qudit control to resolve sigma_x
-    bit_circuit = nlogn_circuit(4)
-    mixed = Circuit(
-        4,
-        "mixed",
-        bit_circuit.wires,
-        (PosCondSwap("psi_2_1", "psi_2_2", 0, 0, 2),),
-        bit_circuit.control,
-    )
-    with pytest.raises(StructuralError):
-        execute(mixed, 0)
+@pytest.mark.parametrize(
+    "gate",
+    [
+        ControlledApply(1, "t", (1, 1), 1),
+        ControlledSwap("t", "u", (1, 1), 1),
+        PosCondSwap("t", "u", 0, 0, 2),
+        SwitchSwap((("t", 0),)),
+        Rewire(1, {(0, 1, 2): (("t", "u"),)}),
+    ],
+    ids=lambda gate: type(gate).__name__,
+)
+def test_control_kind_mismatch(gate):
+    # a bit-controlled gate needs a BitControl, and a gate that reads
+    # sigma_x a QuditControl; the other kind is refused at construction
+    bits = isinstance(gate, (ControlledApply, ControlledSwap))
+    control = QuditControl(FactoradicLabeling(3)) if bits else BitControl(3, ((1, 1),))
+    wires = (Wire("x", CONTROL_QUDIT), Wire("t", TARGET), Wire("u", TARGET))
+    with pytest.raises(StructuralError, match="cannot run under"):
+        Circuit(3, "mixed", wires, (Apply(0, "t"), gate), control)
+    Circuit(3, "apply", wires, (Apply(0, "t"),), control)  # Apply runs under both
 
 
 def test_eliminate_controlled_unknowns_noop():

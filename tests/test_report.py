@@ -31,6 +31,7 @@ from fpp import (
     relabeled,
     solve_profile,
     sqrt_circuit,
+    verify_and_solve,
 )
 from fpp import perms
 from fpp.errors import DomainError, UnsupportedError
@@ -194,7 +195,22 @@ def test_json_round_trips_a_numpy_or_bool_y(profile):
 def test_to_json_refuses_a_y_that_is_not_an_integer():
     for y in (2.0, np.float64(1), np.True_):
         with pytest.raises(DomainError, match="not an integer"):
-            solve_profile(_linear(), y).to_json()
+            VerificationReport(_linear(), y).to_json()
+
+
+def test_solve_profile_refuses_a_y_that_is_not_an_integer():
+    # the rule of to_json: a y passes operator.index, so ints, numpy
+    # integers and bools do, and the report keeps y as given
+    lab = FactoradicLabeling(3)
+    profile = phase_profile(nlogn_circuit(3), lab)
+    for y in (2.0, np.float64(2), "2", np.True_):
+        with pytest.raises(DomainError, match="not an integer"):
+            solve_profile(profile, y)
+    with pytest.raises(DomainError, match="y=5.0 is not an integer"):
+        verify_and_solve(nlogn_circuit(3), lab, 5.0)
+    for y in (2, np.int64(2), np.uint8(2), True):
+        report = solve_profile(profile, y)
+        assert report.y is y and report.passed
 
 
 def test_from_json_rejects_short_exponents():

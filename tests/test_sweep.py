@@ -197,7 +197,7 @@ def test_exponents_past_int64_stay_exact():
     assert (exponents.tolist(), failure) == sweep.reference(xs)
 
 
-def test_paper_circuits_lower_past_the_float64_bound():
+def test_paper_circuits_lower_past_max_readout_n():
     # sqrt and sim-switch lower at n=16, past MAX_READOUT_N, where the
     # sweep takes no lowering, builds no tables and runs the reference,
     # which gives the factoradic exponent x
@@ -260,18 +260,14 @@ def _steps(circuit: Circuit):
     ``ControlledApply``, in gate order, or None if the circuit does not
     lower.  Each group lists the (wire, gate, mask) routes of that apply:
     the partner routes of a sandwich, then the one on its own wire, whose
-    mask in a sandwich is where no partner route holds.  The mask of an
-    apply is its gate's row of ``landed``, which is 0 on every other row."""
+    mask in a sandwich is where no partner route holds.  The mask of a
+    route is its row of ``masks``, over the keys of its gate."""
     lowering = _lowering(circuit)
     if lowering is None:
         return None
-    n, wires, gates = circuit.n, lowering.wires, lowering.gates
-    assert wires.dtype == gates.dtype == np.intp
-    landed = lowering.landed.reshape(-1, n, n)
-    assert landed.shape == (len(wires), n, n) == (len(gates), n, n)
-    assert np.isin(landed, (0, 1)).all()
-    masks = landed[np.arange(len(gates)), gates] == 1
-    assert landed.sum(axis=(1, 2)).tolist() == masks.sum(axis=1).tolist()
+    wires, gates, masks = lowering.wires, lowering.gates, lowering.masks
+    assert wires.dtype == gates.dtype == np.intp and masks.dtype == bool
+    assert masks.shape == (len(wires), circuit.n) and len(gates) == len(wires)
     routes = list(zip(wires.tolist(), gates.tolist(), masks))
     steps = []
     for gate in circuit.gates:
@@ -1161,6 +1157,28 @@ def test_position_keyed_counts_are_apply_order_counts(family):
         if n <= 9:
             sweep = algorithms._Sweep(FAMILIES[family].build(n, FactoradicLabeling(n)), factoradic_table(n))
             assert sweep.checks == () and np.array_equal(sweep.pair_sum.counts, counts), (family, n)
+
+
+@pytest.mark.parametrize("family", ["sqrt", "sim-switch", "nlogn", "nlogn-reduced"])
+def test_counts_are_per_x_apply_order_pairs(family):
+    # at every x, the pairs of applies on one wire with U_p before U_g,
+    # summed over the wires of the x's own execution, are the lowering's
+    # count at the keys of x: counts[g, k_g(x), p, k_p(x)], the diagonal g
+    # == p included; no commutation table is read
+    for n in (4,) if family == "nlogn-reduced" else range(2, 7):
+        circuit = FAMILIES[family].build(n, FactoradicLabeling(n))
+        counts = _lowering(circuit).counts
+        keys = circuit.control.keys(range(factorial(n)))
+        gate = np.arange(n)
+        for x in range(factorial(n)):
+            pairs = np.zeros((n, n), dtype=np.int64)  # [g, p]
+            for word in execute(circuit, x).applied.values():
+                seen = np.zeros(n, dtype=np.int64)
+                for g in word:
+                    pairs[g] += seen
+                    seen[g] += 1
+            k = keys[:, x]
+            assert np.array_equal(counts[gate[:, None], k[:, None], gate, k], pairs), (family, n, x)
 
 
 def test_table_route_gathers_per_block_pair():
