@@ -597,14 +597,15 @@ def expected_queries(family: str, n: int) -> int | None:
 # x, p(1) < n! in int64, so it needs n!^2 < 2^63: n <= 12.  An n=13 profile
 # (6.2e9 exponents) could not be held in memory anyway.
 MAX_READOUT_N = 12
-_READOUT_BOUND = f"the int64 readout needs n!^2 < 2^63, so n <= {MAX_READOUT_N}"
 
 
 def require_readout_n(n: int) -> None:
     """Refuse an n past :data:`MAX_READOUT_N`, before anything of size n!
     is formed."""
     if n > MAX_READOUT_N:
-        raise UnsupportedError(f"n={n}: {_READOUT_BOUND}")
+        raise UnsupportedError(
+            f"n={n}: the int64 readout needs n!^2 < 2^63, so n <= {MAX_READOUT_N}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -612,27 +613,30 @@ class PhaseProfile:
     """x-sweep result: per-x phase exponents (coefficients of y) and the
     x-independence status of the residual words.
 
+    It holds what the sweep found and derives the rest: :attr:`modulus` is
+    n!, :attr:`residuals_ok` holds iff no failure is named, and
+    :attr:`expected_queries` is the family's formula in :data:`FAMILIES`.
     ``exponents`` is one read-only int64 array, p(x) for x in [0, n!)
-    (empty when the residuals fail); any sequence of integers in
-    [0, modulus) is accepted and converted.  The readout rule --
-    :attr:`readout_period` and p(1) -- is computed once per profile and
-    kept as Python ints, so a per-y view reads it in O(1).
+    (empty when the residuals fail); any sequence of integers in [0, n!)
+    is accepted and converted.  The readout rule -- :attr:`readout_period`
+    and p(1) -- is computed once per profile and kept as Python ints, so a
+    per-y view reads it in O(1).  Raises :class:`UnsupportedError` for an n
+    past :data:`MAX_READOUT_N`.
     """
 
     n: int
-    modulus: int
     family: str
     labeling_name: str
     query_count: int
-    expected_queries: int | None
     exponents: np.ndarray
     residuals: dict[str, tuple[int, ...]]
-    residuals_ok: bool
     failure: str | None
 
     def __post_init__(self) -> None:
-        if self.modulus**2 >= 2**63:
-            raise UnsupportedError(_READOUT_BOUND)
+        require_readout_n(self.n)
+        # n! as a plain attribute: solve_profile reads it once per y, and a
+        # cached_property's value is read through the class, about 2x slower
+        object.__setattr__(self, "modulus", factorial(self.n))
         try:
             exponents = np.asarray(self.exponents, dtype=np.int64)
         except OverflowError:
@@ -643,6 +647,12 @@ class PhaseProfile:
             exponents = exponents.copy()  # the caller can still write to its array
         exponents.flags.writeable = False
         object.__setattr__(self, "exponents", exponents)
+
+    # Derived, like the modulus, so no profile holds a modulus other than
+    # n!, a passing verdict beside a failure, or another family's query
+    # count (the lambda calls the module function expected_queries).
+    residuals_ok = property(lambda self: self.failure is None)
+    expected_queries = cached_property(lambda self: expected_queries(self.family, self.n))
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
@@ -850,9 +860,8 @@ class Lowering:
 
         A conditional swap (``PosCondSwap``, ``ControlledSwap``) is one
         transposition.  A ``SwitchSwap`` whose pairs name distinct
-        non-auxiliary wires and distinct positions, when every auxiliary
-        wire a_0..a_{n-1} exists, is one per pair (t, p) and gate i: t <-> a_i
-        where U_i acts at position p.
+        non-auxiliary wires and distinct positions is one per pair (t, p)
+        and gate i: t <-> a_i where U_i acts at position p.
         """
         if isinstance(gate, PosCondSwap):
             swaps = [(gate.wire_a, gate.wire_b, ("position", gate.gate, gate.lo, gate.hi))]
@@ -862,8 +871,7 @@ class Lowering:
             wires = [w for w, _ in gate.swaps]
             auxiliary = [aux_wire(i) for i in range(self.n)]
             if (
-                any(a not in self.wire for a in auxiliary)
-                or len(set(wires)) < len(wires)
+                len(set(wires)) < len(wires)
                 or len({p for _, p in gate.swaps}) < len(wires)
                 or any(w in auxiliary for w in wires)
             ):
@@ -1068,14 +1076,11 @@ def phase_profile(
         exponents.flags.writeable = False  # the profile takes the array without a copy
     return PhaseProfile(
         n=target.n,
-        modulus=m,
         family=target.family,
         labeling_name=labeling.name,
         query_count=queries,
-        expected_queries=expected_queries(target.family, target.n),
         exponents=exponents if failure is None else (),
         residuals=residuals,
-        residuals_ok=failure is None,
         failure=failure,
     )
 
@@ -1168,8 +1173,9 @@ class VerificationReport:
         an integer nor null, residuals_x_independent is not a boolean, is
         true with a failure or without n! exponents, or is false without a
         failure or with exponents (a failing profile holds none), where
-        n < 2, and where the payload's verdict fields disagree with the
-        verdict its exponents give; :class:`UnsupportedError` for an n past
+        n < 2, where expected_queries is not the family's formula at n, and
+        where the payload's verdict fields disagree with the verdict its
+        exponents give; :class:`UnsupportedError` for an n past
         :data:`MAX_READOUT_N`.
         """
         d = json.loads(text)
@@ -1224,16 +1230,18 @@ class VerificationReport:
             raise DomainError(f"report has {len(exponents)} exponents, but {need}")
         profile = PhaseProfile(
             n=d["n"],
-            modulus=m,
             family=d["family"],
             labeling_name=d["labeling"],
             query_count=d["query_count"],
-            expected_queries=d["expected_queries"],
             exponents=exponents,
             residuals={w: tuple(word) for w, word in residuals.items()},
-            residuals_ok=ok,
             failure=d["failure"],
         )
+        if d["expected_queries"] != profile.expected_queries:
+            raise DomainError(
+                f"report gives expected_queries={d['expected_queries']!r}, but family "
+                f"{d['family']!r} at n={d['n']} expects {profile.expected_queries!r}"
+            )
         report = solve_profile(profile, d["y"])
         for key in ("phase_linear", "solved_y", "passed"):
             if d[key] != getattr(report, key):
@@ -1290,13 +1298,14 @@ def readout(profile: PhaseProfile, ys: Sequence[int]) -> tuple[np.ndarray, np.nd
     Returns int64 ``solved`` and bool ``passed`` arrays aligned with ys:
     ``solved[i]`` is the report's ``solved_y`` for ys[i], or -1 where that
     is None (the phase is not linear at that y), and ``passed[i]`` its
-    ``passed``.  p(1)*y stays exact in int64 since n!^2 < 2^63.  Raises
-    :class:`DomainError` for ys that are not integers (a bool, float or
+    ``passed``.  p(1)*y stays exact in int64 since n!^2 < 2^63.  A bool
+    is read as the integer it is, as :func:`solve_profile` reads it.
+    Raises :class:`DomainError` for ys that are not integers (a float or
     string included) or lie outside [0, n!).
     """
     m = profile.modulus
     ys = np.asarray(ys)
-    if ys.size and ys.dtype.kind not in "iu":
+    if ys.size and ys.dtype.kind not in "iub":
         raise DomainError(f"ys must be integers in [0, {m - 1}], got dtype {ys.dtype}")
     if ys.size and not (0 <= ys.min() and ys.max() < m):
         bad = ys[(ys < 0) | (ys >= m)][0]

@@ -245,7 +245,7 @@ class Circuit:
         for g in self.gates:
             if isinstance(g, misfit):
                 raise StructuralError(f"gate {g} cannot run under a {type(self.control).__name__}")
-            for ref in _wire_refs(g):
+            for ref in _wire_refs(g, self.n):
                 if ref not in data:
                     if ref in ids:
                         raise StructuralError(f"gate {g} acts on control wire {ref!r}")
@@ -271,7 +271,8 @@ class Circuit:
         raise StructuralError(f"no wire {wire_id!r}")
 
 
-def _wire_refs(gate: Gate) -> Iterator[str]:
+def _wire_refs(gate: Gate, n: int) -> Iterator[str]:
+    """The wires ``gate`` may act on, of a circuit over U_0..U_{n-1}."""
     if isinstance(gate, Apply):
         yield gate.wire
     elif isinstance(gate, ControlledApply):
@@ -282,9 +283,10 @@ def _wire_refs(gate: Gate) -> Iterator[str]:
     elif isinstance(gate, PosCondSwap):
         yield gate.wire_a
         yield gate.wire_b
-    elif isinstance(gate, SwitchSwap):
+    elif isinstance(gate, SwitchSwap):  # and the a_i of the U_i acting at p, which may be any i
         for wire, _ in gate.swaps:
             yield wire
+        yield from map(aux_wire, range(n))
     elif isinstance(gate, Rewire):
         for swaps in gate.routes.values():
             for a, b in swaps:

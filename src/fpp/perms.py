@@ -37,7 +37,7 @@ from .commutation import (
     brute_force_phases,
     word_rows,
 )
-from .errors import DomainError, FppError, InvariantError, RangeError, UnsupportedError
+from .errors import DomainError, FppError, RangeError, UnsupportedError
 from .numsys import FactoradicDigits, from_factoradic, to_factoradic
 
 __all__ = [
@@ -108,7 +108,10 @@ class Labeling:
 
     def words(self, xs: Sequence[int]) -> np.ndarray:
         """Written orders of the words of ``xs``, one int8 row per x (shape
-        len(xs) x n)."""
+        len(xs) x n).  This per-x reference takes any xs; the subclasses
+        here decode only a unit-step range inside [0, n!), the chunks of
+        :func:`_chunks` that every caller passes, and raise
+        :class:`RangeError` for any other xs."""
         return np.array(
             [self.word(x).order for x in xs], dtype=np.int8
         ).reshape(len(xs), self.n)
@@ -116,7 +119,9 @@ class Labeling:
     def positions(self, xs: Sequence[int]) -> np.ndarray:
         """Acting positions of the words of ``xs``, shape n x len(xs): entry
         [g, i] is the position at which U_g acts in word(xs[i]).  They are
-        intp, the index type, since the sweep indexes tables with them."""
+        intp, the index type, since the sweep indexes tables with them.
+        Like :meth:`words`, the subclasses here take only a unit-step range
+        inside [0, n!)."""
         return np.array(
             [self.word(x).positions() for x in xs], dtype=np.intp
         ).reshape(len(xs), self.n).T
@@ -133,15 +138,6 @@ class Labeling:
         if not 0 <= x < self.size:
             raise RangeError(f"x={x} outside [0, {self.size - 1}]")
 
-    def _check_xs(self, xs: Sequence[int]) -> np.ndarray:
-        """``xs`` as an int64 array; raises :meth:`_check_x`'s error for the
-        first x out of range."""
-        arr = np.asarray(xs, dtype=np.int64).reshape(-1)
-        outside = (arr < 0) | (arr >= self.size)
-        if outside.any():
-            self._check_x(int(arr[outside.argmax()]))
-        return arr
-
     def validate(self) -> "ConsistencyResult":
         """Memoized :func:`validate_labeling`."""
         if self._validation is None:
@@ -149,11 +145,14 @@ class Labeling:
         return self._validation
 
 
-def _is_span(xs: Sequence[int], size: int) -> bool:
-    """Whether ``xs`` is a unit-step range inside [0, size)."""
-    return isinstance(xs, range) and xs.step == 1 and (
-        not xs or (xs.start >= 0 and xs.stop <= size)
-    )
+def _require_span(xs: range, size: int) -> None:
+    """Raise :class:`RangeError` unless ``xs`` is a unit-step range inside
+    [0, size), the only xs the batch decoders take; for a range that runs
+    outside, the error :meth:`Labeling.word` raises for its first x there."""
+    if not (isinstance(xs, range) and xs.step == 1):
+        raise RangeError(f"xs must be a unit-step range, not {xs!r}")
+    if xs and (xs.start < 0 or xs.stop > size):
+        raise RangeError(f"x={xs.start if xs.start < 0 else size} outside [0, {size - 1}]")
 
 
 # The low table holds the words of U_0..U_{k-1} for k = min(n, _LOW_GATES):
@@ -189,11 +188,10 @@ class FactoradicBlocks:
     the digits a_1..a_{k-1}.  Per q, :meth:`high` gives the acting sequence
     with -1 at the free positions; it is built for each q a range meets,
     never for all n!/L of them.  The decoder takes only a unit-step range
-    of xs inside [0, n!) (:meth:`decodes`), and decodes it per q it meets
-    (a few per chunk of the sweep): its words are one row copy and one
-    column scatter of low rows, its positions a copy of rank rows moved
-    past the high gates.  Labelings and bit controls send any other xs to
-    their per-x references.
+    of xs inside [0, n!), and raises :class:`RangeError` for any other xs.
+    It decodes a range per q it meets (a few per chunk of the sweep): its
+    words are one row copy and one column scatter of low rows, its
+    positions a copy of rank rows moved past the high gates.
 
     The tables are int8/uint8, depend on n alone and are built on first
     use, each in one numpy pass: 101 KB from n=7 on.
@@ -232,15 +230,10 @@ class FactoradicBlocks:
             [r // factorial(j) % (j + 1) for j in range(1, self.k)], dtype=np.uint8
         ).reshape(self.k - 1, self.rows)
 
-    def decodes(self, xs: Sequence[int]) -> bool:
-        """Whether the decoder takes ``xs``: a unit-step range inside [0, n!)."""
-        return _is_span(xs, self.size)
-
     def _segments(self, xs: range) -> Iterator[tuple[slice, int, int, int]]:
         """(columns, q, r0, r1): the xs q * L + r0 .. q * L + r1 - 1 sit in
         ``columns`` of the output, for each q the range meets."""
-        if not self.decodes(xs):
-            raise InvariantError(f"the decoder takes unit-step ranges inside [0, n!), not {xs!r}")
+        _require_span(xs, self.size)
         at, block = 0, self.rows
         for q in range(xs.start // block, -(-xs.stop // block)) if xs else ():
             r0, r1 = max(xs.start - q * block, 0), min(xs.stop - q * block, block)
@@ -308,21 +301,15 @@ class FactoradicLabeling(Labeling):
             seq.insert(i + digits[k - 1], k)
         return PermWord(self.n, tuple(seq))
 
-    def words(self, xs: Sequence[int]) -> np.ndarray:
-        """:meth:`word` for many xs, one int8 row per x: decoded by
-        :func:`factoradic_blocks` where it takes xs, else per x."""
-        blocks = factoradic_blocks(self.n)
-        if not blocks.decodes(xs):
-            return super().words(xs)
-        return np.ascontiguousarray(blocks.acting(xs)[:, ::-1])
+    def words(self, xs: range) -> np.ndarray:
+        """:meth:`word` for a range of xs, one int8 row per x, decoded by
+        :func:`factoradic_blocks`."""
+        return np.ascontiguousarray(factoradic_blocks(self.n).acting(xs)[:, ::-1])
 
-    def positions(self, xs: Sequence[int]) -> np.ndarray:
-        """:meth:`Labeling.positions`: decoded by :func:`factoradic_blocks`
-        where it takes xs, else per x."""
-        blocks = factoradic_blocks(self.n)
-        if not blocks.decodes(xs):
-            return super().positions(xs)
-        return blocks.positions(xs)
+    def positions(self, xs: range) -> np.ndarray:
+        """:meth:`Labeling.positions` for a range of xs, decoded by
+        :func:`factoradic_blocks`."""
+        return factoradic_blocks(self.n).positions(xs)
 
     def label(self, w: PermWord | Sequence[int]) -> int:
         order = w.order if isinstance(w, PermWord) else tuple(w)
@@ -395,15 +382,16 @@ class ExplicitLabeling(Labeling):
             positions[self._table[:, j], xs] = self.n - 1 - j
         return positions
 
-    def words(self, xs: Sequence[int]) -> np.ndarray:
-        """Rows of the word table."""
-        return self._table[self._check_xs(xs)]
+    def words(self, xs: range) -> np.ndarray:
+        """A copy of the word table's rows of a range of xs."""
+        _require_span(xs, self.size)
+        return self._table[xs.start : xs.stop].copy()
 
-    def positions(self, xs: Sequence[int]) -> np.ndarray:
-        """Columns of the position table, built on first use: a slice of
-        them for a unit-step range."""
-        cols = slice(xs.start, xs.stop) if _is_span(xs, self.size) else self._check_xs(xs)
-        return self._positions[:, cols].astype(np.intp)
+    def positions(self, xs: range) -> np.ndarray:
+        """The position table's columns of a range of xs, built on first
+        use, copied as intp."""
+        _require_span(xs, self.size)
+        return self._positions[:, xs.start : xs.stop].astype(np.intp)
 
     def label(self, w: PermWord | Sequence[int]) -> int:
         order = w.order if isinstance(w, PermWord) else tuple(w)

@@ -357,17 +357,14 @@ def test_run_prints_nonlinear_witness_once_under_residuals(capsys):
 
 
 def _readout_profiles():
-    from math import factorial
-
     import numpy as np
 
     from fpp.algorithms import PhaseProfile
 
     def profile(n, exponents, failure=None):
         return PhaseProfile(
-            n=n, modulus=factorial(n), family="f", labeling_name="l", query_count=0,
-            expected_queries=None, exponents=exponents, residuals={},
-            residuals_ok=failure is None, failure=failure,
+            n=n, family="f", labeling_name="l", query_count=0,
+            exponents=exponents, residuals={}, failure=failure,
         )
 
     x = np.arange(40320)

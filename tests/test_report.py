@@ -14,7 +14,7 @@ import json
 import pickle
 import re
 from dataclasses import dataclass, field, replace
-from math import factorial, gcd, isqrt
+from math import factorial, gcd
 
 import numpy as np
 import pytest
@@ -34,6 +34,7 @@ from fpp import (
     verify_and_solve,
 )
 from fpp import perms
+from fpp.algorithms import FAMILIES
 from fpp.errors import DomainError, UnsupportedError
 
 
@@ -319,9 +320,8 @@ def _oracle_period(profile: PhaseProfile) -> int:
 
 def _profile(n: int, exponents, failure: str | None = None) -> PhaseProfile:
     return PhaseProfile(
-        n=n, modulus=factorial(n), family="drawn", labeling_name="drawn",
-        query_count=0, expected_queries=None, exponents=exponents,
-        residuals={}, residuals_ok=failure is None, failure=failure,
+        n=n, family="drawn", labeling_name="drawn", query_count=0,
+        exponents=exponents, residuals={}, failure=failure,
     )
 
 
@@ -415,11 +415,6 @@ def test_int64_readout_guard_admits_n12_only():
     assert _profile(12, (), failure="x=1: failed").readout_period == 1
     with pytest.raises(UnsupportedError, match="n <= 12"):
         _profile(13, (), failure="x=1: failed")
-    # the bound itself, on moduli that are not factorials
-    largest = isqrt(2**63 - 1)
-    assert replace(_profile(2, ()), modulus=largest).modulus == largest
-    with pytest.raises(UnsupportedError, match="n <= 12"):
-        replace(_profile(2, ()), modulus=largest + 1)
     # phase_profile refuses n=13 before validating or sweeping 13! states
     with pytest.raises(UnsupportedError, match="n <= 12"):
         phase_profile(nlogn_circuit(13), FactoradicLabeling(13))
@@ -473,12 +468,55 @@ def test_readout_rejects_y_outside_the_modulus():
 
 
 def test_readout_refuses_ys_that_are_not_integers():
-    # a float, bool or string array is refused, not cast: 1.5 would read
-    # as y=1 and "3" as y=3; so is an int past int64 next to another
-    for ys in ([1.5], ["3"], [True], np.array([1, 0], dtype=bool), [2**64], [2**63, -1]):
+    # a float or string array is refused, not cast: 1.5 would read as y=1
+    # and "3" as y=3; so is an int past int64 next to another
+    for ys in ([1.5], ["3"], [2**64], [2**63, -1]):
         with pytest.raises(DomainError, match="must be integers"):
             readout(_linear(), ys)
     for ys in ([], np.array([], dtype=float), np.array([3], dtype=np.int8)):
         solved, passed = readout(_linear(), ys)
         assert solved.dtype == np.int64 and solved.tolist() == list(ys)
         assert passed.all()
+
+
+def test_vector_and_per_y_readouts_agree_on_bools(profile):
+    # a bool y is the integer it is, to readout as to solve_profile
+    for ys in ([True], [False, True], np.array([1, 0, 1], dtype=bool)):
+        bools = [bool(y) for y in ys]
+        assert _vector(profile, ys) == _views(profile, bools) == _views(profile, list(map(int, bools)))
+
+
+def test_profile_fields_are_what_the_sweep_found():
+    # n!, the residual verdict and the expected query count are derived,
+    # so a profile cannot hold a modulus other than n!, a passing verdict
+    # beside a failure, or another family's query count
+    assert [f.name for f in dataclasses.fields(PhaseProfile)] == [
+        "n", "family", "labeling_name", "query_count", "exponents", "residuals", "failure",
+    ]
+    for key, value in (("modulus", 6), ("residuals_ok", True), ("expected_queries", 14)):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'"):
+            PhaseProfile(
+                n=3, family="nlogn", labeling_name="factoradic", query_count=14,
+                exponents=range(6), residuals={}, failure=None, **{key: value},
+            )
+    for profile in (_linear(), _non_linear(), _failing()):
+        assert profile.modulus == factorial(profile.n)
+        assert profile.residuals_ok == (profile.failure is None)
+        assert profile.expected_queries == FAMILIES[profile.family].queries(profile.n)
+        assert profile.counts_match == (profile.query_count == profile.expected_queries)
+    failed = _profile(3, (), failure="x=1: broken")
+    assert not failed.residuals_ok and not solve_profile(failed, 1).passed
+    assert _profile(3, range(6)).expected_queries is None  # no family of that name
+
+
+def test_from_json_refuses_expected_queries_other_than_the_family_formula():
+    payload = json.loads(solve_profile(_linear(), 1).to_json())
+    assert payload["family"] == "nlogn" and payload["expected_queries"] == 18
+    for value in (17, None):
+        payload["expected_queries"] = value
+        message = f"expected_queries={value!r}, but family 'nlogn' at n=4 expects 18"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            VerificationReport.from_json(json.dumps(payload))
+    payload.update(family="drawn", expected_queries=18)  # no family of that name
+    with pytest.raises(DomainError, match="but family 'drawn' at n=4 expects None"):
+        VerificationReport.from_json(json.dumps(payload))

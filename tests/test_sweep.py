@@ -60,7 +60,7 @@ from fpp.perms import (
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (FppError, KeyError) as exc:
+    except FppError as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -162,14 +162,18 @@ def test_missing_rewire_route_matches_per_x():
     assert kind == "StructuralError" and "no route" in message
 
 
-def test_missing_auxiliary_wire_matches_per_x():
-    # a switch swap of psi_t with a_2, which the circuit lacks, for every x
-    # whose first acting gate is U_2
+def test_missing_auxiliary_wire_does_not_build():
+    # a switch swap of t with a_2, which the circuit lacks, for every x
+    # whose first acting gate is U_2: refused when the circuit is built, not
+    # with a KeyError at the first such x
     lab = FactoradicLabeling(3)
     wires = (Wire("x", CONTROL_QUDIT), Wire("t", TARGET), Wire("a_0", AUXILIARY), Wire("a_1", AUXILIARY))
     swap = SwitchSwap((("t", 0),))
-    circuit = Circuit(3, "partial", wires, (swap, swap), QuditControl(lab))
-    assert assert_sweeps_agree(circuit, lab) == ("KeyError", "'a_2'")
+    with pytest.raises(StructuralError, match="references unknown wire 'a_2'"):
+        Circuit(3, "partial", wires, (swap, swap), QuditControl(lab))
+    with pytest.raises(StructuralError, match="acts on control wire 'a_2'"):
+        Circuit(3, "partial", wires + (Wire("a_2", CONTROL_QUDIT),), (swap, swap), QuditControl(lab))
+    Circuit(3, "whole", wires + (Wire("a_2", AUXILIARY),), (swap, swap), QuditControl(lab))
 
 
 def test_switch_that_strands_tokens_matches_per_x():
@@ -458,10 +462,10 @@ def test_near_miss_switch_sandwiches_match_per_x():
     for name, gates in near_misses.items():
         assert _steps(circuit(gates)) is None, name
         assert_sweeps_agree(circuit(gates), lab)
-    # a missing auxiliary wire: x=0 puts U_1 at position 1, x=12 puts U_3
-    partial = Circuit(n, "partial", wires[:-1], (switch, switch), QuditControl(lab))
-    assert _steps(partial) is None
-    assert assert_sweeps_agree(partial, lab) == ("KeyError", "'a_3'")
+    # a missing auxiliary wire: x=0 puts U_1 at position 1, x=12 puts U_3;
+    # the circuit does not build
+    with pytest.raises(StructuralError, match="references unknown wire 'a_3'"):
+        Circuit(n, "partial", wires[:-1], (switch, switch), QuditControl(lab))
 
 
 def test_unlowered_plans_sweep_per_x(monkeypatch):
@@ -497,7 +501,8 @@ def test_sweep_and_validation_decode_only_ranges(monkeypatch):
         method = getattr(perms.FactoradicBlocks, name)
 
         def spy(self, xs, name=name, method=method):
-            seen.append((name, xs, self.decodes(xs)))
+            span = isinstance(xs, range) and xs.step == 1 and 0 <= xs.start <= xs.stop <= self.size
+            seen.append((name, xs, span))
             return method(self, xs)
 
         monkeypatch.setattr(perms.FactoradicBlocks, name, spy)
@@ -596,17 +601,20 @@ def test_labeling_words_match_word():
         assert (lab.words(range(lab.size)) == expected).all()
         assert (Labeling.words(lab, range(lab.size)) == expected).all()
         renamed = relabeled(lab, tuple(reversed(range(n))))
-        picked = [lab.size - 1, 0, 1]
         assert isinstance(renamed, ExplicitLabeling)
-        assert (renamed.words(picked) == [renamed.word(x).order for x in picked]).all()
-    # n=9: random xs and the last block validation resolves
+        for picked in (range(lab.size - 1, lab.size), range(0, 2)):
+            assert (renamed.words(picked) == [renamed.word(x).order for x in picked]).all()
+    # n=9: ranges across the table, and the last block validation resolves
     lab = FactoradicLabeling(9)
     rng = np.random.default_rng(9)
-    for xs in (rng.integers(0, lab.size, 500), range(lab.size - 4096, lab.size)):
-        assert lab.words(xs).tolist() == [list(lab.word(int(x)).order) for x in xs]
-    assert lab.words([]).shape == (0, 9)
+    for start in rng.integers(0, lab.size - 500, 3).tolist():
+        xs = range(start, start + 500)
+        assert lab.words(xs).tolist() == [list(lab.word(x).order) for x in xs]
+    xs = range(lab.size - 4096, lab.size)
+    assert lab.words(xs).tolist() == [list(lab.word(x).order) for x in xs]
+    assert lab.words(range(0)).shape == (0, 9)
     with pytest.raises(FppError, match="x=6 outside"):
-        FactoradicLabeling(3).words([0, 6])
+        FactoradicLabeling(3).words(range(0, 7))
 
 
 # ---------------------------------------------------------------------------
@@ -706,8 +714,8 @@ def sandwich_circuits(draw, own_gates=False):
     Applies on auxiliary wires or on any data wire, the same switch;
     perturbed by an Apply on a switched target, two pairs on one wire, a
     conditional swap between, or a closing switch with another pair.
-    Sometimes an auxiliary wire is missing; the switches then avoid the
-    position of its gate at x=0.
+    Sometimes an auxiliary wire is missing; then no switch is drawn, as a
+    circuit with one does not build.
 
     With ``own_gates`` each Apply of a conditional-swap sandwich applies
     the gate whose key the swap reads (U_g for a ``PosCondSwap`` on g, U_k
@@ -722,11 +730,9 @@ def sandwich_circuits(draw, own_gates=False):
     if qudit and draw(st.booleans()):
         lab = relabeled(fac, draw(st.permutations(range(n))))
     auxiliary = [aux_wire(g) for g in range(n)]
-    switchable = list(range(n))  # positions a switch may name
     if qudit and draw(st.booleans()):
-        missing = draw(st.integers(0, n - 1))
-        del auxiliary[missing]
-        switchable.remove(lab.word(0).positions()[missing])
+        del auxiliary[draw(st.integers(0, n - 1))]
+    switches = qudit and len(auxiliary) == n
     data = targets + auxiliary
 
     def conditional_swap(a, b):
@@ -744,9 +750,8 @@ def sandwich_circuits(draw, own_gates=False):
         return replace(swap, bit=draw(st.sampled_from(slots)))
 
     def switch_sandwich():
-        pairs = draw(st.lists(st.sampled_from(targets), min_size=1,
-                              max_size=min(2, len(switchable)), unique=True))
-        positions = draw(st.lists(st.sampled_from(switchable), min_size=len(pairs),
+        pairs = draw(st.lists(st.sampled_from(targets), min_size=1, max_size=2, unique=True))
+        positions = draw(st.lists(st.integers(0, n - 1), min_size=len(pairs),
                                   max_size=len(pairs), unique=True))
         switch = SwitchSwap(tuple(zip(pairs, positions)))
         wires = auxiliary if draw(st.booleans()) else data
@@ -761,7 +766,7 @@ def sandwich_circuits(draw, own_gates=False):
         if kind == "target":
             middle.insert(draw(st.integers(0, len(middle))), Apply(0, pairs[0]))
         elif kind == "one wire":  # a 3-cycle of tokens, played three times
-            second = draw(st.sampled_from(switchable))
+            second = draw(st.integers(0, n - 1))
             switch = SwitchSwap(((pairs[0], positions[0]), (pairs[0], second)))
             close = [switch, switch]
         elif kind == "one position":  # likewise
@@ -771,15 +776,15 @@ def sandwich_circuits(draw, own_gates=False):
             a, b = draw(st.lists(st.sampled_from(data), min_size=2, max_size=2, unique=True))
             middle.insert(draw(st.integers(0, len(middle))), conditional_swap(a, b))
         elif kind == "wider":  # then the extra pair alone, to restore it
-            extra = ("t1" if pairs[0] == "t0" else "t0", draw(st.sampled_from(switchable)))
+            extra = ("t1" if pairs[0] == "t0" else "t0", draw(st.integers(0, n - 1)))
             close = [SwitchSwap(switch.swaps + (extra,)), SwitchSwap((extra,))]
         return [switch, *middle, *close]
 
     gates = []
-    if qudit and len(switchable) == n and draw(st.booleans()):
+    if switches and draw(st.booleans()):
         gates += _switch_steps(n, targets[0], draw(st.permutations(range(n))))
     for _ in range(draw(st.integers(1, 6))):
-        if qudit and draw(st.integers(0, 2)) == 0:
+        if switches and draw(st.integers(0, 2)) == 0:
             gates += switch_sandwich()
             continue
         a, b = draw(st.lists(st.sampled_from(data), min_size=2, max_size=2, unique=True))
